@@ -64,7 +64,7 @@ print(f"  D-cal counts {np.round(hist.counts, 1)}")
 print(f"  D-cal p = {dcal_test(hist).p_value:.3f}")
 
 tstar = float(np.percentile(data.times, 50))
-probs = np.array([survival_at(c, tstar) for c in preds.curves])
+probs = survival_at(preds.curves, tstar)  # one value per patient
 dn = one_calibration_dn(validation, probs, tstar, b=10)
 print(f"  1-calibration at the median time ({tstar:.1f}): "
       f"statistic {dn.statistic:.2f}, p = {dn.p_value:.3f}")

@@ -30,7 +30,9 @@ from .core import (
 )
 from .cox import CoxModel, fit_cox, predict_curve_cox, univariate_cox_pvalue
 from .curves import (
+    CurveBatch,
     ExtendedCurve,
+    as_batch,
     average_curves,
     extend_linear,
     integrate_curve,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConvergenceError, FitError, Instance, SurvivalCurve, SurvivalDataset, SurvivalModel
+from .curves import CurveBatch
 
 __all__ = ["AftWeibullModel", "fit_aft_weibull", "predict_curve_aft", "aft_loglik"]
 
@@ -46,6 +47,9 @@ class AftWeibullModel(SurvivalModel):
 
     def predict_curve(self, inst: Instance) -> SurvivalCurve:
         return predict_curve_aft(self, np.asarray(inst.features, dtype=float), self.grid)
+
+    def predict_curves(self, d: SurvivalDataset) -> CurveBatch:
+        return predict_curve_aft(self, d.feature_matrix(), self.grid)
 
 
 def _pack(intercept, coeffs, log_scale):
@@ -169,15 +173,17 @@ def fit_aft_weibull(d: SurvivalDataset, tol: float = 1e-8, max_iter: int = 200) 
     )
 
 
-def predict_curve_aft(m: AftWeibullModel, x, grid) -> SurvivalCurve:
+def predict_curve_aft(m: AftWeibullModel, x, grid):
     """Closed-form Weibull survival sampled on an increasing time grid,
-    emitted as a piecewise-linear curve."""
+    emitted as a piecewise-linear curve: a SurvivalCurve for one feature
+    vector, a CurveBatch for a matrix."""
     grid = np.asarray(getattr(grid, "points", grid), dtype=float)
     x = np.asarray(x, dtype=float)
-    mu = m.intercept + float(x @ m.coeffs)
+    mu = m.intercept + x @ m.coeffs
     with np.errstate(divide="ignore"):
         logt = np.log(grid)
-    w = (logt - mu) / m.sigma
-    probs = np.exp(-np.exp(w))
-    probs = np.where(grid == 0.0, 1.0, probs)
-    return SurvivalCurve(grid, np.clip(probs, 0.0, 1.0), "linear")
+    w = (logt - mu[..., None]) / m.sigma
+    probs = np.clip(np.where(grid == 0.0, 1.0, np.exp(-np.exp(w))), 0.0, 1.0)
+    if x.ndim == 1:
+        return SurvivalCurve(grid, probs, "linear")
+    return CurveBatch(grid, probs, "linear")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SurvivalDataset
-from .curves import ExtendedCurve, survival_at
+from .curves import CurveBatch, as_batch, survival_at
 from .km import KMCurve, fit_km_arrays, km_at
 from .stats import chi2_sf
 
@@ -168,6 +168,13 @@ def _g_first_zero(g_hat: KMCurve) -> float:
     return float(curve.times[np.argmax(zeros)]) if zeros.any() else np.inf
 
 
+def _aligned_batch(v: SurvivalDataset, curves) -> CurveBatch:
+    batch = as_batch(curves)
+    if batch.rows not in (1, len(v)):
+        raise ValueError(f"{batch.rows} curves for {len(v)} instances")
+    return batch
+
+
 def brier_censored(v: SurvivalDataset, curves, tstar: float, g_hat: KMCurve) -> float:
     """Inverse-probability-of-censoring-weighted Brier score at t*.
 
@@ -175,13 +182,11 @@ def brier_censored(v: SurvivalDataset, curves, tstar: float, g_hat: KMCurve) -> 
     instances censored before t* contribute 0 directly.  Raises when a
     required G evaluation is 0 (the score is only defined while the
     censoring curve is positive; see `integrated_brier` for the truncated
-    integral form).
+    integral form).  ``curves`` is a `CurveBatch` or a sequence of curves.
     """
-    curves = list(curves)
-    if len(curves) != len(v):
-        raise ValueError(f"{len(curves)} curves for {len(v)} instances")
+    batch = _aligned_batch(v, curves)
     times, events = v.times, v.events
-    probs = np.array([survival_at(c, tstar) for c in curves])
+    probs = np.broadcast_to(survival_at(batch, tstar), times.shape)
 
     death_terms = (times <= tstar) & events
     alive_terms = times > tstar
@@ -205,74 +210,88 @@ def brier_censored(v: SurvivalDataset, curves, tstar: float, g_hat: KMCurve) -> 
     return float(total / len(v))
 
 
-def _piecewise_quad(curve, cuts: np.ndarray, against: float) -> np.ndarray:
-    # Per-piece integrals of (against - S(t))**2 by the open 3-point
-    # Newton-Cotes rule: exact for the polynomial pieces, and endpoint-free
-    # so step discontinuities at piece boundaries cannot leak in.
-    a, b = cuts[:-1], cuts[1:]
-    widths = b - a
-    f1 = (against - survival_at(curve, a + 0.25 * widths)) ** 2
-    f2 = (against - survival_at(curve, a + 0.50 * widths)) ** 2
-    f3 = (against - survival_at(curve, a + 0.75 * widths)) ** 2
-    return widths / 3.0 * (2.0 * f1 - f2 + 2.0 * f3)
+def _squared_gap(ends, a, b, target: float) -> np.ndarray:
+    # integral over [a, b] of (target - S)^2, where S is linear from S(a) to
+    # S(cut) on [a, cut] and 0 on [cut, b] (see CurveBatch.segment_ends)
+    s_a, cut, s_cut = ends
+    u, w = target - s_a, target - s_cut
+    return (cut - a) * (u * u + u * w + w * w) / 3.0 + (b - cut) * target * target
 
 
-def _curve_breakpoints(curve) -> np.ndarray:
-    if isinstance(curve, ExtendedCurve):
-        return np.concatenate((curve.base.times, [curve.zero_time]))
-    return np.asarray(curve.times)
+_IBS_BLOCK = 32  # rows per block of the (rows x pieces) tables
 
 
 def integrated_brier(v: SurvivalDataset, curves, tau: float, g_hat: KMCurve) -> float:
     """Average of the censored Brier score over [0, tau]:
     (1/tau) * integral of BS_t dt, computed exactly piece by piece.
 
-    Between breakpoints (observed times, curve knots, censoring-curve
-    knots) the integrand is polynomial, so a 3-point open rule per piece
-    integrates it exactly.  If the censoring curve hits 0 before tau the
-    integral and its normalization are truncated at that time.
+    The pieces lie between the merged breakpoints (curve knots and
+    censoring-curve knots); on each the censoring curve is constant and
+    every curve is linear up to where its tail reaches 0, so each piece has
+    a closed form.  Cumulative sums per row then give every patient's alive
+    integral over [0, min(t_i, tau)] and death integral over [t_i, tau] from
+    one table lookup plus one partial piece.  If the censoring curve hits 0
+    before tau the integral and its normalization are truncated at that
+    time.  ``curves`` is a `CurveBatch` or a sequence of curves.
     """
     if not tau > 0:
         raise ValueError(f"horizon tau must be positive, got {tau}")
-    curves = list(curves)
-    if len(curves) != len(v):
-        raise ValueError(f"{len(curves)} curves for {len(v)} instances")
+    batch = _aligned_batch(v, curves)
+    n = len(v)
     times, events = v.times, v.events
     tau_eff = min(tau, _g_first_zero(g_hat))
+    if not tau_eff > 0:
+        raise ValueError("censoring curve G is 0 from time 0; the IBS is undefined")
 
+    knots = batch.grid
     g_knots = g_hat.curve.times
+    cuts = np.unique(np.concatenate((
+        [0.0, tau_eff], knots[knots < tau_eff], g_knots[(g_knots > 0) & (g_knots < tau_eff)],
+    )))
+    lo, hi = cuts[:-1], cuts[1:]
+    seg = batch.segment_of(lo)          # piece -> knot segment, shared by every row
+    g_piece = km_at(g_hat, lo)          # G is constant on each piece and positive
+
+    alive_end = np.minimum(times, tau_eff)
+    alive_piece = np.clip(np.searchsorted(cuts, alive_end, side="right") - 1, 0, lo.size - 1)
+    dies = events & (times < tau_eff)
+    death_piece = np.clip(np.searchsorted(cuts, times, side="right") - 1, 0, lo.size - 1)
+    g_death = km_at(g_hat, np.where(dies, times, 0.0))
+    if np.any(g_death[dies] <= 0):
+        raise ValueError(
+            "censoring curve G is 0 at an observed death inside the integration window"
+        )
+
+    if batch.rows == 1:
+        blocks = [(np.zeros(1, dtype=int), np.arange(n))]
+    else:
+        blocks = [(idx, idx) for idx in np.array_split(np.arange(n), -(-n // _IBS_BLOCK))]
     total = 0.0
-    for t_i, e_i, curve in zip(times, events, curves):
-        own = _curve_breakpoints(curve)
+    for rows, patients in blocks:
+        ends = batch.segment_ends(rows[:, None], seg, lo, hi)
+        alive = _squared_gap(ends, lo, hi, 1.0) / g_piece
+        death = _squared_gap(ends, lo, hi, 0.0)
+        zeros = np.zeros((rows.size, 1))
+        alive_before = np.hstack((zeros, np.cumsum(alive, axis=1)))
+        death_after = np.hstack((np.cumsum(death[:, ::-1], axis=1)[:, ::-1], zeros))
+
+        local = np.arange(patients.size) if batch.rows > 1 else np.zeros(patients.size, int)
+        row_of = rows[local]
 
         # alive region [0, min(t_i, tau_eff)): weight 1/G(t), target 1
-        hi = min(t_i, tau_eff)
-        if hi > 0:
-            cuts = np.unique(np.concatenate((
-                [0.0, hi],
-                own[(own > 0) & (own < hi)],
-                g_knots[(g_knots > 0) & (g_knots < hi)],
-            )))
-            pieces = _piecewise_quad(curve, cuts, against=1.0)
-            g_mid = km_at(g_hat, 0.5 * (cuts[:-1] + cuts[1:]))
-            usable = g_mid > 0  # G can only vanish at the truncation edge
-            total += float(np.sum(pieces[usable] / g_mid[usable]))
+        k = alive_piece[patients]
+        end = alive_end[patients]
+        partial = _squared_gap(batch.segment_ends(row_of, seg[k], lo[k], end), lo[k], end, 1.0)
+        total += np.sum(alive_before[local, k] + partial / g_piece[k])
 
         # death region [t_i, tau_eff]: weight 1/G(t_i), target 0
-        if e_i and t_i < tau_eff:
-            g_i = km_at(g_hat, t_i)
-            if g_i <= 0:
-                raise ValueError(
-                    "censoring curve G is 0 at an observed death inside the "
-                    "integration window"
-                )
-            cuts = np.unique(np.concatenate((
-                [t_i, tau_eff],
-                own[(own > t_i) & (own < tau_eff)],
-            )))
-            total += float(np.sum(_piecewise_quad(curve, cuts, against=0.0))) / g_i
+        d = dies[patients]
+        k, start = death_piece[patients][d], times[patients][d]
+        partial = _squared_gap(batch.segment_ends(row_of[d], seg[k], start, hi[k]),
+                               start, hi[k], 0.0)
+        total += np.sum((death_after[local[d], k + 1] + partial) / g_death[patients][d])
 
-    return float(total / (len(v) * tau_eff))
+    return float(total / (n * tau_eff))
 
 
 @dataclass(frozen=True)
@@ -291,8 +310,8 @@ def dcal_histogram_from_probs(probs_at_event, events, b: int = 10) -> DCalHistog
     A death adds 1 to the bin containing its probability (bins are
     [k/B, (k+1)/B), top bin closed).  A censored instance with probability
     s spreads conditional mass: (s - lower_edge)/s to s's own bin and
-    (1/B)/s to every bin below it; s = 0 degenerates to weight 1 in the
-    lowest bin.
+    (1/B)/s to every bin below it; s <= 1/B (including the s = 0 limit)
+    puts weight 1 in the lowest bin.
     """
     probs = np.asarray(probs_at_event, dtype=float)
     events = np.asarray(events, dtype=bool)
@@ -304,28 +323,24 @@ def dcal_histogram_from_probs(probs_at_event, events, b: int = 10) -> DCalHistog
         raise ValueError("survival probabilities must lie in [0, 1]")
 
     edges = np.arange(b + 1) / b
-    counts = np.zeros(b)
     bin_of = np.clip(np.searchsorted(edges, probs, side="right") - 1, 0, b - 1)
-    for s, event, k in zip(probs, events, bin_of):
-        if event:
-            counts[k] += 1.0
-        elif s <= edges[1]:
-            counts[0] += 1.0  # covers the s = 0 limit as well
-        else:
-            counts[k] += (s - edges[k]) / s
-            counts[:k] += (1.0 / b) / s
+    whole = events | (probs <= edges[1])
+    counts = np.bincount(np.where(events, bin_of, 0)[whole], minlength=b).astype(float)
+    blurred = ~whole
+    s, k = probs[blurred], bin_of[blurred]
+    counts += np.bincount(k, weights=(s - edges[k]) / s, minlength=b)
+    # (1/B)/s goes to every bin below k: bin j collects it from every k > j
+    below = np.bincount(k, weights=(1.0 / b) / s, minlength=b)
+    counts[:-1] += np.cumsum(below[::-1])[::-1][1:]
     return DCalHistogram(edges, counts, float(probs.size))
 
 
 def dcal_histogram(v: SurvivalDataset, curves, b: int = 10) -> DCalHistogram:
     """D-calibration histogram of a validation set against its (extended)
-    predicted curves; ties d = c count as deaths via the event flag."""
-    curves = list(curves)
-    if len(curves) != len(v):
-        raise ValueError(f"{len(curves)} curves for {len(v)} instances")
-    probs = np.array(
-        [survival_at(c, inst.time) for c, inst in zip(curves, v.instances)]
-    )
+    predicted curves (a `CurveBatch` or a sequence of curves); ties d = c
+    count as deaths via the event flag."""
+    batch = _aligned_batch(v, curves)
+    probs = np.broadcast_to(survival_at(batch, v.times), (len(v),))
     return dcal_histogram_from_probs(probs, v.events, b)
 
 

@@ -10,6 +10,7 @@ matrices (the preprocessing pipeline guarantees that).
 from __future__ import annotations
 
 import csv
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator
@@ -58,8 +59,8 @@ class Instance:
         object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(self, "time", float(self.time))
         object.__setattr__(self, "event", bool(self.event))
-        if not self.time >= 0:
-            raise ValueError(f"time must be non-negative, got {self.time}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"time must be finite and non-negative, got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,11 @@ class SurvivalModel(ABC):
     def predict_curve(self, inst: Instance) -> SurvivalCurve:
         """Predicted survival curve for one instance."""
 
+    @abstractmethod
+    def predict_curves(self, d: SurvivalDataset):
+        """Predicted curves of every instance of `d` as one
+        `isdkit.curves.CurveBatch` on the model's knot vector."""
+
 
 def split_by_censoring(d: SurvivalDataset):
     """Partition a dataset into (uncensored, censored) halves by event flag."""
@@ -203,11 +209,12 @@ def _parse_cell(raw: str):
 def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
     """Read a survival dataset from a headed CSV file.
 
-    One row per patient; `time_col` must parse as a non-negative real and
-    `event_col` as 0 (censored) or 1 (death).  Every other column becomes a
-    feature: numeric cells parse to floats, non-numeric cells are kept as
-    category strings for later one-hot encoding, empty cells become missing
-    markers.  Malformed cells raise a ValueError naming the row (1-based
+    One row per patient; `time_col` must parse as a finite non-negative
+    real and `event_col` as 0 (censored) or 1 (death).  Every other column
+    becomes a feature: numeric cells parse to floats, non-numeric cells are
+    kept as category strings for later one-hot encoding, empty cells become
+    missing markers.  Malformed cells, including "nan" and "inf" (leave a
+    missing cell empty instead), raise a ValueError naming the row (1-based
     file line) and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -238,7 +245,12 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
                     f"{path}: row {line_no}, column {time_col!r}: "
                     f"cannot parse time {row[t_idx]!r}"
                 )
-            if not time >= 0:
+            if not math.isfinite(time):
+                raise ValueError(
+                    f"{path}: row {line_no}, column {time_col!r}: "
+                    f"non-finite time {row[t_idx]!r}"
+                )
+            if time < 0:
                 raise ValueError(
                     f"{path}: row {line_no}, column {time_col!r}: "
                     f"negative time {time}"
@@ -256,6 +268,12 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
                     f"event flag must be 0 or 1, got {row[e_idx]!r}"
                 )
             features = tuple(_parse_cell(row[i]) for i in feature_idx)
+            for i, value in zip(feature_idx, features):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: row {line_no}, column {header[i]!r}: non-finite "
+                        f"value {row[i]!r}; leave the cell empty to mark it missing"
+                    )
             instances.append(Instance(features, time, event == 1.0))
 
     return SurvivalDataset(tuple(instances), feature_names)

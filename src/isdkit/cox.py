@@ -27,6 +27,7 @@ from .core import (
     SurvivalDataset,
     SurvivalModel,
 )
+from .curves import CurveBatch
 from .stats import normal_cdf
 
 __all__ = ["CoxModel", "fit_cox", "predict_curve_cox", "univariate_cox_pvalue",
@@ -46,6 +47,9 @@ class CoxModel(SurvivalModel):
     def predict_curve(self, inst: Instance) -> SurvivalCurve:
         x = np.asarray(inst.features, dtype=float)
         return predict_curve_cox(self, x)
+
+    def predict_curves(self, d: SurvivalDataset) -> CurveBatch:
+        return predict_curve_cox(self, d.feature_matrix())
 
     def risk(self, inst: Instance) -> float:
         return float(np.asarray(inst.features, dtype=float) @ self.beta)
@@ -186,12 +190,15 @@ def fit_cox(d: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8) -> CoxMo
     return CoxModel(beta, baseline, iterations, gnorm, d.feature_names)
 
 
-def predict_curve_cox(m: CoxModel, x) -> SurvivalCurve:
-    """S(t | x) = S0(t) ** exp(beta . x), evaluated at the baseline knots."""
+def predict_curve_cox(m: CoxModel, x):
+    """S(t | x) = S0(t) ** exp(beta . x), evaluated at the baseline knots:
+    a SurvivalCurve for one feature vector, a CurveBatch for a matrix."""
     x = np.asarray(x, dtype=float)
-    exponent = np.exp(float(x @ m.beta))
-    probs = m.baseline.probs ** exponent
-    return SurvivalCurve(m.baseline.times, np.clip(probs, 0.0, 1.0), "step")
+    exponent = np.exp(x @ m.beta)
+    probs = np.clip(m.baseline.probs ** exponent[..., None], 0.0, 1.0)
+    if x.ndim == 1:
+        return SurvivalCurve(m.baseline.times, probs, "step")
+    return CurveBatch(m.baseline.times, probs, "step")
 
 
 def univariate_cox_pvalue(d: SurvivalDataset, feature_index: int) -> float:
@@ -227,4 +234,4 @@ def univariate_cox_pvalue(d: SurvivalDataset, feature_index: int) -> float:
     if not var > 0:
         return 1.0
     z = abs(beta[0]) / np.sqrt(var)
-    return 2.0 * (1.0 - normal_cdf(z))
+    return 2.0 * normal_cdf(-z)  # the lower tail: no cancellation for large z

@@ -12,11 +12,20 @@ training Kaplan-Meier curve, weighted by alpha = 1 - S_KM(c).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import SurvivalDataset, SurvivalModel
-from .curves import ExtendedCurve, extend_linear, integrate_curve, mean_survival, median_survival, survival_at
+from .curves import (
+    CurveBatch,
+    ExtendedCurve,
+    as_batch,
+    extend_linear,
+    mean_survival,
+    median_survival,
+    survival_at,
+)
 
 __all__ = [
     "Prediction",
@@ -44,53 +53,74 @@ class Prediction:
 
 
 class PredictionSet:
-    """Aligned per-instance predictions for a validation dataset."""
+    """Aligned per-instance risks, capped medians and extended curves.
 
-    def __init__(self, predictions):
-        self.predictions = tuple(predictions)
+    The curves are one `CurveBatch` (a single shared row when every
+    instance has the same curve, as under Kaplan-Meier); indexing yields
+    `Prediction` views.  A set may also be built from `Prediction` objects.
+    """
+
+    def __init__(self, predictions=()):
+        self._items = tuple(predictions)
+        self.risks = np.array([p.risk for p in self._items], dtype=float)
+        self.medians = np.array([p.median for p in self._items], dtype=float)
+        self._curves = None
+
+    @classmethod
+    def from_batch(cls, curves: CurveBatch, risks, medians) -> "PredictionSet":
+        out = cls()
+        out._items = None
+        out.risks = np.asarray(risks, dtype=float)
+        out.medians = np.asarray(medians, dtype=float)
+        out._curves = curves
+        return out
+
+    @property
+    def curves(self) -> CurveBatch:
+        if self._curves is None:
+            self._curves = CurveBatch.from_curves(p.curve for p in self._items)
+        return self._curves
 
     def __len__(self) -> int:
-        return len(self.predictions)
+        return self.risks.size
 
     def __iter__(self):
-        return iter(self.predictions)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i) -> Prediction:
-        return self.predictions[i]
+        if self._items is not None:
+            return self._items[i]
+        curve = self._shared_curve if self._curves.rows == 1 else self._curves.row(i)
+        return Prediction(float(self.risks[i]), float(self.medians[i]), curve)
 
-    @property
-    def risks(self) -> np.ndarray:
-        return np.array([p.risk for p in self.predictions])
-
-    @property
-    def medians(self) -> np.ndarray:
-        return np.array([p.median for p in self.predictions])
-
-    @property
-    def curves(self):
-        return [p.curve for p in self.predictions]
+    @cached_property
+    def _shared_curve(self) -> ExtendedCurve:
+        return self._curves.row(0)
 
     def subset(self, indices) -> "PredictionSet":
         idx = np.asarray(indices)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
-        return PredictionSet(self.predictions[int(i)] for i in idx)
+        if self._items is not None:
+            return PredictionSet(self._items[int(i)] for i in idx)
+        return PredictionSet.from_batch(self._curves.subset(idx), self.risks[idx],
+                                        self.medians[idx])
 
     @classmethod
     def from_model(cls, model: SurvivalModel, v: SurvivalDataset, t0_km: float,
                    risk: str = "median") -> "PredictionSet":
-        """Predict, extend, and score every instance of a validation set.
+        """Predict, extend, and score every instance of a validation set as
+        one batch.
 
         The default risk is the negative of the (t0_km-capped) median
         survival time; ``risk="mean"`` uses the negative mean instead.
         """
-        out = []
-        for inst in v.instances:
-            curve = extend_linear(model.predict_curve(inst), t0_km)
-            med = median_survival(curve, t0_km)
-            score = -med if risk == "median" else -mean_survival(curve)
-            out.append(Prediction(score, med, curve))
-        return cls(out)
+        curves = extend_linear(model.predict_curves(v), t0_km)
+        medians = median_survival(curves, t0_km)
+        risks = -medians if risk == "median" else -mean_survival(curves)
+        n = len(v)
+        return cls.from_batch(curves, np.broadcast_to(risks, (n,)),
+                              np.broadcast_to(medians, (n,)))
 
 
 def _pair_masks(times: np.ndarray, events: np.ndarray):
@@ -150,15 +180,22 @@ def l1_hinge(v: SurvivalDataset, preds: PredictionSet) -> float:
     return float(np.mean(per))
 
 
-def best_guess(c: float, km: ExtendedCurve) -> float:
+def best_guess(c, km):
     """Conditional expected death time given survival to c:
-    c + integral_c^t0 S(t) dt / S(c), and c itself once S(c) = 0."""
-    if c < 0:
-        raise ValueError(f"censor time must be non-negative, got {c}")
-    s_c = survival_at(km, c)
-    if s_c <= 0.0:
-        return float(c)
-    return float(c + integrate_curve(km, c, km.zero_time) / s_c)
+    c + integral_c^t0 S(t) dt / S(c), and c itself once S(c) = 0.
+
+    ``c`` may be a scalar or an array of censor times; all of them are read
+    off one reverse-cumulative integral of the (extended) KM curve.
+    """
+    c_arr = np.asarray(c, dtype=float)
+    if np.any(c_arr < 0):
+        raise ValueError(f"censor times must be non-negative, got {c!r}")
+    curve = as_batch(km)
+    flat = c_arr.reshape(-1)
+    s_c = np.broadcast_to(survival_at(curve, flat), flat.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(s_c > 0.0, flat + curve.area_from(flat) / s_c, flat)
+    return float(out[0]) if c_arr.ndim == 0 else out.reshape(c_arr.shape)
 
 
 @dataclass(frozen=True)
@@ -172,29 +209,37 @@ class MarginWeights:
 
 def margin_weights(censor_times, train_km: ExtendedCurve) -> MarginWeights:
     """Margin-loss ingredients for a batch of censor times: early censorings
-    get weight near 0, late ones approach a full death's weight of 1."""
+    get weight near 0, late ones approach a full death's weight of 1.
+    Compute them once per fold and pass them to both margin losses."""
     censor_times = np.asarray(censor_times, dtype=float)
     alpha = 1.0 - np.atleast_1d(survival_at(train_km, censor_times))
-    guesses = np.array([best_guess(c, train_km) for c in censor_times])
-    return MarginWeights(alpha, guesses)
+    return MarginWeights(alpha, np.atleast_1d(best_guess(censor_times, train_km)))
 
 
-def _margin_terms(v: SurvivalDataset, preds: PredictionSet, train_km: ExtendedCurve):
+def _margin_terms(v: SurvivalDataset, preds: PredictionSet, train_km, weights):
     times, events = v.times, v.events
-    med = preds.medians
-    censored = margin_weights(times[~events], train_km)
+    if weights is None:
+        if train_km is None:
+            raise ValueError("the margin loss needs the training KM curve")
+        weights = margin_weights(times[~events], train_km)
+    if weights.alpha.size != np.count_nonzero(~events):
+        raise ValueError(f"{weights.alpha.size} margin weights for "
+                         f"{np.count_nonzero(~events)} censored instances")
     alphas = np.ones(len(v))
-    alphas[~events] = censored.alpha
+    alphas[~events] = weights.alpha
     targets = times.copy()
-    targets[~events] = censored.best_guess
-    return alphas, targets, med, events
+    targets[~events] = weights.best_guess
+    return alphas, targets, preds.medians
 
 
-def l1_margin(v: SurvivalDataset, preds: PredictionSet, train_km: ExtendedCurve) -> float:
+def l1_margin(v: SurvivalDataset, preds: PredictionSet, train_km: ExtendedCurve = None,
+              weights: MarginWeights = None) -> float:
     """L1 with Best-Guess targets for censored instances, weighted by
-    alpha = 1 - S_KM(c) from the (extended) training Kaplan-Meier curve."""
+    alpha = 1 - S_KM(c) from the (extended) training Kaplan-Meier curve.
+    ``weights``, from `margin_weights` on v's censor times, replaces
+    ``train_km`` when they are already at hand."""
     _check_aligned(v, preds)
-    alphas, targets, med, _ = _margin_terms(v, preds, train_km)
+    alphas, targets, med = _margin_terms(v, preds, train_km, weights)
     denom = float(alphas.sum())
     if denom <= 0:
         raise ValueError("margin loss has zero total weight (everyone censored at S_KM = 1)")
@@ -212,9 +257,11 @@ def default_eta(times) -> float:
 
 
 def l1_log(v: SurvivalDataset, preds: PredictionSet, variant: str = "uncensored",
-           eta: float = None, train_km: ExtendedCurve = None) -> float:
+           eta: float = None, train_km: ExtendedCurve = None,
+           weights: MarginWeights = None) -> float:
     """Relative-error variant: the chosen aggregation applied to
-    log(max(x, eta)) in place of every time or median x."""
+    log(max(x, eta)) in place of every time or median x.  The "margin"
+    variant takes ``train_km`` or precomputed ``weights`` as `l1_margin`."""
     if eta is None or not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
     _check_aligned(v, preds)
@@ -227,9 +274,9 @@ def l1_log(v: SurvivalDataset, preds: PredictionSet, variant: str = "uncensored"
             raise ValueError("log-L1 'uncensored' needs all-uncensored data")
         return float(np.mean(np.abs(logt(v.times) - logt(preds.medians))))
     if variant == "margin":
-        if train_km is None:
+        if train_km is None and weights is None:
             raise ValueError("log-L1 'margin' needs the training KM curve")
-        alphas, targets, med, _ = _margin_terms(v, preds, train_km)
+        alphas, targets, med = _margin_terms(v, preds, train_km, weights)
         denom = float(alphas.sum())
         if denom <= 0:
             raise ValueError("margin loss has zero total weight")

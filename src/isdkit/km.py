@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Instance, SurvivalCurve, SurvivalDataset, SurvivalModel
-from .curves import survival_at
+from .curves import CurveBatch, survival_at
 
 __all__ = ["KMCurve", "KaplanMeierModel", "fit_km", "fit_km_arrays",
            "fit_censoring_km", "km_at"]
@@ -89,3 +89,7 @@ class KaplanMeierModel(SurvivalModel):
 
     def predict_curve(self, inst: Instance) -> SurvivalCurve:
         return self.km.curve
+
+    def predict_curves(self, d: SurvivalDataset) -> CurveBatch:
+        """The KM curve as one row that every instance shares."""
+        return CurveBatch.from_curve(self.km.curve)

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .core import ConvergenceError, Instance, SurvivalCurve, SurvivalDataset, SurvivalModel
+from .curves import CurveBatch
 
 __all__ = [
     "TimeGrid",
@@ -189,6 +190,9 @@ class MtlrModel(SurvivalModel):
     def predict_curve(self, inst: Instance) -> SurvivalCurve:
         return predict_curve_mtlr(self, np.asarray(inst.features, dtype=float))
 
+    def predict_curves(self, d: SurvivalDataset) -> CurveBatch:
+        return predict_curve_mtlr(self, d.feature_matrix())
+
 
 def _train(xb, mask, reg_c, m):
     shape = (m, xb.shape[1])
@@ -259,16 +263,21 @@ def fit_mtlr(d: SurvivalDataset, grid: TimeGrid, c_candidates, folds: int = 5) -
     return MtlrModel(theta, grid, best_c, iterations, gnorm, cv_scores, d.feature_names)
 
 
-def predict_curve_mtlr(m: MtlrModel, x) -> SurvivalCurve:
+def predict_curve_mtlr(m: MtlrModel, x):
     """Survival curve from the running sum of interval masses, emitted as a
-    piecewise-linear curve through (0, 1) and the grid knots."""
-    xb = _with_bias(np.asarray(x, dtype=float).reshape(1, -1))
-    g = _sequence_scores(m.theta, xb)[0]
-    g -= g.max()
+    piecewise-linear curve through (0, 1) and the grid knots: a
+    SurvivalCurve for one feature vector, a CurveBatch for a matrix."""
+    x = np.asarray(x, dtype=float)
+    xb = _with_bias(x.reshape(-1, m.theta.shape[1] - 1))
+    g = _sequence_scores(m.theta, xb)
+    g -= g.max(axis=1, keepdims=True)
     q = np.exp(g)
-    q /= q.sum()
-    tail = np.cumsum(q[::-1])[::-1]  # tail[k] = P(death interval >= k)
-    surv = np.minimum(tail[1:], 1.0)  # S(t_i) = P(interval >= i)
+    q /= q.sum(axis=1, keepdims=True)
+    tail = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]  # tail[:, k] = P(death interval >= k)
+    surv = np.minimum(tail[:, 1:], 1.0)  # S(t_i) = P(interval >= i)
     times = np.concatenate(([0.0], m.grid.points))
-    probs = np.concatenate(([1.0], np.maximum.accumulate(surv[::-1])[::-1]))
-    return SurvivalCurve(times, np.clip(probs, 0.0, 1.0), "linear")
+    monotone = np.maximum.accumulate(surv[:, ::-1], axis=1)[:, ::-1]
+    probs = np.clip(np.hstack((np.ones((xb.shape[0], 1)), monotone)), 0.0, 1.0)
+    if x.ndim == 1:
+        return SurvivalCurve(times, probs[0], "linear")
+    return CurveBatch(times, probs, "linear")

@@ -14,17 +14,16 @@ folds into a single test, never averaging p-values.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import calibration as cal
-from .aft import fit_aft_weibull, predict_curve_aft
-from .core import FitError, Instance, SurvivalDataset
+from .aft import fit_aft_weibull
+from .core import FitError, Instance, SurvivalDataset, SurvivalModel
 from .cox import fit_cox, univariate_cox_pvalue
-from .curves import extend_linear, mean_survival, median_survival, survival_at
+from .curves import extend_linear, survival_at
 from .discrimination import (
-    Prediction,
     PredictionSet,
     concordance,
     default_eta,
@@ -32,6 +31,7 @@ from .discrimination import (
     l1_log,
     l1_margin,
     l1_uncensored,
+    margin_weights,
 )
 from .km import KaplanMeierModel, fit_censoring_km, fit_km
 from .mtlr import default_grid_size, fit_mtlr, make_grid
@@ -286,34 +286,60 @@ class MetricReport:
 class _FoldOutput:
     raw_val: SurvivalDataset
     preds: PredictionSet
-    train_km_ext: object
-    g_hat: object
+    scores: dict                  # fold metric -> value
+    probs_at_tstars: np.ndarray   # (n_val, len(tstars)): S_i(t*) for one-calibration
+    probs_at_times: np.ndarray    # (n_val,): S_i(t_i) for D-calibration
     t0_km: float
-    eta: float
     val_indices: np.ndarray
 
 
-def _fit_model(name: str, train: SurvivalDataset, cfg: ExperimentConfig):
-    """Returns predict(instance) -> SurvivalCurve for the trained model."""
+def _fit_model(name: str, train: SurvivalDataset, cfg: ExperimentConfig) -> SurvivalModel:
+    """The trained model; its `predict_curves` gives a fold's CurveBatch."""
     if name == "km":
-        return KaplanMeierModel.fit(train).predict_curve
+        return KaplanMeierModel.fit(train)
     if name == "cox-kp":
-        return fit_cox(train).predict_curve
+        return fit_cox(train)
+    if name not in ("aft-weibull", "mtlr"):
+        raise ValueError(f"unknown model {name!r}")
+    grid = make_grid(train, default_grid_size(len(train)))
     if name == "aft-weibull":
-        model = fit_aft_weibull(train)
-        grid = make_grid(train, default_grid_size(len(train)))
-        return lambda inst: predict_curve_aft(
-            model, np.asarray(inst.features, dtype=float), grid
-        )
-    if name == "mtlr":
-        grid = make_grid(train, default_grid_size(len(train)))
-        model = fit_mtlr(train, grid, cfg.mtlr_c_grid)
-        return model.predict_curve
-    raise ValueError(f"unknown model {name!r}")
+        return replace(fit_aft_weibull(train), grid=grid.points)
+    return fit_mtlr(train, grid, cfg.mtlr_c_grid)
 
 
-def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig,
-              assignment: FoldAssignment, fold: int) -> _FoldOutput:
+def _score_fold(val: SurvivalDataset, preds: PredictionSet, metrics, tau: float,
+                train: SurvivalDataset, train_km_ext) -> dict:
+    """The fold metrics of one validation fold, in `_FOLD_METRICS` order."""
+    events = val.events
+    v_u, preds_u = val.subset(events), preds.subset(events)
+    eta = default_eta(train.times)
+    weights = None
+    if "l1-margin" in metrics or "l1-log-margin" in metrics:
+        weights = margin_weights(val.times[~events], train_km_ext)
+    scores = {}
+    for metric in _FOLD_METRICS:
+        if metric not in metrics:
+            continue
+        if metric == "concordance":
+            value = concordance(val, preds)
+        elif metric == "ibs":
+            value = cal.integrated_brier(val, preds.curves, tau, fit_censoring_km(train))
+        elif metric == "l1-uncensored":
+            value = l1_uncensored(v_u, preds_u)
+        elif metric == "l1-hinge":
+            value = l1_hinge(val, preds)
+        elif metric == "l1-margin":
+            value = l1_margin(val, preds, weights=weights)
+        elif metric == "l1-log-uncensored":
+            value = l1_log(v_u, preds_u, "uncensored", eta)
+        else:
+            value = l1_log(val, preds, "margin", eta, weights=weights)
+        scores[metric] = float(value)
+    return scores
+
+
+def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig, assignment: FoldAssignment,
+              fold: int, tau: float, tstars: tuple) -> _FoldOutput:
     raw_train, raw_val = assignment.split(d, fold)
     needs_features = cfg.model != "km" and len(d.feature_names) > 0
     if needs_features:
@@ -323,30 +349,27 @@ def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig,
 
     train_km_ext = extend_linear(fit_km(train).curve)
     t0_km = train_km_ext.zero_time
-    g_hat = fit_censoring_km(train)
-    eta = default_eta(train.times)
+    model = _fit_model(cfg.model, train, cfg)
+    preds = PredictionSet.from_model(model, val, t0_km, cfg.risk)
 
-    predict = _fit_model(cfg.model, train, cfg)
-    preds = []
-    for inst in val.instances:
-        curve = extend_linear(predict(inst), t0_km)
-        med = median_survival(curve, t0_km)
-        score = -med if cfg.risk == "median" else -mean_survival(curve)
-        preds.append(Prediction(score, med, curve))
-    return _FoldOutput(
-        raw_val, PredictionSet(preds), train_km_ext, g_hat, t0_km, eta,
-        assignment.fold(fold),
-    )
+    n = len(raw_val)
+    curves = preds.curves
+    at_tstars = np.broadcast_to(survival_at(curves, np.asarray(tstars)[None, :]),
+                                (n, len(tstars)))
+    at_times = np.broadcast_to(survival_at(curves, raw_val.times), (n,))
+    scores = _score_fold(raw_val, preds, cfg.metrics, tau, train, train_km_ext)
+    return _FoldOutput(raw_val, preds, scores, at_tstars, at_times, t0_km,
+                       assignment.fold(fold))
 
 
 def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
     """Cross-validated evaluation of one model on one dataset.
 
     Per fold: preprocess, fit (internal CV for hyperparameters where the
-    model has them), predict and extend validation curves, score the
-    discrimination metrics.  Calibration percentiles and D-calibration run
-    once on the pooled curves of all folds.  Fit failures propagate with
-    the fold index attached.
+    model has them), predict and extend the validation curves as one
+    batch, and score the discrimination metrics and the IBS.  Calibration
+    percentiles and D-calibration run once on the pooled predictions of
+    all folds.  Fit failures propagate with the fold index attached.
     """
     assignment = make_folds(d, cfg.folds, cfg.seed)
     tau = float(d.times.max())
@@ -357,7 +380,7 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
 
     def run(fold):
         try:
-            return _run_fold(d, cfg, assignment, fold)
+            return _run_fold(d, cfg, assignment, fold, tau, tstars)
         except FitError as exc:
             raise FitError(f"fold {fold}: {exc}") from exc
         except ValueError as exc:
@@ -371,55 +394,30 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
     else:
         fold_results = [run(fold) for fold in range(cfg.folds)]
 
-    fold_scores = {m: [] for m in _FOLD_METRICS if m in cfg.metrics}
-    for out in fold_results:
-        val, preds = out.raw_val, out.preds
-        v_u = val.subset(val.events)
-        preds_u = preds.subset(val.events)
-        for metric in fold_scores:
-            if metric == "concordance":
-                value = concordance(val, preds)
-            elif metric == "ibs":
-                value = cal.integrated_brier(val, preds.curves, tau, out.g_hat)
-            elif metric == "l1-uncensored":
-                value = l1_uncensored(v_u, preds_u)
-            elif metric == "l1-hinge":
-                value = l1_hinge(val, preds)
-            elif metric == "l1-margin":
-                value = l1_margin(val, preds, out.train_km_ext)
-            elif metric == "l1-log-uncensored":
-                value = l1_log(v_u, preds_u, "uncensored", out.eta)
-            else:
-                value = l1_log(val, preds, "margin", out.eta, out.train_km_ext)
-            fold_scores[metric].append(float(value))
-
+    fold_scores = {m: [out.scores[m] for out in fold_results]
+                   for m in _FOLD_METRICS if m in cfg.metrics}
     means = {m: float(np.mean(vs)) for m, vs in fold_scores.items()}
     sds = {m: float(np.std(vs)) for m, vs in fold_scores.items()}
 
-    pooled = []  # (instance_index, fold, Prediction, raw Instance)
-    for fold, out in enumerate(fold_results):
-        for local_i, global_i in enumerate(out.val_indices):
-            pooled.append(
-                (int(global_i), fold, out.preds[local_i], out.raw_val.instances[local_i])
-            )
+    # pooled in fold order, each fold in validation order
     pooled_dataset = SurvivalDataset(
-        tuple(item[3] for item in pooled), d.feature_names, d.time_unit
+        tuple(inst for out in fold_results for inst in out.raw_val.instances),
+        d.feature_names, d.time_unit,
     )
-    pooled_curves = [item[2].curve for item in pooled]
-
     one_cal_entries = []
     if "one-calibration" in cfg.metrics:
-        for pct, tstar in zip(cfg.percentiles, tstars):
-            probs = np.array([survival_at(c, tstar) for c in pooled_curves])
+        at_tstars = np.vstack([out.probs_at_tstars for out in fold_results])
+        for j, (pct, tstar) in enumerate(zip(cfg.percentiles, tstars)):
             try:
-                result = cal.one_calibration_dn(pooled_dataset, probs, tstar, cfg.bins)
+                result = cal.one_calibration_dn(pooled_dataset, at_tstars[:, j], tstar, cfg.bins)
                 one_cal_entries.append(OneCalEntry(pct, tstar, result))
             except ValueError as exc:
                 one_cal_entries.append(OneCalEntry(pct, tstar, None, str(exc)))
 
     dcal_result, dcal_hist = None, None
     if "d-calibration" in cfg.metrics:
-        dcal_hist = cal.dcal_histogram(pooled_dataset, pooled_curves, cfg.bins)
+        at_times = np.concatenate([out.probs_at_times for out in fold_results])
+        dcal_hist = cal.dcal_histogram_from_probs(at_times, pooled_dataset.events, cfg.bins)
         dcal_result = cal.dcal_test(dcal_hist)
 
     return MetricReport(
@@ -432,7 +430,8 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
         dcal_histogram=dcal_hist,
         tau=tau,
         tstars=tstars,
-        predictions=[(idx, fold, pred) for idx, fold, pred, _ in pooled],
+        predictions=[(int(global_i), fold, pred) for fold, out in enumerate(fold_results)
+                     for global_i, pred in zip(out.val_indices, out.preds)],
         fold_t0=[out.t0_km for out in fold_results],
     )
 

@@ -42,6 +42,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2.*time"):
             load_csv(path, "time", "event")
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity"])
+    def test_non_finite_time_names_row_and_column(self, tmp_path, cell):
+        path = write(tmp_path, f"time,event,age\n2,1,50\n{cell},0,61\n")
+        with pytest.raises(ValueError, match="row 3, column 'time': non-finite"):
+            load_csv(path, "time", "event")
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_feature_names_row_and_column(self, tmp_path, cell):
+        path = write(tmp_path, f"time,event,age,bmi\n2,1,50,21\n3,0,61,{cell}\n")
+        with pytest.raises(ValueError, match="row 3, column 'bmi': non-finite"):
+            load_csv(path, "time", "event")
+
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path, "time,event,age\n2,1\n")
         with pytest.raises(ValueError, match="row 2"):
@@ -108,6 +120,11 @@ class TestDataset:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             Instance((1.0,), -0.5, True)
+
+    @pytest.mark.parametrize("time", [np.inf, np.nan])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(ValueError, match="finite"):
+            Instance((1.0,), time, True)
 
     def test_feature_matrix_rejects_missing(self):
         d = SurvivalDataset((Instance((None,), 1.0, True),), ("a",))

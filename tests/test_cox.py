@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from isdkit.core import FitError, SurvivalDataset
 from isdkit.cox import cox_partial_loglik, fit_cox, predict_curve_cox, univariate_cox_pvalue
@@ -113,6 +114,19 @@ class TestUnivariateFilter:
                    for seed in range(40))
         # a uniform p-value keeps the feature about 10% of the time
         assert kept <= 10
+
+    def test_wald_p_value_keeps_its_far_tail(self):
+        # z = 13 here; 2 * (1 - Phi(z)) cancels to exactly 0 in floating point
+        d = two_group_cohort(3, n=1000, beta=1.0)
+        x = d.feature_matrix()
+        col = (x - x.mean()) / x.std()
+        beta = fit_cox(SurvivalDataset.from_arrays(col, d.times, d.events)).beta
+        _, _, info = cox_partial_loglik(beta, col, d.times, d.events, with_derivatives=True)
+        z = abs(beta[0]) * np.sqrt(info[0, 0])
+        assert z > 10
+        p = univariate_cox_pvalue(d, 0)
+        assert p > 0.0
+        assert p == pytest.approx(2.0 * scipy.special.ndtr(-z), rel=1e-9)
 
     def test_constant_feature_gives_p_one(self):
         d = dataset([1, 2, 3, 4], [1, 1, 0, 1], x=np.full((4, 1), 2.5))

@@ -1,0 +1,402 @@
+"""CurveBatch against brute-force per-patient references.
+
+The references below evaluate one curve and one time at a time in plain
+Python, the way the scorers did before predictions became one matrix; the
+batched scorers must agree with them to 1e-12 (medians bit for bit)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isdkit.calibration import (
+    dcal_histogram,
+    dcal_histogram_from_probs,
+    integrated_brier,
+    one_calibration_dn,
+)
+from isdkit.core import SurvivalCurve
+from isdkit.curves import (
+    CurveBatch,
+    ExtendedCurve,
+    extend_linear,
+    mean_survival,
+    median_survival,
+    survival_at,
+)
+from isdkit.cox import fit_cox
+from isdkit.discrimination import (
+    PredictionSet,
+    best_guess,
+    concordance,
+    default_eta,
+    l1_hinge,
+    l1_log,
+    l1_margin,
+    l1_uncensored,
+    margin_weights,
+)
+from isdkit.km import KaplanMeierModel, fit_censoring_km, fit_km, km_at
+from isdkit.pipeline import CohortConfig, simulate_cohort
+
+from conftest import dataset
+
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: one curve, one time
+
+def ref_survival(curve, t):
+    base = curve.base if isinstance(curve, ExtendedCurve) else curve
+    times, probs = base.times.tolist(), base.probs.tolist()
+    if isinstance(curve, ExtendedCurve) and t > times[-1]:
+        width = curve.zero_time - times[-1]
+        return 0.0 if width <= 0 else max(probs[-1] * (curve.zero_time - t) / width, 0.0)
+    if base.interp == "step":
+        before = [p for x, p in zip(times, probs) if x <= t]
+        return before[-1] if before else 1.0
+    if times[0] > 0:
+        times, probs = [0.0, *times], [1.0, *probs]
+    return float(np.interp(t, times, probs))
+
+
+def ref_zero_time(c, t0_km):
+    p_last, t_max = float(c.probs[-1]), float(c.times[-1])
+    if p_last <= 0.0:
+        return float(c.times[np.argmax(c.probs <= 0.0)]), False
+    if p_last > 1.0 - 1e-10:
+        return max(float(t0_km), t_max), True
+    return t_max / (1.0 - p_last), False
+
+
+def ref_median(c, t0_km):
+    base = c.base
+    below = base.probs <= 0.5
+    if np.any(below):
+        k = int(np.argmax(below))
+        if base.interp == "step":
+            median = float(base.times[k])
+        else:
+            if k > 0:
+                t_prev, p_prev = float(base.times[k - 1]), float(base.probs[k - 1])
+            elif base.times[0] > 0:
+                t_prev, p_prev = 0.0, 1.0
+            else:
+                t_prev, p_prev = float(base.times[0]), float(base.probs[0])
+            p_k, t_k = float(base.probs[k]), float(base.times[k])
+            if p_prev <= 0.5:
+                median = t_prev
+            else:
+                median = t_prev + (p_prev - 0.5) * (t_k - t_prev) / (p_prev - p_k)
+    else:
+        p_last, t_max = float(base.probs[-1]), float(base.times[-1])
+        width = c.zero_time - t_max
+        median = c.zero_time - 0.5 * width / p_last if width > 0 else t_max
+    return min(median, float(t0_km))
+
+
+def ref_integral(c, a, b):
+    # midpoint rule between every breakpoint: exact for the linear pieces
+    if b <= a:
+        return 0.0
+    pts = [0.0, *c.base.times.tolist(), c.zero_time]
+    cuts = sorted({a, b, *(p for p in pts if a < p < b)})
+    return sum((hi - lo) * ref_survival(c, 0.5 * (lo + hi)) for lo, hi in zip(cuts, cuts[1:]))
+
+
+def ref_best_guess(c, km):
+    s_c = ref_survival(km, c)
+    return c if s_c <= 0 else c + ref_integral(km, c, km.zero_time) / s_c
+
+
+def ref_ibs(times, events, curves, tau, g_hat):
+    """Per patient and per piece, by the open 3-point Newton-Cotes rule."""
+    g_curve = g_hat.curve
+    zeros = g_curve.probs <= 0
+    tau_eff = min(tau, float(g_curve.times[np.argmax(zeros)]) if zeros.any() else np.inf)
+
+    def quad(curve, cuts, target):
+        total = 0.0
+        for lo, hi in zip(cuts, cuts[1:]):
+            f = [(target - ref_survival(curve, lo + q * (hi - lo))) ** 2 for q in (0.25, 0.5, 0.75)]
+            g = ref_survival(g_curve, 0.5 * (lo + hi))
+            total += (hi - lo) / 3.0 * (2 * f[0] - f[1] + 2 * f[2]) / (g if target else 1.0)
+        return total
+
+    total = 0.0
+    for t_i, e_i, curve in zip(times, events, curves):
+        own = [*curve.base.times.tolist(), curve.zero_time]
+        hi = min(t_i, tau_eff)
+        if hi > 0:
+            cuts = sorted({0.0, hi, *(x for x in own if 0 < x < hi),
+                           *(x for x in g_curve.times.tolist() if 0 < x < hi)})
+            total += quad(curve, cuts, 1.0)
+        if e_i and t_i < tau_eff:
+            cuts = sorted({t_i, tau_eff, *(x for x in own if t_i < x < tau_eff)})
+            total += quad(curve, cuts, 0.0) / ref_survival(g_curve, t_i)
+    return total / (len(times) * tau_eff)
+
+
+def ref_dcal(probs, events, b):
+    edges = np.arange(b + 1) / b
+    counts = np.zeros(b)
+    for s, event in zip(probs, events):
+        k = min(max(int(np.searchsorted(edges, s, side="right")) - 1, 0), b - 1)
+        if event:
+            counts[k] += 1.0
+        elif s <= edges[1]:
+            counts[0] += 1.0
+        else:
+            counts[k] += (s - edges[k]) / s
+            counts[:k] += (1.0 / b) / s
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+positive = st.floats(0.1, 50.0, allow_subnormal=False)
+unit = st.floats(0.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def knot_vectors(draw):
+    m = draw(st.integers(1, 6))
+    knots = sorted(draw(st.lists(positive, min_size=m, max_size=m, unique=True)))
+    if draw(st.booleans()):
+        knots[0] = 0.0
+    return np.array(knots)
+
+
+@st.composite
+def rows_on(draw, m):
+    """A probability row: random, flat at 1 (takes the KM fallback), or
+    ending at 0."""
+    kind = draw(st.sampled_from(["random", "flat", "dead"]))
+    if kind == "flat":
+        return np.ones(m)
+    row = np.sort(draw(st.lists(unit, min_size=m, max_size=m)))[::-1].copy()
+    if kind == "dead":
+        row[-1] = 0.0
+    return row
+
+
+@st.composite
+def batches(draw, rows=None):
+    knots = draw(knot_vectors())
+    n_rows = rows if rows is not None else draw(st.integers(1, 5))
+    probs = np.vstack([draw(rows_on(knots.size)) for _ in range(n_rows)])
+    interp = draw(st.sampled_from(["step", "linear"]))
+    t0_km = draw(st.floats(51.0, 200.0))
+    return extend_linear(CurveBatch(knots, probs, interp), t0_km), t0_km
+
+
+def per_row(batch):
+    return [batch.row(i) for i in range(batch.rows)]
+
+
+@st.composite
+def cohorts(draw, n):
+    times = draw(st.lists(st.floats(0.0, 60.0, allow_subnormal=False), min_size=n, max_size=n))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return np.array(times), np.array(events)
+
+
+@st.composite
+def censoring_curves(draw):
+    """G from a training cohort; a censored last time makes G hit 0."""
+    times, events = draw(cohorts(draw(st.integers(1, 8))))
+    if draw(st.booleans()):
+        times = np.append(times, times.max() + 1.0)
+        events = np.append(events, False)
+    return fit_censoring_km(dataset(times, events))
+
+
+# ---------------------------------------------------------------------------
+# curves
+
+@given(batches())
+@settings(max_examples=150, deadline=None)
+def test_batch_extension_median_and_mean_match_each_curve(drawn):
+    batch, t0_km = drawn
+    medians = median_survival(batch, t0_km)
+    means = mean_survival(batch)
+    for i, curve in enumerate(per_row(batch)):
+        zero, fallback = ref_zero_time(curve.base, t0_km)
+        assert batch.zero_time[i] == zero
+        assert batch.fallback[i] == fallback
+        assert medians[i] == ref_median(curve, t0_km)  # bit for bit
+        assert means[i] == pytest.approx(ref_integral(curve, 0.0, zero), rel=TOL, abs=TOL)
+    assert batch.fallback_applied == sum(bool(f) for f in batch.fallback)
+
+
+@given(batches(), st.lists(st.floats(0.0, 250.0), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_batch_values_match_each_curve(drawn, extra):
+    batch, _ = drawn
+    curves = per_row(batch)
+    ts = np.unique(np.concatenate((batch.knots, batch.zero_time, extra, [0.0])))
+    shared = survival_at(batch, ts[None, :])
+    assert shared.shape == (batch.rows, ts.size)
+    for i, curve in enumerate(curves):
+        expected = [ref_survival(curve, t) for t in ts]
+        np.testing.assert_allclose(shared[i], expected, rtol=0, atol=TOL)
+        np.testing.assert_allclose(survival_at(curve, ts), expected, rtol=0, atol=TOL)
+    # one time per patient
+    own = ts[np.arange(batch.rows) % ts.size]
+    np.testing.assert_allclose(survival_at(batch, own),
+                               [ref_survival(c, t) for c, t in zip(curves, own)],
+                               rtol=0, atol=TOL)
+
+
+@st.composite
+def mixed_curves(draw):
+    n = draw(st.integers(1, 5))
+    curves = []
+    for _ in range(n):
+        knots = draw(knot_vectors())
+        probs = draw(rows_on(knots.size))
+        base = SurvivalCurve(knots, probs, draw(st.sampled_from(["step", "linear"])))
+        curves.append(extend_linear(base, 60.0))
+    return curves
+
+
+@given(mixed_curves(), st.lists(st.floats(0.0, 250.0), min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_curves_on_different_knots_batch_exactly(curves, extra):
+    batch = CurveBatch.from_curves(curves)
+    ts = np.unique(np.concatenate(
+        [extra, [0.0], *[c.base.times for c in curves], [c.zero_time for c in curves]]))
+    values = survival_at(batch, ts[None, :])
+    for i, curve in enumerate(curves):
+        np.testing.assert_allclose(values[i], [ref_survival(curve, t) for t in ts],
+                                   rtol=0, atol=TOL)
+    np.testing.assert_allclose(mean_survival(batch),
+                               [ref_integral(c, 0.0, c.zero_time) for c in curves],
+                               rtol=TOL, atol=TOL)
+
+
+# ---------------------------------------------------------------------------
+# scorers
+
+@given(st.data(), censoring_curves(), st.floats(1.0, 80.0))
+@settings(max_examples=150, deadline=None)
+def test_batched_ibs_matches_per_patient_reference(data, g_hat, tau):
+    n = data.draw(st.integers(1, 6))
+    times, events = data.draw(cohorts(n))
+    shared = data.draw(st.booleans())
+    batch, _ = data.draw(batches(rows=1 if shared else n))
+    curves = per_row(batch) * (n if shared else 1)
+    if not min(tau, float(np.inf if not (g_hat.curve.probs <= 0).any()
+                         else g_hat.curve.times[np.argmax(g_hat.curve.probs <= 0)])) > 0:
+        return
+    value = integrated_brier(dataset(times, events), batch, tau, g_hat)
+    assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
+
+
+@given(mixed_curves(), st.data(), censoring_curves())
+@settings(max_examples=100, deadline=None)
+def test_ibs_of_a_curve_list_matches_per_patient_reference(curves, data, g_hat):
+    times, events = data.draw(cohorts(len(curves)))
+    tau = 70.0
+    if (g_hat.curve.probs <= 0).any() and g_hat.curve.times[np.argmax(g_hat.curve.probs <= 0)] == 0:
+        return
+    value = integrated_brier(dataset(times, events), curves, tau, g_hat)
+    assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
+
+
+@given(batches(rows=1), st.lists(st.floats(0.0, 250.0), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_best_guess_and_margin_weights_match_reference(drawn, censor_times):
+    km = drawn[0].row(0)
+    expected = [ref_best_guess(c, km) for c in censor_times]
+    np.testing.assert_allclose(best_guess(np.array(censor_times), km), expected,
+                               rtol=TOL, atol=TOL)
+    assert best_guess(censor_times[0], km) == pytest.approx(expected[0], rel=TOL, abs=TOL)
+    w = margin_weights(censor_times, km)
+    np.testing.assert_allclose(w.best_guess, expected, rtol=TOL, atol=TOL)
+    np.testing.assert_allclose(w.alpha, [1.0 - ref_survival(km, c) for c in censor_times],
+                               rtol=0, atol=TOL)
+
+
+@given(st.lists(st.tuples(unit, st.booleans()), min_size=1, max_size=40),
+       st.integers(2, 12))
+@settings(max_examples=200, deadline=None)
+def test_dcal_histogram_matches_per_patient_reference(pairs, b):
+    probs, events = (np.array(x) for x in zip(*pairs))
+    h = dcal_histogram_from_probs(probs, events, b)
+    np.testing.assert_allclose(h.counts, ref_dcal(probs, events, b), rtol=0, atol=TOL)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dcal_histogram_of_a_batch_matches_reference(data):
+    n = data.draw(st.integers(1, 8))
+    times, events = data.draw(cohorts(n))
+    batch, _ = data.draw(batches(rows=n))
+    probs = [ref_survival(c, t) for c, t in zip(per_row(batch), times)]
+    h = dcal_histogram(dataset(times, events), batch, 10)
+    np.testing.assert_allclose(h.counts, ref_dcal(probs, events, 10), rtol=0, atol=TOL)
+
+
+# ---------------------------------------------------------------------------
+# permutation invariance of every fold metric
+
+_COHORT = simulate_cohort(
+    CohortConfig(family="weibull-ph", n_features=3, beta=(0.8, -0.5, 0.3),
+                 baseline_scale=10.0, baseline_shape=1.5, censor_rate=0.05),
+    120, seed=4,
+)
+_TRAIN, _VAL = _COHORT.subset(np.arange(80)), _COHORT.subset(np.arange(80, 120))
+_MODELS = {"km": KaplanMeierModel.fit(_TRAIN), "cox-kp": fit_cox(_TRAIN)}
+
+
+def fold_metrics(model, val):
+    km_ext = extend_linear(fit_km(_TRAIN).curve)
+    preds = PredictionSet.from_model(model, val, km_ext.zero_time)
+    events = val.events
+    v_u, preds_u = val.subset(events), preds.subset(events)
+    weights = margin_weights(val.times[~events], km_ext)
+    eta = default_eta(_TRAIN.times)
+    tau = float(_COHORT.times.max())
+    out = {
+        "concordance": concordance(val, preds),
+        "ibs": integrated_brier(val, preds.curves, tau, fit_censoring_km(_TRAIN)),
+        "l1-uncensored": l1_uncensored(v_u, preds_u),
+        "l1-hinge": l1_hinge(val, preds),
+        "l1-margin": l1_margin(val, preds, km_ext),
+        "l1-margin-shared": l1_margin(val, preds, weights=weights),
+        "l1-log-uncensored": l1_log(v_u, preds_u, "uncensored", eta),
+        "l1-log-margin": l1_log(val, preds, "margin", eta, weights=weights),
+    }
+    out.update({f"dcal{k}": c for k, c in enumerate(dcal_histogram(val, preds.curves).counts)})
+    if preds.curves.rows > 1:
+        tstar = float(np.median(_COHORT.times))
+        probs = survival_at(preds.curves, tstar)
+        out["one-cal"] = one_calibration_dn(val, probs, tstar, b=4).statistic
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_MODELS))
+@given(perm=st.permutations(range(len(_VAL))))
+@settings(max_examples=25, deadline=None)
+def test_permuting_patients_leaves_fold_metrics_unchanged(name, perm):
+    model = _MODELS[name]
+    base = fold_metrics(model, _VAL)
+    permuted = fold_metrics(model, _VAL.subset(np.array(perm)))
+    assert base["l1-margin"] == base["l1-margin-shared"]
+    assert permuted.keys() == base.keys()
+    for key, value in base.items():
+        assert permuted[key] == pytest.approx(value, rel=TOL, abs=TOL), key
+
+
+def test_shared_row_is_never_copied_per_patient():
+    km = KaplanMeierModel.fit(_TRAIN)
+    t0_km = extend_linear(km.km.curve).zero_time
+    preds = PredictionSet.from_model(km, _VAL, t0_km)
+    assert preds.curves.rows == 1
+    assert preds.curves.subset(np.arange(5)) is preds.curves
+    assert preds.medians.shape == (len(_VAL),)
+    assert preds[3].curve is preds[7].curve
+    assert km_at(fit_km(_TRAIN), 0.0) == 1.0
