@@ -27,6 +27,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "split_by_censoring",
+    "fold_indices",
 ]
 
 
@@ -194,6 +195,20 @@ def split_by_censoring(d: SurvivalDataset):
     """Partition a dataset into (uncensored, censored) halves by event flag."""
     events = d.events
     return d.subset(events), d.subset(~events)
+
+
+def fold_indices(times, events, k: int) -> np.ndarray:
+    """Deal instances to k folds: censored and uncensored groups are each
+    sorted by time (ties by input order) and dealt round-robin, so every
+    fold sees roughly the same time and censoring distribution."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=bool)
+    fold_of = np.empty(times.size, dtype=int)
+    for group_mask in (events, ~events):
+        idx = np.flatnonzero(group_mask)
+        ordered = idx[np.argsort(times[idx], kind="stable")]
+        fold_of[ordered] = np.arange(ordered.size) % k
+    return fold_of
 
 
 def _parse_cell(raw: str):

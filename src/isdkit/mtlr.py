@@ -14,11 +14,19 @@ is chosen by an internal 5-fold cross validation on held-out likelihood.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import ConvergenceError, Instance, SurvivalCurve, SurvivalDataset, SurvivalModel
+from .core import (
+    ConvergenceError,
+    Instance,
+    SurvivalCurve,
+    SurvivalDataset,
+    SurvivalModel,
+    fold_indices,
+)
 from .curves import CurveBatch
 
 __all__ = [
@@ -120,42 +128,102 @@ def _with_bias(x: np.ndarray) -> np.ndarray:
     return np.hstack((x, np.ones((x.shape[0], 1))))
 
 
-def _label_mask(labels, m: int) -> np.ndarray:
-    mask = np.zeros((len(labels), m + 1), dtype=bool)
-    for i, lab in enumerate(labels):
-        mask[i, lab.consistent] = True
-    return mask
+@dataclass(frozen=True)
+class _Labels:
+    """Every label of a fit in suffix form, task-major.
+
+    The consistent intervals of a label are always a suffix k_i, ..., m
+    (see `encode_label`): the single interval k_i of a death, or every
+    interval starting at or after the censor time.  ``at`` indexes
+    (k_i, i) in a raveled (m+1, n) array, ``before[j, i]`` is [j < k_i]
+    over the m tasks and ``censored_after[j, i]`` is [j >= k_i] on censored
+    patients, 0 on deaths.
+    """
+
+    first: np.ndarray
+    censored: np.ndarray
+    at: np.ndarray
+    before: np.ndarray
+    censored_after: np.ndarray
+
+    @classmethod
+    def build(cls, first, censored, m: int) -> "_Labels":
+        n = first.size
+        after = np.arange(m)[:, None] >= first
+        return cls(first, censored, first * n + np.arange(n),
+                   (~after).astype(float), (after & censored).astype(float))
+
+    def rows(self, keep) -> "_Labels":
+        return _Labels.build(self.first[keep], self.censored[keep], self.before.shape[0])
 
 
-def _sequence_scores(theta: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    # g[:, k] = sum of scores for times at or after interval k; g[:, m] = 0
-    scores = xb @ theta.T
-    g = np.zeros((xb.shape[0], theta.shape[0] + 1))
-    g[:, :-1] = np.cumsum(scores[:, ::-1], axis=1)[:, ::-1]
-    return g
+def _encode_labels(times, events, grid: TimeGrid) -> _Labels:
+    """`encode_label` for every instance at once."""
+    m = grid.m
+    k = np.searchsorted(grid.points, times, side="left")
+    # a censoring at t > 0 leaves the intervals starting at t_k >= t, the
+    # first being k + 1 (capped at the open last interval); t = 0 leaves all
+    first = np.where(events, k, np.where(times > 0, np.minimum(k + 1, m), 0))
+    return _Labels.build(first, ~events, m)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = np.max(a, axis=axis, keepdims=True)
-    return (peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))).squeeze(axis)
+@lru_cache(maxsize=8)
+def _suffix_sum_matrix(k: int) -> np.ndarray:
+    # (U @ a)[r] = sum of a[r:]; one small matrix product beats a cumsum down axis 0
+    upper = np.triu(np.ones((k, k)))
+    upper.setflags(write=False)
+    return upper
 
 
-def _objective_parts(theta, xb, mask, reg_c):
-    g = _sequence_scores(theta, xb)
-    log_z = _logsumexp(g, axis=1)
-    masked = np.where(mask, g, -np.inf)
-    label_ll = _logsumexp(masked, axis=1)
-    loglik = float(np.sum(label_ll - log_z))
-    penalty = 0.5 * reg_c * float(np.sum(theta * theta))
+def _softmax_tail(theta, xb):
+    """Sequence scores shifted by each patient's max, g - max(g), and the
+    suffix sums of exp(g - max(g)), task-major: g[k, i] sums patient i's
+    scores for the times at or after interval k (g[m] = 0), and tail[k, i]
+    is the unnormalized P(interval >= k)."""
+    m = theta.shape[0]
+    g = (_suffix_sum_matrix(m + 1)[:, :m] @ theta) @ xb.T
+    g -= g.max(axis=0)
+    return g, _suffix_sum_matrix(g.shape[0]) @ np.exp(g)
 
-    # softmax over all sequences and over the label-consistent subset
-    p_all = np.exp(g - log_z[:, None])
-    p_lab = np.exp(np.where(mask, g - label_ll[:, None], -np.inf))
-    # expected status vectors: E[y_j] = sum_{k <= j} p_k
-    ey_all = np.cumsum(p_all, axis=1)[:, :-1]
-    ey_lab = np.cumsum(p_lab, axis=1)[:, :-1]
-    grad = (ey_lab - ey_all).T @ xb - reg_c * theta
-    return loglik - penalty, grad, loglik
+
+# Below this a censored label's mass may hold subnormal or underflowed
+# terms of exp(g - max(g)); such patients are summed again in log space.
+_LOW_MASS = 2.0 ** -900
+
+
+def _own_shift(g, first):
+    """Log label mass and P(interval > j | label) for censored patients,
+    their suffix shifted by its own max instead of the patient's."""
+    own = np.where(np.arange(g.shape[0])[:, None] >= first, g, -np.inf)
+    top = own.max(axis=0)
+    tail = _suffix_sum_matrix(g.shape[0]) @ np.exp(own - top)
+    mass = tail[first, np.arange(first.size)]
+    return top + np.log(mass), tail[1:] / mass
+
+
+def _loglik(theta, xb, lab: _Labels):
+    """Summed marginal log-likelihood and its gradient in theta, from one
+    softmax: log P(label) = log(label mass / tail[0]), where the label mass
+    is exp(g[k]) for a death and tail[k] for a censoring."""
+    g, tail = _softmax_tail(theta, xb)
+    mass = np.where(lab.censored, tail.ravel().take(lab.at), 1.0)
+    low = np.flatnonzero(mass < _LOW_MASS)
+    mass[low] = np.inf  # no term here; `_own_shift` fills these patients in
+    log_mass = np.where(lab.censored, np.log(mass), g.ravel().take(lab.at))
+    # E_label[y_j] - E[y_j], with E[y_j] = 1 - tail[j+1] / tail[0] and, for a
+    # censoring, E_label[y_j] = [j >= k] (1 - tail[j+1] / mass)
+    diff = tail[1:] * (1.0 / tail[0] - lab.censored_after / mass) - lab.before
+    if low.size:
+        log_mass[low], given = _own_shift(g[:, low], lab.first[low])
+        diff[:, low] -= lab.censored_after[:, low] * given
+    loglik = float(log_mass.sum() - np.log(tail[0]).sum())
+    return loglik, diff @ xb
+
+
+def _objective_parts(theta, xb, lab: _Labels, reg_c):
+    loglik, grad = _loglik(theta, xb, lab)
+    penalty = 0.5 * reg_c * float(np.vdot(theta, theta))
+    return loglik - penalty, grad - reg_c * theta
 
 
 def mtlr_loglik_grad(theta, d: SurvivalDataset, grid: TimeGrid, c: float):
@@ -163,7 +231,7 @@ def mtlr_loglik_grad(theta, d: SurvivalDataset, grid: TimeGrid, c: float):
 
     Returns (objective, gradient) where the objective is the sum of
     per-instance sequence log-likelihoods minus (c/2) * ||theta||^2; the
-    gradient has theta's (m, k+1) shape.  Log-sum-exp is stabilized.
+    gradient has theta's (m, k+1) shape.  The softmax is stabilized.
     """
     theta = np.asarray(theta, dtype=float)
     xb = _with_bias(d.feature_matrix())
@@ -171,10 +239,7 @@ def mtlr_loglik_grad(theta, d: SurvivalDataset, grid: TimeGrid, c: float):
         raise ValueError(
             f"theta has shape {theta.shape}, expected {(grid.m, xb.shape[1])}"
         )
-    labels = [encode_label(inst.time, inst.event, grid) for inst in d.instances]
-    mask = _label_mask(labels, grid.m)
-    objective, grad, _ = _objective_parts(theta, xb, mask, c)
-    return objective, grad
+    return _objective_parts(theta, xb, _encode_labels(d.times, d.events, grid), c)
 
 
 @dataclass(frozen=True)
@@ -194,12 +259,11 @@ class MtlrModel(SurvivalModel):
         return predict_curve_mtlr(self, d.feature_matrix())
 
 
-def _train(xb, mask, reg_c, m):
+def _train(xb, lab: _Labels, reg_c, m):
     shape = (m, xb.shape[1])
 
     def negative(theta_flat):
-        theta = theta_flat.reshape(shape)
-        value, grad, _ = _objective_parts(theta, xb, mask, reg_c)
+        value, grad = _objective_parts(theta_flat.reshape(shape), xb, lab, reg_c)
         return -value, -grad.ravel()
 
     result = minimize(
@@ -220,13 +284,6 @@ def _train(xb, mask, reg_c, m):
     return theta, int(result.nit), gnorm
 
 
-def _heldout_loglik(theta, xb, mask):
-    g = _sequence_scores(theta, xb)
-    log_z = _logsumexp(g, axis=1)
-    label_ll = _logsumexp(np.where(mask, g, -np.inf), axis=1)
-    return float(np.sum(label_ll - log_z))
-
-
 def fit_mtlr(d: SurvivalDataset, grid: TimeGrid, c_candidates, folds: int = 5) -> MtlrModel:
     """Train on the full dataset after selecting the regularization constant
     by internal cross validation on held-out marginalized log-likelihood.
@@ -238,28 +295,26 @@ def fit_mtlr(d: SurvivalDataset, grid: TimeGrid, c_candidates, folds: int = 5) -
     if not c_candidates:
         raise ValueError("need at least one regularization candidate")
     xb = _with_bias(d.feature_matrix())
-    labels = [encode_label(inst.time, inst.event, grid) for inst in d.instances]
-    mask = _label_mask(labels, grid.m)
+    times, events = d.times, d.events
+    lab = _encode_labels(times, events, grid)
 
     cv_scores = ()
     if len(c_candidates) == 1:
         best_c = c_candidates[0]
     else:
-        from .pipeline import fold_indices  # deferred: pipeline imports this module
-
-        assignment = fold_indices(d.times, d.events, min(folds, len(d)))
+        assignment = fold_indices(times, events, min(folds, len(d)))
         scores = []
         for c in c_candidates:
             total = 0.0
             for fold in range(assignment.max() + 1):
                 hold = assignment == fold
-                theta, _, _ = _train(xb[~hold], mask[~hold], c, grid.m)
-                total += _heldout_loglik(theta, xb[hold], mask[hold])
+                theta, _, _ = _train(xb[~hold], lab.rows(~hold), c, grid.m)
+                total += _loglik(theta, xb[hold], lab.rows(hold))[0]
             scores.append(total / len(d))
         cv_scores = tuple(scores)
         best_c = c_candidates[int(np.argmax(scores))]
 
-    theta, iterations, gnorm = _train(xb, mask, best_c, grid.m)
+    theta, iterations, gnorm = _train(xb, lab, best_c, grid.m)
     return MtlrModel(theta, grid, best_c, iterations, gnorm, cv_scores, d.feature_names)
 
 
@@ -269,12 +324,8 @@ def predict_curve_mtlr(m: MtlrModel, x):
     SurvivalCurve for one feature vector, a CurveBatch for a matrix."""
     x = np.asarray(x, dtype=float)
     xb = _with_bias(x.reshape(-1, m.theta.shape[1] - 1))
-    g = _sequence_scores(m.theta, xb)
-    g -= g.max(axis=1, keepdims=True)
-    q = np.exp(g)
-    q /= q.sum(axis=1, keepdims=True)
-    tail = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]  # tail[:, k] = P(death interval >= k)
-    surv = np.minimum(tail[:, 1:], 1.0)  # S(t_i) = P(interval >= i)
+    _, tail = _softmax_tail(m.theta, xb)
+    surv = np.minimum(tail[1:] / tail[0], 1.0).T  # S(t_i) = P(interval >= i)
     times = np.concatenate(([0.0], m.grid.points))
     monotone = np.maximum.accumulate(surv[:, ::-1], axis=1)[:, ::-1]
     probs = np.clip(np.hstack((np.ones((xb.shape[0], 1)), monotone)), 0.0, 1.0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import calibration as cal
 from .aft import fit_aft_weibull
-from .core import FitError, Instance, SurvivalDataset, SurvivalModel
+from .core import FitError, Instance, SurvivalDataset, SurvivalModel, fold_indices
 from .cox import fit_cox, univariate_cox_pvalue
 from .curves import extend_linear, survival_at
 from .discrimination import (
@@ -203,20 +203,6 @@ class FoldAssignment:
     def split(self, d: SurvivalDataset, j: int):
         val_mask = self.fold_of == j
         return d.subset(~val_mask), d.subset(val_mask)
-
-
-def fold_indices(times, events, k: int) -> np.ndarray:
-    """Deal instances to k folds: censored and uncensored groups are each
-    sorted by time (ties by input order) and dealt round-robin, so every
-    fold sees roughly the same time and censoring distribution."""
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=bool)
-    fold_of = np.empty(times.size, dtype=int)
-    for group_mask in (events, ~events):
-        idx = np.flatnonzero(group_mask)
-        ordered = idx[np.argsort(times[idx], kind="stable")]
-        fold_of[ordered] = np.arange(ordered.size) % k
-    return fold_of
 
 
 def make_folds(d: SurvivalDataset, k: int = 5, seed=None) -> FoldAssignment:

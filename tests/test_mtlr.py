@@ -4,7 +4,11 @@ import pytest
 from isdkit.core import SurvivalDataset
 from isdkit.curves import extend_linear, median_survival
 from isdkit.mtlr import (
+    _LOW_MASS,
     TimeGrid,
+    _encode_labels,
+    _softmax_tail,
+    _with_bias,
     default_grid_size,
     encode_label,
     fit_mtlr,
@@ -106,6 +110,73 @@ class TestObjective:
             up, _ = mtlr_loglik_grad(theta + bump, d, grid, 0.7)
             dn, _ = mtlr_loglik_grad(theta - bump, d, grid, 0.7)
             assert grad[idx] == pytest.approx((up - dn) / (2 * h), rel=1e-5, abs=1e-7)
+
+
+def reference_objective(theta, d, grid, c):
+    """The objective as two masked log-sum-exps over all m+1 sequences, one
+    label at a time: the form the suffix-sum objective must reproduce."""
+    def logsumexp(a):
+        peak = np.max(a, axis=1, keepdims=True)
+        return (peak + np.log(np.sum(np.exp(a - peak), axis=1, keepdims=True)))[:, 0]
+
+    xb = _with_bias(d.feature_matrix())
+    mask = np.zeros((len(d), grid.m + 1), dtype=bool)
+    for i, inst in enumerate(d.instances):
+        mask[i, encode_label(inst.time, inst.event, grid).consistent] = True
+    scores = xb @ theta.T
+    g = np.zeros((len(d), grid.m + 1))
+    g[:, :-1] = np.cumsum(scores[:, ::-1], axis=1)[:, ::-1]
+    log_z = logsumexp(g)
+    label_ll = logsumexp(np.where(mask, g, -np.inf))
+    p_all = np.exp(g - log_z[:, None])
+    p_lab = np.exp(np.where(mask, g - label_ll[:, None], -np.inf))
+    ey = np.cumsum(p_lab, axis=1)[:, :-1] - np.cumsum(p_all, axis=1)[:, :-1]
+    objective = float(np.sum(label_ll - log_z)) - 0.5 * c * float(np.sum(theta * theta))
+    return objective, ey.T @ xb - c * theta
+
+
+def suffix_cohort(seed=0, n=40):
+    """Random labels plus a death on a grid point and censorings at 0,
+    mid-grid and past the grid end."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(np.arange(1.0, 7.0))
+    times = rng.uniform(0.2, 8.0, n)
+    events = rng.random(n) < 0.5
+    times[:4], events[:4] = [3.0, 0.0, 2.5, 9.0], [True, False, False, False]
+    return dataset(times, events, x=rng.standard_normal((n, 8))), grid
+
+
+class TestSuffixObjective:
+    def test_batch_encoding_matches_encode_label(self):
+        d, grid = suffix_cohort()
+        lab = _encode_labels(d.times, d.events, grid)
+        for i, inst in enumerate(d.instances):
+            label = encode_label(inst.time, inst.event, grid)
+            assert lab.first[i] == label.consistent[0]
+            assert lab.censored[i] == (not label.event)
+            np.testing.assert_array_equal(lab.before[:, i], np.arange(grid.m) < label.consistent[0])
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 10.0, 20.0, 50.0, 100.0])
+    def test_matches_the_log_sum_exp_reference(self, scale):
+        d, grid = suffix_cohort()
+        theta = np.random.default_rng(1).standard_normal((grid.m, 9)) * scale
+        ref_value, ref_grad = reference_objective(theta, d, grid, 0.7)
+        value, grad = mtlr_loglik_grad(theta, d, grid, 0.7)
+        assert np.isfinite(ref_value) and np.all(np.isfinite(ref_grad))
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        # relative to the largest entry: a single entry may be a cancelled sum
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_large_scales_reach_the_log_space_rows(self):
+        # under one shift per patient some censored label masses underflow,
+        # so the reference test above covers the rows summed again
+        d, grid = suffix_cohort()
+        lab = _encode_labels(d.times, d.events, grid)
+        theta = np.random.default_rng(1).standard_normal((grid.m, 9)) * 100.0
+        _, tail = _softmax_tail(theta, _with_bias(d.feature_matrix()))
+        mass = tail[lab.first, np.arange(len(d))]
+        assert np.any(lab.censored & (mass < _LOW_MASS))
 
 
 def two_group(seed, n=120):

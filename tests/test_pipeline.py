@@ -223,6 +223,37 @@ class TestRunExperiment:
             ExperimentConfig(metrics=("concordance", "auc"))
 
 
+def rescaled(d, a):
+    return SurvivalDataset(
+        tuple(Instance(inst.features, a * inst.time, inst.event) for inst in d.instances),
+        d.feature_names,
+    )
+
+
+class TestTimeRescaling:
+    """Multiplying every time by a > 0 rescales the curves along the time
+    axis and nothing else: rank and probability metrics stay, time-valued
+    L1 losses scale by a."""
+
+    @pytest.mark.parametrize("model", ["km", "cox-kp"])
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_fold_metrics_and_dcal(self, model, a):
+        d = cohort_with_features(n=150)
+        cfg = ExperimentConfig(model=model, folds=3)
+        base, scaled = run_experiment(d, cfg), run_experiment(rescaled(d, a), cfg)
+        factors = {"concordance": 1.0, "ibs": 1.0, "l1-log-uncensored": 1.0,
+                   "l1-log-margin": 1.0, "l1-uncensored": a, "l1-hinge": a,
+                   "l1-margin": a}
+        assert scaled.fold_scores.keys() == base.fold_scores.keys() == factors.keys()
+        for metric, factor in factors.items():
+            np.testing.assert_allclose(
+                scaled.fold_scores[metric], factor * np.asarray(base.fold_scores[metric]),
+                rtol=1e-9, atol=0, err_msg=metric,
+            )
+        np.testing.assert_allclose(scaled.dcal_histogram.counts, base.dcal_histogram.counts,
+                                   rtol=1e-9, atol=0)
+
+
 class TestSimulateCohort:
     def test_censor_rate_lands_in_band(self):
         config = CohortConfig(family="weibull-ph", n_features=5,
