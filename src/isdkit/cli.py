@@ -14,17 +14,16 @@ import os
 import sys
 from pathlib import Path
 
-from .aft import fit_aft_weibull
 from .core import FitError, load_csv, save_csv
-from .cox import fit_cox
 from .curves import extend_linear
-from .km import KaplanMeierModel, fit_km
-from .mtlr import default_grid_size, fit_mtlr, make_grid
+from .km import fit_km
 from .pipeline import (
     ALL_METRICS,
     MODEL_NAMES,
     CohortConfig,
     ExperimentConfig,
+    _fit_model,
+    preprocess,
     run_experiment,
     simulate_cohort,
 )
@@ -62,13 +61,14 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_curves(out: Path, predictions) -> None:
+def _write_curves(out: Path, curves) -> None:
+    """One CSV per patient from (patient index, ExtendedCurve) pairs: the
+    curve's knots, then its zero time at probability 0."""
     curves_dir = out / "curves"
     curves_dir.mkdir(exist_ok=True)
-    for idx, fold, pred in predictions:
-        base = pred.curve.base
-        rows = [[_fmt(t), _fmt(p)] for t, p in zip(base.times, base.probs)]
-        rows.append([_fmt(pred.curve.zero_time), _fmt(0.0)])
+    for idx, curve in curves:
+        rows = [[_fmt(t), _fmt(p)] for t, p in zip(curve.base.times, curve.base.probs)]
+        rows.append([_fmt(curve.zero_time), _fmt(0.0)])
         _write_csv(curves_dir / f"patient_{idx:05d}.csv", ["time", "survival"], rows)
 
 
@@ -118,67 +118,52 @@ def cmd_evaluate(args) -> int:
                 for lo, hi, c in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts)]
         _write_csv(out / "dcal_histogram.csv", ["bin_lo", "bin_hi", "count"], rows)
 
-    _write_curves(out, report.predictions)
+    _write_curves(out, ((idx, pred.curve) for idx, _, pred in report.predictions))
     print(f"wrote evaluation of {args.model} to {out}")
     return 0
+
+
+def _model_payload(name: str, model) -> dict:
+    if name == "km":
+        curve = model.km.curve
+        return {"model": "km", "times": curve.times.tolist(), "probs": curve.probs.tolist()}
+    if name == "cox-kp":
+        return {"model": "cox-kp",
+                "beta": model.beta.tolist(),
+                "feature_names": list(model.feature_names),
+                "baseline_times": model.baseline.times.tolist(),
+                "baseline_probs": model.baseline.probs.tolist()}
+    if name == "aft-weibull":
+        return {"model": "aft-weibull",
+                "intercept": model.intercept,
+                "coeffs": model.coeffs.tolist(),
+                "log_scale": model.log_scale,
+                "feature_names": list(model.feature_names)}
+    return {"model": "mtlr",
+            "grid": model.grid.points.tolist(),
+            "theta": model.theta.tolist(),
+            "c": model.reg_c,
+            "feature_names": list(model.feature_names)}
 
 
 def cmd_fit(args) -> int:
     raw = load_csv(args.dataset, args.time_col, args.event_col)
     out = _out_dir(args, ["model.json"])
+    cfg = ExperimentConfig(model=args.model)
 
     # feature models need the encoded/imputed/standardized representation;
     # fitting on the full dataset means the pipeline is fit on it as well
+    dataset = raw
     if args.model != "km" and raw.feature_names:
-        from .pipeline import preprocess
-
-        dataset, _, _ = preprocess(raw, raw)
-    else:
-        dataset = raw
-
-    if args.model == "km":
-        km = fit_km(dataset)
-        predict = KaplanMeierModel(km).predict_curve
-        payload = {"model": "km",
-                   "times": km.curve.times.tolist(),
-                   "probs": km.curve.probs.tolist()}
-    elif args.model == "cox-kp":
-        model = fit_cox(dataset)
-        predict = model.predict_curve
-        payload = {"model": "cox-kp",
-                   "beta": model.beta.tolist(),
-                   "feature_names": list(model.feature_names),
-                   "baseline_times": model.baseline.times.tolist(),
-                   "baseline_probs": model.baseline.probs.tolist()}
-    elif args.model == "aft-weibull":
-        model = fit_aft_weibull(dataset)
-        predict = model.predict_curve
-        payload = {"model": "aft-weibull",
-                   "intercept": model.intercept,
-                   "coeffs": model.coeffs.tolist(),
-                   "log_scale": model.log_scale,
-                   "feature_names": list(model.feature_names)}
-    else:
-        grid = make_grid(dataset, default_grid_size(len(dataset)))
-        model = fit_mtlr(dataset, grid, (0.01, 0.1, 1.0, 10.0, 100.0))
-        predict = model.predict_curve
-        payload = {"model": "mtlr",
-                   "grid": grid.points.tolist(),
-                   "theta": model.theta.tolist(),
-                   "c": model.reg_c,
-                   "feature_names": list(dataset.feature_names)}
-
+        dataset, _, _ = preprocess(raw, raw, cfg.p_cut)
+    model = _fit_model(args.model, dataset, cfg)
     with open(out / "model.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(_model_payload(args.model, model), fh, indent=1)
 
-    km_ext = extend_linear(fit_km(dataset).curve)
-    curves_dir = out / "curves"
-    curves_dir.mkdir(exist_ok=True)
-    for idx, inst in enumerate(dataset.instances):
-        curve = extend_linear(predict(inst), km_ext.zero_time)
-        rows = [[_fmt(t), _fmt(p)] for t, p in zip(curve.base.times, curve.base.probs)]
-        rows.append([_fmt(curve.zero_time), _fmt(0.0)])
-        _write_csv(curves_dir / f"patient_{idx:05d}.csv", ["time", "survival"], rows)
+    t0_km = extend_linear(fit_km(dataset).curve).zero_time
+    curves = extend_linear(model.predict_curves(dataset), t0_km)
+    shared = curves.rows == 1
+    _write_curves(out, ((i, curves.row(0 if shared else i)) for i in range(len(dataset))))
     print(f"wrote fitted {args.model} to {out}")
     return 0
 

@@ -13,6 +13,8 @@ import csv
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import chain
+from types import MappingProxyType
 from typing import Iterator
 
 import numpy as np
@@ -64,37 +66,72 @@ class Instance:
             raise ValueError(f"time must be finite and non-negative, got {self.time}")
 
 
-@dataclass(frozen=True)
 class SurvivalDataset:
-    """A cohort of instances sharing one feature schema."""
+    """A cohort sharing one feature schema, stored as columns.
 
-    instances: tuple
-    feature_names: tuple
-    time_unit: str = ""
+    ``times`` (n,) and ``events`` (n,) are read-only arrays, ``values`` is a
+    read-only (n, k) float matrix with NaN wherever a cell is missing or a
+    category string, and ``raw_columns`` maps the index of every column
+    that holds a string to its raw cells (None, str or float).
 
-    def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
-        object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
-        k = len(self.feature_names)
-        for i, inst in enumerate(self.instances):
+    ``SurvivalDataset(instances, feature_names)`` converts `Instance`s in
+    one pass; `from_arrays` builds the arrays directly.  ``instances`` and
+    iteration give `Instance` views built on demand.  A non-finite numeric
+    cell is rejected with its row and column named: ``None`` marks a
+    missing cell.
+    """
+
+    def __init__(self, instances, feature_names, time_unit: str = ""):
+        names = tuple(str(n) for n in feature_names)
+        k = len(names)
+        rows, times, events = [], [], []
+        for i, inst in enumerate(instances):
             if len(inst.features) != k:
                 raise ValueError(
                     f"instance {i} has {len(inst.features)} features, expected {k}"
                 )
+            rows.append(inst.features)
+            times.append(inst.time)
+            events.append(inst.event)
+        x, raw = _columns(rows, names)
+        self._init(np.array(times, dtype=float), np.array(events, dtype=bool),
+                   x, raw, names, time_unit)
+
+    def _init(self, times, events, x, raw, names, time_unit):
+        for arr in (times, events, x, *raw.values()):
+            arr.setflags(write=False)
+        self.times, self.events, self.values = times, events, x
+        self.raw_columns = MappingProxyType(raw)
+        self.feature_names = names
+        self.time_unit = time_unit
+
+    @classmethod
+    def _from_columns(cls, times, events, x, raw, names, time_unit) -> "SurvivalDataset":
+        d = object.__new__(cls)
+        d._init(times, events, x, raw, names, time_unit)
+        return d
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self.times.size
 
     def __iter__(self) -> Iterator[Instance]:
         return iter(self.instances)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([inst.time for inst in self.instances], dtype=float)
+    def __repr__(self) -> str:
+        return (f"SurvivalDataset(n={len(self)}, features={self.feature_names!r}, "
+                f"time_unit={self.time_unit!r})")
 
     @property
-    def events(self) -> np.ndarray:
-        return np.array([inst.event for inst in self.instances], dtype=bool)
+    def instances(self) -> tuple:
+        """One `Instance` per patient, built from the columns on each call."""
+        rows = self.values.tolist()
+        for i, j in np.argwhere(np.isnan(self.values)).tolist():
+            rows[i][j] = None
+        for j, col in self.raw_columns.items():
+            for row, value in zip(rows, col):
+                row[j] = value
+        return tuple(Instance(row, t, e) for row, t, e in
+                     zip(rows, self.times.tolist(), self.events.tolist()))
 
     @property
     def n_uncensored(self) -> int:
@@ -103,41 +140,99 @@ class SurvivalDataset:
     def feature_matrix(self) -> np.ndarray:
         """All features as a float matrix; raises if any cell is missing or
         categorical (run the preprocessing pipeline first in that case)."""
-        n, k = len(self.instances), len(self.feature_names)
-        out = np.empty((n, k), dtype=float)
-        for i, inst in enumerate(self.instances):
-            for j, value in enumerate(inst.features):
-                if value is None or isinstance(value, str):
-                    raise ValueError(
-                        f"feature {self.feature_names[j]!r} of instance {i} is "
-                        f"{value!r}; encode/impute before requesting a matrix"
-                    )
-                out[i, j] = value
-        return out
+        blank = np.isnan(self.values)
+        if blank.any():
+            i, j = (int(a) for a in np.argwhere(blank)[0])
+            value = self.raw_columns[j][i] if j in self.raw_columns else None
+            raise ValueError(
+                f"feature {self.feature_names[j]!r} of instance {i} is "
+                f"{value!r}; encode/impute before requesting a matrix"
+            )
+        return self.values.copy()
 
     def subset(self, indices) -> "SurvivalDataset":
         idx = np.asarray(indices)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        return SurvivalDataset(
-            tuple(self.instances[int(i)] for i in idx),
-            self.feature_names,
-            self.time_unit,
-        )
+        idx = np.flatnonzero(idx) if idx.dtype == bool else idx.astype(np.intp)
+        raw = {j: col[idx] for j, col in self.raw_columns.items()}
+        return SurvivalDataset._from_columns(self.times[idx], self.events[idx],
+                                             self.values[idx], raw,
+                                             self.feature_names, self.time_unit)
+
+    def with_features(self, x, feature_names) -> "SurvivalDataset":
+        """The same patients with the float feature matrix `x` (n, k) in
+        place of theirs; NaN marks a missing cell."""
+        x = np.array(x, dtype=float)
+        names = tuple(str(n) for n in feature_names)
+        if x.shape != (len(self), len(names)):
+            raise ValueError(f"feature matrix of shape {x.shape}, expected "
+                             f"{(len(self), len(names))}")
+        if np.isinf(x).any():
+            raise ValueError("feature matrix holds an infinite value")
+        return SurvivalDataset._from_columns(self.times, self.events, x, {}, names,
+                                             self.time_unit)
 
     @classmethod
     def from_arrays(cls, x, times, events, feature_names=None, time_unit="") -> "SurvivalDataset":
-        x = np.asarray(x, dtype=float)
+        x = np.array(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(-1, 1)
-        times = np.asarray(times, dtype=float)
-        events = np.asarray(events, dtype=bool)
+        times = np.array(times, dtype=float)
+        events = np.array(events, dtype=bool)
         if feature_names is None:
             feature_names = tuple(f"x{j}" for j in range(x.shape[1]))
-        instances = tuple(
-            Instance(tuple(row), t, e) for row, t, e in zip(x, times, events)
-        )
-        return cls(instances, tuple(feature_names), time_unit)
+        names = tuple(str(n) for n in feature_names)
+        n = times.size
+        if x.shape != (n, len(names)) or events.shape != (n,) or times.ndim != 1:
+            raise ValueError(
+                f"features {x.shape}, times {times.shape} and events {events.shape} "
+                f"do not describe {len(names)} features of the same patients"
+            )
+        bad_time = ~(np.isfinite(times) & (times >= 0))
+        if bad_time.any():
+            i = int(np.argmax(bad_time))
+            raise ValueError(f"row {i}: time must be finite and non-negative, "
+                             f"got {times[i]}")
+        bad = ~np.isfinite(x)
+        if bad.any():
+            i, j = (int(a) for a in np.argwhere(bad)[0])
+            raise ValueError(_non_finite_message(i, names[j], x[i, j]))
+        return cls._from_columns(times, events, x, {}, names, time_unit)
+
+
+def _non_finite_message(row: int, name: str, value) -> str:
+    return (f"row {row}, column {name!r}: non-finite value {value!r}; "
+            "use None to mark a missing cell")
+
+
+def _columns(rows: list, names: tuple):
+    """The float matrix (NaN for missing and string cells) and the raw
+    cells of every column holding a string, from one tuple per patient."""
+    n, k = len(rows), len(names)
+    kinds = set(map(type, chain.from_iterable(rows)))
+    raw = {}
+    if any(issubclass(kind, str) for kind in kinds):
+        is_str = np.array([[isinstance(v, str) for v in row] for row in rows],
+                          dtype=bool).reshape(n, k)
+        numeric = [[None if isinstance(v, str) else v for v in row] for row in rows]
+        x = np.array(numeric, dtype=float).reshape(n, k)
+        for j in np.flatnonzero(is_str.any(axis=0)):
+            col = np.empty(n, dtype=object)
+            col[:] = [row[j] for row in rows]
+            present = ~is_str[:, j] & ~np.isnan(x[:, j])
+            col[present] = x[present, j].tolist()
+            raw[int(j)] = col
+    else:
+        numeric = rows
+        x = np.array(rows, dtype=float).reshape(n, k)
+    # NaN marks a None or string cell; any other non-finite cell is an error
+    blank = ~np.isfinite(x)
+    if np.count_nonzero(blank) != sum(row.count(None) for row in numeric) \
+            or np.isinf(x).any():
+        for i, j in zip(*np.nonzero(blank)):
+            value = rows[i][j]
+            if value is not None and not isinstance(value, str):
+                raise ValueError(_non_finite_message(int(i), names[j], value))
+    return x, raw
 
 
 @dataclass(frozen=True)

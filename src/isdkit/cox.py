@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .core import (
     ConvergenceError,
@@ -28,7 +29,6 @@ from .core import (
     SurvivalModel,
 )
 from .curves import CurveBatch
-from .stats import normal_cdf
 
 __all__ = ["CoxModel", "fit_cox", "predict_curve_cox", "univariate_cox_pvalue",
            "cox_partial_loglik"]
@@ -201,37 +201,135 @@ def predict_curve_cox(m: CoxModel, x):
     return CurveBatch(m.baseline.times, probs, "step")
 
 
-def univariate_cox_pvalue(d: SurvivalDataset, feature_index: int) -> float:
+def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
     """Two-sided Wald p-value for the single-feature Cox coefficient.
 
     Used as the feature-selection filter: missing cells are dropped
     (complete-case for this feature), the feature is standardized for
     numeric stability (the Wald z is scale-invariant), and any degenerate
     or non-convergent fit maps to p = 1 so the feature is never selected.
+
+    An int `feature_index` gives one float; a sequence of indices gives an
+    array of p-values, fitted together by one lockstep Newton run.
     """
-    values, keep_times, keep_events = [], [], []
-    for inst in d.instances:
-        v = inst.features[feature_index]
-        if v is None or isinstance(v, str):
+    if isinstance(feature_index, (int, np.integer)):
+        return float(_wald_pvalues(d.values[:, [feature_index]], d.times, d.events)[0])
+    idx = np.asarray(feature_index, dtype=np.intp)
+    return _wald_pvalues(d.values[:, idx], d.times, d.events)
+
+
+# columns are fitted in blocks of at most this many cells, so the working
+# arrays stay a few MB whatever the number of columns
+_BLOCK_CELLS = 1 << 20
+
+
+def _wald_pvalues(x, times, events, max_iter=100, tol=1e-8):
+    """Wald p-values of every column of `x` (NaN = missing) as a
+    univariate Cox covariate; rows share one time order."""
+    order = np.argsort(times, kind="stable")
+    ts, es = times[order], events[order]
+    p = np.ones(x.shape[1])
+    block = max(1, _BLOCK_CELLS // max(ts.size, 1))
+    for start in range(0, x.shape[1], block):
+        cols = np.ascontiguousarray(x[:, start:start + block].T)
+        p[start:start + block] = _wald_block(cols, order, ts, es, max_iter, tol)
+    return p
+
+
+def _wald_block(cols, order, ts, es, max_iter, tol):
+    """`_newton_cox` and the Wald test on one column at a time, run on
+    every column of `cols` (columns × rows) at once.
+
+    A missing cell gives its row weight 0, so each column sees exactly its
+    complete cases: the same risk sets, suffix sums and Breslow tie counts.
+    """
+    present = ~np.isnan(cols)
+    z = np.zeros(cols.shape)
+    usable = np.zeros(cols.shape[0], dtype=bool)
+    for c, (col, keep) in enumerate(zip(cols, present)):
+        values = col[keep]
+        if values.size < 2 or values.min() == values.max():
             continue
-        values.append(float(v))
-        keep_times.append(inst.time)
-        keep_events.append(inst.event)
-    values = np.asarray(values)
-    if values.size < 2 or np.unique(values).size < 2:
-        return 1.0
-    sd = values.std()
-    col = ((values - values.mean()) / sd).reshape(-1, 1)
-    times = np.asarray(keep_times)
-    events = np.asarray(keep_events, dtype=bool)
-    if not events.any():
-        return 1.0
-    try:
-        beta, info, _, _ = _newton_cox(col, times, events, max_iter=100, tol=1e-8)
-        var = np.linalg.inv(info)[0, 0]
-    except (FitError, np.linalg.LinAlgError):
-        return 1.0
-    if not var > 0:
-        return 1.0
-    z = abs(beta[0]) / np.sqrt(var)
-    return 2.0 * normal_cdf(-z)  # the lower tail: no cancellation for large z
+        # the complete cases in input order, as one scalar fit sees them
+        z[c, keep] = (values - values.mean()) / values.std()
+        usable[c] = True
+    present, z = np.take(present, order, axis=1), np.take(z, order, axis=1)
+    usable &= (present & es).any(axis=1)
+    p = np.ones(cols.shape[0])
+    if not usable.any():
+        return p
+    present, z = present[usable], z[usable]
+    weight = present.astype(float)
+
+    # np.take keeps row slices C-contiguous, so each row sum below is the
+    # pairwise sum a one-column fit takes over the same numbers
+    death_rows = np.flatnonzero(es)
+    death_times = np.unique(ts[es])
+    # position in the reversed rows of each death time's first row at risk
+    first = ts.size - 1 - np.searchsorted(ts, death_times, side="left")
+    # deaths of each column at each distinct death time
+    deaths = np.add.reduceat(np.take(weight, death_rows, axis=1),
+                             np.searchsorted(ts[es], death_times), axis=1)
+    death_z = np.take(z, death_rows, axis=1).sum(axis=1)
+
+    # a diverging fit (a separating column) may drive a risk-set sum to 0;
+    # its likelihood turns non-finite, the step is refused and p = 1
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def partial(rows, beta, derivatives):
+        zr, wr, dr = z[rows], weight[rows], deaths[rows]
+        eta = zr * beta[:, None]
+        shift = np.where(wr > 0, eta, -np.inf).max(axis=1)
+        ws = np.exp(eta - shift[:, None]) * wr
+
+        def at_deaths(a):   # risk-set sums: suffix sums of time-sorted rows
+            return np.take(np.cumsum(a[:, ::-1], axis=1), first, axis=1)
+
+        s0 = np.where(dr > 0, at_deaths(ws), 1.0)
+        loglik = (np.take(eta, death_rows, axis=1).sum(axis=1)
+                  - (dr * (np.log(s0) + shift[:, None])).sum(axis=1))
+        if not derivatives:
+            return loglik
+        mean = at_deaths(ws * zr) / s0
+        grad = death_z[rows] - (dr * mean).sum(axis=1)
+        info = (dr * (at_deaths(ws * zr * zr) / s0 - mean * mean)).sum(axis=1)
+        return loglik, grad, info
+
+    beta = np.zeros(z.shape[0])
+    loglik, grad, info = partial(slice(None), beta, True)
+    active = np.ones(beta.size, dtype=bool)
+    converged = np.zeros(beta.size, dtype=bool)
+    for _ in range(max_iter):
+        done = active & (np.abs(grad) < tol)
+        converged |= done & (info > 0)
+        active &= ~done & (info > 0)   # a singular information ends the fit
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        step = grad[rows] / info[rows]
+        floor = loglik[rows] - 1e-10 * (1.0 + np.abs(loglik[rows]))
+        scale = np.ones(rows.size)
+        candidate = beta[rows].copy()
+        pending = np.arange(rows.size)
+        for _ in range(40):
+            candidate[pending] = beta[rows[pending]] + scale[pending] * step[pending]
+            new_loglik = partial(rows[pending], candidate[pending], False)
+            pending = pending[~(new_loglik >= floor[pending])]
+            if pending.size == 0:
+                break
+            scale[pending] *= 0.5
+        active[rows[pending]] = False      # step halving failed
+        accepted = np.setdiff1d(np.arange(rows.size), pending)
+        rows = rows[accepted]
+        beta[rows] = candidate[accepted]
+        loglik[rows], grad[rows], info[rows] = partial(rows, beta[rows], True)
+    else:
+        converged |= active & (np.abs(grad) < tol) & (info > 0)
+
+    with np.errstate(divide="ignore"):
+        var = 1.0 / info
+    ok = converged & (var > 0)
+    p_usable = np.ones(beta.size)
+    # the lower tail: no cancellation for large z
+    p_usable[ok] = 2.0 * ndtr(-(np.abs(beta[ok]) / np.sqrt(var[ok])))
+    p[usable] = p_usable
+    return p

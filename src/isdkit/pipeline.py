@@ -20,7 +20,7 @@ import numpy as np
 
 from . import calibration as cal
 from .aft import fit_aft_weibull
-from .core import FitError, Instance, SurvivalDataset, SurvivalModel, fold_indices
+from .core import FitError, SurvivalDataset, SurvivalModel, fold_indices
 from .cox import fit_cox, univariate_cox_pvalue
 from .curves import extend_linear, survival_at
 from .discrimination import (
@@ -83,41 +83,28 @@ class PreprocessReport:
     standardization: dict             # selected name -> (mean, sd)
 
 
-def _column(d: SurvivalDataset, j: int) -> list:
-    return [inst.features[j] for inst in d.instances]
+def _cells(d: SurvivalDataset, j: int) -> np.ndarray:
+    """Column j as objects: None for a missing cell, else the raw value."""
+    if j in d.raw_columns:
+        return d.raw_columns[j]
+    col = d.values[:, j].astype(object)
+    col[np.isnan(d.values[:, j])] = None
+    return col
 
 
-def _encode_columns(train: SurvivalDataset, validate: SurvivalDataset, keep: list):
-    """One-hot encode nominal kept columns using training levels only."""
-    encoded = {}
-    new_names = []
-    train_cols, val_cols = [], []
-    for j in keep:
-        name = train.feature_names[j]
-        col_t = _column(train, j)
-        col_v = _column(validate, j)
-        is_nominal = any(isinstance(v, str) for v in col_t if v is not None)
-        if not is_nominal:
-            new_names.append(name)
-            train_cols.append([None if v is None else float(v) for v in col_t])
-            val_cols.append([
-                None if v is None or isinstance(v, str) else float(v) for v in col_v
-            ])
-            continue
-        levels = sorted({str(v) for v in col_t if v is not None})
-        encoded[name] = tuple(f"{name}={lvl}" for lvl in levels)
-        for lvl in levels:
-            new_names.append(f"{name}={lvl}")
-            train_cols.append([None if v is None else float(str(v) == lvl) for v in col_t])
-            val_cols.append([None if v is None else float(str(v) == lvl) for v in col_v])
-    return new_names, train_cols, val_cols, encoded
+def _indicators(cells: np.ndarray, levels: list) -> list:
+    """One float column per level: 1 where str(cell) is the level, 0
+    elsewhere, NaN where the cell is missing."""
+    missing = np.array([v is None for v in cells], dtype=bool)
+    keys = np.array([str(v) for v in cells], dtype=object)
+    return [np.where(missing, np.nan, keys == lvl) for lvl in levels]
 
 
-def _rebuild(d: SurvivalDataset, columns, names) -> SurvivalDataset:
-    instances = []
-    for i, inst in enumerate(d.instances):
-        instances.append(Instance(tuple(col[i] for col in columns), inst.time, inst.event))
-    return SurvivalDataset(tuple(instances), tuple(names), d.time_unit)
+def _is_single_valued(present: np.ndarray) -> bool:
+    # distinct finite floats have distinct reprs (0.0 and -0.0 too), so
+    # comparing bit patterns counts the distinct str(value)s
+    bits = present.view(np.uint64)
+    return bool(np.all(bits == bits[:1]))
 
 
 def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
@@ -125,30 +112,44 @@ def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
     """Fit the preprocessing pipeline on the training fold and apply it to
     both folds; returns (train', validate', report).
 
+    A column is nominal when one of its training cells is a string; its
+    levels are the sorted str() of its training cells, and a validation
+    level never seen in training gets all-zero indicators.  A string cell
+    in the validation fold of a numeric column counts as missing.
+
     Raises when no feature survives the filter (consider relaxing p_cut).
     """
     n_train = len(train)
+    x_t, x_v = train.values, validate.values
     dropped = []
-    keep = []
+    names, cols_t, cols_v, encoded = [], [], [], {}
     for j, name in enumerate(train.feature_names):
-        col = _column(train, j)
-        missing = sum(1 for v in col if v is None)
-        present = [v for v in col if v is not None]
-        if n_train == 0 or missing / n_train > 0.25 or len(set(map(str, present))) <= 1:
-            dropped.append(name)
+        cells = train.raw_columns.get(j)
+        if cells is None:
+            present = x_t[~np.isnan(x_t[:, j]), j]
+            single = _is_single_valued(present)
         else:
-            keep.append(j)
+            present = [v for v in cells if v is not None]
+            single = len(set(map(str, present))) <= 1
+        if n_train == 0 or (n_train - len(present)) / n_train > 0.25 or single:
+            dropped.append(name)
+        elif cells is None or not any(isinstance(v, str) for v in present):
+            names.append(name)
+            cols_t.append(x_t[:, j])
+            cols_v.append(x_v[:, j])
+        else:
+            levels = sorted({str(v) for v in present})
+            encoded[name] = tuple(f"{name}={lvl}" for lvl in levels)
+            names.extend(encoded[name])
+            cols_t.extend(_indicators(cells, levels))
+            cols_v.extend(_indicators(_cells(validate, j), levels))
 
-    names, train_cols, val_cols, encoded = _encode_columns(train, validate, keep)
-
-    candidate = _rebuild(train, train_cols, names)
     p_values = {}
-    selected_idx = []
-    for j, name in enumerate(names):
-        p = univariate_cox_pvalue(candidate, j)
-        p_values[name] = p
-        if p <= p_cut:
-            selected_idx.append(j)
+    if names:
+        candidate = train.with_features(np.column_stack(cols_t), names)
+        p = univariate_cox_pvalue(candidate, range(len(names)))
+        p_values = dict(zip(names, p.tolist()))
+    selected_idx = [j for j, name in enumerate(names) if p_values[name] <= p_cut]
     if not selected_idx:
         raise FitError(
             f"no feature passed the univariate Cox filter at p <= {p_cut}; "
@@ -160,8 +161,7 @@ def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
     out_train, out_val = [], []
     for j in selected_idx:
         name = names[j]
-        col_t = np.array([np.nan if v is None else v for v in train_cols[j]], dtype=float)
-        col_v = np.array([np.nan if v is None else v for v in val_cols[j]], dtype=float)
+        col_t, col_v = np.array(cols_t[j]), np.array(cols_v[j])
         mean_impute = float(np.nanmean(col_t))
         col_t = np.where(np.isnan(col_t), mean_impute, col_t)
         col_v = np.where(np.isnan(col_v), mean_impute, col_v)
@@ -183,8 +183,8 @@ def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
         standardization=scales,
     )
     return (
-        _rebuild(train, out_train, selected_names),
-        _rebuild(validate, out_val, selected_names),
+        train.with_features(np.column_stack(out_train), selected_names),
+        validate.with_features(np.column_stack(out_val), selected_names),
         report,
     )
 
@@ -270,7 +270,6 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class _FoldOutput:
-    raw_val: SurvivalDataset
     preds: PredictionSet
     scores: dict                  # fold metric -> value
     probs_at_tstars: np.ndarray   # (n_val, len(tstars)): S_i(t*) for one-calibration
@@ -344,7 +343,7 @@ def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig, assignment: FoldAssignm
                                 (n, len(tstars)))
     at_times = np.broadcast_to(survival_at(curves, raw_val.times), (n,))
     scores = _score_fold(raw_val, preds, cfg.metrics, tau, train, train_km_ext)
-    return _FoldOutput(raw_val, preds, scores, at_tstars, at_times, t0_km,
+    return _FoldOutput(preds, scores, at_tstars, at_times, t0_km,
                        assignment.fold(fold))
 
 
@@ -386,10 +385,7 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
     sds = {m: float(np.std(vs)) for m, vs in fold_scores.items()}
 
     # pooled in fold order, each fold in validation order
-    pooled_dataset = SurvivalDataset(
-        tuple(inst for out in fold_results for inst in out.raw_val.instances),
-        d.feature_names, d.time_unit,
-    )
+    pooled_dataset = d.subset(np.concatenate([out.val_indices for out in fold_results]))
     one_cal_entries = []
     if "one-calibration" in cfg.metrics:
         at_tstars = np.vstack([out.probs_at_tstars for out in fold_results])

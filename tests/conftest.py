@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from isdkit.core import SurvivalCurve, SurvivalDataset
+from isdkit.core import FitError, SurvivalCurve, SurvivalDataset
+from isdkit.cox import _newton_cox
+from isdkit.stats import normal_cdf
 
 
 def step_curve(times, probs):
@@ -19,6 +21,41 @@ def dataset(times, events, x=None):
     if x is None:
         x = np.zeros((times.size, 1))
     return SurvivalDataset.from_arrays(x, times, events)
+
+
+def scalar_cox_fit(d, feature_index):
+    """Reference for the univariate Cox filter: one complete-case Newton
+    fit and Wald test per column, walking the instances cell by cell.
+    Returns (p-value, |beta| of the standardized feature)."""
+    values, keep_times, keep_events = [], [], []
+    for inst in d.instances:
+        v = inst.features[feature_index]
+        if v is None or isinstance(v, str):
+            continue
+        values.append(float(v))
+        keep_times.append(inst.time)
+        keep_events.append(inst.event)
+    values = np.asarray(values)
+    if values.size < 2 or np.unique(values).size < 2:
+        return 1.0, 0.0
+    col = ((values - values.mean()) / values.std()).reshape(-1, 1)
+    times = np.asarray(keep_times)
+    events = np.asarray(keep_events, dtype=bool)
+    if not events.any():
+        return 1.0, 0.0
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            beta, info, _, _ = _newton_cox(col, times, events, max_iter=100, tol=1e-8)
+        var = np.linalg.inv(info)[0, 0]
+    except (FitError, np.linalg.LinAlgError):
+        return 1.0, np.inf
+    if not var > 0:
+        return 1.0, abs(beta[0])
+    return 2.0 * normal_cdf(-abs(beta[0]) / np.sqrt(var)), abs(beta[0])
+
+
+def scalar_cox_pvalue(d, feature_index):
+    return scalar_cox_fit(d, feature_index)[0]
 
 
 def random_curve(rng, interp=None, allow_zero_end=True):

@@ -6,6 +6,7 @@ import pytest
 
 from isdkit.cli import main
 from isdkit.core import load_csv, save_csv
+from isdkit.mtlr import default_grid_size, make_grid
 from isdkit.pipeline import CohortConfig, simulate_cohort
 
 
@@ -160,6 +161,28 @@ class TestFit:
         assert payload["model"] == "cox-kp"
         assert len(payload["beta"]) == 2
         assert len(payload["baseline_times"]) == len(payload["baseline_probs"])
+
+
+    def test_aft_curves_sit_on_the_make_grid_knots(self, tmp_path):
+        # like `evaluate`, `fit` predicts AFT curves on the make_grid grid,
+        # not on every training time
+        d = simulate_cohort(
+            CohortConfig(family="weibull-ph", n_features=2, beta=(0.8, -0.5),
+                         baseline_scale=10.0, baseline_shape=1.5, censor_rate=0.04),
+            200, seed=4,
+        )
+        path = tmp_path / "cohort.csv"
+        save_csv(d, path)
+        out = tmp_path / "fit"
+        assert main(["fit", "--dataset", str(path), "--model", "aft-weibull",
+                     "--out", str(out)]) == 0
+        grid = make_grid(d, default_grid_size(len(d))).points.tolist()
+        files = sorted((out / "curves").glob("patient_*.csv"))
+        assert len(files) == 200
+        for f in files:
+            rows = read_rows(f)
+            assert [float(r["time"]) for r in rows[:-1]] == grid
+            assert float(rows[-1]["survival"]) == 0.0
 
 
 class TestReport:

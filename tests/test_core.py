@@ -126,6 +126,59 @@ class TestDataset:
         with pytest.raises(ValueError, match="finite"):
             Instance((1.0,), time, True)
 
+    @pytest.mark.parametrize("row, col, value", [(3, 0, np.nan), (10, 4, np.inf),
+                                                 (0, 2, -np.inf)])
+    def test_from_arrays_rejects_non_finite_cells(self, row, col, value):
+        x = np.random.default_rng(0).standard_normal((12, 5))
+        x[row, col] = value
+        with pytest.raises(ValueError, match=f"row {row}, column 'x{col}': non-finite"):
+            SurvivalDataset.from_arrays(x, np.arange(1.0, 13.0), np.ones(12))
+
+    def test_from_arrays_reports_the_first_non_finite_cell(self):
+        # before this was rejected, a NaN and an inf cell made cox-kp drop
+        # the true-signal x0 with only a RuntimeWarning
+        x = np.zeros((12, 5))
+        x[3, 0], x[10, 4] = np.nan, np.inf
+        with pytest.raises(ValueError, match="row 3, column 'x0'"):
+            SurvivalDataset.from_arrays(x, np.arange(1.0, 13.0), np.ones(12))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_instances_reject_non_finite_cells(self, value):
+        instances = (Instance((1.0, None), 1.0, True), Instance(("a", value), 2.0, False))
+        with pytest.raises(ValueError, match="row 1, column 'b': non-finite"):
+            SurvivalDataset(instances, ("a", "b"))
+
+    def test_columns_and_instance_views(self):
+        instances = (Instance((1.5, "lung", None), 2.0, True),
+                     Instance((None, 3, 4), 1.0, False),
+                     Instance((2, None, 5.0), 3.0, True))
+        d = SurvivalDataset(instances, ("a", "site", "c"))
+        np.testing.assert_array_equal(
+            d.values, [[1.5, np.nan, np.nan], [np.nan, 3.0, 4.0], [2.0, np.nan, 5.0]])
+        assert list(d.raw_columns) == [1]
+        assert [i.features for i in d] == [(1.5, "lung", None), (None, 3.0, 4.0),
+                                           (2.0, None, 5.0)]
+        part = d.subset([2, 0])
+        assert [i.features for i in part] == [(2.0, None, 5.0), (1.5, "lung", None)]
+        assert list(part.times) == [3.0, 2.0] and list(part.events) == [True, True]
+        for arr in (d.times, d.events, d.values, d.raw_columns[1]):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+        with pytest.raises(TypeError):
+            d.raw_columns[0] = d.raw_columns[1]
+
+    def test_feature_matrix_is_a_copy(self):
+        d = SurvivalDataset.from_arrays(np.ones((2, 1)), [1.0, 2.0], [1, 0])
+        x = d.feature_matrix()
+        x[0, 0] = 7.0
+        assert d.feature_matrix()[0, 0] == 1.0
+
+    def test_feature_matrix_names_a_category_cell(self):
+        d = SurvivalDataset((Instance((1.0,), 1.0, True), Instance(("lung",), 2.0, True)),
+                            ("site",))
+        with pytest.raises(ValueError, match="'site' of instance 1 is 'lung'"):
+            d.feature_matrix()
+
     def test_feature_matrix_rejects_missing(self):
         d = SurvivalDataset((Instance((None,), 1.0, True),), ("a",))
         with pytest.raises(ValueError, match="impute"):

@@ -13,7 +13,7 @@ from isdkit.pipeline import (
     simulate_cohort_latent,
 )
 
-from conftest import dataset
+from conftest import dataset, scalar_cox_pvalue
 
 
 def cohort_with_features(seed=0, n=200):
@@ -110,6 +110,110 @@ class TestPreprocess:
                                       train_b.feature_matrix())
         np.testing.assert_array_equal(val_a.feature_matrix(),
                                       val_b.feature_matrix())
+
+
+def reference_preprocess(train, validate, p_cut=0.10):
+    """The preprocessing pipeline walking instances cell by cell, with one
+    scalar Cox fit per candidate: the reference for `preprocess`."""
+    def column(d, j):
+        return [inst.features[j] for inst in d.instances]
+
+    def rebuild(d, columns, names):
+        return SurvivalDataset(
+            tuple(Instance(tuple(col[i] for col in columns), inst.time, inst.event)
+                  for i, inst in enumerate(d.instances)),
+            tuple(names))
+
+    n_train = len(train)
+    keep, dropped = [], []
+    for j, name in enumerate(train.feature_names):
+        col = column(train, j)
+        missing = sum(1 for v in col if v is None)
+        present = [v for v in col if v is not None]
+        if n_train == 0 or missing / n_train > 0.25 or len(set(map(str, present))) <= 1:
+            dropped.append(name)
+        else:
+            keep.append(j)
+    names, train_cols, val_cols, encoded = [], [], [], {}
+    for j in keep:
+        name = train.feature_names[j]
+        col_t, col_v = column(train, j), column(validate, j)
+        if not any(isinstance(v, str) for v in col_t if v is not None):
+            names.append(name)
+            train_cols.append([None if v is None else float(v) for v in col_t])
+            val_cols.append([None if v is None or isinstance(v, str) else float(v)
+                             for v in col_v])
+            continue
+        levels = sorted({str(v) for v in col_t if v is not None})
+        encoded[name] = tuple(f"{name}={lvl}" for lvl in levels)
+        for lvl in levels:
+            names.append(f"{name}={lvl}")
+            train_cols.append([None if v is None else float(str(v) == lvl) for v in col_t])
+            val_cols.append([None if v is None else float(str(v) == lvl) for v in col_v])
+    candidate = rebuild(train, train_cols, names)
+    p_values = {name: scalar_cox_pvalue(candidate, j) for j, name in enumerate(names)}
+    selected = [j for j, name in enumerate(names) if p_values[name] <= p_cut]
+    means, scales, out_train, out_val = {}, {}, [], []
+    for j in selected:
+        col_t = np.array([np.nan if v is None else v for v in train_cols[j]], dtype=float)
+        col_v = np.array([np.nan if v is None else v for v in val_cols[j]], dtype=float)
+        mean_impute = float(np.nanmean(col_t))
+        col_t = np.where(np.isnan(col_t), mean_impute, col_t)
+        col_v = np.where(np.isnan(col_v), mean_impute, col_v)
+        mu, sd = float(col_t.mean()), float(col_t.std()) or 1.0
+        means[names[j]] = mean_impute
+        scales[names[j]] = (mu, sd)
+        out_train.append((col_t - mu) / sd)
+        out_val.append((col_v - mu) / sd)
+    selected_names = tuple(names[j] for j in selected)
+    return (rebuild(train, out_train, selected_names), rebuild(validate, out_val, selected_names),
+            dict(dropped_missing=tuple(dropped), encoded=encoded, selected=selected_names,
+                 p_values=p_values, imputation_means=means, standardization=scales))
+
+
+def with_mixed_column(d, seed):
+    """`d` plus a column mixing strings, a number and missing cells."""
+    rng = np.random.default_rng(seed)
+    grade = rng.choice(np.array(["g1", "g2", 3.0, None], dtype=object), size=len(d),
+                       p=[0.4, 0.3, 0.2, 0.1])
+    return SurvivalDataset(
+        tuple(Instance((*inst.features, g), inst.time, inst.event)
+              for inst, g in zip(d.instances, grade)),
+        (*d.feature_names, "grade"))
+
+
+class TestPreprocessEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("fold", [0, 1])
+    def test_matches_the_instance_walking_pipeline(self, seed, fold):
+        d = with_mixed_column(mixed_dataset(seed=seed), seed)
+        train, val = make_folds(d, 2).split(d, fold)
+        # an unseen validation level, and a string in a numeric column
+        cells = [list(inst.features) for inst in val.instances]
+        cells[0][1] = "kidney"
+        cells[1][5] = "g9"
+        cells[2][0] = "n/a"
+        val = SurvivalDataset(
+            tuple(Instance(c, inst.time, inst.event) for c, inst in zip(cells, val.instances)),
+            val.feature_names)
+
+        train_a, val_a, report = preprocess(train, val)
+        train_b, val_b, expected = reference_preprocess(train, val)
+        assert "grade=3.0" in report.encoded["grade"]
+        for field in ("dropped_missing", "encoded", "selected"):
+            assert getattr(report, field) == expected[field]
+        assert report.p_values.keys() == expected["p_values"].keys()
+        for name, p in expected["p_values"].items():
+            assert report.p_values[name] == pytest.approx(p, rel=1e-10, abs=0.0)
+        for field in ("imputation_means", "standardization"):
+            got, want = getattr(report, field), expected[field]
+            assert got.keys() == want.keys()
+            np.testing.assert_allclose([got[k] for k in want], [want[k] for k in want],
+                                       rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(train_a.feature_matrix(), train_b.feature_matrix(),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(val_a.feature_matrix(), val_b.feature_matrix(),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestMakeFolds:
