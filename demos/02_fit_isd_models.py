@@ -49,10 +49,11 @@ print(f"mtlr: {mtlr.theta.shape[0]} grid times x {mtlr.theta.shape[1]} weights, 
 low_risk = np.array([-1.5, 1.0])   # negative linear predictor: lives long
 high_risk = np.array([1.5, -1.0])
 
+# a feature vector gives a one-row CurveBatch; row(0) is that patient's curve
 predictors = {
-    "cox-kp": lambda x: extend_linear(predict_curve_cox(cox, x), t0_km),
-    "aft-weibull": lambda x: extend_linear(predict_curve_aft(aft, x, grid), t0_km),
-    "mtlr": lambda x: extend_linear(predict_curve_mtlr(mtlr, x), t0_km),
+    "cox-kp": lambda x: extend_linear(predict_curve_cox(cox, x).row(0), t0_km),
+    "aft-weibull": lambda x: extend_linear(predict_curve_aft(aft, x, grid).row(0), t0_km),
+    "mtlr": lambda x: extend_linear(predict_curve_mtlr(mtlr, x).row(0), t0_km),
 }
 
 print("\npredicted median survival (capped at the training-KM zero time):")

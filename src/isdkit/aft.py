@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConvergenceError, FitError, Instance, SurvivalCurve, SurvivalDataset, SurvivalModel
+from .core import ConvergenceError, FitError, SurvivalDataset, SurvivalModel
 from .curves import CurveBatch
 
 __all__ = ["AftWeibullModel", "fit_aft_weibull", "predict_curve_aft", "aft_loglik"]
@@ -44,9 +44,6 @@ class AftWeibullModel(SurvivalModel):
         """Weibull scale lambda(x) = exp(intercept + coeffs . x)."""
         x = np.asarray(x, dtype=float)
         return float(np.exp(self.intercept + x @ self.coeffs))
-
-    def predict_curve(self, inst: Instance) -> SurvivalCurve:
-        return predict_curve_aft(self, np.asarray(inst.features, dtype=float), self.grid)
 
     def predict_curves(self, d: SurvivalDataset) -> CurveBatch:
         return predict_curve_aft(self, d.feature_matrix(), self.grid)
@@ -173,10 +170,10 @@ def fit_aft_weibull(d: SurvivalDataset, tol: float = 1e-8, max_iter: int = 200) 
     )
 
 
-def predict_curve_aft(m: AftWeibullModel, x, grid):
+def predict_curve_aft(m: AftWeibullModel, x, grid) -> CurveBatch:
     """Closed-form Weibull survival sampled on an increasing time grid,
-    emitted as a piecewise-linear curve: a SurvivalCurve for one feature
-    vector, a CurveBatch for a matrix."""
+    emitted as piecewise-linear curves: a row per row of the matrix x, one
+    row for a feature vector."""
     grid = np.asarray(getattr(grid, "points", grid), dtype=float)
     x = np.asarray(x, dtype=float)
     mu = m.intercept + x @ m.coeffs
@@ -184,6 +181,4 @@ def predict_curve_aft(m: AftWeibullModel, x, grid):
         logt = np.log(grid)
     w = (logt - mu[..., None]) / m.sigma
     probs = np.clip(np.where(grid == 0.0, 1.0, np.exp(-np.exp(w))), 0.0, 1.0)
-    if x.ndim == 1:
-        return SurvivalCurve(grid, probs, "linear")
     return CurveBatch(grid, probs, "linear")

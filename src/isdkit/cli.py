@@ -61,14 +61,17 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_curves(out: Path, curves) -> None:
-    """One CSV per patient from (patient index, ExtendedCurve) pairs: the
-    curve's knots, then its zero time at probability 0."""
+def _write_curves(out: Path, indices, curves) -> None:
+    """One CSV per row of an extended CurveBatch, named by the patient
+    indices (every patient reads a shared row): the knots, then the row's
+    zero time at probability 0."""
     curves_dir = out / "curves"
     curves_dir.mkdir(exist_ok=True)
-    for idx, curve in curves:
-        rows = [[_fmt(t), _fmt(p)] for t, p in zip(curve.base.times, curve.base.probs)]
-        rows.append([_fmt(curve.zero_time), _fmt(0.0)])
+    knots = [_fmt(t) for t in curves.knots]
+    for i, idx in enumerate(indices):
+        r = i if curves.rows > 1 else 0
+        rows = [[t, _fmt(p)] for t, p in zip(knots, curves.probs[r])]
+        rows.append([_fmt(curves.zero_time[r]), _fmt(0.0)])
         _write_csv(curves_dir / f"patient_{idx:05d}.csv", ["time", "survival"], rows)
 
 
@@ -118,7 +121,8 @@ def cmd_evaluate(args) -> int:
                 for lo, hi, c in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts)]
         _write_csv(out / "dcal_histogram.csv", ["bin_lo", "bin_hi", "count"], rows)
 
-    _write_curves(out, ((idx, pred.curve) for idx, _, pred in report.predictions))
+    for indices, preds in report.fold_predictions:
+        _write_curves(out, indices, preds.curves)
     print(f"wrote evaluation of {args.model} to {out}")
     return 0
 
@@ -149,21 +153,17 @@ def _model_payload(name: str, model) -> dict:
 def cmd_fit(args) -> int:
     raw = load_csv(args.dataset, args.time_col, args.event_col)
     out = _out_dir(args, ["model.json"])
-    cfg = ExperimentConfig(model=args.model)
-
     # feature models need the encoded/imputed/standardized representation;
     # fitting on the full dataset means the pipeline is fit on it as well
     dataset = raw
     if args.model != "km" and raw.feature_names:
-        dataset, _, _ = preprocess(raw, raw, cfg.p_cut)
-    model = _fit_model(args.model, dataset, cfg)
+        dataset, _, _ = preprocess(raw, raw)
+    model = _fit_model(args.model, dataset, ExperimentConfig(model=args.model))
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(_model_payload(args.model, model), fh, indent=1)
 
     t0_km = extend_linear(fit_km(dataset).curve).zero_time
-    curves = extend_linear(model.predict_curves(dataset), t0_km)
-    shared = curves.rows == 1
-    _write_curves(out, ((i, curves.row(0 if shared else i)) for i in range(len(dataset))))
+    _write_curves(out, range(len(dataset)), extend_linear(model.predict_curves(dataset), t0_km))
     print(f"wrote fitted {args.model} to {out}")
     return 0
 

@@ -277,13 +277,15 @@ class SurvivalModel(ABC):
     """Anything that deterministically yields one survival curve per instance."""
 
     @abstractmethod
-    def predict_curve(self, inst: Instance) -> SurvivalCurve:
-        """Predicted survival curve for one instance."""
-
-    @abstractmethod
     def predict_curves(self, d: SurvivalDataset):
         """Predicted curves of every instance of `d` as one
         `isdkit.curves.CurveBatch` on the model's knot vector."""
+
+    def predict_curve(self, inst: Instance) -> SurvivalCurve:
+        """Predicted survival curve for one instance: row 0 of
+        `predict_curves` on a one-patient dataset."""
+        names = [f"x{j}" for j in range(len(inst.features))]
+        return self.predict_curves(SurvivalDataset([inst], names)).row(0)
 
 
 def split_by_censoring(d: SurvivalDataset):

@@ -23,7 +23,6 @@ from scipy.special import ndtr
 from .core import (
     ConvergenceError,
     FitError,
-    Instance,
     SurvivalCurve,
     SurvivalDataset,
     SurvivalModel,
@@ -44,15 +43,8 @@ class CoxModel(SurvivalModel):
     gradient_norm: float
     feature_names: tuple = ()
 
-    def predict_curve(self, inst: Instance) -> SurvivalCurve:
-        x = np.asarray(inst.features, dtype=float)
-        return predict_curve_cox(self, x)
-
     def predict_curves(self, d: SurvivalDataset) -> CurveBatch:
         return predict_curve_cox(self, d.feature_matrix())
-
-    def risk(self, inst: Instance) -> float:
-        return float(np.asarray(inst.features, dtype=float) @ self.beta)
 
 
 def _sorted_arrays(x, times, events):
@@ -190,14 +182,12 @@ def fit_cox(d: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8) -> CoxMo
     return CoxModel(beta, baseline, iterations, gnorm, d.feature_names)
 
 
-def predict_curve_cox(m: CoxModel, x):
+def predict_curve_cox(m: CoxModel, x) -> CurveBatch:
     """S(t | x) = S0(t) ** exp(beta . x), evaluated at the baseline knots:
-    a SurvivalCurve for one feature vector, a CurveBatch for a matrix."""
+    a row per row of the matrix x, one row for a feature vector."""
     x = np.asarray(x, dtype=float)
     exponent = np.exp(x @ m.beta)
     probs = np.clip(m.baseline.probs ** exponent[..., None], 0.0, 1.0)
-    if x.ndim == 1:
-        return SurvivalCurve(m.baseline.times, probs, "step")
     return CurveBatch(m.baseline.times, probs, "step")
 
 

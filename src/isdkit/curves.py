@@ -92,7 +92,7 @@ class CurveBatch:
         if probs.ndim == 1:
             probs = probs[None, :]
         if knots.ndim != 1 or knots.size == 0 or probs.ndim != 2 \
-                or probs.shape[1] != knots.size or probs.shape[0] == 0:
+                or probs.shape[1] != knots.size:
             raise ValueError("a curve batch needs knots (m,) and probs (rows, m), m >= 1")
         if self.interp not in ("step", "linear"):
             raise ValueError(f"unknown interpolation kind {self.interp!r}")
@@ -219,9 +219,12 @@ class CurveBatch:
 
     def row(self, i: int):
         """Row i as a `SurvivalCurve`, or an `ExtendedCurve` once extended; a
-        read-only view of the batch, not a copy."""
+        read-only view of the batch, not a copy.  Every i reads the one row
+        of a shared batch."""
         if np.any(self.knots[1:] == self.knots[:-1]):
             raise ValueError("a row with a repeated knot is not a SurvivalCurve")
+        if self.rows == 1:
+            i = 0
         base = object.__new__(SurvivalCurve)  # the batch was validated already
         for name, value in (("times", self.knots), ("probs", self.probs[i]),
                             ("interp", self.interp)):
@@ -231,7 +234,8 @@ class CurveBatch:
         return ExtendedCurve(base, float(self.zero_time[i]), bool(self.fallback[i]))
 
     def subset(self, indices) -> "CurveBatch":
-        """The rows of the given patients; a shared row stays shared."""
+        """The rows of the given patients (none gives a batch without rows);
+        a shared row stays shared."""
         if self.rows == 1:
             return self
         idx = np.asarray(indices)
@@ -264,7 +268,8 @@ class CurveBatch:
             width = zero - knots[last]
             with np.errstate(divide="ignore", invalid="ignore"):
                 down = np.where(width > 0, tail * (zero - t) / width, 0.0)
-            tail = np.where(t > knots[last], np.maximum(down, 0.0), tail)
+            # rounding may lift the line just past t_max above p_last
+            tail = np.where(t > knots[last], np.clip(down, 0.0, tail), tail)
         return np.where(seg >= last, tail, base)
 
     def segment_ends(self, rows, seg, a, b):

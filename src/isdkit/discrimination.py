@@ -22,7 +22,6 @@ from .curves import (
     ExtendedCurve,
     as_batch,
     extend_linear,
-    mean_survival,
     median_survival,
     survival_at,
 )
@@ -55,71 +54,52 @@ class Prediction:
 class PredictionSet:
     """Aligned per-instance risks, capped medians and extended curves.
 
-    The curves are one `CurveBatch` (a single shared row when every
-    instance has the same curve, as under Kaplan-Meier); indexing yields
-    `Prediction` views.  A set may also be built from `Prediction` objects.
+    ``curves`` is one `CurveBatch` (a single shared row when every instance
+    has the same curve, as under Kaplan-Meier); indexing yields `Prediction`
+    views.  ``PredictionSet(predictions)`` stacks `Prediction` objects with
+    `CurveBatch.from_curves`.
     """
 
-    def __init__(self, predictions=()):
-        self._items = tuple(predictions)
-        self.risks = np.array([p.risk for p in self._items], dtype=float)
-        self.medians = np.array([p.median for p in self._items], dtype=float)
-        self._curves = None
+    def __init__(self, predictions):
+        predictions = tuple(predictions)
+        self.curves = CurveBatch.from_curves(p.curve for p in predictions)
+        self.risks = np.array([p.risk for p in predictions], dtype=float)
+        self.medians = np.array([p.median for p in predictions], dtype=float)
 
     @classmethod
     def from_batch(cls, curves: CurveBatch, risks, medians) -> "PredictionSet":
-        out = cls()
-        out._items = None
+        out = object.__new__(cls)
+        out.curves = curves
         out.risks = np.asarray(risks, dtype=float)
         out.medians = np.asarray(medians, dtype=float)
-        out._curves = curves
         return out
-
-    @property
-    def curves(self) -> CurveBatch:
-        if self._curves is None:
-            self._curves = CurveBatch.from_curves(p.curve for p in self._items)
-        return self._curves
 
     def __len__(self) -> int:
         return self.risks.size
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def __getitem__(self, i) -> Prediction:
-        if self._items is not None:
-            return self._items[i]
-        curve = self._shared_curve if self._curves.rows == 1 else self._curves.row(i)
+        curve = self._shared_curve if self.curves.rows == 1 else self.curves.row(i)
         return Prediction(float(self.risks[i]), float(self.medians[i]), curve)
 
     @cached_property
     def _shared_curve(self) -> ExtendedCurve:
-        return self._curves.row(0)
+        return self.curves.row(0)
 
     def subset(self, indices) -> "PredictionSet":
         idx = np.asarray(indices)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
-        if self._items is not None:
-            return PredictionSet(self._items[int(i)] for i in idx)
-        return PredictionSet.from_batch(self._curves.subset(idx), self.risks[idx],
+        return PredictionSet.from_batch(self.curves.subset(idx), self.risks[idx],
                                         self.medians[idx])
 
     @classmethod
-    def from_model(cls, model: SurvivalModel, v: SurvivalDataset, t0_km: float,
-                   risk: str = "median") -> "PredictionSet":
+    def from_model(cls, model: SurvivalModel, v: SurvivalDataset,
+                   t0_km: float) -> "PredictionSet":
         """Predict, extend, and score every instance of a validation set as
-        one batch.
-
-        The default risk is the negative of the (t0_km-capped) median
-        survival time; ``risk="mean"`` uses the negative mean instead.
-        """
+        one batch; the risk is the negative of the (t0_km-capped) median
+        survival time."""
         curves = extend_linear(model.predict_curves(v), t0_km)
         medians = median_survival(curves, t0_km)
-        risks = -medians if risk == "median" else -mean_survival(curves)
         n = len(v)
-        return cls.from_batch(curves, np.broadcast_to(risks, (n,)),
+        return cls.from_batch(curves, np.broadcast_to(-medians, (n,)),
                               np.broadcast_to(medians, (n,)))
 
 

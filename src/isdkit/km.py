@@ -88,6 +88,7 @@ class KaplanMeierModel(SurvivalModel):
         return cls(fit_km(d))
 
     def predict_curve(self, inst: Instance) -> SurvivalCurve:
+        # the shared curve itself; bench/tracer.py times KM prediction by this name
         return self.km.curve
 
     def predict_curves(self, d: SurvivalDataset) -> CurveBatch:

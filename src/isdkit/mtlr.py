@@ -21,8 +21,6 @@ from scipy.optimize import minimize
 
 from .core import (
     ConvergenceError,
-    Instance,
-    SurvivalCurve,
     SurvivalDataset,
     SurvivalModel,
     fold_indices,
@@ -252,9 +250,6 @@ class MtlrModel(SurvivalModel):
     cv_scores: tuple = ()
     feature_names: tuple = ()
 
-    def predict_curve(self, inst: Instance) -> SurvivalCurve:
-        return predict_curve_mtlr(self, np.asarray(inst.features, dtype=float))
-
     def predict_curves(self, d: SurvivalDataset) -> CurveBatch:
         return predict_curve_mtlr(self, d.feature_matrix())
 
@@ -318,17 +313,14 @@ def fit_mtlr(d: SurvivalDataset, grid: TimeGrid, c_candidates, folds: int = 5) -
     return MtlrModel(theta, grid, best_c, iterations, gnorm, cv_scores, d.feature_names)
 
 
-def predict_curve_mtlr(m: MtlrModel, x):
-    """Survival curve from the running sum of interval masses, emitted as a
-    piecewise-linear curve through (0, 1) and the grid knots: a
-    SurvivalCurve for one feature vector, a CurveBatch for a matrix."""
-    x = np.asarray(x, dtype=float)
-    xb = _with_bias(x.reshape(-1, m.theta.shape[1] - 1))
+def predict_curve_mtlr(m: MtlrModel, x) -> CurveBatch:
+    """Survival curves from the running sum of interval masses, emitted as
+    piecewise-linear curves through (0, 1) and the grid knots: a row per row
+    of the matrix x, one row for a feature vector."""
+    xb = _with_bias(np.asarray(x, dtype=float).reshape(-1, m.theta.shape[1] - 1))
     _, tail = _softmax_tail(m.theta, xb)
     surv = np.minimum(tail[1:] / tail[0], 1.0).T  # S(t_i) = P(interval >= i)
     times = np.concatenate(([0.0], m.grid.points))
     monotone = np.maximum.accumulate(surv[:, ::-1], axis=1)[:, ::-1]
     probs = np.clip(np.hstack((np.ones((xb.shape[0], 1)), monotone)), 0.0, 1.0)
-    if x.ndim == 1:
-        return SurvivalCurve(times, probs[0], "linear")
     return CurveBatch(times, probs, "linear")

@@ -205,10 +205,9 @@ class FoldAssignment:
         return d.subset(~val_mask), d.subset(val_mask)
 
 
-def make_folds(d: SurvivalDataset, k: int = 5, seed=None) -> FoldAssignment:
+def make_folds(d: SurvivalDataset, k: int = 5) -> FoldAssignment:
     """Stratified fold assignment; deterministic given the dataset order
-    (`seed` is accepted for interface symmetry but the dealing rule does
-    not need randomness)."""
+    (the dealing rule of `fold_indices` needs no randomness)."""
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if len(d) < k:
@@ -228,9 +227,6 @@ class ExperimentConfig:
     folds: int = 5
     seed: int = 0
     mtlr_c_grid: tuple = (0.01, 0.1, 1.0, 10.0, 100.0)
-    percentile_basis: str = "all"     # "all" pooled times or "deaths" only
-    p_cut: float = 0.10
-    risk: str = "median"
     jobs: int = 1
 
     def __post_init__(self):
@@ -241,8 +237,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown metrics {sorted(unknown)}; choose from {ALL_METRICS}")
         if any(not 0 < p < 100 for p in self.percentiles):
             raise ValueError("percentiles must lie strictly between 0 and 100")
-        if self.percentile_basis not in ("all", "deaths"):
-            raise ValueError("percentile_basis must be 'all' or 'deaths'")
 
 
 @dataclass(frozen=True)
@@ -264,7 +258,7 @@ class MetricReport:
     dcal_histogram: "cal.DCalHistogram | None"
     tau: float
     tstars: tuple
-    predictions: list                  # (instance_index, fold, Prediction)
+    fold_predictions: list             # per fold: (validation indices, PredictionSet)
     fold_t0: list
 
 
@@ -328,14 +322,14 @@ def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig, assignment: FoldAssignm
     raw_train, raw_val = assignment.split(d, fold)
     needs_features = cfg.model != "km" and len(d.feature_names) > 0
     if needs_features:
-        train, val, _ = preprocess(raw_train, raw_val, cfg.p_cut)
+        train, val, _ = preprocess(raw_train, raw_val)
     else:
         train, val = raw_train, raw_val
 
     train_km_ext = extend_linear(fit_km(train).curve)
     t0_km = train_km_ext.zero_time
     model = _fit_model(cfg.model, train, cfg)
-    preds = PredictionSet.from_model(model, val, t0_km, cfg.risk)
+    preds = PredictionSet.from_model(model, val, t0_km)
 
     n = len(raw_val)
     curves = preds.curves
@@ -356,12 +350,9 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
     percentiles and D-calibration run once on the pooled predictions of
     all folds.  Fit failures propagate with the fold index attached.
     """
-    assignment = make_folds(d, cfg.folds, cfg.seed)
+    assignment = make_folds(d, cfg.folds)
     tau = float(d.times.max())
-    times_basis = d.times if cfg.percentile_basis == "all" else d.times[d.events]
-    if times_basis.size == 0:
-        raise ValueError("no times available for the calibration percentiles")
-    tstars = tuple(float(np.percentile(times_basis, p)) for p in cfg.percentiles)
+    tstars = tuple(float(np.percentile(d.times, p)) for p in cfg.percentiles)
 
     def run(fold):
         try:
@@ -412,8 +403,7 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
         dcal_histogram=dcal_hist,
         tau=tau,
         tstars=tstars,
-        predictions=[(int(global_i), fold, pred) for fold, out in enumerate(fold_results)
-                     for global_i, pred in zip(out.val_indices, out.preds)],
+        fold_predictions=[(out.val_indices, out.preds) for out in fold_results],
         fold_t0=[out.t0_km for out in fold_results],
     )
 

@@ -83,12 +83,12 @@ class TestPredictAft:
     def test_survival_at_the_scale_is_one_over_e(self):
         m = fit_aft_weibull(weibull_sample(0))
         lam = m.scale(np.zeros(0))
-        curve = predict_curve_aft(m, np.zeros(0), np.array([lam]))
+        curve = predict_curve_aft(m, np.zeros(0), np.array([lam])).row(0)
         assert curve.probs[0] == pytest.approx(np.exp(-1), rel=1e-12)
 
     def test_time_zero_is_one(self):
         m = fit_aft_weibull(weibull_sample(0))
-        curve = predict_curve_aft(m, np.zeros(0), np.array([0.0, 5.0]))
+        curve = predict_curve_aft(m, np.zeros(0), np.array([0.0, 5.0])).row(0)
         assert curve.probs[0] == 1.0
         assert survival_at(curve, 0.0) == 1.0
 
@@ -103,13 +103,13 @@ class TestPredictAft:
         grid = np.linspace(0.5, 40, 60)
         for _ in range(20):
             xa, xb = rng.standard_normal(2), rng.standard_normal(2)
-            ca = predict_curve_aft(m, xa, grid).probs
-            cb = predict_curve_aft(m, xb, grid).probs
+            ca = predict_curve_aft(m, xa, grid).row(0).probs
+            cb = predict_curve_aft(m, xb, grid).row(0).probs
             diff = ca - cb
             assert np.all(diff >= -1e-12) or np.all(diff <= 1e-12)
 
     def test_strictly_decreasing_and_positive(self):
         m = fit_aft_weibull(weibull_sample(1))
-        curve = predict_curve_aft(m, np.zeros(0), np.linspace(0.5, 60, 50))
+        curve = predict_curve_aft(m, np.zeros(0), np.linspace(0.5, 60, 50)).row(0)
         assert np.all(np.diff(curve.probs) < 0)
         assert np.all(curve.probs > 0)

@@ -92,16 +92,16 @@ class TestKpBaseline:
         m = fit_cox(two_group_cohort(1, n=300))
         for _ in range(25):
             x = rng.standard_normal(1) * 3
-            c = predict_curve_cox(m, x)
+            c = predict_curve_cox(m, x).row(0)
             assert np.all(np.diff(c.probs) <= 0)
             assert np.all((0 <= c.probs) & (c.probs <= 1))
 
     def test_baseline_exponent_identity_and_ordering(self):
         m = fit_cox(two_group_cohort(2, n=300))
-        base = predict_curve_cox(m, np.zeros(1))
+        base = predict_curve_cox(m, np.zeros(1)).row(0)
         np.testing.assert_array_equal(base.probs, m.baseline.probs)
         # higher risk scores give pointwise lower survival: curves never cross
-        hi = predict_curve_cox(m, np.array([3.0 * np.sign(m.beta[0])]))
+        hi = predict_curve_cox(m, np.array([3.0 * np.sign(m.beta[0])])).row(0)
         assert np.all(hi.probs <= base.probs + 1e-15)
 
 

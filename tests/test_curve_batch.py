@@ -6,7 +6,7 @@ batched scorers must agree with them to 1e-12 (medians bit for bit)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isdkit.calibration import (
@@ -120,7 +120,9 @@ def ref_ibs(times, events, curves, tau, g_hat):
         total = 0.0
         for lo, hi in zip(cuts, cuts[1:]):
             f = [(target - ref_survival(curve, lo + q * (hi - lo))) ** 2 for q in (0.25, 0.5, 0.75)]
-            g = ref_survival(g_curve, 0.5 * (lo + hi))
+            # pieces are cut at every G knot, so G is constant on [lo, hi); a
+            # midpoint of a 1-ulp piece could round onto the next knot
+            g = ref_survival(g_curve, lo)
             total += (hi - lo) / 3.0 * (2 * f[0] - f[1] + 2 * f[2]) / (g if target else 1.0)
         return total
 
@@ -262,7 +264,15 @@ def mixed_curves(draw):
     return curves
 
 
+def extended_steps(*curves):
+    return [extend_linear(SurvivalCurve(np.array(t), np.array(p), "step"), 60.0)
+            for t, p in curves]
+
+
 @given(mixed_curves(), st.lists(st.floats(0.0, 250.0), min_size=1, max_size=6))
+@example(curves=extended_steps(([1.0, 1.5, 2.0, 3.0, 4.0], [0.0] * 5), ([0.1], [0.96875]),
+                               ([0.1], [7.96185145e-156])),
+         extra=[np.nextafter(0.1, np.inf)])  # the tail once rose 1 ulp above p_last
 @settings(max_examples=150, deadline=None)
 def test_curves_on_different_knots_batch_exactly(curves, extra):
     batch = CurveBatch.from_curves(curves)
@@ -295,10 +305,25 @@ def test_batched_ibs_matches_per_patient_reference(data, g_hat, tau):
     assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
 
 
-@given(mixed_curves(), st.data(), censoring_curves())
+@st.composite
+def curves_with_cohort(draw):
+    curves = draw(mixed_curves())
+    return (curves, *draw(cohorts(len(curves))))
+
+
+# G drops to 0 at 1 and a curve reaches 0 one ulp before it: the piece
+# between them once broke the reference's read of G
+_ULP_BEFORE_G_ZERO = extended_steps(*[([0.5], [0.5])] * 4, ([np.nextafter(1.0, 0.0)], [0.0]))
+
+
+@given(curves_with_cohort(), censoring_curves())
+@example(drawn=(_ULP_BEFORE_G_ZERO, np.array([0.0, 0.0, 0.0, 0.0, 1.0]), np.zeros(5, bool)),
+         g_hat=fit_censoring_km(dataset([0.0, 1.0], [False, False])))
+@example(drawn=(_ULP_BEFORE_G_ZERO, np.array([0.0, 0.0, 0.0, 0.0, 2.0]), np.zeros(5, bool)),
+         g_hat=fit_censoring_km(dataset([0.0, 1.0], [False, False])))
 @settings(max_examples=100, deadline=None)
-def test_ibs_of_a_curve_list_matches_per_patient_reference(curves, data, g_hat):
-    times, events = data.draw(cohorts(len(curves)))
+def test_ibs_of_a_curve_list_matches_per_patient_reference(drawn, g_hat):
+    curves, times, events = drawn
     tau = 70.0
     if (g_hat.curve.probs <= 0).any() and g_hat.curve.times[np.argmax(g_hat.curve.probs <= 0)] == 0:
         return

@@ -235,7 +235,7 @@ class TestPredictMtlr:
 
         grid = TimeGrid(np.array([1.0, 2.0, 3.0]))
         model = MtlrModel(np.zeros((3, 2)), grid, 1.0)
-        curve = predict_curve_mtlr(model, np.array([5.0]))
+        curve = predict_curve_mtlr(model, np.array([5.0])).row(0)
         np.testing.assert_allclose(curve.times, [0, 1, 2, 3])
         np.testing.assert_allclose(curve.probs, [1.0, 3 / 4, 2 / 4, 1 / 4])
 
@@ -244,7 +244,7 @@ class TestPredictMtlr:
         grid = make_grid(d, 6)
         model = fit_mtlr(d, grid, (1.0,))
         for _ in range(10):
-            curve = predict_curve_mtlr(model, rng.standard_normal(1))
+            curve = predict_curve_mtlr(model, rng.standard_normal(1)).row(0)
             assert curve.probs[0] == 1.0
             assert np.all(np.diff(curve.probs) <= 1e-12)
 
@@ -258,7 +258,7 @@ class TestPredictMtlr:
         d = SurvivalDataset.from_arrays(x, death, np.ones(n, dtype=bool))
         grid = make_grid(d, 10)
         model = fit_mtlr(d, grid, (0.1,))
-        ca = predict_curve_mtlr(model, np.array([1.5])).probs
-        cb = predict_curve_mtlr(model, np.array([-1.5])).probs
+        ca = predict_curve_mtlr(model, np.array([1.5])).row(0).probs
+        cb = predict_curve_mtlr(model, np.array([-1.5])).row(0).probs
         diff = ca - cb
         assert (diff > 1e-6).any() and (diff < -1e-6).any()

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from isdkit.core import FitError, Instance, SurvivalDataset
+from isdkit.cox import fit_cox
+from isdkit.curves import extend_linear
+from isdkit.discrimination import PredictionSet
+from isdkit.km import fit_km
 from isdkit.pipeline import (
+    MODEL_NAMES,
     CohortConfig,
     ExperimentConfig,
+    _fit_model,
+    _score_fold,
     fold_indices,
     make_folds,
     preprocess,
@@ -298,13 +305,33 @@ class TestRunExperiment:
         d = cohort_with_features(n=150)
         report = run_experiment(d, ExperimentConfig(model="cox-kp", folds=3))
         probs, events = [], []
-        for idx, fold, pred in report.predictions:
-            inst = d.instances[idx]
-            probs.append(survival_at(pred.curve, inst.time))
-            events.append(inst.event)
+        for indices, preds in report.fold_predictions:
+            for i, idx in enumerate(indices):
+                inst = d.instances[idx]
+                probs.append(survival_at(preds[i].curve, inst.time))
+                events.append(inst.event)
         flat = dcal_histogram_from_probs(np.array(probs), np.array(events), 10)
         np.testing.assert_allclose(report.dcal_histogram.counts, flat.counts,
                                    atol=1e-12)
+
+    def test_fold_predictions_cover_every_patient_once(self):
+        d = cohort_with_features(n=150)
+        report = run_experiment(d, ExperimentConfig(model="km", folds=3))
+        indices = np.concatenate([idx for idx, _ in report.fold_predictions])
+        np.testing.assert_array_equal(np.sort(indices), np.arange(len(d)))
+        for idx, preds in report.fold_predictions:
+            assert len(preds) == idx.size
+            assert preds.curves.rows == 1  # KM's shared row stays shared
+
+    def test_validation_fold_without_deaths_gets_the_metric_error(self):
+        d = cohort_with_features(n=150)
+        train = d.subset(np.arange(100))
+        val = d.subset(np.flatnonzero(~d.events[100:]) + 100)
+        train_km = extend_linear(fit_km(train).curve)
+        preds = PredictionSet.from_model(fit_cox(train), val, train_km.zero_time)
+        assert len(preds) == len(val) > 1 and not val.events.any()
+        with pytest.raises(ValueError, match="uncensored L1-loss needs at least one instance"):
+            _score_fold(val, preds, ("l1-uncensored",), float(d.times.max()), train, train_km)
 
     def test_jobs_parallelism_matches_sequential(self):
         d = cohort_with_features(n=150)
@@ -325,6 +352,28 @@ class TestRunExperiment:
             ExperimentConfig(percentiles=(0, 50))
         with pytest.raises(ValueError):
             ExperimentConfig(metrics=("concordance", "auc"))
+
+
+class TestOnePredictionPath:
+    """`predict_curve(inst)` is row 0 of `predict_curves` on a one-patient
+    dataset, for every model."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_predict_curve_is_a_row_of_predict_curves(self, name):
+        d = cohort_with_features(n=60)
+        model = _fit_model(name, d, ExperimentConfig(model=name, mtlr_c_grid=(1.0,)))
+        batch = model.predict_curves(d)
+        for i, inst in enumerate(d.instances):
+            curve, row = model.predict_curve(inst), batch.row(i)
+            np.testing.assert_array_equal(curve.probs,
+                                          model.predict_curves(d.subset([i])).row(0).probs)
+            assert curve.interp == row.interp
+            np.testing.assert_array_equal(curve.times, row.times)
+            # BLAS may round a row of a matrix product differently once other
+            # rows sit beside it, so across batch sizes the values agree to 1e-12
+            np.testing.assert_allclose(curve.probs, row.probs, rtol=1e-12, atol=0)
+            if name == "km":
+                np.testing.assert_array_equal(curve.probs, row.probs)
 
 
 def rescaled(d, a):
