@@ -210,12 +210,19 @@ def brier_censored(v: SurvivalDataset, curves, tstar: float, g_hat: KMCurve) -> 
     return float(total / len(v))
 
 
-def _squared_gap(ends, a, b, target: float) -> np.ndarray:
-    # integral over [a, b] of (target - S)^2, where S is linear from S(a) to
-    # S(cut) on [a, cut] and 0 on [cut, b] (see CurveBatch.segment_ends)
+def _squared_gaps(ends, a, b, g):
+    # integrals over [a, b] of (1 - S)^2 / g and of S^2, where S is linear
+    # from S(a) to S(cut) on [a, cut] and 0 on [cut, b] (see
+    # CurveBatch.segment_ends); one table for both ends (from
+    # CurveBatch.segment_tables) is an S constant up to cut = b
     s_a, cut, s_cut = ends
-    u, w = target - s_a, target - s_cut
-    return (cut - a) * (u * u + u * w + w * w) / 3.0 + (b - cut) * target * target
+    u = 1.0 - s_a
+    if s_cut is s_a:
+        return u * u * ((b - a) / g), s_a * s_a * (b - a)
+    third = (cut - a) / 3.0
+    w = 1.0 - s_cut
+    alive = (third * (u * u + u * w + w * w) + (b - cut)) / g
+    return alive, third * (s_a * s_a + s_a * s_cut + s_cut * s_cut)
 
 
 _IBS_BLOCK = 32  # rows per block of the (rows x pieces) tables
@@ -228,11 +235,14 @@ def integrated_brier(v: SurvivalDataset, curves, tau: float, g_hat: KMCurve) -> 
     The pieces lie between the merged breakpoints (curve knots and
     censoring-curve knots); on each the censoring curve is constant and
     every curve is linear up to where its tail reaches 0, so each piece has
-    a closed form.  Cumulative sums per row then give every patient's alive
-    integral over [0, min(t_i, tau)] and death integral over [t_i, tau] from
-    one table lookup plus one partial piece.  If the censoring curve hits 0
-    before tau the integral and its normalization are truncated at that
-    time.  ``curves`` is a `CurveBatch` or a sequence of curves.
+    a closed form.  A patient's alive integral over [0, min(t_i, tau)] is
+    the whole pieces before its own piece plus part of that piece, and a
+    death's integral over [t_i, tau] part of its piece plus the whole
+    pieces after it, so each (rows x pieces) table is summed under one
+    mask per row (for a shared row, a count of patients per piece).  If
+    the censoring curve hits 0 before tau the integral and its
+    normalization are truncated at that time.  ``curves`` is a
+    `CurveBatch` or a sequence of curves.
     """
     if not tau > 0:
         raise ValueError(f"horizon tau must be positive, got {tau}")
@@ -253,43 +263,44 @@ def integrated_brier(v: SurvivalDataset, curves, tau: float, g_hat: KMCurve) -> 
     g_piece = km_at(g_hat, lo)          # G is constant on each piece and positive
 
     alive_end = np.minimum(times, tau_eff)
-    alive_piece = np.clip(np.searchsorted(cuts, alive_end, side="right") - 1, 0, lo.size - 1)
+    # each patient's own piece; a death before tau_eff lies in it too
+    k = np.clip(np.searchsorted(cuts, alive_end, side="right") - 1, 0, lo.size - 1)
     dies = events & (times < tau_eff)
-    death_piece = np.clip(np.searchsorted(cuts, times, side="right") - 1, 0, lo.size - 1)
     g_death = km_at(g_hat, np.where(dies, times, 0.0))
     if np.any(g_death[dies] <= 0):
         raise ValueError(
             "censoring curve G is 0 at an observed death inside the integration window"
         )
 
+    # the partial pieces: [lo_k, min(t_i, tau_eff)) alive, with weight 1/G(t)
+    # and target 1, and for a death [t_i, hi_k), weight 1/G(t_i) and target 0
+    rows = np.arange(n) if batch.rows > 1 else np.zeros(n, dtype=int)
+    weight = np.divide(1.0, g_death, out=np.zeros(n), where=dies)
+    alive, _ = _squared_gaps(batch.segment_ends(rows, seg[k], lo[k], alive_end),
+                             lo[k], alive_end, g_piece[k])
+    start = np.where(dies, times, lo[k])
+    _, death = _squared_gaps(batch.segment_ends(rows, seg[k], start, hi[k]),
+                             start, hi[k], 1.0)
+    total = np.sum(alive) + np.sum(death * weight)
+
+    # the whole pieces: before k alive, after k dead
+    piece = np.arange(lo.size)
+    body = int(np.searchsorted(seg, batch.grid.size - 1))     # pieces before t_max
     if batch.rows == 1:
-        blocks = [(np.zeros(1, dtype=int), np.arange(n))]
-    else:
-        blocks = [(idx, idx) for idx in np.array_split(np.arange(n), -(-n // _IBS_BLOCK))]
-    total = 0.0
-    for rows, patients in blocks:
-        ends = batch.segment_ends(rows[:, None], seg, lo, hi)
-        alive = _squared_gap(ends, lo, hi, 1.0) / g_piece
-        death = _squared_gap(ends, lo, hi, 0.0)
-        zeros = np.zeros((rows.size, 1))
-        alive_before = np.hstack((zeros, np.cumsum(alive, axis=1)))
-        death_after = np.hstack((np.cumsum(death[:, ::-1], axis=1)[:, ::-1], zeros))
-
-        local = np.arange(patients.size) if batch.rows > 1 else np.zeros(patients.size, int)
-        row_of = rows[local]
-
-        # alive region [0, min(t_i, tau_eff)): weight 1/G(t), target 1
-        k = alive_piece[patients]
-        end = alive_end[patients]
-        partial = _squared_gap(batch.segment_ends(row_of, seg[k], lo[k], end), lo[k], end, 1.0)
-        total += np.sum(alive_before[local, k] + partial / g_piece[k])
-
-        # death region [t_i, tau_eff]: weight 1/G(t_i), target 0
-        d = dies[patients]
-        k, start = death_piece[patients][d], times[patients][d]
-        partial = _squared_gap(batch.segment_ends(row_of[d], seg[k], start, hi[k]),
-                               start, hi[k], 0.0)
-        total += np.sum((death_after[local[d], k + 1] + partial) / g_death[patients][d])
+        alive_w = n - np.cumsum(np.bincount(k, minlength=lo.size))
+        death_w = np.cumsum(np.bincount(k + 1, weights=weight, minlength=lo.size + 1))[:-1]
+    for first in range(0, batch.rows, _IBS_BLOCK):
+        block = slice(first, min(first + _IBS_BLOCK, batch.rows))
+        if batch.rows > 1:
+            k_block = k[block, None]
+            alive_w, death_w = piece < k_block, (piece > k_block) * weight[block, None]
+        for cols, ends in (
+            (np.s_[:body], batch.segment_tables(block, seg[:body], lo[:body], hi[:body])),
+            (np.s_[body:], batch.segment_ends(np.arange(first, block.stop)[:, None],
+                                              seg[body:], lo[body:], hi[body:])),
+        ):
+            alive, death = _squared_gaps(ends, lo[cols], hi[cols], g_piece[cols])
+            total += np.vdot(alive, alive_w[..., cols]) + np.vdot(death, death_w[..., cols])
 
     return float(total / (n * tau_eff))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
 from .core import (
@@ -47,23 +48,48 @@ class CoxModel(SurvivalModel):
         return predict_curve_cox(self, d.feature_matrix())
 
 
-def _sorted_arrays(x, times, events):
-    order = np.argsort(times, kind="stable")
-    return x[order], times[order], events[order]
+def _suffix_sum(a):
+    return np.cumsum(a[::-1], axis=0)[::-1]
 
 
-def _risk_set_sums(xs, ws, death_first_idx, want_hessian):
-    # suffix sums give risk-set aggregates because rows are time-ascending
-    s0_all = np.cumsum(ws[::-1])[::-1]
-    s1_all = np.cumsum((ws[:, None] * xs)[::-1], axis=0)[::-1]
-    s0 = s0_all[death_first_idx]
-    s1 = s1_all[death_first_idx]
-    s2 = None
-    if want_hessian:
-        wxx = ws[:, None, None] * xs[:, :, None] * xs[:, None, :]
-        s2_all = np.cumsum(wxx[::-1], axis=0)[::-1]
-        s2 = s2_all[death_first_idx]
-    return s0, s1, s2
+class _RiskSets:
+    """One fit's rows in time order, sorted once, with its Breslow death
+    structure: the distinct death times, each one's first row at risk (the
+    risk set is that row and every later one), its tie count and the summed
+    covariates of every death."""
+
+    def __init__(self, x, times, events):
+        order = np.argsort(times, kind="stable")
+        self.x, ts, es = x[order], times[order], events[order]
+        self.death_rows = np.flatnonzero(es)
+        self.death_times = np.unique(ts[es])
+        self.first = np.searchsorted(ts, self.death_times, side="left")
+        # each death time's run of tied rows among the death rows
+        self.tie_start = np.searchsorted(ts[es], self.death_times, side="left")
+        self.deaths = np.diff(self.tie_start, append=self.death_rows.size).astype(float)
+        self.death_x = self.x[self.death_rows].sum(axis=0)
+
+    def partial(self, beta, derivatives=False):
+        """Log partial likelihood at beta; with `derivatives` also its
+        gradient and the information matrix (the negative Hessian)."""
+        eta = self.x @ beta
+        # guard exp overflow during line searches far from the optimum
+        shift = eta.max() if eta.size else 0.0
+        w = np.exp(eta - shift)
+        d = self.deaths
+        s0 = _suffix_sum(w)[self.first]
+        loglik = float(self.death_x @ beta - d @ (np.log(s0) + shift))
+        if not derivatives:
+            return loglik
+        means = _suffix_sum(w[:, None] * self.x)[self.first] / s0[:, None]
+        grad = self.death_x - d @ means
+        # sum_j d_j / s0_j * sum_{l in R_j} w_l x_l x_l^T regroups by row:
+        # row l carries c_l, the sum of d_j / s0_j over the risk sets holding it
+        c = np.zeros(w.size)
+        c[self.first] = d / s0
+        wc = w * np.cumsum(c)
+        info = (wc[:, None] * self.x).T @ self.x - (d[:, None] * means).T @ means
+        return loglik, grad, info
 
 
 def cox_partial_loglik(beta, x, times, events, with_derivatives=False):
@@ -72,62 +98,49 @@ def cox_partial_loglik(beta, x, times, events, with_derivatives=False):
     Arrays may be in any order; ties among deaths share one risk-set term
     weighted by the death count.
     """
-    beta = np.asarray(beta, dtype=float)
-    xs, ts, es = _sorted_arrays(np.asarray(x, dtype=float), np.asarray(times, dtype=float),
-                                np.asarray(events, dtype=bool))
-    eta = xs @ beta
-    # guard exp overflow during line searches far from the optimum
-    shift = eta.max() if eta.size else 0.0
-    ws = np.exp(eta - shift)
-
-    death_times = np.unique(ts[es])
-    first_idx = np.searchsorted(ts, death_times, side="left")
-    d_counts = np.bincount(
-        np.searchsorted(death_times, ts[es]), minlength=death_times.size
-    ).astype(float)
-
-    s0, s1, s2 = _risk_set_sums(xs, ws, first_idx, with_derivatives)
-    loglik = float(eta[es].sum() - np.sum(d_counts * (np.log(s0) + shift)))
-    if not with_derivatives:
-        return loglik
-    means = s1 / s0[:, None]
-    grad = xs[es].sum(axis=0) - (d_counts[:, None] * means).sum(axis=0)
-    cov = s2 / s0[:, None, None] - means[:, :, None] * means[:, None, :]
-    info = (d_counts[:, None, None] * cov).sum(axis=0)  # negative Hessian
-    return loglik, grad, info
+    risk = _RiskSets(np.asarray(x, dtype=float), np.asarray(times, dtype=float),
+                     np.asarray(events, dtype=bool))
+    return risk.partial(np.asarray(beta, dtype=float), with_derivatives)
 
 
-def _newton_cox(x, times, events, max_iter, tol):
-    n, k = x.shape
-    if not np.any(events):
+# a Cholesky pivot at most this fraction of its diagonal entry means the
+# column is, up to rounding, a combination of the columns before it
+_PIVOT_TOL = np.finfo(float).eps ** 0.75
+
+
+def _factor(info):
+    """Cholesky factor of the information matrix; FitError when singular."""
+    # a non-finite information (every weight of a risk set underflowed on a
+    # diverging fit) fails cho_factor's finiteness check: singular too
+    try:
+        factor = cho_factor(info, lower=True)
+    except (np.linalg.LinAlgError, ValueError):
+        factor = None
+    if factor is None or np.any(np.diag(factor[0]) ** 2 <= _PIVOT_TOL * np.diag(info)):
+        raise FitError("singular information matrix in Cox fit; remove constant or "
+                       "collinear features")
+    return factor
+
+
+def _newton(risk, max_iter, tol):
+    if risk.death_rows.size == 0:
         raise FitError("Cox fitting needs at least one uncensored instance")
-    beta = np.zeros(k)
-    if k == 0:
-        return beta, np.zeros((0, 0)), 0, 0.0
-
-    def checked(info):
-        try:
-            np.linalg.cholesky(info)
-        except np.linalg.LinAlgError:
-            raise FitError(
-                "singular information matrix in Cox fit; remove constant or "
-                "collinear features"
-            )
-        return info
-
-    loglik, grad, info = cox_partial_loglik(beta, x, times, events, with_derivatives=True)
-    for iteration in range(1, max_iter + 1):
-        gnorm = float(np.max(np.abs(grad)))
+    beta = np.zeros(risk.x.shape[1])
+    loglik, grad, info = risk.partial(beta, True)
+    for iteration in range(max_iter + 1):
+        gnorm = float(np.abs(grad).max(initial=0.0))
         if gnorm < tol:
-            return beta, checked(info), iteration - 1, gnorm
-        step = np.linalg.solve(checked(info), grad)
+            _factor(info)
+            return beta, info, iteration, gnorm
+        if iteration == max_iter:
+            break
+        step = cho_solve(_factor(info), grad)
         scale = 1.0
         # accept anything within float resolution of the current value
         floor = loglik - 1e-10 * (1.0 + abs(loglik))
         for _ in range(40):
             candidate = beta + scale * step
-            new_loglik = cox_partial_loglik(candidate, x, times, events)
-            if new_loglik >= floor:
+            if risk.partial(candidate) >= floor:
                 break
             scale *= 0.5
         else:
@@ -136,11 +149,7 @@ def _newton_cox(x, times, events, max_iter, tol):
                 last_iterate=beta,
             )
         beta = candidate
-        loglik, grad, info = cox_partial_loglik(beta, x, times, events, with_derivatives=True)
-
-    gnorm = float(np.max(np.abs(grad)))
-    if gnorm < tol:
-        return beta, checked(info), max_iter, gnorm
+        loglik, grad, info = risk.partial(beta, True)
     raise ConvergenceError(
         f"Cox fit did not converge in {max_iter} iterations "
         f"(gradient max-norm {gnorm:.3g})",
@@ -148,23 +157,21 @@ def _newton_cox(x, times, events, max_iter, tol):
     )
 
 
-def _kp_baseline(beta, x, times, events) -> SurvivalCurve:
-    xs, ts, es = _sorted_arrays(x, times, events)
-    ws = np.exp(xs @ beta)
-    death_times = np.unique(ts[es])
-    if death_times.size == 0:
-        raise FitError("no observed deaths; cannot estimate a baseline")
-    s0_all = np.cumsum(ws[::-1])[::-1]
-    first_idx = np.searchsorted(ts, death_times, side="left")
-    alphas = np.empty(death_times.size)
-    for j, dt in enumerate(death_times):
-        at_event = es & (ts == dt)
-        wbar = ws[at_event].mean()
-        d_j = float(at_event.sum())
-        inner = 1.0 - d_j * wbar / s0_all[first_idx[j]]
-        alphas[j] = max(inner, 0.0) ** (1.0 / wbar)
-    baseline = np.cumprod(alphas)
-    return SurvivalCurve(death_times, np.clip(baseline, 0.0, 1.0), "step")
+def _newton_cox(x, times, events, max_iter, tol):
+    """(beta, information, iterations, gradient max-norm) of a Cox fit."""
+    return _newton(_RiskSets(x, times, events), max_iter, tol)
+
+
+def _kp_baseline(beta, risk) -> SurvivalCurve:
+    w = np.exp(risk.x @ beta)
+    s0 = _suffix_sum(w)[risk.first]
+    wbar = np.add.reduceat(w[risk.death_rows], risk.tie_start) / risk.deaths
+    inner = 1.0 - risk.deaths * wbar / s0
+    # when every patient at risk dies the factor is exactly 0; rounding may
+    # leave inner at +1 ulp, which a large wbar would lift towards 1
+    inner[risk.first + risk.deaths == w.size] = 0.0
+    alphas = np.maximum(inner, 0.0) ** (1.0 / wbar)
+    return SurvivalCurve(risk.death_times, np.clip(np.cumprod(alphas), 0.0, 1.0), "step")
 
 
 def fit_cox(d: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8) -> CoxModel:
@@ -175,10 +182,9 @@ def fit_cox(d: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8) -> CoxMo
     max-norm fails to reach `tol` within `max_iter` iterations, and
     FitError when the information matrix is singular.
     """
-    x = d.feature_matrix()
-    times, events = d.times, d.events
-    beta, _, iterations, gnorm = _newton_cox(x, times, events, max_iter, tol)
-    baseline = _kp_baseline(beta, x, times, events)
+    risk = _RiskSets(d.feature_matrix(), d.times, d.events)
+    beta, _, iterations, gnorm = _newton(risk, max_iter, tol)
+    baseline = _kp_baseline(beta, risk)
     return CoxModel(beta, baseline, iterations, gnorm, d.feature_names)
 
 
@@ -192,12 +198,15 @@ def predict_curve_cox(m: CoxModel, x) -> CurveBatch:
 
 
 def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
-    """Two-sided Wald p-value for the single-feature Cox coefficient.
+    """Two-sided Wald (or score) p-value for the single-feature Cox coefficient.
 
     Used as the feature-selection filter: missing cells are dropped
-    (complete-case for this feature), the feature is standardized for
-    numeric stability (the Wald z is scale-invariant), and any degenerate
-    or non-convergent fit maps to p = 1 so the feature is never selected.
+    (complete-case for this feature) and the feature is standardized for
+    numeric stability (the Wald z is scale-invariant).  A fit that does not
+    converge, or whose |beta| passes `_BETA_BOUND` (a column that separates
+    the deaths drives beta to infinity), gets the score (log-rank) test at
+    beta = 0 instead; a column without information at beta = 0 gets p = 1,
+    so it is never selected.
 
     An int `feature_index` gives one float; a sequence of indices gives an
     array of p-values, fitted together by one lockstep Newton run.
@@ -211,6 +220,10 @@ def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
 # columns are fitted in blocks of at most this many cells, so the working
 # arrays stay a few MB whatever the number of columns
 _BLOCK_CELLS = 1 << 20
+
+# |beta| of a standardized column past this (a hazard ratio above e**10 per
+# standard deviation) is taken as a fit diverging on a separating column
+_BETA_BOUND = 10.0
 
 
 def _wald_pvalues(x, times, events, max_iter=100, tol=1e-8):
@@ -227,8 +240,8 @@ def _wald_pvalues(x, times, events, max_iter=100, tol=1e-8):
 
 
 def _wald_block(cols, order, ts, es, max_iter, tol):
-    """`_newton_cox` and the Wald test on one column at a time, run on
-    every column of `cols` (columns × rows) at once.
+    """`_newton_cox` and the Wald (or score) test on one column at a time,
+    run on every column of `cols` (columns × rows) at once.
 
     A missing cell gives its row weight 0, so each column sees exactly its
     complete cases: the same risk sets, suffix sums and Breslow tie counts.
@@ -286,6 +299,7 @@ def _wald_block(cols, order, ts, es, max_iter, tol):
 
     beta = np.zeros(z.shape[0])
     loglik, grad, info = partial(slice(None), beta, True)
+    u0, i0 = grad.copy(), info.copy()       # the score test's U(0) and I(0)
     active = np.ones(beta.size, dtype=bool)
     converged = np.zeros(beta.size, dtype=bool)
     for _ in range(max_iter):
@@ -315,11 +329,11 @@ def _wald_block(cols, order, ts, es, max_iter, tol):
     else:
         converged |= active & (np.abs(grad) < tol) & (info > 0)
 
-    with np.errstate(divide="ignore"):
-        var = 1.0 / info
-    ok = converged & (var > 0)
+    wald = converged & (np.abs(beta) <= _BETA_BOUND)     # so info > 0
+    score = ~wald & (i0 > 0)
     p_usable = np.ones(beta.size)
     # the lower tail: no cancellation for large z
-    p_usable[ok] = 2.0 * ndtr(-(np.abs(beta[ok]) / np.sqrt(var[ok])))
+    p_usable[wald] = 2.0 * ndtr(-(np.abs(beta[wald]) / np.sqrt(1.0 / info[wald])))
+    p_usable[score] = 2.0 * ndtr(-(np.abs(u0[score]) / np.sqrt(i0[score])))
     p[usable] = p_usable
     return p

@@ -286,6 +286,19 @@ class CurveBatch:
                            np.clip(self.zero_time[rows], a, b), b)
         return self._line(rows, seg, a), cut, self._line(rows, seg, cut)
 
+    def segment_tables(self, rows: slice, seg, a, b):
+        """`segment_ends` of the rows in the slice `rows` on pieces [a, b)
+        before t_max, as (rows, pieces) tables; `seg` is sorted, so each
+        segment's knot values are read once, as columns of the row slice.
+        The cut is b, and a step batch returns one table for both ends."""
+        knots, probs, anchored = self.grid, self.probs[rows], self._anchored
+        base = probs[:, np.maximum(seg - anchored, 0)]
+        base[:, :np.searchsorted(seg, anchored)] = 1.0      # the (0, 1) anchor
+        if self.interp == "step":
+            return base, b, base
+        slope = (probs[:, seg + 1 - anchored] - base) / (knots[seg + 1] - knots[seg])
+        return base + slope * (a - knots[seg]), b, base + slope * (b - knots[seg])
+
     def _evaluate(self, t) -> np.ndarray:
         # S at times t >= 0 whose first axis runs over the patients; see survival_at
         t = np.asarray(t, dtype=float)

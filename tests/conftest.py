@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isdkit.core import FitError, SurvivalCurve, SurvivalDataset
-from isdkit.cox import _newton_cox
+from isdkit.cox import _BETA_BOUND, _newton_cox, cox_partial_loglik
 from isdkit.stats import normal_cdf
 
 
@@ -25,8 +25,9 @@ def dataset(times, events, x=None):
 
 def scalar_cox_fit(d, feature_index):
     """Reference for the univariate Cox filter: one complete-case Newton
-    fit and Wald test per column, walking the instances cell by cell.
-    Returns (p-value, |beta| of the standardized feature)."""
+    fit and Wald test per column, walking the instances cell by cell, and
+    the score test at beta = 0 where the fit fails or |beta| passes the
+    bound.  Returns (p-value, |beta| of the standardized feature)."""
     values, keep_times, keep_events = [], [], []
     for inst in d.instances:
         v = inst.features[feature_index]
@@ -46,12 +47,15 @@ def scalar_cox_fit(d, feature_index):
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             beta, info, _, _ = _newton_cox(col, times, events, max_iter=100, tol=1e-8)
-        var = np.linalg.inv(info)[0, 0]
+        beta, var = abs(beta[0]), np.linalg.inv(info)[0, 0]
     except (FitError, np.linalg.LinAlgError):
-        return 1.0, np.inf
-    if not var > 0:
-        return 1.0, abs(beta[0])
-    return 2.0 * normal_cdf(-abs(beta[0]) / np.sqrt(var)), abs(beta[0])
+        beta, var = np.inf, np.nan
+    if var > 0 and beta <= _BETA_BOUND:
+        return 2.0 * normal_cdf(-beta / np.sqrt(var)), beta
+    _, u0, i0 = cox_partial_loglik(np.zeros(1), col, times, events, with_derivatives=True)
+    if i0[0, 0] > 0:
+        return 2.0 * normal_cdf(-abs(u0[0]) / np.sqrt(i0[0, 0])), beta
+    return 1.0, beta
 
 
 def scalar_cox_pvalue(d, feature_index):

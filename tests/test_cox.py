@@ -5,11 +5,147 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isdkit.core import FitError, Instance, SurvivalDataset
-from isdkit.cox import cox_partial_loglik, fit_cox, predict_curve_cox, univariate_cox_pvalue
+from isdkit.cox import (
+    _RiskSets,
+    _factor,
+    _kp_baseline,
+    cox_partial_loglik,
+    fit_cox,
+    predict_curve_cox,
+    univariate_cox_pvalue,
+)
 from isdkit.curves import survival_at
 from isdkit.km import fit_km, km_at
+from isdkit.pipeline import preprocess
 
 from conftest import dataset, scalar_cox_fit
+
+
+def reference_partial(beta, x, times, events):
+    """Breslow log partial likelihood, gradient and information from the
+    suffix sums of w, w x and w x x^T (an n x k x k tensor) read at each
+    distinct death time's first row at risk."""
+    order = np.argsort(times, kind="stable")
+    xs, ts, es = x[order], times[order], events[order]
+    eta = xs @ beta
+    shift = eta.max()
+    ws = np.exp(eta - shift)
+    death_times = np.unique(ts[es])
+    first = np.searchsorted(ts, death_times, side="left")
+    d = np.bincount(np.searchsorted(death_times, ts[es]),
+                    minlength=death_times.size).astype(float)
+
+    def suffix(a):
+        return np.cumsum(a[::-1], axis=0)[::-1][first]
+
+    s0 = suffix(ws)
+    s1 = suffix(ws[:, None] * xs)
+    s2 = suffix(ws[:, None, None] * xs[:, :, None] * xs[:, None, :])
+    loglik = eta[es].sum() - np.sum(d * (np.log(s0) + shift))
+    means = s1 / s0[:, None]
+    grad = xs[es].sum(axis=0) - (d[:, None] * means).sum(axis=0)
+    cov = s2 / s0[:, None, None] - means[:, :, None] * means[:, None, :]
+    return loglik, grad, (d[:, None, None] * cov).sum(axis=0)
+
+
+def reference_kp_baseline(beta, x, times, events):
+    """The Kalbfleisch-Prentice factors solved one death time at a time; a
+    death time at which every patient at risk dies has factor 0."""
+    order = np.argsort(times, kind="stable")
+    xs, ts, es = x[order], times[order], events[order]
+    ws = np.exp(xs @ beta)
+    death_times = np.unique(ts[es])
+    s0_all = np.cumsum(ws[::-1])[::-1]
+    first = np.searchsorted(ts, death_times, side="left")
+    alphas = np.empty(death_times.size)
+    for j, dt in enumerate(death_times):
+        at_event = es & (ts == dt)
+        wbar = ws[at_event].mean()
+        everyone = at_event.sum() == ts.size - first[j]
+        inner = 0.0 if everyone else 1.0 - at_event.sum() * wbar / s0_all[first[j]]
+        alphas[j] = max(inner, 0.0) ** (1.0 / wbar)
+    return death_times, np.clip(np.cumprod(alphas), 0.0, 1.0)
+
+
+@st.composite
+def cox_problems(draw):
+    """(beta, x, times, events): tied or distinct times, every patient dead
+    to 90% censored, columns shifted by up to 50 of their own scales and
+    scaled over four decades.  The earliest patient dies, so the first risk
+    set holds every row and the information is not zero."""
+    n = draw(st.integers(3, 60))
+    k = draw(st.integers(1, 4))
+    death_rate = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    times = rng.exponential(5.0, n)
+    if tied:
+        times = np.round(times)
+    events = rng.random(n) < death_rate
+    events[np.argmin(times)] = True
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, k)
+    x = (rng.standard_normal((n, k)) + rng.uniform(-50.0, 50.0, k)) * scale
+    beta = rng.standard_normal(k) * 0.5 / scale
+    return beta, x, times, events
+
+
+@pytest.mark.parametrize("times, x, beta", [
+    ([1.0, 0.0, 1.0, 1.0],
+     [-327.44832766, -286.93549243, -305.80188037, -300.63331491], -0.0414591),
+    ([0.0, 1.0, 1.0, 1.0, 1.0],
+     [-82.12971293130961, -102.8794341680787, -146.77495873247648, 151.1930684876199,
+      -43.35360712936558], -0.08485699788858742),
+])
+def test_kp_baseline_ends_at_zero_when_every_patient_at_risk_dies(times, x, beta):
+    # everyone left dies at the last time, so 1 - d * wbar / s0 is 0, but
+    # only up to rounding; with wbar ~ e**12 an ulp above 0 would be lifted
+    # towards 1 (the first case did so in the per-death loop, the second in
+    # the vectorised form)
+    times = np.array(times)
+    risk = _RiskSets(np.array(x)[:, None], times, np.ones(times.size, dtype=bool))
+    assert _kp_baseline(np.array([beta]), risk).probs[-1] == 0.0
+
+
+class TestPartialLikelihood:
+    """The matrix-product information against the n x k x k suffix sums."""
+
+    @given(cox_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_suffix_sum_reference(self, problem):
+        beta, x, times, events = problem
+        loglik, grad, info = cox_partial_loglik(beta, x, times, events, with_derivatives=True)
+        ref_loglik, ref_grad, ref_info = reference_partial(beta, x, times, events)
+        assert cox_partial_loglik(beta, x, times, events) == loglik
+        # the loglik sums terms of the size of the deaths' x beta, and a
+        # gradient entry terms of the size of its column's death values;
+        # in shifted columns both can cancel to far less
+        terms = np.abs(x[events] @ beta).sum()
+        assert abs(loglik - ref_loglik) <= 1e-12 * (abs(ref_loglik) + terms)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-12 * np.abs(x[events]).sum(axis=0))
+        assert np.abs(info - ref_info).max() <= 1e-9 * np.abs(ref_info).max()
+
+    @given(cox_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_information_is_the_gradient_derivative(self, problem):
+        beta, x, times, events = problem
+        _, _, info = cox_partial_loglik(beta, x, times, events, with_derivatives=True)
+        scale = x.std(axis=0)
+        for j in range(beta.size):
+            e = np.zeros(beta.size)
+            e[j] = 1e-5 / scale[j]
+            _, up, _ = cox_partial_loglik(beta + e, x, times, events, with_derivatives=True)
+            _, down, _ = cox_partial_loglik(beta - e, x, times, events, with_derivatives=True)
+            column = -(up - down) / (2.0 * e[j])
+            assert np.abs(column - info[:, j]).max() <= 1e-6 * np.abs(info).max()
+
+    @given(cox_problems().filter(lambda p: p[3].all() or np.unique(p[2]).size < p[2].size))
+    @settings(max_examples=150, deadline=None)
+    def test_kp_baseline_matches_the_per_death_loop(self, problem):
+        beta, x, times, events = problem
+        baseline = _kp_baseline(beta, _RiskSets(x, times, events))
+        ref_times, ref_probs = reference_kp_baseline(beta, x, times, events)
+        np.testing.assert_array_equal(baseline.times, ref_times)
+        np.testing.assert_allclose(baseline.probs, ref_probs, rtol=0.0, atol=1e-14)
 
 
 def two_group_cohort(seed, n=1000, beta=1.0, censor_rate=0.02):
@@ -43,6 +179,27 @@ class TestFitCox:
         d = dataset([1, 2, 3, 4, 5], [1, 1, 0, 1, 1], x=np.zeros((5, 1)))
         with pytest.raises(FitError, match="singular"):
             fit_cox(d)
+
+    @pytest.mark.parametrize("make_column", [
+        lambda a, b: a,             # a duplicated column
+        lambda a, b: 2.0 * a,       # b = 2a: singular only up to rounding
+        lambda a, b: a + b,         # c = a + b
+    ])
+    def test_collinear_columns_are_singular(self, rng, make_column):
+        # in about 40% of these cohorts the rounded information matrix still
+        # has a Cholesky factor; its pivot for the third column is ~1e-16
+        # of that column's diagonal entry
+        for _ in range(10):
+            n = 80
+            a, b = rng.standard_normal(n), rng.standard_normal(n)
+            x = np.column_stack([a, b, make_column(a, b)])
+            times, events = rng.exponential(5.0, n), rng.random(n) < 0.7
+            with pytest.raises(FitError, match="singular information matrix"):
+                fit_cox(SurvivalDataset.from_arrays(x, times, events))
+            # the first factorisation already refuses it
+            _, _, info = cox_partial_loglik(np.zeros(3), x, times, events, with_derivatives=True)
+            with pytest.raises(FitError, match="singular information matrix"):
+                _factor(info)
 
     def test_no_events_rejected(self):
         d = dataset([1, 2, 3], [0, 0, 0], x=np.eye(3))
@@ -134,6 +291,20 @@ class TestUnivariateFilter:
         d = dataset([1, 2, 3, 4], [1, 1, 0, 1], x=np.full((4, 1), 2.5))
         assert univariate_cox_pvalue(d, 0) == 1.0
 
+    def test_separating_column_gets_the_score_test(self):
+        # each death has the largest value at risk: the Wald fit diverges,
+        # and the score test at beta = 0 keeps the column
+        n = 30
+        times = np.arange(1.0, n + 1)
+        d = SurvivalDataset.from_arrays(-times[:, None], times, np.ones(n, dtype=bool),
+                                        feature_names=("sep",))
+        p = univariate_cox_pvalue(d, 0)
+        assert p < 1e-6
+        assert p == pytest.approx(scalar_cox_fit(d, 0)[0], rel=1e-10)
+        train, _, report = preprocess(d, d)
+        assert report.selected == ("sep",)
+        assert train.feature_names == ("sep",)
+
     def test_missing_cells_are_dropped(self):
         d = two_group_cohort(5, n=200)
         instances = list(d.instances)
@@ -168,7 +339,8 @@ class TestBatchedFilter:
     standardized scale.  A column that (nearly) separates the deaths drives
     beta toward infinity; Newton then stops wherever rounding decides, and
     fuzzing such columns moved p by up to 1e-8 relative, hence the wider
-    bound there.
+    bound there.  Past |beta| = 10 both sides take the score test at
+    beta = 0 instead.
     """
 
     @staticmethod
@@ -201,7 +373,9 @@ class TestBatchedFilter:
                                   zip(cells, times, events)), ("s", "const", "nodeath", "sep"))
         p = self.check(d)
         assert p[0] < 1e-6
-        assert p[1:].tolist() == [1.0, 1.0, 1.0]
+        assert p[1:3].tolist() == [1.0, 1.0]
+        # the separating column's fit diverges, so it gets the score test
+        assert p[3] < 1e-6
 
     def test_missing_cells_and_tied_times(self):
         rng = np.random.default_rng(11)
