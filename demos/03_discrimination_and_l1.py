@@ -11,7 +11,7 @@ import numpy as np
 
 from isdkit import (
     CohortConfig,
-    PredictionSet,
+    KaplanMeierModel,
     best_guess,
     concordance,
     default_eta,
@@ -22,11 +22,11 @@ from isdkit import (
     l1_log,
     l1_margin,
     l1_uncensored,
+    median_survival,
     simulate_cohort,
     split_by_censoring,
 )
 from isdkit.discrimination import count_comparable_pairs
-from isdkit.km import KaplanMeierModel
 
 cohort = simulate_cohort(
     CohortConfig(family="weibull-ph", n_features=3, beta=(0.8, -0.6, 0.0),
@@ -43,12 +43,21 @@ n_pairs = count_comparable_pairs(validation)
 print(f"validation: {len(validation)} patients, {n_pairs} comparable pairs "
       f"out of {len(validation) * (len(validation) - 1) // 2} total")
 
-cox = fit_cox(train)
-cox_preds = PredictionSet.from_model(cox, validation, t0_km)
-km_preds = PredictionSet.from_model(KaplanMeierModel(km), validation, t0_km)
 
-print(f"\nconcordance: cox-kp = {concordance(validation, cox_preds):.3f}, "
-      f"km = {concordance(validation, km_preds):.3f} (constant risk: all ties)")
+def predicted_medians(model):
+    """Predict and extend the validation curves as one batch, then take one
+    capped median per patient (a shared KM row is broadcast to everyone)."""
+    curves = extend_linear(model.predict_curves(validation), t0_km)
+    return np.broadcast_to(median_survival(curves, t0_km), (len(validation),))
+
+
+cox = fit_cox(train)
+cox_medians = predicted_medians(cox)
+km_medians = predicted_medians(KaplanMeierModel(km))
+
+# the risk score is the negative median: an earlier median means higher risk
+print(f"\nconcordance: cox-kp = {concordance(validation, -cox_medians):.3f}, "
+      f"km = {concordance(validation, -km_medians):.3f} (constant risk: all ties)")
 
 # Best-Guess targets grow with the censor time but never fall below it
 print("\nBest-Guess death times from the training KM:")
@@ -56,11 +65,10 @@ for c in (0.0, 2.0, 6.0, 12.0):
     print(f"  censored at {c:5.1f} -> BG = {best_guess(c, train_km_ext):6.2f}")
 
 v_u, _ = split_by_censoring(validation)
-unc_preds = cox_preds.subset(validation.events)
 eta = default_eta(train.times)
 print("\nL1 family for cox-kp predictions:")
-print(f"  uncensored only: {l1_uncensored(v_u, unc_preds):7.2f}")
-print(f"  hinge:           {l1_hinge(validation, cox_preds):7.2f}")
-print(f"  margin:          {l1_margin(validation, cox_preds, train_km_ext):7.2f}")
+print(f"  uncensored only: {l1_uncensored(v_u, cox_medians[validation.events]):7.2f}")
+print(f"  hinge:           {l1_hinge(validation, cox_medians):7.2f}")
+print(f"  margin:          {l1_margin(validation, cox_medians, train_km_ext):7.2f}")
 print(f"  log (margin):    "
-      f"{l1_log(validation, cox_preds, 'margin', eta, train_km_ext):7.3f}")
+      f"{l1_log(validation, cox_medians, 'margin', eta, train_km_ext):7.3f}")

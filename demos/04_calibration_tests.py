@@ -27,7 +27,6 @@ from isdkit import (
     survival_at,
 )
 from isdkit.calibration import dcal_histogram_from_probs
-from isdkit.discrimination import PredictionSet
 
 # --- the probability integral transform in action -------------------------
 cohort = simulate_cohort_latent(
@@ -56,25 +55,25 @@ t0_km = extend_linear(fit_km(train).curve).zero_time
 g_hat = fit_censoring_km(train)
 
 cox = fit_cox(train)
-preds = PredictionSet.from_model(cox, validation, t0_km)
+curves = extend_linear(cox.predict_curves(validation), t0_km)  # one extended batch
 
-hist = dcal_histogram(validation, preds.curves, 10)
+hist = dcal_histogram(validation, curves, 10)
 print("\ncox-kp on held-out data:")
 print(f"  D-cal counts {np.round(hist.counts, 1)}")
 print(f"  D-cal p = {dcal_test(hist).p_value:.3f}")
 
 tstar = float(np.percentile(data.times, 50))
-probs = survival_at(preds.curves, tstar)  # one value per patient
+probs = survival_at(curves, tstar)  # one value per patient
 dn = one_calibration_dn(validation, probs, tstar, b=10)
 print(f"  1-calibration at the median time ({tstar:.1f}): "
       f"statistic {dn.statistic:.2f}, p = {dn.p_value:.3f}")
 
 # --- Brier scores -----------------------------------------------------------
 print(f"\n  weighted Brier at t* = {tstar:.1f}: "
-      f"{brier_censored(validation, preds.curves, tstar, g_hat):.4f}")
+      f"{brier_censored(validation, curves, tstar, g_hat):.4f}")
 tau = float(data.times.max())
 print(f"  integrated Brier over [0, {tau:.1f}]: "
-      f"{integrated_brier(validation, preds.curves, tau, g_hat):.4f}")
+      f"{integrated_brier(validation, curves, tau, g_hat):.4f}")
 constant_half = brier_uncensored(
     validation.subset(validation.events),
     np.full(int(validation.events.sum()), 0.5), tstar,

@@ -42,8 +42,6 @@ from .curves import (
 )
 from .discrimination import (
     MarginWeights,
-    Prediction,
-    PredictionSet,
     best_guess,
     concordance,
     count_comparable_pairs,
@@ -58,7 +56,6 @@ from .km import KaplanMeierModel, KMCurve, fit_censoring_km, fit_km, km_at
 from .mtlr import (
     MtlrModel,
     TimeGrid,
-    encode_label,
     fit_mtlr,
     make_grid,
     mtlr_loglik_grad,

@@ -121,8 +121,8 @@ def cmd_evaluate(args) -> int:
                 for lo, hi, c in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts)]
         _write_csv(out / "dcal_histogram.csv", ["bin_lo", "bin_hi", "count"], rows)
 
-    for indices, preds in report.fold_predictions:
-        _write_curves(out, indices, preds.curves)
+    for indices, curves in report.fold_predictions:
+        _write_curves(out, indices, curves)
     print(f"wrote evaluation of {args.model} to {out}")
     return 0
 

@@ -136,11 +136,13 @@ def _newton(risk, max_iter, tol):
             break
         step = cho_solve(_factor(info), grad)
         scale = 1.0
-        # accept anything within float resolution of the current value
+        # accept anything within float resolution of the current value, but
+        # not +inf: log(0) of a risk set whose every weight underflowed
         floor = loglik - 1e-10 * (1.0 + abs(loglik))
         for _ in range(40):
             candidate = beta + scale * step
-            if risk.partial(candidate) >= floor:
+            value = risk.partial(candidate)
+            if np.isfinite(value) and value >= floor:
                 break
             scale *= 0.5
         else:
@@ -275,8 +277,9 @@ def _wald_block(cols, order, ts, es, max_iter, tol):
                              np.searchsorted(ts[es], death_times), axis=1)
     death_z = np.take(z, death_rows, axis=1).sum(axis=1)
 
-    # a diverging fit (a separating column) may drive a risk-set sum to 0;
-    # its likelihood turns non-finite, the step is refused and p = 1
+    # a diverging fit (a separating column) may drive a risk-set sum to 0,
+    # so its likelihood reads +inf; the line search accepts only a finite
+    # candidate, and such a column gets the score test below
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def partial(rows, beta, derivatives):
         zr, wr, dr = z[rows], weight[rows], deaths[rows]
@@ -317,7 +320,7 @@ def _wald_block(cols, order, ts, es, max_iter, tol):
         for _ in range(40):
             candidate[pending] = beta[rows[pending]] + scale[pending] * step[pending]
             new_loglik = partial(rows[pending], candidate[pending], False)
-            pending = pending[~(new_loglik >= floor[pending])]
+            pending = pending[~(np.isfinite(new_loglik) & (new_loglik >= floor[pending]))]
             if pending.size == 0:
                 break
             scale[pending] *= 0.5

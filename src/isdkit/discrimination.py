@@ -12,23 +12,13 @@ training Kaplan-Meier curve, weighted by alpha = 1 - S_KM(c).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .core import SurvivalDataset, SurvivalModel
-from .curves import (
-    CurveBatch,
-    ExtendedCurve,
-    as_batch,
-    extend_linear,
-    median_survival,
-    survival_at,
-)
+from .core import SurvivalDataset
+from .curves import ExtendedCurve, as_batch, survival_at
 
 __all__ = [
-    "Prediction",
-    "PredictionSet",
     "MarginWeights",
     "concordance",
     "count_comparable_pairs",
@@ -40,67 +30,6 @@ __all__ = [
     "margin_weights",
     "default_eta",
 ]
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """One validation instance's risk score, capped median, and curve."""
-
-    risk: float
-    median: float
-    curve: ExtendedCurve
-
-
-class PredictionSet:
-    """Aligned per-instance risks, capped medians and extended curves.
-
-    ``curves`` is one `CurveBatch` (a single shared row when every instance
-    has the same curve, as under Kaplan-Meier); indexing yields `Prediction`
-    views.  ``PredictionSet(predictions)`` stacks `Prediction` objects with
-    `CurveBatch.from_curves`.
-    """
-
-    def __init__(self, predictions):
-        predictions = tuple(predictions)
-        self.curves = CurveBatch.from_curves(p.curve for p in predictions)
-        self.risks = np.array([p.risk for p in predictions], dtype=float)
-        self.medians = np.array([p.median for p in predictions], dtype=float)
-
-    @classmethod
-    def from_batch(cls, curves: CurveBatch, risks, medians) -> "PredictionSet":
-        out = object.__new__(cls)
-        out.curves = curves
-        out.risks = np.asarray(risks, dtype=float)
-        out.medians = np.asarray(medians, dtype=float)
-        return out
-
-    def __len__(self) -> int:
-        return self.risks.size
-
-    def __getitem__(self, i) -> Prediction:
-        curve = self._shared_curve if self.curves.rows == 1 else self.curves.row(i)
-        return Prediction(float(self.risks[i]), float(self.medians[i]), curve)
-
-    @cached_property
-    def _shared_curve(self) -> ExtendedCurve:
-        return self.curves.row(0)
-
-    def subset(self, indices) -> "PredictionSet":
-        idx = np.asarray(indices)
-        return PredictionSet.from_batch(self.curves.subset(idx), self.risks[idx],
-                                        self.medians[idx])
-
-    @classmethod
-    def from_model(cls, model: SurvivalModel, v: SurvivalDataset,
-                   t0_km: float) -> "PredictionSet":
-        """Predict, extend, and score every instance of a validation set as
-        one batch; the risk is the negative of the (t0_km-capped) median
-        survival time."""
-        curves = extend_linear(model.predict_curves(v), t0_km)
-        medians = median_survival(curves, t0_km)
-        n = len(v)
-        return cls.from_batch(curves, np.broadcast_to(-medians, (n,)),
-                              np.broadcast_to(medians, (n,)))
 
 
 def _pair_masks(times: np.ndarray, events: np.ndarray):
@@ -119,11 +48,20 @@ def count_comparable_pairs(v: SurvivalDataset) -> int:
     return int(ordered.sum() + tied.sum())
 
 
-def concordance(v: SurvivalDataset, preds: PredictionSet) -> float:
-    """Fraction of comparable pairs ranked correctly by the risk scores;
-    ties in risk or in death time score 0.5."""
+def _aligned(v: SurvivalDataset, values) -> np.ndarray:
+    """``values`` as floats, refused unless it holds one entry per instance."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(v),):
+        raise ValueError(f"{values.size} predictions of shape {values.shape} "
+                         f"for {len(v)} instances")
+    return values
+
+
+def concordance(v: SurvivalDataset, risks) -> float:
+    """Fraction of comparable pairs ranked correctly by the risk scores,
+    one per instance of v; ties in risk or in death time score 0.5."""
+    risks = _aligned(v, risks)
     times, events = v.times, v.events
-    risks = preds.risks
     ordered, tied = _pair_masks(times, events)
     n_pairs = ordered.sum() + tied.sum()
     if n_pairs == 0:
@@ -134,28 +72,22 @@ def concordance(v: SurvivalDataset, preds: PredictionSet) -> float:
     return float(score / n_pairs)
 
 
-def _check_aligned(v: SurvivalDataset, preds: PredictionSet):
-    if len(v) != len(preds):
-        raise ValueError(f"{len(preds)} predictions for {len(v)} instances")
-
-
-def l1_uncensored(v_u: SurvivalDataset, preds: PredictionSet) -> float:
+def l1_uncensored(v_u: SurvivalDataset, medians) -> float:
     """Mean absolute error between death times and predicted medians."""
-    _check_aligned(v_u, preds)
+    med = _aligned(v_u, medians)
     if len(v_u) == 0:
         raise ValueError("uncensored L1-loss needs at least one instance")
     if not v_u.events.all():
         raise ValueError("uncensored L1-loss is only defined on uncensored data")
-    return float(np.mean(np.abs(v_u.times - preds.medians)))
+    return float(np.mean(np.abs(v_u.times - med)))
 
 
-def l1_hinge(v: SurvivalDataset, preds: PredictionSet) -> float:
+def l1_hinge(v: SurvivalDataset, medians) -> float:
     """L1 with hinge handling of censoring: a censored instance costs
     max(c - median, 0), i.e. nothing unless the prediction undershoots the
     censor time (an optimistic lower bound on the true loss)."""
-    _check_aligned(v, preds)
+    med = _aligned(v, medians)
     times, events = v.times, v.events
-    med = preds.medians
     per = np.where(events, np.abs(times - med), np.maximum(times - med, 0.0))
     return float(np.mean(per))
 
@@ -196,7 +128,7 @@ def margin_weights(censor_times, train_km: ExtendedCurve) -> MarginWeights:
     return MarginWeights(alpha, np.atleast_1d(best_guess(censor_times, train_km)))
 
 
-def _margin_terms(v: SurvivalDataset, preds: PredictionSet, train_km, weights):
+def _margin_terms(v: SurvivalDataset, train_km, weights):
     times, events = v.times, v.events
     if weights is None:
         if train_km is None:
@@ -209,17 +141,17 @@ def _margin_terms(v: SurvivalDataset, preds: PredictionSet, train_km, weights):
     alphas[~events] = weights.alpha
     targets = times.copy()
     targets[~events] = weights.best_guess
-    return alphas, targets, preds.medians
+    return alphas, targets
 
 
-def l1_margin(v: SurvivalDataset, preds: PredictionSet, train_km: ExtendedCurve = None,
+def l1_margin(v: SurvivalDataset, medians, train_km: ExtendedCurve = None,
               weights: MarginWeights = None) -> float:
     """L1 with Best-Guess targets for censored instances, weighted by
     alpha = 1 - S_KM(c) from the (extended) training Kaplan-Meier curve.
     ``weights``, from `margin_weights` on v's censor times, replaces
     ``train_km`` when they are already at hand."""
-    _check_aligned(v, preds)
-    alphas, targets, med = _margin_terms(v, preds, train_km, weights)
+    med = _aligned(v, medians)
+    alphas, targets = _margin_terms(v, train_km, weights)
     denom = float(alphas.sum())
     if denom <= 0:
         raise ValueError("margin loss has zero total weight (everyone censored at S_KM = 1)")
@@ -236,15 +168,15 @@ def default_eta(times) -> float:
     return float(0.5 * positive.min())
 
 
-def l1_log(v: SurvivalDataset, preds: PredictionSet, variant: str = "uncensored",
+def l1_log(v: SurvivalDataset, medians, variant: str = "uncensored",
            eta: float = None, train_km: ExtendedCurve = None,
            weights: MarginWeights = None) -> float:
     """Relative-error variant: the chosen aggregation applied to
     log(max(x, eta)) in place of every time or median x.  The "margin"
     variant takes ``train_km`` or precomputed ``weights`` as `l1_margin`."""
+    med = _aligned(v, medians)
     if eta is None or not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    _check_aligned(v, preds)
 
     def logt(arr):
         return np.log(np.maximum(np.asarray(arr, dtype=float), eta))
@@ -252,11 +184,11 @@ def l1_log(v: SurvivalDataset, preds: PredictionSet, variant: str = "uncensored"
     if variant == "uncensored":
         if len(v) == 0 or not v.events.all():
             raise ValueError("log-L1 'uncensored' needs all-uncensored data")
-        return float(np.mean(np.abs(logt(v.times) - logt(preds.medians))))
+        return float(np.mean(np.abs(logt(v.times) - logt(med))))
     if variant == "margin":
         if train_km is None and weights is None:
             raise ValueError("log-L1 'margin' needs the training KM curve")
-        alphas, targets, med = _margin_terms(v, preds, train_km, weights)
+        alphas, targets = _margin_terms(v, train_km, weights)
         denom = float(alphas.sum())
         if denom <= 0:
             raise ValueError("margin loss has zero total weight")

@@ -29,11 +29,9 @@ from .curves import CurveBatch
 
 __all__ = [
     "TimeGrid",
-    "MtlrLabel",
     "MtlrModel",
     "make_grid",
     "default_grid_size",
-    "encode_label",
     "mtlr_loglik_grad",
     "fit_mtlr",
     "predict_curve_mtlr",
@@ -89,39 +87,6 @@ def make_grid(d: SurvivalDataset, m: int) -> TimeGrid:
     return TimeGrid(points)
 
 
-@dataclass(frozen=True)
-class MtlrLabel:
-    """Sequence-space encoding of one (time, event) label.
-
-    For a death, ``sequence`` is the unique 0/1 status vector (1 from the
-    first grid time at or past the death on) and ``consistent`` holds its
-    single interval index.  For a censoring, ``sequence`` is None and
-    ``consistent`` lists every interval index whose start lies at or after
-    the censor time (the lone final interval when the censor time passes
-    the grid).
-    """
-
-    event: bool
-    sequence: np.ndarray | None
-    consistent: np.ndarray
-
-
-def encode_label(t: float, event: bool, grid: TimeGrid) -> MtlrLabel:
-    points = grid.points
-    m = grid.m
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    if event:
-        k = int(np.searchsorted(points, t, side="left"))
-        sequence = (np.arange(m) >= k).astype(np.int8)
-        return MtlrLabel(True, sequence, np.array([k]))
-    starts = np.concatenate(([0.0], points))  # interval k starts at t_k, t_0 = 0
-    consistent = np.flatnonzero(starts >= t)
-    if consistent.size == 0:
-        consistent = np.array([m])
-    return MtlrLabel(False, None, consistent)
-
-
 def _with_bias(x: np.ndarray) -> np.ndarray:
     return np.hstack((x, np.ones((x.shape[0], 1))))
 
@@ -130,12 +95,13 @@ def _with_bias(x: np.ndarray) -> np.ndarray:
 class _Labels:
     """Every label of a fit in suffix form, task-major.
 
-    The consistent intervals of a label are always a suffix k_i, ..., m
-    (see `encode_label`): the single interval k_i of a death, or every
-    interval starting at or after the censor time.  ``at`` indexes
-    (k_i, i) in a raveled (m+1, n) array, ``before[j, i]`` is [j < k_i]
-    over the m tasks and ``censored_after[j, i]`` is [j >= k_i] on censored
-    patients, 0 on deaths.
+    The intervals consistent with a label are always a suffix k_i, ..., m:
+    the single interval k_i of a death (k_i indexes the first grid time at
+    or past it), or every interval starting at or after the censor time
+    (the open last interval once the censor time passes the grid).
+    ``at`` indexes (k_i, i) in a raveled (m+1, n) array, ``before[j, i]``
+    is [j < k_i] over the m tasks and ``censored_after[j, i]`` is
+    [j >= k_i] on censored patients, 0 on deaths.
     """
 
     first: np.ndarray
@@ -156,7 +122,7 @@ class _Labels:
 
 
 def _encode_labels(times, events, grid: TimeGrid) -> _Labels:
-    """`encode_label` for every instance at once."""
+    """The suffix labels (see `_Labels`) of every instance at once."""
     m = grid.m
     k = np.searchsorted(grid.points, times, side="left")
     # a censoring at t > 0 leaves the intervals starting at t_k >= t, the

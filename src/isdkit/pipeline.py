@@ -22,9 +22,8 @@ from . import calibration as cal
 from .aft import fit_aft_weibull
 from .core import FitError, SurvivalDataset, SurvivalModel, fold_indices
 from .cox import fit_cox, univariate_cox_pvalue
-from .curves import extend_linear, survival_at
+from .curves import CurveBatch, extend_linear, median_survival, survival_at
 from .discrimination import (
-    PredictionSet,
     concordance,
     default_eta,
     l1_hinge,
@@ -258,13 +257,13 @@ class MetricReport:
     dcal_histogram: "cal.DCalHistogram | None"
     tau: float
     tstars: tuple
-    fold_predictions: list             # per fold: (validation indices, PredictionSet)
+    fold_predictions: list             # per fold: (validation indices, extended batch)
     fold_t0: list
 
 
 @dataclass(frozen=True)
 class _FoldOutput:
-    preds: PredictionSet
+    curves: CurveBatch            # extended; one shared row under Kaplan-Meier
     scores: dict                  # fold metric -> value
     probs_at_tstars: np.ndarray   # (n_val, len(tstars)): S_i(t*) for one-calibration
     probs_at_times: np.ndarray    # (n_val,): S_i(t_i) for D-calibration
@@ -286,11 +285,13 @@ def _fit_model(name: str, train: SurvivalDataset, cfg: ExperimentConfig) -> Surv
     return fit_mtlr(train, grid, cfg.mtlr_c_grid)
 
 
-def _score_fold(val: SurvivalDataset, preds: PredictionSet, metrics, tau: float,
-                train: SurvivalDataset, train_km_ext) -> dict:
-    """The fold metrics of one validation fold, in `_FOLD_METRICS` order."""
+def _score_fold(val: SurvivalDataset, curves: CurveBatch, medians: np.ndarray, metrics,
+                tau: float, train: SurvivalDataset, train_km_ext) -> dict:
+    """The fold metrics of one validation fold, in `_FOLD_METRICS` order.
+    ``medians`` holds one capped median per patient; the risk score is its
+    negative."""
     events = val.events
-    v_u, preds_u = val.subset(events), preds.subset(events)
+    v_u, medians_u = val.subset(events), medians[events]
     eta = default_eta(train.times)
     weights = None
     if "l1-margin" in metrics or "l1-log-margin" in metrics:
@@ -300,19 +301,19 @@ def _score_fold(val: SurvivalDataset, preds: PredictionSet, metrics, tau: float,
         if metric not in metrics:
             continue
         if metric == "concordance":
-            value = concordance(val, preds)
+            value = concordance(val, -medians)
         elif metric == "ibs":
-            value = cal.integrated_brier(val, preds.curves, tau, fit_censoring_km(train))
+            value = cal.integrated_brier(val, curves, tau, fit_censoring_km(train))
         elif metric == "l1-uncensored":
-            value = l1_uncensored(v_u, preds_u)
+            value = l1_uncensored(v_u, medians_u)
         elif metric == "l1-hinge":
-            value = l1_hinge(val, preds)
+            value = l1_hinge(val, medians)
         elif metric == "l1-margin":
-            value = l1_margin(val, preds, weights=weights)
+            value = l1_margin(val, medians, weights=weights)
         elif metric == "l1-log-uncensored":
-            value = l1_log(v_u, preds_u, "uncensored", eta)
+            value = l1_log(v_u, medians_u, "uncensored", eta)
         else:
-            value = l1_log(val, preds, "margin", eta, weights=weights)
+            value = l1_log(val, medians, "margin", eta, weights=weights)
         scores[metric] = float(value)
     return scores
 
@@ -329,15 +330,15 @@ def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig, assignment: FoldAssignm
     train_km_ext = extend_linear(fit_km(train).curve)
     t0_km = train_km_ext.zero_time
     model = _fit_model(cfg.model, train, cfg)
-    preds = PredictionSet.from_model(model, val, t0_km)
-
+    curves = extend_linear(model.predict_curves(val), t0_km)
     n = len(raw_val)
-    curves = preds.curves
+    medians = np.broadcast_to(median_survival(curves, t0_km), (n,))
+
     at_tstars = np.broadcast_to(survival_at(curves, np.asarray(tstars)[None, :]),
                                 (n, len(tstars)))
     at_times = np.broadcast_to(survival_at(curves, raw_val.times), (n,))
-    scores = _score_fold(raw_val, preds, cfg.metrics, tau, train, train_km_ext)
-    return _FoldOutput(preds, scores, at_tstars, at_times, t0_km,
+    scores = _score_fold(raw_val, curves, medians, cfg.metrics, tau, train, train_km_ext)
+    return _FoldOutput(curves, scores, at_tstars, at_times, t0_km,
                        assignment.fold(fold))
 
 
@@ -403,7 +404,7 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
         dcal_histogram=dcal_hist,
         tau=tau,
         tstars=tstars,
-        fold_predictions=[(out.val_indices, out.preds) for out in fold_results],
+        fold_predictions=[(out.val_indices, out.curves) for out in fold_results],
         fold_t0=[out.t0_km for out in fold_results],
     )
 

@@ -17,12 +17,7 @@ from isdkit.calibration import (
 from isdkit.core import SurvivalCurve, SurvivalDataset
 from isdkit.cox import cox_partial_loglik, fit_cox
 from isdkit.curves import extend_linear, mean_survival, survival_at
-from isdkit.discrimination import (
-    Prediction,
-    PredictionSet,
-    best_guess,
-    concordance,
-)
+from isdkit.discrimination import best_guess, concordance
 from isdkit.km import fit_censoring_km, fit_km, km_at
 from isdkit.mtlr import TimeGrid, mtlr_loglik_grad
 from isdkit.pipeline import (
@@ -34,14 +29,7 @@ from isdkit.pipeline import (
 )
 from isdkit.stats import chi2_sf
 
-from conftest import dataset, linear_curve, random_curve, step_curve
-
-DUMMY_CURVE = extend_linear(step_curve([1.0], [0.0]))
-
-
-def preds_from_risks(risks):
-    return PredictionSet(Prediction(r, 1.0, DUMMY_CURVE) for r in risks)
-
+from conftest import dataset, linear_curve, random_curve
 
 def ok(n, message):
     print(f"ACCEPTANCE {n:02d} PASS: {message}")
@@ -63,7 +51,7 @@ def brute_force_concordance(times, events, risks):
 
 def test_criterion_01_concordance_micro_example():
     d = dataset([1, 3, 4, 6, 9], [1, 1, 1, 1, 1])
-    assert concordance(d, preds_from_risks([6, 3, 5, 2, 4])) == 0.7
+    assert concordance(d, [6, 3, 5, 2, 4]) == 0.7
 
     rng = np.random.default_rng(1)
     checked = 0
@@ -75,7 +63,7 @@ def test_criterion_01_concordance_micro_example():
         oracle = brute_force_concordance(times, events, risks)
         if oracle is None:
             continue
-        value = concordance(dataset(times, events), preds_from_risks(risks))
+        value = concordance(dataset(times, events), risks)
         assert abs(value - oracle) < 1e-12
         checked += 1
     ok(1, "five-patient example scores 0.7; brute force agrees on 100 random sets")
@@ -90,7 +78,7 @@ def test_criterion_02_constant_risk_ties():
         if not events.any():
             events[0] = True
         d = dataset(times, events)
-        value = concordance(d, preds_from_risks(np.full(n, rng.normal())))
+        value = concordance(d, np.full(n, rng.normal()))
         assert value == 0.5
     ok(2, "every constant-risk predictor scores concordance 0.500 exactly")
 

@@ -201,6 +201,27 @@ class TestFitCox:
             with pytest.raises(FitError, match="singular information matrix"):
                 _factor(info)
 
+    def test_line_search_refuses_an_infinite_likelihood(self, monkeypatch):
+        # x = -t separates the deaths, so beta diverges until every weight of
+        # some risk set underflows and log(0) reads the likelihood as +inf
+        rng = np.random.default_rng(0)
+        times, events = rng.exponential(10, 100), rng.random(100) < 0.7
+        x = (-times - (-times).mean()) / times.std()
+        evaluated = []
+        partial = _RiskSets.partial
+
+        def recording(self, beta, derivatives=False):
+            out = partial(self, beta, derivatives)
+            if derivatives:
+                evaluated.append(out[0])
+            return out
+
+        monkeypatch.setattr(_RiskSets, "partial", recording)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            with pytest.raises(FitError, match="singular information matrix"):
+                fit_cox(SurvivalDataset.from_arrays(x[:, None], times, events))
+        assert len(evaluated) > 1 and np.all(np.isfinite(evaluated))
+
     def test_no_events_rejected(self):
         d = dataset([1, 2, 3], [0, 0, 0], x=np.eye(3))
         with pytest.raises(FitError, match="uncensored"):

@@ -26,7 +26,6 @@ from isdkit.curves import (
 )
 from isdkit.cox import fit_cox
 from isdkit.discrimination import (
-    PredictionSet,
     best_guess,
     concordance,
     default_eta,
@@ -379,26 +378,27 @@ _MODELS = {"km": KaplanMeierModel.fit(_TRAIN), "cox-kp": fit_cox(_TRAIN)}
 
 def fold_metrics(model, val):
     km_ext = extend_linear(fit_km(_TRAIN).curve)
-    preds = PredictionSet.from_model(model, val, km_ext.zero_time)
+    curves = extend_linear(model.predict_curves(val), km_ext.zero_time)
+    medians = np.broadcast_to(median_survival(curves, km_ext.zero_time), (len(val),))
     events = val.events
-    v_u, preds_u = val.subset(events), preds.subset(events)
+    v_u, medians_u = val.subset(events), medians[events]
     weights = margin_weights(val.times[~events], km_ext)
     eta = default_eta(_TRAIN.times)
     tau = float(_COHORT.times.max())
     out = {
-        "concordance": concordance(val, preds),
-        "ibs": integrated_brier(val, preds.curves, tau, fit_censoring_km(_TRAIN)),
-        "l1-uncensored": l1_uncensored(v_u, preds_u),
-        "l1-hinge": l1_hinge(val, preds),
-        "l1-margin": l1_margin(val, preds, km_ext),
-        "l1-margin-shared": l1_margin(val, preds, weights=weights),
-        "l1-log-uncensored": l1_log(v_u, preds_u, "uncensored", eta),
-        "l1-log-margin": l1_log(val, preds, "margin", eta, weights=weights),
+        "concordance": concordance(val, -medians),
+        "ibs": integrated_brier(val, curves, tau, fit_censoring_km(_TRAIN)),
+        "l1-uncensored": l1_uncensored(v_u, medians_u),
+        "l1-hinge": l1_hinge(val, medians),
+        "l1-margin": l1_margin(val, medians, km_ext),
+        "l1-margin-shared": l1_margin(val, medians, weights=weights),
+        "l1-log-uncensored": l1_log(v_u, medians_u, "uncensored", eta),
+        "l1-log-margin": l1_log(val, medians, "margin", eta, weights=weights),
     }
-    out.update({f"dcal{k}": c for k, c in enumerate(dcal_histogram(val, preds.curves).counts)})
-    if preds.curves.rows > 1:
+    out.update({f"dcal{k}": c for k, c in enumerate(dcal_histogram(val, curves).counts)})
+    if curves.rows > 1:
         tstar = float(np.median(_COHORT.times))
-        probs = survival_at(preds.curves, tstar)
+        probs = survival_at(curves, tstar)
         out["one-cal"] = one_calibration_dn(val, probs, tstar, b=4).statistic
     return out
 
@@ -419,9 +419,8 @@ def test_permuting_patients_leaves_fold_metrics_unchanged(name, perm):
 def test_shared_row_is_never_copied_per_patient():
     km = KaplanMeierModel.fit(_TRAIN)
     t0_km = extend_linear(km.km.curve).zero_time
-    preds = PredictionSet.from_model(km, _VAL, t0_km)
-    assert preds.curves.rows == 1
-    assert preds.curves.subset(np.arange(5)) is preds.curves
-    assert preds.medians.shape == (len(_VAL),)
-    assert preds[3].curve is preds[7].curve
+    curves = extend_linear(km.predict_curves(_VAL), t0_km)
+    assert curves.rows == 1
+    assert curves.subset(np.arange(5)) is curves
+    assert median_survival(curves, t0_km).shape == (1,)
     assert km_at(fit_km(_TRAIN), 0.0) == 1.0

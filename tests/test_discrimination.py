@@ -3,8 +3,6 @@ import pytest
 
 from isdkit.curves import extend_linear, mean_survival
 from isdkit.discrimination import (
-    Prediction,
-    PredictionSet,
     best_guess,
     concordance,
     count_comparable_pairs,
@@ -16,17 +14,6 @@ from isdkit.discrimination import (
 )
 
 from conftest import dataset, linear_curve, random_curve, step_curve
-
-DUMMY = extend_linear(step_curve([1.0], [0.0]))
-
-
-def preds(risks=None, medians=None, curves=None):
-    n = len(risks if risks is not None else medians)
-    risks = risks if risks is not None else [0.0] * n
-    medians = medians if medians is not None else [1.0] * n
-    curves = curves if curves is not None else [DUMMY] * n
-    return PredictionSet(Prediction(r, m, c) for r, m, c in zip(risks, medians, curves))
-
 
 def brute_force_concordance(times, events, risks):
     """Direct pair enumeration, the oracle for the vectorized path."""
@@ -50,11 +37,11 @@ def brute_force_concordance(times, events, risks):
 class TestConcordance:
     def test_five_patient_example_scores_point_seven(self):
         d = dataset([1, 3, 4, 6, 9], [1, 1, 1, 1, 1])
-        assert concordance(d, preds(risks=[6, 3, 5, 2, 4])) == 0.7
+        assert concordance(d, [6, 3, 5, 2, 4]) == 0.7
 
     def test_constant_risk_scores_exactly_half(self):
         d = dataset([1, 3, 4, 6, 9], [1, 0, 1, 1, 0])
-        assert concordance(d, preds(risks=[2, 2, 2, 2, 2])) == 0.5
+        assert concordance(d, [2, 2, 2, 2, 2]) == 0.5
 
     def test_censoring_pattern_yields_six_pairs(self):
         # alternating deaths and censorings d1 < c2 < d3 < c4 < d5
@@ -72,9 +59,9 @@ class TestConcordance:
             assert count_comparable_pairs(d) == pairs
             if pairs == 0:
                 with pytest.raises(ValueError):
-                    concordance(d, preds(risks=risks))
+                    concordance(d, risks)
             else:
-                assert concordance(d, preds(risks=risks)) == pytest.approx(
+                assert concordance(d, risks) == pytest.approx(
                     oracle, abs=1e-12
                 )
 
@@ -83,49 +70,70 @@ class TestConcordance:
         events = rng.random(12) < 0.6
         risks = rng.standard_normal(12)
         d = dataset(times, events)
-        base = concordance(d, preds(risks=risks))
-        assert concordance(d, preds(risks=np.exp(risks))) == base
-        assert concordance(d, preds(risks=3 * risks + 7)) == base
+        base = concordance(d, risks)
+        assert concordance(d, np.exp(risks)) == base
+        assert concordance(d, 3 * risks + 7) == base
 
     def test_negation_complements_to_one_without_ties(self):
         d = dataset([1, 3, 4, 6, 9], [1, 1, 0, 1, 1])
         risks = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
-        c1 = concordance(d, preds(risks=risks))
-        c2 = concordance(d, preds(risks=-risks))
+        c1 = concordance(d, risks)
+        c2 = concordance(d, -risks)
         assert c1 + c2 == pytest.approx(1.0)
 
     def test_no_comparable_pairs_is_an_error(self):
         d = dataset([1, 2, 3], [0, 0, 0])
         with pytest.raises(ValueError, match="comparable"):
-            concordance(d, preds(risks=[1, 2, 3]))
+            concordance(d, [1, 2, 3])
+
+
+_KM = extend_linear(step_curve([2.0, 5.0], [0.5, 0.0]))
+_ALIGNED_METRICS = {
+    "concordance": concordance,
+    "l1-uncensored": l1_uncensored,
+    "l1-hinge": l1_hinge,
+    "l1-margin": lambda v, med: l1_margin(v, med, _KM),
+    "l1-log": lambda v, med: l1_log(v, med, "uncensored", eta=0.5),
+}
+
+
+@pytest.mark.parametrize("metric", sorted(_ALIGNED_METRICS))
+@pytest.mark.parametrize("shape", [(1,), (4,), (5, 1)])
+def test_predictions_must_be_one_per_instance(metric, shape):
+    # a single shared value must be broadcast to every patient by the caller
+    d = dataset([1, 3, 4, 6, 9], [1, 1, 1, 1, 1])
+    score = _ALIGNED_METRICS[metric]
+    assert np.isfinite(score(d, np.arange(1.0, 6.0)))
+    with pytest.raises(ValueError, match="predictions of shape .* for 5 instances"):
+        score(d, np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
 
 
 class TestL1Family:
     def test_perfect_medians_score_zero(self):
         d = dataset([3, 8], [1, 1])
-        assert l1_uncensored(d, preds(medians=[3, 8])) == 0.0
+        assert l1_uncensored(d, [3, 8]) == 0.0
 
     def test_absolute_gap_blind_to_scale(self):
         # the motivating pair: both errors are 3 time units
         d = dataset([120, 1], [1, 1])
-        p = preds(medians=[117, 4])
+        p = [117, 4]
         assert l1_uncensored(d, p) == 3.0
 
     def test_single_patient(self):
-        assert l1_uncensored(dataset([10], [1]), preds(medians=[4])) == 6.0
+        assert l1_uncensored(dataset([10], [1]), [4]) == 6.0
 
     def test_uncensored_rejects_censored_rows(self):
         with pytest.raises(ValueError):
-            l1_uncensored(dataset([1, 2], [1, 0]), preds(medians=[1, 2]))
+            l1_uncensored(dataset([1, 2], [1, 0]), [1, 2])
 
     def test_hinge_clauses(self):
-        assert l1_hinge(dataset([10], [0]), preds(medians=[15])) == 0.0
-        assert l1_hinge(dataset([20], [0]), preds(medians=[15])) == 5.0
+        assert l1_hinge(dataset([10], [0]), [15]) == 0.0
+        assert l1_hinge(dataset([20], [0]), [15]) == 5.0
 
     def test_hinge_rewards_overestimation(self):
         # absurdly large medians zero out every censored contribution
         d = dataset([5, 9, 14], [0, 0, 0])
-        assert l1_hinge(d, preds(medians=[1e6, 1e6, 1e6])) == 0.0
+        assert l1_hinge(d, [1e6, 1e6, 1e6]) == 0.0
 
 
 class TestBestGuess:
@@ -173,21 +181,19 @@ class TestL1Margin:
     def test_all_uncensored_equals_plain_l1(self, rng):
         km = extend_linear(step_curve([2.0, 5.0, 9.0], [0.7, 0.3, 0.0]))
         d = dataset([1, 4, 7], [1, 1, 1])
-        p = preds(medians=[2, 3, 9])
+        p = [2, 3, 9]
         assert l1_margin(d, p, km) == l1_uncensored(d, p)
 
     def test_censored_at_zero_contributes_nothing(self):
         km = extend_linear(step_curve([2.0, 5.0], [0.5, 0.0]))
         with_zero = dataset([3, 0], [1, 0])
         without = dataset([3], [1])
-        assert l1_margin(with_zero, preds(medians=[4, 1]), km) == l1_margin(
-            without, preds(medians=[4]), km
-        )
+        assert l1_margin(with_zero, [4, 1], km) == l1_margin(without, [4], km)
 
     def test_censored_past_last_death_acts_like_a_death(self):
         km = extend_linear(step_curve([2.0, 5.0], [0.5, 0.0]))
         d = dataset([3, 6], [1, 0])  # censored after S_KM hit 0
-        p = preds(medians=[4, 4])
+        p = [4, 4]
         # alpha = 1 and best guess = censor time
         assert l1_margin(d, p, km) == pytest.approx((1 + 2) / 2)
 
@@ -196,8 +202,8 @@ class TestLogL1:
     def test_relative_error_separates_the_motivating_pair(self):
         d1 = dataset([120], [1])
         d2 = dataset([1], [1])
-        small = l1_log(d1, preds(medians=[117]), "uncensored", eta=0.5)
-        large = l1_log(d2, preds(medians=[4]), "uncensored", eta=0.5)
+        small = l1_log(d1, [117], "uncensored", eta=0.5)
+        large = l1_log(d2, [4], "uncensored", eta=0.5)
         assert small == pytest.approx(abs(np.log(120 / 117)), abs=1e-12)
         assert large == pytest.approx(np.log(4), abs=1e-12)
         assert large > 50 * small
@@ -210,18 +216,18 @@ class TestLogL1:
 
     def test_eta_replaces_zero_without_mutating_inputs(self):
         d = dataset([0.0, 4.0], [1, 1])
-        value = l1_log(d, preds(medians=[1.0, 4.0]), "uncensored", eta=0.5)
+        value = l1_log(d, [1.0, 4.0], "uncensored", eta=0.5)
         assert value == pytest.approx(abs(np.log(0.5)) / 2, abs=1e-12)
         assert d.times[0] == 0.0
 
     def test_margin_variant_runs(self):
         km = extend_linear(step_curve([2.0, 5.0], [0.5, 0.0]))
         d = dataset([3, 4], [1, 0])
-        value = l1_log(d, preds(medians=[4, 4]), "margin", eta=0.5, train_km=km)
+        value = l1_log(d, [4, 4], "margin", eta=0.5, train_km=km)
         assert np.isfinite(value)
         with pytest.raises(ValueError):
-            l1_log(d, preds(medians=[4, 4]), "margin", eta=0.5)
+            l1_log(d, [4, 4], "margin", eta=0.5)
 
     def test_bad_eta_rejected(self):
         with pytest.raises(ValueError):
-            l1_log(dataset([1], [1]), preds(medians=[1]), "uncensored", eta=0.0)
+            l1_log(dataset([1], [1]), [1], "uncensored", eta=0.0)

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from isdkit.mtlr import (
     _softmax_tail,
     _with_bias,
     default_grid_size,
-    encode_label,
     fit_mtlr,
     make_grid,
     mtlr_loglik_grad,
@@ -18,6 +19,40 @@ from isdkit.mtlr import (
 )
 
 from conftest import dataset
+
+
+@dataclass(frozen=True)
+class MtlrLabel:
+    """Sequence-space encoding of one (time, event) label.
+
+    For a death, ``sequence`` is the unique 0/1 status vector (1 from the
+    first grid time at or past the death on) and ``consistent`` holds its
+    single interval index.  For a censoring, ``sequence`` is None and
+    ``consistent`` lists every interval index whose start lies at or after
+    the censor time (the lone final interval when the censor time passes
+    the grid).
+    """
+
+    event: bool
+    sequence: np.ndarray | None
+    consistent: np.ndarray
+
+
+def encode_label(t: float, event: bool, grid: TimeGrid) -> MtlrLabel:
+    """One label at a time: the reference for the batched `_encode_labels`."""
+    points = grid.points
+    m = grid.m
+    if t < 0:
+        raise ValueError(f"time must be non-negative, got {t}")
+    if event:
+        k = int(np.searchsorted(points, t, side="left"))
+        sequence = (np.arange(m) >= k).astype(np.int8)
+        return MtlrLabel(True, sequence, np.array([k]))
+    starts = np.concatenate(([0.0], points))  # interval k starts at t_k, t_0 = 0
+    consistent = np.flatnonzero(starts >= t)
+    if consistent.size == 0:
+        consistent = np.array([m])
+    return MtlrLabel(False, None, consistent)
 
 
 class TestMakeGrid:

@@ -3,8 +3,7 @@ import pytest
 
 from isdkit.core import FitError, Instance, SurvivalDataset
 from isdkit.cox import fit_cox
-from isdkit.curves import extend_linear
-from isdkit.discrimination import PredictionSet
+from isdkit.curves import extend_linear, median_survival
 from isdkit.km import fit_km
 from isdkit.pipeline import (
     MODEL_NAMES,
@@ -305,10 +304,11 @@ class TestRunExperiment:
         d = cohort_with_features(n=150)
         report = run_experiment(d, ExperimentConfig(model="cox-kp", folds=3))
         probs, events = [], []
-        for indices, preds in report.fold_predictions:
+        for indices, curves in report.fold_predictions:
+            assert curves.rows == indices.size
             for i, idx in enumerate(indices):
                 inst = d.instances[idx]
-                probs.append(survival_at(preds[i].curve, inst.time))
+                probs.append(survival_at(curves.row(i), inst.time))
                 events.append(inst.event)
         flat = dcal_histogram_from_probs(np.array(probs), np.array(events), 10)
         np.testing.assert_allclose(report.dcal_histogram.counts, flat.counts,
@@ -319,19 +319,20 @@ class TestRunExperiment:
         report = run_experiment(d, ExperimentConfig(model="km", folds=3))
         indices = np.concatenate([idx for idx, _ in report.fold_predictions])
         np.testing.assert_array_equal(np.sort(indices), np.arange(len(d)))
-        for idx, preds in report.fold_predictions:
-            assert len(preds) == idx.size
-            assert preds.curves.rows == 1  # KM's shared row stays shared
+        for _, curves in report.fold_predictions:
+            assert curves.rows == 1  # KM's shared row stays shared
 
     def test_validation_fold_without_deaths_gets_the_metric_error(self):
         d = cohort_with_features(n=150)
         train = d.subset(np.arange(100))
         val = d.subset(np.flatnonzero(~d.events[100:]) + 100)
         train_km = extend_linear(fit_km(train).curve)
-        preds = PredictionSet.from_model(fit_cox(train), val, train_km.zero_time)
-        assert len(preds) == len(val) > 1 and not val.events.any()
+        curves = extend_linear(fit_cox(train).predict_curves(val), train_km.zero_time)
+        medians = median_survival(curves, train_km.zero_time)
+        assert curves.rows == medians.size == len(val) > 1 and not val.events.any()
         with pytest.raises(ValueError, match="uncensored L1-loss needs at least one instance"):
-            _score_fold(val, preds, ("l1-uncensored",), float(d.times.max()), train, train_km)
+            _score_fold(val, curves, medians, ("l1-uncensored",), float(d.times.max()),
+                        train, train_km)
 
     def test_jobs_parallelism_matches_sequential(self):
         d = cohort_with_features(n=150)
