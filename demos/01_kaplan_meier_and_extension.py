@@ -33,16 +33,18 @@ print("\nrisk table (first rows): time, at risk, deaths, censored")
 for row in zip(km.times[:5], km.at_risk[:5], km.deaths[:5], km.censored[:5]):
     print("   %8.3f %6d %3d %3d" % row)
 
-last_t, last_p = km.curve.times[-1], km.curve.probs[-1]
+last_t, last_p = km.curve.knots[-1], km.curve.probs[0, -1]
 print(f"\nKM curve stops at ({last_t:.1f}, {last_p:.3f}) -- above zero, "
       "so we extend it")
 
+# the KM curve is a one-row CurveBatch: one zero time, one median, one mean
 ext = extend_linear(km.curve)
-print(f"extension reaches zero at t0 = {ext.zero_time:.2f}")
-print(f"population median survival: {median_survival(ext, ext.zero_time):.2f}")
-print(f"population mean survival:   {mean_survival(ext):.2f}")
+t0 = ext.zero_time[0]
+print(f"extension reaches zero at t0 = {t0:.2f}")
+print(f"population median survival: {median_survival(ext, t0)[0]:.2f}")
+print(f"population mean survival:   {mean_survival(ext)[0]:.2f}")
 
-for t in (2.0, 5.0, 10.0, 20.0, ext.zero_time):
+for t in (2.0, 5.0, 10.0, 20.0, t0):
     print(f"  S({t:6.2f}) = {survival_at(ext, t):.3f}")
 
 # the same estimator with flipped event flags gives the censoring

@@ -31,7 +31,7 @@ cohort = simulate_cohort(
                  baseline_scale=10.0, baseline_shape=1.5, censor_rate=0.04),
     n=500, seed=7,
 )
-t0_km = extend_linear(fit_km(cohort).curve).zero_time
+t0_km = extend_linear(fit_km(cohort).curve).zero_time[0]
 grid = make_grid(cohort, default_grid_size(len(cohort)))
 
 cox = fit_cox(cohort)
@@ -49,17 +49,17 @@ print(f"mtlr: {mtlr.theta.shape[0]} grid times x {mtlr.theta.shape[1]} weights, 
 low_risk = np.array([-1.5, 1.0])   # negative linear predictor: lives long
 high_risk = np.array([1.5, -1.0])
 
-# a feature vector gives a one-row CurveBatch; row(0) is that patient's curve
+# a feature vector gives that patient's curve as a one-row CurveBatch
 predictors = {
-    "cox-kp": lambda x: extend_linear(predict_curve_cox(cox, x).row(0), t0_km),
-    "aft-weibull": lambda x: extend_linear(predict_curve_aft(aft, x, grid).row(0), t0_km),
-    "mtlr": lambda x: extend_linear(predict_curve_mtlr(mtlr, x).row(0), t0_km),
+    "cox-kp": lambda x: extend_linear(predict_curve_cox(cox, x), t0_km),
+    "aft-weibull": lambda x: extend_linear(predict_curve_aft(aft, x, grid), t0_km),
+    "mtlr": lambda x: extend_linear(predict_curve_mtlr(mtlr, x), t0_km),
 }
 
 print("\npredicted median survival (capped at the training-KM zero time):")
 print(f"{'model':>12} {'low-risk':>10} {'high-risk':>10}")
 for name, make in predictors.items():
-    meds = [median_survival(make(x), t0_km) for x in (low_risk, high_risk)]
+    meds = [median_survival(make(x), t0_km)[0] for x in (low_risk, high_risk)]
     print(f"{name:>12} {meds[0]:10.2f} {meds[1]:10.2f}")
 
 print("\nsurvival probabilities at t = 5 and t = 15:")

@@ -37,7 +37,7 @@ train, validation = cohort.subset(np.arange(0, 300)), cohort.subset(np.arange(30
 
 km = fit_km(train)
 train_km_ext = extend_linear(km.curve)
-t0_km = train_km_ext.zero_time
+t0_km = train_km_ext.zero_time[0]
 
 n_pairs = count_comparable_pairs(validation)
 print(f"validation: {len(validation)} patients, {n_pairs} comparable pairs "

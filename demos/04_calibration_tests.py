@@ -51,7 +51,7 @@ data = simulate_cohort(
     n=600, seed=5,
 )
 train, validation = data.subset(np.arange(400)), data.subset(np.arange(400, 600))
-t0_km = extend_linear(fit_km(train).curve).zero_time
+t0_km = extend_linear(fit_km(train).curve).zero_time[0]
 g_hat = fit_censoring_km(train)
 
 cox = fit_cox(train)

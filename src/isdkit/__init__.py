@@ -21,7 +21,6 @@ from .core import (
     ConvergenceError,
     FitError,
     Instance,
-    SurvivalCurve,
     SurvivalDataset,
     SurvivalModel,
     load_csv,
@@ -31,8 +30,6 @@ from .core import (
 from .cox import CoxModel, fit_cox, predict_curve_cox, univariate_cox_pvalue
 from .curves import (
     CurveBatch,
-    ExtendedCurve,
-    as_batch,
     average_curves,
     extend_linear,
     integrate_curve,

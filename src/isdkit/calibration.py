@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SurvivalDataset
-from .curves import CurveBatch, as_batch, survival_at
+from .curves import CurveBatch, survival_at
 from .km import KMCurve, fit_km_arrays, km_at
 from .stats import chi2_sf
 
@@ -87,6 +87,8 @@ def calibration_table(v: SurvivalDataset, probs_at_tstar, tstar: float, b: int,
     bin's observed deaths with n_j * (1 - KM_j(t*)) from the within-bin
     Kaplan-Meier curve.
     """
+    if censoring not in ("reject", "km"):
+        raise ValueError(f"unknown censoring mode {censoring!r}; use 'reject' or 'km'")
     probs = np.asarray(probs_at_tstar, dtype=float)
     if probs.size != len(v):
         raise ValueError(f"{probs.size} probabilities for {len(v)} instances")
@@ -164,25 +166,26 @@ def brier_uncensored(v_u: SurvivalDataset, probs_at_tstar, tstar: float) -> floa
 
 def _g_first_zero(g_hat: KMCurve) -> float:
     curve = g_hat.curve
-    zeros = curve.probs <= 0.0
-    return float(curve.times[np.argmax(zeros)]) if zeros.any() else np.inf
+    zeros = curve.probs[0] <= 0.0
+    return float(curve.knots[np.argmax(zeros)]) if zeros.any() else np.inf
 
 
-def _aligned_batch(v: SurvivalDataset, curves) -> CurveBatch:
-    batch = as_batch(curves)
+def _aligned_batch(v: SurvivalDataset, batch: CurveBatch) -> CurveBatch:
     if batch.rows not in (1, len(v)):
         raise ValueError(f"{batch.rows} curves for {len(v)} instances")
     return batch
 
 
-def brier_censored(v: SurvivalDataset, curves, tstar: float, g_hat: KMCurve) -> float:
+def brier_censored(v: SurvivalDataset, curves: CurveBatch, tstar: float,
+                   g_hat: KMCurve) -> float:
     """Inverse-probability-of-censoring-weighted Brier score at t*.
 
     Deaths by t* weigh in at 1/G(t_i), survivors past t* at 1/G(t*);
     instances censored before t* contribute 0 directly.  Raises when a
     required G evaluation is 0 (the score is only defined while the
     censoring curve is positive; see `integrated_brier` for the truncated
-    integral form).  ``curves`` is a `CurveBatch` or a sequence of curves.
+    integral form).  ``curves`` is a `CurveBatch` with one row per patient
+    or one row they share.
     """
     batch = _aligned_batch(v, curves)
     times, events = v.times, v.events
@@ -228,7 +231,8 @@ def _squared_gaps(ends, a, b, g):
 _IBS_BLOCK = 32  # rows per block of the (rows x pieces) tables
 
 
-def integrated_brier(v: SurvivalDataset, curves, tau: float, g_hat: KMCurve) -> float:
+def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
+                     g_hat: KMCurve) -> float:
     """Average of the censored Brier score over [0, tau]:
     (1/tau) * integral of BS_t dt, computed exactly piece by piece.
 
@@ -241,8 +245,8 @@ def integrated_brier(v: SurvivalDataset, curves, tau: float, g_hat: KMCurve) -> 
     pieces after it, so each (rows x pieces) table is summed under one
     mask per row (for a shared row, a count of patients per piece).  If
     the censoring curve hits 0 before tau the integral and its
-    normalization are truncated at that time.  ``curves`` is a
-    `CurveBatch` or a sequence of curves.
+    normalization are truncated at that time.  ``curves`` is a `CurveBatch`
+    with one row per patient or one row they share.
     """
     if not tau > 0:
         raise ValueError(f"horizon tau must be positive, got {tau}")
@@ -254,7 +258,7 @@ def integrated_brier(v: SurvivalDataset, curves, tau: float, g_hat: KMCurve) -> 
         raise ValueError("censoring curve G is 0 from time 0; the IBS is undefined")
 
     knots = batch.grid
-    g_knots = g_hat.curve.times
+    g_knots = g_hat.curve.knots
     cuts = np.unique(np.concatenate((
         [0.0, tau_eff], knots[knots < tau_eff], g_knots[(g_knots > 0) & (g_knots < tau_eff)],
     )))
@@ -346,9 +350,9 @@ def dcal_histogram_from_probs(probs_at_event, events, b: int = 10) -> DCalHistog
     return DCalHistogram(edges, counts, float(probs.size))
 
 
-def dcal_histogram(v: SurvivalDataset, curves, b: int = 10) -> DCalHistogram:
+def dcal_histogram(v: SurvivalDataset, curves: CurveBatch, b: int = 10) -> DCalHistogram:
     """D-calibration histogram of a validation set against its (extended)
-    predicted curves (a `CurveBatch` or a sequence of curves); ties d = c
+    predicted curves, a row per patient or one row they share; ties d = c
     count as deaths via the event flag."""
     batch = _aligned_batch(v, curves)
     probs = np.broadcast_to(survival_at(batch, v.times), (len(v),))

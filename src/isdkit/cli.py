@@ -130,13 +130,13 @@ def cmd_evaluate(args) -> int:
 def _model_payload(name: str, model) -> dict:
     if name == "km":
         curve = model.km.curve
-        return {"model": "km", "times": curve.times.tolist(), "probs": curve.probs.tolist()}
+        return {"model": "km", "times": curve.knots.tolist(), "probs": curve.probs[0].tolist()}
     if name == "cox-kp":
         return {"model": "cox-kp",
                 "beta": model.beta.tolist(),
                 "feature_names": list(model.feature_names),
-                "baseline_times": model.baseline.times.tolist(),
-                "baseline_probs": model.baseline.probs.tolist()}
+                "baseline_times": model.baseline.knots.tolist(),
+                "baseline_probs": model.baseline.probs[0].tolist()}
     if name == "aft-weibull":
         return {"model": "aft-weibull",
                 "intercept": model.intercept,
@@ -162,7 +162,7 @@ def cmd_fit(args) -> int:
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(_model_payload(args.model, model), fh, indent=1)
 
-    t0_km = extend_linear(fit_km(dataset).curve).zero_time
+    t0_km = extend_linear(fit_km(dataset).curve).zero_time[0]
     _write_curves(out, range(len(dataset)), extend_linear(model.predict_curves(dataset), t0_km))
     print(f"wrote fitted {args.model} to {out}")
     return 0

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "Instance",
     "SurvivalDataset",
-    "SurvivalCurve",
     "SurvivalModel",
     "FitError",
     "ConvergenceError",
@@ -98,6 +97,9 @@ class SurvivalDataset:
                    x, raw, names, time_unit)
 
     def _init(self, times, events, x, raw, names, time_unit):
+        if len(set(names)) != len(names):
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ValueError(f"feature name {repeated!r} appears more than once")
         for arr in (times, events, x, *raw.values()):
             arr.setflags(write=False)
         self.times, self.events, self.values = times, events, x
@@ -235,44 +237,6 @@ def _columns(rows: list, names: tuple):
     return x, raw
 
 
-@dataclass(frozen=True)
-class SurvivalCurve:
-    """Knots of a monotone survival function t -> P(T > t).
-
-    interp="step": right-continuous step function (Kaplan-Meier style);
-    interp="linear": piecewise linear through the knots, anchored at
-    (0, 1) when no knot sits at t = 0.  Evaluation at t = 0 returns 1
-    unless an explicit knot (0, p) says otherwise, and evaluation past
-    the last knot returns the last probability.
-    """
-
-    times: np.ndarray
-    probs: np.ndarray
-    interp: str = "step"
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).copy()
-        probs = np.asarray(self.probs, dtype=float).copy()
-        if times.ndim != 1 or probs.ndim != 1 or times.size != probs.size:
-            raise ValueError("times and probs must be 1-d arrays of equal length")
-        if times.size == 0:
-            raise ValueError("a survival curve needs at least one knot")
-        if np.any(times < 0):
-            raise ValueError("knot times must be non-negative")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("knot times must be strictly increasing")
-        if np.any(probs < 0) or np.any(probs > 1):
-            raise ValueError("survival probabilities must lie in [0, 1]")
-        if np.any(np.diff(probs) > 0):
-            raise ValueError("survival probabilities must be non-increasing")
-        if self.interp not in ("step", "linear"):
-            raise ValueError(f"unknown interpolation kind {self.interp!r}")
-        times.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "probs", probs)
-
-
 class SurvivalModel(ABC):
     """Anything that deterministically yields one survival curve per instance."""
 
@@ -281,11 +245,11 @@ class SurvivalModel(ABC):
         """Predicted curves of every instance of `d` as one
         `isdkit.curves.CurveBatch` on the model's knot vector."""
 
-    def predict_curve(self, inst: Instance) -> SurvivalCurve:
-        """Predicted survival curve for one instance: row 0 of
-        `predict_curves` on a one-patient dataset."""
+    def predict_curve(self, inst: Instance):
+        """Predicted survival curve for one instance, as a one-row
+        `CurveBatch`: `predict_curves` on a one-patient dataset."""
         names = [f"x{j}" for j in range(len(inst.features))]
-        return self.predict_curves(SurvivalDataset([inst], names)).row(0)
+        return self.predict_curves(SurvivalDataset([inst], names))
 
 
 def split_by_censoring(d: SurvivalDataset):
@@ -336,6 +300,9 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
+        for i, h in enumerate(header):
+            if h in header[:i]:
+                raise ValueError(f"{path}: column {h!r} appears more than once in the header")
         for col in (time_col, event_col):
             if col not in header:
                 raise ValueError(f"{path}: column {col!r} not found in header {header}")

@@ -21,13 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
-from .core import (
-    ConvergenceError,
-    FitError,
-    SurvivalCurve,
-    SurvivalDataset,
-    SurvivalModel,
-)
+from .core import ConvergenceError, FitError, SurvivalDataset, SurvivalModel
 from .curves import CurveBatch
 
 __all__ = ["CoxModel", "fit_cox", "predict_curve_cox", "univariate_cox_pvalue",
@@ -36,10 +30,11 @@ __all__ = ["CoxModel", "fit_cox", "predict_curve_cox", "univariate_cox_pvalue",
 
 @dataclass(frozen=True)
 class CoxModel(SurvivalModel):
-    """Fitted Cox model: coefficients plus the KP baseline curve S0."""
+    """Fitted Cox model: coefficients plus the KP baseline curve S0, a
+    one-row `CurveBatch`."""
 
     beta: np.ndarray
-    baseline: SurvivalCurve
+    baseline: CurveBatch
     iterations: int
     gradient_norm: float
     feature_names: tuple = ()
@@ -164,7 +159,7 @@ def _newton_cox(x, times, events, max_iter, tol):
     return _newton(_RiskSets(x, times, events), max_iter, tol)
 
 
-def _kp_baseline(beta, risk) -> SurvivalCurve:
+def _kp_baseline(beta, risk) -> CurveBatch:
     w = np.exp(risk.x @ beta)
     s0 = _suffix_sum(w)[risk.first]
     wbar = np.add.reduceat(w[risk.death_rows], risk.tie_start) / risk.deaths
@@ -173,7 +168,7 @@ def _kp_baseline(beta, risk) -> SurvivalCurve:
     # leave inner at +1 ulp, which a large wbar would lift towards 1
     inner[risk.first + risk.deaths == w.size] = 0.0
     alphas = np.maximum(inner, 0.0) ** (1.0 / wbar)
-    return SurvivalCurve(risk.death_times, np.clip(np.cumprod(alphas), 0.0, 1.0), "step")
+    return CurveBatch(risk.death_times, np.clip(np.cumprod(alphas), 0.0, 1.0), "step")
 
 
 def fit_cox(d: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8) -> CoxModel:
@@ -196,7 +191,7 @@ def predict_curve_cox(m: CoxModel, x) -> CurveBatch:
     x = np.asarray(x, dtype=float)
     exponent = np.exp(x @ m.beta)
     probs = np.clip(m.baseline.probs ** exponent[..., None], 0.0, 1.0)
-    return CurveBatch(m.baseline.times, probs, "step")
+    return CurveBatch(m.baseline.knots, probs, "step")
 
 
 def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
@@ -255,8 +250,12 @@ def _wald_block(cols, order, ts, es, max_iter, tol):
         values = col[keep]
         if values.size < 2 or values.min() == values.max():
             continue
+        # a column of subnormal values may vary and still have std 0
+        sd = values.std()
+        if sd == 0:
+            continue
         # the complete cases in input order, as one scalar fit sees them
-        z[c, keep] = (values - values.mean()) / values.std()
+        z[c, keep] = (values - values.mean()) / sd
         usable[c] = True
     present, z = np.take(present, order, axis=1), np.take(z, order, axis=1)
     usable &= (present & es).any(axis=1)

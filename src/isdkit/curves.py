@@ -11,9 +11,8 @@ curves at observed times are unchanged.
 Within a fold every model emits its curves on one shared knot vector, so
 the curves of a validation set are one `CurveBatch`: a knot vector plus a
 probability matrix with a row per patient (or a single row every patient
-shares, for Kaplan-Meier).  Every function here takes a batch; a single
-`SurvivalCurve` or `ExtendedCurve` is evaluated as a one-row batch, so
-there is one evaluator for both.
+shares, for Kaplan-Meier).  A single curve is a one-row batch, so every
+function here has one evaluator and one extension path.
 """
 
 from __future__ import annotations
@@ -23,12 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SurvivalCurve
-
 __all__ = [
     "CurveBatch",
-    "ExtendedCurve",
-    "as_batch",
     "survival_at",
     "extend_linear",
     "median_survival",
@@ -38,24 +33,6 @@ __all__ = [
 ]
 
 FLAT_TOLERANCE = 1e-10  # S(t_max) > 1 - this counts as "never left 1"
-
-
-@dataclass(frozen=True)
-class ExtendedCurve:
-    """A survival curve plus the linear tail that carries it to zero.
-
-    ``zero_time`` is where the extension reaches probability 0 and
-    ``fallback_applied`` marks curves whose own line never crosses zero
-    (flat at 1), where the training-KM zero time was substituted.
-    """
-
-    base: SurvivalCurve
-    zero_time: float
-    fallback_applied: bool = False
-
-    @property
-    def t_max(self) -> float:
-        return float(self.base.times[-1])
 
 
 def _trapezoid(width, start, end):
@@ -69,7 +46,8 @@ class CurveBatch:
 
     ``probs[i, j]`` is row i's probability at ``knots[j]``.  A batch has a
     row per patient, or one row that every patient shares; per-row results
-    broadcast against the patients and are never copied per patient.
+    broadcast against the patients and are never copied per patient.  A
+    single curve is a one-row batch (a 1-d ``probs`` is read as one row).
     ``interp`` applies to every row: "step" (right-continuous) or "linear"
     (anchored at (0, 1) unless a knot sits at 0).  A linear batch may list a
     knot twice to carry a jump: the first copy holds the left limit, the
@@ -77,7 +55,7 @@ class CurveBatch:
 
     ``zero_time`` and ``fallback`` (one entry per row) are set by
     `extend_linear`; a batch without them holds each row's last probability
-    past the final knot, like a plain `SurvivalCurve`.
+    past the final knot.
     """
 
     knots: np.ndarray
@@ -108,7 +86,7 @@ class CurveBatch:
         if np.any(np.diff(probs, axis=1) > 0):
             raise ValueError("survival probabilities must be non-increasing")
         for name, value in (("knots", knots), ("probs", probs)):
-            if value.flags.writeable:  # read-only, so rows can be handed out as views
+            if value.flags.writeable:  # read-only, so batches can share arrays
                 value = value.copy()
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -121,23 +99,8 @@ class CurveBatch:
                 object.__setattr__(self, name, value)
 
     @classmethod
-    def from_curve(cls, curve) -> "CurveBatch":
-        """One `SurvivalCurve` or `ExtendedCurve` as a one-row batch."""
-        extended = isinstance(curve, ExtendedCurve)
-        base = curve.base if extended else curve
-        # the curve was validated on construction, so the checks are skipped
-        batch = object.__new__(cls)
-        for name, value in (
-            ("knots", base.times), ("probs", base.probs[None, :]), ("interp", base.interp),
-            ("zero_time", np.array([curve.zero_time]) if extended else None),
-            ("fallback", np.array([curve.fallback_applied]) if extended else None),
-        ):
-            object.__setattr__(batch, name, value)
-        return batch
-
-    @classmethod
     def from_curves(cls, curves) -> "CurveBatch":
-        """Stack curves (all plain or all extended) into one batch.
+        """Stack one-row batches (all plain or all extended) into one batch.
 
         Curves that share their knots and interpolation are stacked as they
         are.  Otherwise every curve is evaluated on the union of all knots
@@ -146,43 +109,50 @@ class CurveBatch:
         batch interpolates linearly: each row stays the same function at
         every time.  (A tail that drops to 0 at once after its last knot
         keeps its value up to one float step past that knot, which moves an
-        integral by at most that step.)
+        integral by at most that step.)  A curve with a repeated knot
+        already carries a jump the union cannot rebuild, so it is stacked
+        only with curves on its own knots.
         """
         curves = list(curves)
         if not curves:
             raise ValueError("cannot batch an empty set of curves")
-        extended = [isinstance(c, ExtendedCurve) for c in curves]
+        if any(c.rows != 1 for c in curves):
+            raise ValueError("from_curves stacks one-row batches")
+        extended = [c.zero_time is not None for c in curves]
         if any(extended) and not all(extended):
             raise ValueError("cannot batch extended curves together with plain ones")
-        bases = [c.base for c in curves] if extended[0] else curves
         zero = fallback = None
         if extended[0]:
-            zero = np.array([c.zero_time for c in curves], dtype=float)
-            fallback = np.array([c.fallback_applied for c in curves], dtype=bool)
-        first = bases[0]
-        if all(b is first or (b.interp == first.interp and np.array_equal(b.times, first.times))
-               for b in bases):
-            return cls(first.times, np.vstack([b.probs for b in bases]), first.interp,
+            zero = np.concatenate([c.zero_time for c in curves])
+            fallback = np.concatenate([c.fallback for c in curves])
+        first = curves[0]
+        if all(c is first or (c.interp == first.interp and np.array_equal(c.knots, first.knots))
+               for c in curves):
+            return cls(first.knots, np.vstack([c.probs for c in curves]), first.interp,
                        zero, fallback)
+        if any(np.any(c.knots[1:] == c.knots[:-1]) for c in curves):
+            raise ValueError("a curve with a repeated knot can only be batched with "
+                             "curves on the same knots")
 
-        knots = np.unique(np.concatenate([b.times for b in bases]))
+        knots = np.unique(np.concatenate([c.knots for c in curves]))
         drop_at = np.full(len(curves), np.nan)
         if zero is not None:
             # a tail whose zero time is its last knot drops to 0 right after
             # it: that row gets a knot one float step later
-            t_max = np.array([b.times[-1] for b in bases])
-            p_last = np.array([b.probs[-1] for b in bases])
+            t_max = np.array([c.t_max for c in curves])
+            p_last = np.array([c.probs[0, -1] for c in curves])
             drops = (zero <= t_max) & (p_last > 0)
             drop_at[drops] = np.nextafter(t_max[drops], np.inf)
             knots = np.unique(np.concatenate((knots, zero[zero < knots[-1]], drop_at[drops])))
         right = np.vstack([survival_at(c, knots) for c in curves])
         left = right.copy()
-        for i, b in enumerate(bases):
-            if b.interp == "step":
-                jumps = knots <= b.times[-1]
-                before = np.searchsorted(b.times, knots[jumps], side="left") - 1
-                left[i, jumps] = np.where(before >= 0, b.probs[np.maximum(before, 0)], 1.0)
-            left[i, knots == drop_at[i]] = b.probs[-1]
+        for i, c in enumerate(curves):
+            row = c.probs[0]
+            if c.interp == "step":
+                jumps = knots <= c.t_max
+                before = np.searchsorted(c.knots, knots[jumps], side="left") - 1
+                left[i, jumps] = np.where(before >= 0, row[np.maximum(before, 0)], 1.0)
+            left[i, knots == drop_at[i]] = row[-1]
         probs = np.empty((len(curves), 2 * knots.size))
         probs[:, 0::2] = left
         probs[:, 1::2] = right
@@ -216,22 +186,6 @@ class CurveBatch:
         if not self._anchored:
             return self.probs[rows, j]
         return np.where(j > 0, self.probs[rows, np.maximum(j - 1, 0)], 1.0)
-
-    def row(self, i: int):
-        """Row i as a `SurvivalCurve`, or an `ExtendedCurve` once extended; a
-        read-only view of the batch, not a copy.  Every i reads the one row
-        of a shared batch."""
-        if np.any(self.knots[1:] == self.knots[:-1]):
-            raise ValueError("a row with a repeated knot is not a SurvivalCurve")
-        if self.rows == 1:
-            i = 0
-        base = object.__new__(SurvivalCurve)  # the batch was validated already
-        for name, value in (("times", self.knots), ("probs", self.probs[i]),
-                            ("interp", self.interp)):
-            object.__setattr__(base, name, value)
-        if self.zero_time is None:
-            return base
-        return ExtendedCurve(base, float(self.zero_time[i]), bool(self.fallback[i]))
 
     def subset(self, indices) -> "CurveBatch":
         """The rows of the given patients (none gives a batch without rows);
@@ -299,16 +253,18 @@ class CurveBatch:
         slope = (probs[:, seg + 1 - anchored] - base) / (knots[seg + 1] - knots[seg])
         return base + slope * (a - knots[seg]), b, base + slope * (b - knots[seg])
 
-    def _evaluate(self, t) -> np.ndarray:
-        # S at times t >= 0 whose first axis runs over the patients; see survival_at
+    def _evaluate(self, t):
+        # S at times t >= 0; see survival_at
         t = np.asarray(t, dtype=float)
         if t.size and t.min() < 0:
             raise ValueError("survival curves are only defined for t >= 0")
+        if self.rows == 1:
+            values = self._line(0, self.segment_of(t), t)
+            return float(values) if t.ndim == 0 else values
         t2 = t if t.ndim == 2 else t.reshape(-1, 1)
-        if self.rows > 1 and t2.shape[0] not in (1, self.rows):
+        if t2.shape[0] not in (1, self.rows):
             raise ValueError(f"{t2.shape[0]} query rows for a batch of {self.rows} curves")
-        rows = np.arange(self.rows)[:, None] if self.rows > 1 else 0
-        values = self._line(rows, self.segment_of(t2), t2)
+        values = self._line(np.arange(self.rows)[:, None], self.segment_of(t2), t2)
         return values if t.ndim == 2 else values[:, 0]
 
     @cached_property
@@ -347,52 +303,37 @@ class CurveBatch:
         return np.where(seg < last, inside, tail)
 
 
-def as_batch(curves) -> CurveBatch:
-    """A batch as is, one curve as a one-row batch, and a sequence of curves
-    through `CurveBatch.from_curves`."""
-    if isinstance(curves, CurveBatch):
-        return curves
-    if isinstance(curves, (SurvivalCurve, ExtendedCurve)):
-        return CurveBatch.from_curve(curves)
-    return CurveBatch.from_curves(curves)
-
-
-def survival_at(curve, t):
-    """Evaluate a curve or a `CurveBatch` at time(s) t >= 0.
+def survival_at(c: CurveBatch, t):
+    """Evaluate the curves of a batch at time(s) t >= 0.
 
     Step curves are right-continuous; linear curves interpolate between
     knots.  Plain curves hold their last probability past the final knot;
     extended curves descend along the extension line and are 0 from
-    ``zero_time`` on.  A single curve accepts any shape of t and returns
-    that shape.  A batch reads the first axis of t as the patients: t of
-    shape () or (q,) holds one time per patient and gives (q,) values, t of
-    shape (q, k) gives (q, k).  q may be 1 (times shared by every row, so
-    ``t[None, :]`` gives (rows, k)) or the number of rows; a one-row batch
-    takes any q.
+    ``zero_time`` on.  A one-row batch (a single curve) takes t of any
+    shape and returns that shape, a float for a scalar t.  A batch of
+    several rows reads the first axis of t as the patients: t of shape ()
+    or (q,) holds one time per patient and gives (q,) values, t of shape
+    (q, k) gives (q, k).  q may be 1 (times shared by every row, so
+    ``t[None, :]`` gives (rows, k)) or the number of rows.
     """
-    if isinstance(curve, CurveBatch):
-        return curve._evaluate(t)
-    t_arr = np.asarray(t, dtype=float)
-    out = CurveBatch.from_curve(curve)._evaluate(t_arr.reshape(1, -1))[0]
-    return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+    return c._evaluate(t)
 
 
-def extend_linear(c, t0_km: float | None = None):
+def extend_linear(c: CurveBatch, t0_km: float | None = None) -> CurveBatch:
     """Extend curves to zero along the line through (0, 1) and the last knot.
 
     If a curve already reaches 0 the extension is the identity.  If it is
     flat at 1 (within machine precision) the line never crosses zero, so
     ``t0_km``, the zero time of the extended training Kaplan-Meier curve,
     is substituted and the curve is marked as a fallback; a missing or
-    non-positive ``t0_km`` is an error in that case.  A `SurvivalCurve`
-    gives an `ExtendedCurve`, a `CurveBatch` an extended batch.
+    non-positive ``t0_km`` is an error in that case.  Returns the batch
+    with one ``zero_time`` and ``fallback`` entry per row.
     """
-    batch = c if isinstance(c, CurveBatch) else CurveBatch.from_curve(c)
-    p_last = batch.probs[:, -1]
-    t_max = batch.t_max
+    p_last = c.probs[:, -1]
+    t_max = c.t_max
     dead = p_last <= 0.0
     flat = p_last > 1.0 - FLAT_TOLERANCE
-    first_zero = batch.knots[np.argmax(batch.probs <= 0.0, axis=1)]
+    first_zero = c.knots[np.argmax(c.probs <= 0.0, axis=1)]
     with np.errstate(divide="ignore", invalid="ignore"):
         zero = np.where(dead, first_zero, t_max / (1.0 - p_last))
     if flat.any():
@@ -402,20 +343,16 @@ def extend_linear(c, t0_km: float | None = None):
                 f"time is required to extend it (got {t0_km!r})"
             )
         zero = np.where(flat, max(float(t0_km), t_max), zero)
-    if isinstance(c, CurveBatch):
-        return replace(c, zero_time=zero, fallback=flat)
-    return ExtendedCurve(c, float(zero[0]), bool(flat[0]))
+    return replace(c, zero_time=zero, fallback=flat)
 
 
-def median_survival(c, t0_km: float):
-    """Smallest t with S(t) <= 0.5, capped at the training-KM zero time.
+def median_survival(c: CurveBatch, t0_km: float) -> np.ndarray:
+    """Smallest t with S(t) <= 0.5, capped at the training-KM zero time,
+    one per row of an extended batch.
 
     Step segments use the step convention (first knot at or below 0.5);
-    linear segments and the extension invert the line exactly.  An
-    `ExtendedCurve` gives a float, an extended batch one median per row.
+    linear segments and the extension invert the line exactly.
     """
-    if isinstance(c, ExtendedCurve):
-        return float(median_survival(CurveBatch.from_curve(c), t0_km)[0])
     if c.zero_time is None:
         raise ValueError("medians need extended curves; call extend_linear first")
     knots = c.grid
@@ -442,29 +379,26 @@ def median_survival(c, t0_km: float):
     return np.minimum(median, float(t0_km))
 
 
-def integrate_curve(c: ExtendedCurve, a: float, b: float) -> float:
-    """Exact integral of the extended survival function over [a, b]."""
+def integrate_curve(c: CurveBatch, a: float, b: float) -> np.ndarray:
+    """Exact integral of each extended row over [a, b], one per row."""
     if b <= a:
-        return 0.0
-    batch = CurveBatch.from_curve(c)
-    return float(batch.area_from(max(a, 0.0))[0] - batch.area_from(b)[0])
+        return np.zeros(c.rows)
+    return c.area_from(max(a, 0.0)) - c.area_from(b)
 
 
-def mean_survival(c):
-    """Expected survival time: the area under the extended curve (a float
-    for an `ExtendedCurve`, one value per row for a batch)."""
-    if isinstance(c, ExtendedCurve):
-        return float(mean_survival(CurveBatch.from_curve(c))[0])
+def mean_survival(c: CurveBatch) -> np.ndarray:
+    """Expected survival time: the area under each extended row."""
     return c._suffix_area[:, 0]
 
 
-def average_curves(cs) -> SurvivalCurve:
-    """Point-wise mean of several curves on the union of their knot times."""
+def average_curves(cs) -> CurveBatch:
+    """Point-wise mean of one-row batches on the union of their knot times,
+    as a one-row batch."""
     cs = list(cs)
     if not cs:
         raise ValueError("cannot average an empty set of curves")
-    union = np.unique(np.concatenate([c.times for c in cs]))
+    union = np.unique(np.concatenate([c.knots for c in cs]))
     stacked = np.vstack([survival_at(c, union) for c in cs])
     mean = stacked.mean(axis=0)
     interp = "step" if all(c.interp == "step" for c in cs) else "linear"
-    return SurvivalCurve(union, mean, interp)
+    return CurveBatch(union, mean, interp)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SurvivalDataset
-from .curves import ExtendedCurve, as_batch, survival_at
+from .curves import CurveBatch, survival_at
 
 __all__ = [
     "MarginWeights",
@@ -92,21 +92,20 @@ def l1_hinge(v: SurvivalDataset, medians) -> float:
     return float(np.mean(per))
 
 
-def best_guess(c, km):
+def best_guess(c, km: CurveBatch):
     """Conditional expected death time given survival to c:
     c + integral_c^t0 S(t) dt / S(c), and c itself once S(c) = 0.
 
     ``c`` may be a scalar or an array of censor times; all of them are read
-    off one reverse-cumulative integral of the (extended) KM curve.
+    off one reverse-cumulative integral of the (extended) one-row KM curve.
     """
     c_arr = np.asarray(c, dtype=float)
     if np.any(c_arr < 0):
         raise ValueError(f"censor times must be non-negative, got {c!r}")
-    curve = as_batch(km)
     flat = c_arr.reshape(-1)
-    s_c = np.broadcast_to(survival_at(curve, flat), flat.shape)
+    s_c = survival_at(km, flat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s_c > 0.0, flat + curve.area_from(flat) / s_c, flat)
+        out = np.where(s_c > 0.0, flat + km.area_from(flat) / s_c, flat)
     return float(out[0]) if c_arr.ndim == 0 else out.reshape(c_arr.shape)
 
 
@@ -119,7 +118,7 @@ class MarginWeights:
     best_guess: np.ndarray
 
 
-def margin_weights(censor_times, train_km: ExtendedCurve) -> MarginWeights:
+def margin_weights(censor_times, train_km: CurveBatch) -> MarginWeights:
     """Margin-loss ingredients for a batch of censor times: early censorings
     get weight near 0, late ones approach a full death's weight of 1.
     Compute them once per fold and pass them to both margin losses."""
@@ -144,7 +143,7 @@ def _margin_terms(v: SurvivalDataset, train_km, weights):
     return alphas, targets
 
 
-def l1_margin(v: SurvivalDataset, medians, train_km: ExtendedCurve = None,
+def l1_margin(v: SurvivalDataset, medians, train_km: CurveBatch = None,
               weights: MarginWeights = None) -> float:
     """L1 with Best-Guess targets for censored instances, weighted by
     alpha = 1 - S_KM(c) from the (extended) training Kaplan-Meier curve.
@@ -169,7 +168,7 @@ def default_eta(times) -> float:
 
 
 def l1_log(v: SurvivalDataset, medians, variant: str = "uncensored",
-           eta: float = None, train_km: ExtendedCurve = None,
+           eta: float = None, train_km: CurveBatch = None,
            weights: MarginWeights = None) -> float:
     """Relative-error variant: the chosen aggregation applied to
     log(max(x, eta)) in place of every time or median x.  The "margin"

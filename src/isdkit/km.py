@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, SurvivalCurve, SurvivalDataset, SurvivalModel
+from .core import Instance, SurvivalDataset, SurvivalModel
 from .curves import CurveBatch, survival_at
 
 __all__ = ["KMCurve", "KaplanMeierModel", "fit_km", "fit_km_arrays",
@@ -19,12 +19,12 @@ class KMCurve:
     """A Kaplan-Meier curve plus its risk table.
 
     ``times`` holds every distinct observed time; ``at_risk``, ``deaths``
-    and ``censored`` are aligned counts.  The step curve has knots only at
-    times with at least one death (or a single knot at probability 1 when
-    there are no deaths at all).
+    and ``censored`` are aligned counts.  The step curve, a one-row
+    `CurveBatch`, has knots only at times with at least one death (or a
+    single knot at probability 1 when there are no deaths at all).
     """
 
-    curve: SurvivalCurve
+    curve: CurveBatch
     times: np.ndarray
     at_risk: np.ndarray
     deaths: np.ndarray
@@ -55,7 +55,7 @@ def fit_km_arrays(times: np.ndarray, events: np.ndarray) -> KMCurve:
     else:
         knot_t = utimes[-1:]
         knot_p = np.array([1.0])
-    curve = SurvivalCurve(knot_t, np.clip(knot_p, 0.0, 1.0), "step")
+    curve = CurveBatch(knot_t, np.clip(knot_p, 0.0, 1.0), "step")
     for arr in (utimes, at_risk, deaths, censored):
         arr.setflags(write=False)
     return KMCurve(curve, utimes, at_risk, deaths, censored)
@@ -87,10 +87,10 @@ class KaplanMeierModel(SurvivalModel):
     def fit(cls, d: SurvivalDataset) -> "KaplanMeierModel":
         return cls(fit_km(d))
 
-    def predict_curve(self, inst: Instance) -> SurvivalCurve:
+    def predict_curve(self, inst: Instance) -> CurveBatch:
         # the shared curve itself; bench/tracer.py times KM prediction by this name
         return self.km.curve
 
     def predict_curves(self, d: SurvivalDataset) -> CurveBatch:
         """The KM curve as one row that every instance shares."""
-        return CurveBatch.from_curve(self.km.curve)
+        return self.km.curve

@@ -328,7 +328,7 @@ def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig, assignment: FoldAssignm
         train, val = raw_train, raw_val
 
     train_km_ext = extend_linear(fit_km(train).curve)
-    t0_km = train_km_ext.zero_time
+    t0_km = float(train_km_ext.zero_time[0])
     model = _fit_model(cfg.model, train, cfg)
     curves = extend_linear(model.predict_curves(val), t0_km)
     n = len(raw_val)

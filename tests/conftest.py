@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from isdkit.core import FitError, SurvivalCurve, SurvivalDataset
+from isdkit.core import FitError, SurvivalDataset
 from isdkit.cox import _BETA_BOUND, _newton_cox, cox_partial_loglik
+from isdkit.curves import CurveBatch
 from isdkit.stats import normal_cdf
 
 
 def step_curve(times, probs):
-    return SurvivalCurve(np.asarray(times, float), np.asarray(probs, float), "step")
+    return CurveBatch(np.asarray(times, float), np.asarray(probs, float), "step")
 
 
 def linear_curve(times, probs):
-    return SurvivalCurve(np.asarray(times, float), np.asarray(probs, float), "linear")
+    return CurveBatch(np.asarray(times, float), np.asarray(probs, float), "linear")
 
 
 def dataset(times, events, x=None):
@@ -37,7 +38,8 @@ def scalar_cox_fit(d, feature_index):
         keep_times.append(inst.time)
         keep_events.append(inst.event)
     values = np.asarray(values)
-    if values.size < 2 or np.unique(values).size < 2:
+    # a column of subnormal values may vary and still have std 0
+    if values.size < 2 or np.unique(values).size < 2 or values.std() == 0:
         return 1.0, 0.0
     col = ((values - values.mean()) / values.std()).reshape(-1, 1)
     times = np.asarray(keep_times)
@@ -63,7 +65,7 @@ def scalar_cox_pvalue(d, feature_index):
 
 
 def random_curve(rng, interp=None, allow_zero_end=True):
-    """A random valid survival curve with a few knots."""
+    """A random valid survival curve with a few knots, as a one-row batch."""
     n = rng.integers(1, 8)
     times = np.sort(rng.uniform(0.5, 100.0, size=n))
     times = np.unique(times)
@@ -72,7 +74,7 @@ def random_curve(rng, interp=None, allow_zero_end=True):
         probs = np.clip(probs, 0.05, 0.95)
     probs = np.sort(probs)[::-1]
     kind = interp or rng.choice(["step", "linear"])
-    return SurvivalCurve(times, probs, kind)
+    return CurveBatch(times, probs, kind)
 
 
 @pytest.fixture

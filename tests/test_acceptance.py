@@ -14,9 +14,9 @@ from isdkit.calibration import (
     dcal_test,
     one_calibration_dn,
 )
-from isdkit.core import SurvivalCurve, SurvivalDataset
+from isdkit.core import SurvivalDataset
 from isdkit.cox import cox_partial_loglik, fit_cox
-from isdkit.curves import extend_linear, mean_survival, survival_at
+from isdkit.curves import CurveBatch, extend_linear, mean_survival, survival_at
 from isdkit.discrimination import best_guess, concordance
 from isdkit.km import fit_censoring_km, fit_km, km_at
 from isdkit.mtlr import TimeGrid, mtlr_loglik_grad
@@ -127,7 +127,7 @@ def test_criterion_05_km_dcalibration_on_holdout():
         train = simulate_cohort(config, 8000, seed=100 + seed)
         holdout = simulate_cohort(config, 1000, seed=200 + seed)
         km_ext = extend_linear(fit_km(train).curve)
-        h = dcal_histogram(holdout, [km_ext] * len(holdout), 10)
+        h = dcal_histogram(holdout, CurveBatch.from_curves([km_ext] * len(holdout)), 10)
         p = dcal_test(h).p_value
         pvalues.append(p)
         passes += p >= 0.05
@@ -148,13 +148,13 @@ def test_criterion_06_calibration_contrast_fixtures():
     table = calibration_table(d, probs, tstar=10.0, b=2)
     np.testing.assert_array_equal(table.n - table.observed, [3, 1])  # alive counts
     assert one_calibration_dn(d, probs, 10.0, b=2).statistic == pytest.approx(0.0, abs=1e-12)
-    h = dcal_histogram(d, curves, b=2)
+    h = dcal_histogram(d, CurveBatch.from_curves(curves), b=2)
     np.testing.assert_allclose(h.counts, [7.0, 1.0], atol=1e-12)
 
     # D-calibrated but not 1-calibrated at T1
     d = dataset([4.0, 8.0, 16.0, 36.0, 4.0, 9.0, 11.0, 12.0], np.ones(8))
     probs = np.array([survival_at(c, 10.0) for c in curves])
-    h = dcal_histogram(d, curves, b=2)
+    h = dcal_histogram(d, CurveBatch.from_curves(curves), b=2)
     np.testing.assert_allclose(h.counts, [4.0, 4.0], atol=1e-12)
     table = calibration_table(d, probs, tstar=10.0, b=2)
     np.testing.assert_array_equal(table.n - table.observed, [2, 2])
@@ -173,7 +173,7 @@ def test_criterion_07_brier_anchors():
     curves = [extend_linear(random_curve(rng), t0_km=300.0) for _ in range(n)]
     tstar = 8.0
     probs = [survival_at(c, tstar) for c in curves]
-    gap = abs(brier_censored(v, curves, tstar, fit_censoring_km(v))
+    gap = abs(brier_censored(v, CurveBatch.from_curves(curves), tstar, fit_censoring_km(v))
               - brier_uncensored(v, probs, tstar))
     assert gap < 1e-12
 
@@ -189,11 +189,11 @@ def test_criterion_07_brier_anchors():
     for i in range(len(d)):
         ts = np.concatenate(([tstar / 2, tstar], tail))
         curves.append(extend_linear(
-            SurvivalCurve(ts, np.minimum.accumulate(cohort.true_survival(i, ts)),
-                          "linear"),
+            CurveBatch(ts, np.minimum.accumulate(cohort.true_survival(i, ts)),
+                       "linear"),
             t0_km=500.0,
         ))
-    ipcw = brier_censored(d, curves, tstar, fit_censoring_km(d))
+    ipcw = brier_censored(d, CurveBatch.from_curves(curves), tstar, fit_censoring_km(d))
     latent = dataset(cohort.latent_death, np.ones(len(d)))
     latent_probs = [cohort.true_survival(i, tstar) for i in range(len(d))]
     truth = brier_uncensored(latent, latent_probs, tstar)
@@ -215,7 +215,7 @@ def test_criterion_09_best_guess():
     rng = np.random.default_rng(9)
     for _ in range(10_000):
         km = extend_linear(random_curve(rng), t0_km=300.0)
-        c = float(rng.uniform(0, 1.2 * km.zero_time))
+        c = float(rng.uniform(0, 1.2 * km.zero_time[0]))
         assert best_guess(c, km) >= c - 1e-12
     ok(9, "BG(0) is the mean, linear case gives 7.5, BG(c) >= c on 10^4 draws")
 
@@ -279,7 +279,7 @@ def test_criterion_11_cox_kp_reduction():
     model = fit_cox(d)  # no features: beta is empty, i.e. all zero
     km = fit_km(d)
     worst = max(abs(survival_at(model.baseline, t) - km_at(km, t))
-                for t in km.curve.times)
+                for t in km.curve.knots)
     assert worst < 1e-9
     ok(11, f"zero-coefficient KP baseline equals KM within {worst:.2e}")
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 
 from isdkit.calibration import (
     brier_censored,
@@ -12,8 +13,7 @@ from isdkit.calibration import (
     one_calibration_dn,
     one_calibration_hl,
 )
-from isdkit.core import SurvivalCurve
-from isdkit.curves import extend_linear, survival_at
+from isdkit.curves import CurveBatch, extend_linear, survival_at
 from isdkit.km import fit_censoring_km
 from isdkit.pipeline import CohortConfig, simulate_cohort_latent
 
@@ -59,6 +59,11 @@ class TestOneCalibrationHL:
         d = dataset([1, 2, 3, 4], [1, 1, 1, 1])
         with pytest.raises(ValueError, match="partition"):
             one_calibration_hl(d, [0.5, 0.5, 0.5, 0.5], 2.0, b=2)
+
+    def test_unknown_censoring_mode_rejected(self):
+        d = dataset([1, 2, 3, 4], [1, 0, 1, 1])
+        with pytest.raises(ValueError, match="unknown censoring mode 'rejct'"):
+            calibration_table(d, [0.9, 0.7, 0.4, 0.2], 2.5, b=2, censoring="rejct")
 
 
 class TestOneCalibrationDN:
@@ -118,7 +123,7 @@ class TestBrier:
         g_hat = fit_censoring_km(d)
         tstar = 8.0
         probs = [survival_at(c, tstar) for c in curves]
-        assert brier_censored(d, curves, tstar, g_hat) == pytest.approx(
+        assert brier_censored(d, CurveBatch.from_curves(curves), tstar, g_hat) == pytest.approx(
             brier_uncensored(d, probs, tstar), abs=1e-12
         )
 
@@ -126,7 +131,7 @@ class TestBrier:
         d = dataset([30, 40], [1, 1])
         curves = [extend_linear(step_curve([25.0], [1.0]), t0_km=50.0)] * 2
         g_hat = fit_censoring_km(d)
-        assert brier_censored(d, curves, tstar=10.0, g_hat=g_hat) == 0.0
+        assert brier_censored(d, CurveBatch.from_curves(curves), tstar=10.0, g_hat=g_hat) == 0.0
 
     def test_ipcw_weights_applied(self):
         # one death before t*, one censored before t*, one surviving past
@@ -137,7 +142,7 @@ class TestBrier:
         # G(2) = 1 (no censorings yet), G(6) = 1/2 after the censoring at 4
         s = 0.4
         expected = (s**2 / 1.0 + (1 - s) ** 2 / 0.5) / 3
-        assert brier_censored(d, curves, tstar, g_hat) == pytest.approx(expected)
+        assert brier_censored(d, CurveBatch.from_curves(curves), tstar, g_hat) == pytest.approx(expected)
 
     def test_zero_g_is_an_error(self):
         # G comes from a training fold whose last observation is censored,
@@ -148,7 +153,7 @@ class TestBrier:
         v = dataset([9.0], [1])
         curves = [extend_linear(step_curve([6.0], [0.4]), t0_km=20.0)]
         with pytest.raises(ValueError, match="G is 0"):
-            brier_censored(v, curves, tstar=5.0, g_hat=g_hat)
+            brier_censored(v, CurveBatch.from_curves(curves), tstar=5.0, g_hat=g_hat)
 
 
 class TestIntegratedBrier:
@@ -157,7 +162,7 @@ class TestIntegratedBrier:
         d = dataset([100.0, 100.0], [1, 1])
         curves = [extend_linear(step_curve([0.0, 99.0], [0.5, 0.5]))] * 2
         g_hat = fit_censoring_km(d)
-        assert integrated_brier(d, curves, tau=50.0, g_hat=g_hat) == pytest.approx(0.25)
+        assert integrated_brier(d, CurveBatch.from_curves(curves), tau=50.0, g_hat=g_hat) == pytest.approx(0.25)
 
     def test_matches_dense_trapezoid_quadrature(self, rng):
         n = 12
@@ -168,7 +173,7 @@ class TestIntegratedBrier:
         ), t0_km=200.0) for _ in range(n)]
         g_hat = fit_censoring_km(d)  # identically 1
         tau = 25.0
-        exact = integrated_brier(d, curves, tau, g_hat)
+        exact = integrated_brier(d, CurveBatch.from_curves(curves), tau, g_hat)
 
         ts = np.linspace(0, tau, 10_001)
         bs = np.empty_like(ts)
@@ -176,7 +181,7 @@ class TestIntegratedBrier:
             probs = np.array([survival_at(c, t) for c in curves])
             died = times <= t
             bs[k] = np.mean(np.where(died, probs**2, (1 - probs) ** 2))
-        oracle = np.trapezoid(bs, ts) / tau
+        oracle = scipy.integrate.trapezoid(bs, ts) / tau
         assert exact == pytest.approx(oracle, abs=1e-6)
 
     def test_tau_rule_is_callers_choice(self):
@@ -185,8 +190,8 @@ class TestIntegratedBrier:
         d = dataset([100.0], [1])
         curves = [extend_linear(step_curve([0.0, 99.0], [0.5, 0.5]))]
         g_hat = fit_censoring_km(d)
-        a = integrated_brier(d, curves, tau=10.0, g_hat=g_hat)
-        b = integrated_brier(d, curves, tau=40.0, g_hat=g_hat)
+        a = integrated_brier(d, CurveBatch.from_curves(curves), tau=10.0, g_hat=g_hat)
+        b = integrated_brier(d, CurveBatch.from_curves(curves), tau=40.0, g_hat=g_hat)
         assert a == pytest.approx(b)  # constant integrand: scale free
 
     def test_truncates_where_g_vanishes(self):
@@ -194,7 +199,7 @@ class TestIntegratedBrier:
         d = dataset([2.0, 4.0], [1, 0])
         curves = [extend_linear(step_curve([6.0], [0.4]), t0_km=20.0)] * 2
         g_hat = fit_censoring_km(d)
-        value = integrated_brier(d, curves, tau=10.0, g_hat=g_hat)
+        value = integrated_brier(d, CurveBatch.from_curves(curves), tau=10.0, g_hat=g_hat)
         assert np.isfinite(value)
 
 
@@ -236,7 +241,7 @@ class TestDCalHistogram:
     def test_uncensored_placement_uses_the_curve_at_death(self):
         curve = extend_linear(linear_curve([10.0], [0.0]))
         d = dataset([2.5], [1])
-        h = dcal_histogram(d, [curve], 10)
+        h = dcal_histogram(d, curve, 10)
         assert h.counts[7] == 1.0  # S(2.5) = 0.75 lands in [0.7, 0.8)
 
     def test_top_bin_is_closed(self):
@@ -303,13 +308,13 @@ class TestCalibrationContrastFixtures:
         assert dn.statistic == pytest.approx(0.0, abs=1e-12)
         assert dn.p_value == pytest.approx(1.0)
         # but the 2-bin death placements are 1 high vs 7 low, not 4/4
-        h = dcal_histogram(d, curves, b=2)
+        h = dcal_histogram(d, CurveBatch.from_curves(curves), b=2)
         np.testing.assert_allclose(h.counts, [7.0, 1.0], atol=1e-12)
         assert dcal_test(h).p_value < 0.05
 
     def test_d_calibrated_but_not_one_calibrated(self):
         d, curves = contrast_fixture("d-cal-only")
-        h = dcal_histogram(d, curves, b=2)
+        h = dcal_histogram(d, CurveBatch.from_curves(curves), b=2)
         np.testing.assert_allclose(h.counts, [4.0, 4.0], atol=1e-12)
         assert dcal_test(h).statistic == 0.0
         probs = np.array([survival_at(c, 10.0) for c in curves])
@@ -335,13 +340,13 @@ class TestIpcwUnbiasedness:
         for i in range(len(d)):
             ts = np.concatenate(([tstar / 2, tstar], grid_tail))
             curves.append(extend_linear(
-                SurvivalCurve(ts, np.minimum.accumulate(cohort.true_survival(i, ts)),
-                              "linear"),
+                CurveBatch(ts, np.minimum.accumulate(cohort.true_survival(i, ts)),
+                           "linear"),
                 t0_km=500.0,
             ))
         g_hat = fit_censoring_km(d)
 
-        censored_version = brier_censored(d, curves, tstar, g_hat)
+        censored_version = brier_censored(d, CurveBatch.from_curves(curves), tstar, g_hat)
 
         latent = dataset(cohort.latent_death, np.ones(len(d)))
         probs = [cohort.true_survival(i, tstar) for i in range(len(d))]

@@ -3,12 +3,12 @@ import pytest
 
 from isdkit.core import (
     Instance,
-    SurvivalCurve,
     SurvivalDataset,
     load_csv,
     save_csv,
     split_by_censoring,
 )
+from isdkit.curves import CurveBatch
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -64,6 +64,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="age"):
             load_csv(path, "time", "age")
 
+    @pytest.mark.parametrize("header, name", [("time,event,x,x", "x"),
+                                              ("time,event,x,time", "time")])
+    def test_repeated_header_cell_rejected(self, tmp_path, header, name):
+        path = write(tmp_path, f"{header}\n2,1,0.5,3\n")
+        with pytest.raises(ValueError, match=f"data.csv: column '{name}' appears more than once"):
+            load_csv(path, "time", "event")
+
     def test_heavily_missing_feature_still_loads(self, tmp_path):
         # 30% missing cells are kept as missing markers; preprocessing
         # decides their fate later
@@ -116,6 +123,15 @@ class TestDataset:
                 (Instance((1e0, 2.0), 1.0, True), Instance((1.0,), 2.0, False)),
                 ("a", "b"),
             )
+
+    def test_repeated_feature_names_rejected(self):
+        with pytest.raises(ValueError, match="'a' appears more than once"):
+            SurvivalDataset((Instance((1.0, 2.0), 1.0, True),), ("a", "a"))
+        with pytest.raises(ValueError, match="'a' appears more than once"):
+            SurvivalDataset.from_arrays([[1.0, 2.0]], [1.0], [True], ["a", "a"])
+        d = SurvivalDataset.from_arrays([[1.0, 2.0]], [1.0], [True], ["a", "b"])
+        with pytest.raises(ValueError, match="'b' appears more than once"):
+            d.with_features([[1.0, 2.0]], ["b", "b"])
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -186,17 +202,21 @@ class TestDataset:
 
 
 class TestSurvivalCurve:
+    """A single survival curve is a one-row `CurveBatch`."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            SurvivalCurve([2.0, 1.0], [0.9, 0.5])       # decreasing times
+            CurveBatch([2.0, 1.0], [0.9, 0.5])       # decreasing times
         with pytest.raises(ValueError):
-            SurvivalCurve([1.0, 2.0], [0.5, 0.9])       # increasing probs
+            CurveBatch([1.0, 2.0], [0.5, 0.9])       # increasing probs
         with pytest.raises(ValueError):
-            SurvivalCurve([1.0], [1.5])                 # out of range
+            CurveBatch([1.0], [1.5])                 # out of range
         with pytest.raises(ValueError):
-            SurvivalCurve([], [])
+            CurveBatch([], [])
 
     def test_immutability(self):
-        c = SurvivalCurve([1.0, 2.0], [0.8, 0.4])
+        c = CurveBatch([1.0, 2.0], [0.8, 0.4])
         with pytest.raises(ValueError):
-            c.times[0] = 5.0
+            c.knots[0] = 5.0
+        with pytest.raises(ValueError):
+            c.probs[0, 0] = 0.5

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -103,7 +105,7 @@ def test_kp_baseline_ends_at_zero_when_every_patient_at_risk_dies(times, x, beta
     # the vectorised form)
     times = np.array(times)
     risk = _RiskSets(np.array(x)[:, None], times, np.ones(times.size, dtype=bool))
-    assert _kp_baseline(np.array([beta]), risk).probs[-1] == 0.0
+    assert _kp_baseline(np.array([beta]), risk).probs[0, -1] == 0.0
 
 
 class TestPartialLikelihood:
@@ -144,8 +146,8 @@ class TestPartialLikelihood:
         beta, x, times, events = problem
         baseline = _kp_baseline(beta, _RiskSets(x, times, events))
         ref_times, ref_probs = reference_kp_baseline(beta, x, times, events)
-        np.testing.assert_array_equal(baseline.times, ref_times)
-        np.testing.assert_allclose(baseline.probs, ref_probs, rtol=0.0, atol=1e-14)
+        np.testing.assert_array_equal(baseline.knots, ref_times)
+        np.testing.assert_allclose(baseline.probs[0], ref_probs, rtol=0.0, atol=1e-14)
 
 
 def two_group_cohort(seed, n=1000, beta=1.0, censor_rate=0.02):
@@ -261,7 +263,7 @@ class TestKpBaseline:
         model = fit_cox(d)
         assert model.beta.size == 0
         km = fit_km(d)
-        for t in km.curve.times:
+        for t in km.curve.knots:
             assert survival_at(model.baseline, t) == pytest.approx(
                 km_at(km, t), abs=1e-9
             )
@@ -270,16 +272,16 @@ class TestKpBaseline:
         m = fit_cox(two_group_cohort(1, n=300))
         for _ in range(25):
             x = rng.standard_normal(1) * 3
-            c = predict_curve_cox(m, x).row(0)
+            c = predict_curve_cox(m, x).subset([0])
             assert np.all(np.diff(c.probs) <= 0)
             assert np.all((0 <= c.probs) & (c.probs <= 1))
 
     def test_baseline_exponent_identity_and_ordering(self):
         m = fit_cox(two_group_cohort(2, n=300))
-        base = predict_curve_cox(m, np.zeros(1)).row(0)
+        base = predict_curve_cox(m, np.zeros(1)).subset([0])
         np.testing.assert_array_equal(base.probs, m.baseline.probs)
         # higher risk scores give pointwise lower survival: curves never cross
-        hi = predict_curve_cox(m, np.array([3.0 * np.sign(m.beta[0])])).row(0)
+        hi = predict_curve_cox(m, np.array([3.0 * np.sign(m.beta[0])])).subset([0])
         assert np.all(hi.probs <= base.probs + 1e-15)
 
 
@@ -397,6 +399,17 @@ class TestBatchedFilter:
         assert p[1:3].tolist() == [1.0, 1.0]
         # the separating column's fit diverges, so it gets the score test
         assert p[3] < 1e-6
+
+    def test_subnormal_column_gets_p_one_without_warnings(self):
+        # the first column varies, but all its values are subnormal, so its
+        # standard deviation rounds to 0: it is treated as constant
+        x = np.column_stack([np.tile([0.0, 5e-324], 3), [0.3, -1.2, 0.8, 2.0, -0.4, 1.1]])
+        d = dataset([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1, 1, 0, 1, 1, 0], x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = self.check(d)               # batched, int and reference paths
+        assert p[0] == 1.0 and univariate_cox_pvalue(d, 0) == 1.0
+        assert scalar_cox_fit(d, 0) == (1.0, 0.0)
 
     def test_missing_cells_and_tied_times(self):
         rng = np.random.default_rng(11)

@@ -15,10 +15,8 @@ from isdkit.calibration import (
     integrated_brier,
     one_calibration_dn,
 )
-from isdkit.core import SurvivalCurve
 from isdkit.curves import (
     CurveBatch,
-    ExtendedCurve,
     extend_linear,
     mean_survival,
     median_survival,
@@ -47,12 +45,12 @@ TOL = 1e-12
 # brute-force references: one curve, one time
 
 def ref_survival(curve, t):
-    base = curve.base if isinstance(curve, ExtendedCurve) else curve
-    times, probs = base.times.tolist(), base.probs.tolist()
-    if isinstance(curve, ExtendedCurve) and t > times[-1]:
-        width = curve.zero_time - times[-1]
-        return 0.0 if width <= 0 else max(probs[-1] * (curve.zero_time - t) / width, 0.0)
-    if base.interp == "step":
+    times, probs = curve.knots.tolist(), curve.probs[0].tolist()
+    if curve.zero_time is not None and t > times[-1]:
+        zero = float(curve.zero_time[0])
+        width = zero - times[-1]
+        return 0.0 if width <= 0 else max(probs[-1] * (zero - t) / width, 0.0)
+    if curve.interp == "step":
         before = [p for x, p in zip(times, probs) if x <= t]
         return before[-1] if before else 1.0
     if times[0] > 0:
@@ -61,37 +59,38 @@ def ref_survival(curve, t):
 
 
 def ref_zero_time(c, t0_km):
-    p_last, t_max = float(c.probs[-1]), float(c.times[-1])
+    probs = c.probs[0]
+    p_last, t_max = float(probs[-1]), float(c.knots[-1])
     if p_last <= 0.0:
-        return float(c.times[np.argmax(c.probs <= 0.0)]), False
+        return float(c.knots[np.argmax(probs <= 0.0)]), False
     if p_last > 1.0 - 1e-10:
         return max(float(t0_km), t_max), True
     return t_max / (1.0 - p_last), False
 
 
 def ref_median(c, t0_km):
-    base = c.base
-    below = base.probs <= 0.5
+    times, probs, zero = c.knots, c.probs[0], float(c.zero_time[0])
+    below = probs <= 0.5
     if np.any(below):
         k = int(np.argmax(below))
-        if base.interp == "step":
-            median = float(base.times[k])
+        if c.interp == "step":
+            median = float(times[k])
         else:
             if k > 0:
-                t_prev, p_prev = float(base.times[k - 1]), float(base.probs[k - 1])
-            elif base.times[0] > 0:
+                t_prev, p_prev = float(times[k - 1]), float(probs[k - 1])
+            elif times[0] > 0:
                 t_prev, p_prev = 0.0, 1.0
             else:
-                t_prev, p_prev = float(base.times[0]), float(base.probs[0])
-            p_k, t_k = float(base.probs[k]), float(base.times[k])
+                t_prev, p_prev = float(times[0]), float(probs[0])
+            p_k, t_k = float(probs[k]), float(times[k])
             if p_prev <= 0.5:
                 median = t_prev
             else:
                 median = t_prev + (p_prev - 0.5) * (t_k - t_prev) / (p_prev - p_k)
     else:
-        p_last, t_max = float(base.probs[-1]), float(base.times[-1])
-        width = c.zero_time - t_max
-        median = c.zero_time - 0.5 * width / p_last if width > 0 else t_max
+        p_last, t_max = float(probs[-1]), float(times[-1])
+        width = zero - t_max
+        median = zero - 0.5 * width / p_last if width > 0 else t_max
     return min(median, float(t0_km))
 
 
@@ -99,21 +98,21 @@ def ref_integral(c, a, b):
     # midpoint rule between every breakpoint: exact for the linear pieces
     if b <= a:
         return 0.0
-    pts = [0.0, *c.base.times.tolist(), c.zero_time]
+    pts = [0.0, *c.knots.tolist(), float(c.zero_time[0])]
     cuts = sorted({a, b, *(p for p in pts if a < p < b)})
     return sum((hi - lo) * ref_survival(c, 0.5 * (lo + hi)) for lo, hi in zip(cuts, cuts[1:]))
 
 
 def ref_best_guess(c, km):
     s_c = ref_survival(km, c)
-    return c if s_c <= 0 else c + ref_integral(km, c, km.zero_time) / s_c
+    return c if s_c <= 0 else c + ref_integral(km, c, float(km.zero_time[0])) / s_c
 
 
 def ref_ibs(times, events, curves, tau, g_hat):
     """Per patient and per piece, by the open 3-point Newton-Cotes rule."""
     g_curve = g_hat.curve
-    zeros = g_curve.probs <= 0
-    tau_eff = min(tau, float(g_curve.times[np.argmax(zeros)]) if zeros.any() else np.inf)
+    zeros = g_curve.probs[0] <= 0
+    tau_eff = min(tau, float(g_curve.knots[np.argmax(zeros)]) if zeros.any() else np.inf)
 
     def quad(curve, cuts, target):
         total = 0.0
@@ -127,11 +126,11 @@ def ref_ibs(times, events, curves, tau, g_hat):
 
     total = 0.0
     for t_i, e_i, curve in zip(times, events, curves):
-        own = [*curve.base.times.tolist(), curve.zero_time]
+        own = [*curve.knots.tolist(), float(curve.zero_time[0])]
         hi = min(t_i, tau_eff)
         if hi > 0:
             cuts = sorted({0.0, hi, *(x for x in own if 0 < x < hi),
-                           *(x for x in g_curve.times.tolist() if 0 < x < hi)})
+                           *(x for x in g_curve.knots.tolist() if 0 < x < hi)})
             total += quad(curve, cuts, 1.0)
         if e_i and t_i < tau_eff:
             cuts = sorted({t_i, tau_eff, *(x for x in own if t_i < x < tau_eff)})
@@ -194,7 +193,7 @@ def batches(draw, rows=None):
 
 
 def per_row(batch):
-    return [batch.row(i) for i in range(batch.rows)]
+    return [batch.subset([i]) for i in range(batch.rows)]
 
 
 @st.composite
@@ -224,7 +223,7 @@ def test_batch_extension_median_and_mean_match_each_curve(drawn):
     medians = median_survival(batch, t0_km)
     means = mean_survival(batch)
     for i, curve in enumerate(per_row(batch)):
-        zero, fallback = ref_zero_time(curve.base, t0_km)
+        zero, fallback = ref_zero_time(curve, t0_km)
         assert batch.zero_time[i] == zero
         assert batch.fallback[i] == fallback
         assert medians[i] == ref_median(curve, t0_km)  # bit for bit
@@ -258,13 +257,13 @@ def mixed_curves(draw):
     for _ in range(n):
         knots = draw(knot_vectors())
         probs = draw(rows_on(knots.size))
-        base = SurvivalCurve(knots, probs, draw(st.sampled_from(["step", "linear"])))
+        base = CurveBatch(knots, probs, draw(st.sampled_from(["step", "linear"])))
         curves.append(extend_linear(base, 60.0))
     return curves
 
 
 def extended_steps(*curves):
-    return [extend_linear(SurvivalCurve(np.array(t), np.array(p), "step"), 60.0)
+    return [extend_linear(CurveBatch(np.array(t), np.array(p), "step"), 60.0)
             for t, p in curves]
 
 
@@ -276,14 +275,33 @@ def extended_steps(*curves):
 def test_curves_on_different_knots_batch_exactly(curves, extra):
     batch = CurveBatch.from_curves(curves)
     ts = np.unique(np.concatenate(
-        [extra, [0.0], *[c.base.times for c in curves], [c.zero_time for c in curves]]))
+        [extra, [0.0], *[c.knots for c in curves], *[c.zero_time for c in curves]]))
     values = survival_at(batch, ts[None, :])
     for i, curve in enumerate(curves):
         np.testing.assert_allclose(values[i], [ref_survival(curve, t) for t in ts],
                                    rtol=0, atol=TOL)
     np.testing.assert_allclose(mean_survival(batch),
-                               [ref_integral(c, 0.0, c.zero_time) for c in curves],
+                               [ref_integral(c, 0.0, c.zero_time[0]) for c in curves],
                                rtol=TOL, atol=TOL)
+
+
+def test_from_curves_stacks_only_one_row_batches():
+    two_rows = CurveBatch([1.0, 2.0], [[0.9, 0.5], [0.8, 0.4]])
+    with pytest.raises(ValueError, match="one-row"):
+        CurveBatch.from_curves([two_rows])
+    with pytest.raises(ValueError, match="one-row"):
+        CurveBatch.from_curves([CurveBatch([1.0, 2.0], [0.9, 0.5]), two_rows])
+
+
+def test_from_curves_keeps_a_repeated_knot_only_on_shared_knots():
+    # the repeated knot at 1 carries a jump from 0.9 to 0.5
+    jump = CurveBatch([1.0, 1.0, 2.0], [0.9, 0.5, 0.4], "linear")
+    other = CurveBatch([1.0, 1.0, 2.0], [0.8, 0.3, 0.3], "linear")
+    stacked = CurveBatch.from_curves([jump, other])
+    np.testing.assert_array_equal(stacked.knots, jump.knots)
+    np.testing.assert_array_equal(stacked.probs, np.vstack((jump.probs, other.probs)))
+    with pytest.raises(ValueError, match="repeated knot"):
+        CurveBatch.from_curves([jump, CurveBatch([3.0], [0.2], "linear")])
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +315,8 @@ def test_batched_ibs_matches_per_patient_reference(data, g_hat, tau):
     shared = data.draw(st.booleans())
     batch, _ = data.draw(batches(rows=1 if shared else n))
     curves = per_row(batch) * (n if shared else 1)
-    if not min(tau, float(np.inf if not (g_hat.curve.probs <= 0).any()
-                         else g_hat.curve.times[np.argmax(g_hat.curve.probs <= 0)])) > 0:
+    if not min(tau, float(np.inf if not (g_hat.curve.probs[0] <= 0).any()
+                         else g_hat.curve.knots[np.argmax(g_hat.curve.probs[0] <= 0)])) > 0:
         return
     value = integrated_brier(dataset(times, events), batch, tau, g_hat)
     assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
@@ -324,16 +342,17 @@ _ULP_BEFORE_G_ZERO = extended_steps(*[([0.5], [0.5])] * 4, ([np.nextafter(1.0, 0
 def test_ibs_of_a_curve_list_matches_per_patient_reference(drawn, g_hat):
     curves, times, events = drawn
     tau = 70.0
-    if (g_hat.curve.probs <= 0).any() and g_hat.curve.times[np.argmax(g_hat.curve.probs <= 0)] == 0:
+    g_probs = g_hat.curve.probs[0]
+    if (g_probs <= 0).any() and g_hat.curve.knots[np.argmax(g_probs <= 0)] == 0:
         return
-    value = integrated_brier(dataset(times, events), curves, tau, g_hat)
+    value = integrated_brier(dataset(times, events), CurveBatch.from_curves(curves), tau, g_hat)
     assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
 
 
 @given(batches(rows=1), st.lists(st.floats(0.0, 250.0), min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_best_guess_and_margin_weights_match_reference(drawn, censor_times):
-    km = drawn[0].row(0)
+    km = drawn[0].subset([0])
     expected = [ref_best_guess(c, km) for c in censor_times]
     np.testing.assert_allclose(best_guess(np.array(censor_times), km), expected,
                                rtol=TOL, atol=TOL)
@@ -378,8 +397,9 @@ _MODELS = {"km": KaplanMeierModel.fit(_TRAIN), "cox-kp": fit_cox(_TRAIN)}
 
 def fold_metrics(model, val):
     km_ext = extend_linear(fit_km(_TRAIN).curve)
-    curves = extend_linear(model.predict_curves(val), km_ext.zero_time)
-    medians = np.broadcast_to(median_survival(curves, km_ext.zero_time), (len(val),))
+    t0_km = km_ext.zero_time[0]
+    curves = extend_linear(model.predict_curves(val), t0_km)
+    medians = np.broadcast_to(median_survival(curves, t0_km), (len(val),))
     events = val.events
     v_u, medians_u = val.subset(events), medians[events]
     weights = margin_weights(val.times[~events], km_ext)
@@ -418,7 +438,7 @@ def test_permuting_patients_leaves_fold_metrics_unchanged(name, perm):
 
 def test_shared_row_is_never_copied_per_patient():
     km = KaplanMeierModel.fit(_TRAIN)
-    t0_km = extend_linear(km.km.curve).zero_time
+    t0_km = extend_linear(km.km.curve).zero_time[0]
     curves = extend_linear(km.predict_curves(_VAL), t0_km)
     assert curves.rows == 1
     assert curves.subset(np.arange(5)) is curves

@@ -36,6 +36,18 @@ class TestSurvivalAt:
         c = linear_curve([10.0], [0.0])
         np.testing.assert_allclose(survival_at(c, [0, 2.5, 10, 20]), [1, 0.75, 0, 0])
 
+    @pytest.mark.parametrize("shape", [(), (4,), (1, 4), (4, 1), (2, 3), (2, 1, 3)])
+    def test_one_row_returns_the_shape_of_t(self, shape):
+        c = extend_linear(step_curve([2.0, 6.0], [0.5, 0.25]))
+        t = np.linspace(0.0, 9.0, int(np.prod(shape))).reshape(shape)
+        values = survival_at(c, t)
+        expected = [survival_at(c, x) for x in t.reshape(-1)]
+        if shape == ():
+            assert type(values) is float and values == expected[0]
+        else:
+            assert values.shape == shape
+            np.testing.assert_array_equal(values.reshape(-1), expected)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             survival_at(step_curve([1.0], [0.5]), -1.0)
@@ -45,17 +57,17 @@ class TestExtendLinear:
     def test_last_knot_slope_solution(self):
         # line through (0, 1) and (83, 0.12) reaches zero at 83 / 0.88
         ec = extend_linear(step_curve([83.0], [0.12]))
-        assert ec.zero_time == pytest.approx(83.0 / 0.88, rel=1e-12)
+        assert ec.zero_time[0] == pytest.approx(83.0 / 0.88, rel=1e-12)
         assert not ec.fallback_applied
 
     def test_curve_already_at_zero_is_identity(self):
         ec = extend_linear(step_curve([10.0], [0.0]))
-        assert ec.zero_time == 10.0
+        assert ec.zero_time[0] == 10.0
         assert not ec.fallback_applied
 
     def test_flat_curve_uses_km_fallback(self):
         ec = extend_linear(step_curve([7.0], [1.0]), t0_km=50.0)
-        assert ec.zero_time == 50.0
+        assert ec.zero_time[0] == 50.0
         assert ec.fallback_applied
 
     def test_flat_curve_without_fallback_errors(self):
@@ -69,13 +81,13 @@ class TestExtendLinear:
             c = random_curve(rng)
             ec = extend_linear(c, t0_km=500.0)
             assert survival_at(ec, 0.0) == pytest.approx(1.0, abs=1e-12)
-            assert survival_at(ec, ec.zero_time) == pytest.approx(0.0, abs=1e-12)
+            assert survival_at(ec, ec.zero_time[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_extension_never_alters_values_at_or_before_tmax(self, rng):
         for _ in range(50):
             c = random_curve(rng)
             ec = extend_linear(c, t0_km=500.0)
-            ts = np.linspace(0, c.times[-1], 23)
+            ts = np.linspace(0, c.knots[-1], 23)
             np.testing.assert_array_equal(survival_at(c, ts), survival_at(ec, ts))
 
 
@@ -106,7 +118,7 @@ class TestMedian:
             ec = extend_linear(c, t0_km=500.0)
             med = median_survival(ec, 1e9)
             assert survival_at(ec, med) <= 0.5 + 1e-12
-            earlier = [t for t in c.times if t < med]
+            earlier = [t for t in c.knots if t < med]
             for t in earlier:
                 assert survival_at(ec, t) > 0.5
 
@@ -127,9 +139,9 @@ class TestMeanAndIntegral:
         for _ in range(25):
             c = random_curve(rng)
             ec = extend_linear(c, t0_km=500.0)
-            knots = sorted({0.0, ec.zero_time, *c.times.tolist()})
+            knots = sorted({0.0, ec.zero_time[0], *c.knots.tolist()})
             oracle, _ = scipy.integrate.quad(
-                lambda t: survival_at(ec, t), 0.0, ec.zero_time,
+                lambda t: survival_at(ec, t), 0.0, ec.zero_time[0],
                 points=knots, limit=200,
             )
             assert mean_survival(ec) == pytest.approx(oracle, rel=1e-9)
@@ -145,7 +157,7 @@ class TestAverageCurves:
     def test_average_of_identical_curves_is_that_curve(self):
         c = step_curve([2.0, 5.0], [0.6, 0.1])
         avg = average_curves([c, c, c])
-        np.testing.assert_array_equal(avg.times, c.times)
+        np.testing.assert_array_equal(avg.knots, c.knots)
         np.testing.assert_allclose(avg.probs, c.probs, atol=1e-15)
 
     def test_two_step_curves_halfway(self):

@@ -153,7 +153,7 @@ class TestBestGuess:
     def test_always_at_least_c(self, rng):
         for _ in range(500):
             km = extend_linear(random_curve(rng), t0_km=300.0)
-            c = rng.uniform(0, 1.2 * km.zero_time)
+            c = rng.uniform(0, 1.2 * km.zero_time[0])
             assert best_guess(c, km) >= c - 1e-12
 
 
@@ -163,7 +163,7 @@ class TestMarginWeights:
 
         for _ in range(30):
             km = extend_linear(random_curve(rng), t0_km=300.0)
-            cs = rng.uniform(0, 1.1 * km.zero_time, size=8)
+            cs = rng.uniform(0, 1.1 * km.zero_time[0], size=8)
             w = margin_weights(cs, km)
             assert np.all((0.0 <= w.alpha) & (w.alpha <= 1.0))
             assert np.all(w.best_guess >= cs - 1e-12)

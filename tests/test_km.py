@@ -18,7 +18,7 @@ class TestFitKm:
 
     def test_no_censoring_reduces_to_empirical_survival(self):
         km = fit_km(dataset([1, 2, 3, 4], [1, 1, 1, 1]))
-        np.testing.assert_allclose(km.curve.probs, [0.75, 0.5, 0.25, 0.0])
+        np.testing.assert_allclose(km.curve.probs[0], [0.75, 0.5, 0.25, 0.0])
 
     def test_single_death(self):
         km = fit_km(dataset([5], [1]))
@@ -58,12 +58,12 @@ class TestCensoringKm:
             events = rng.random(30) < 0.6
             g = fit_censoring_km(dataset(times, events))
             flipped = fit_km(dataset(times, ~events))
-            np.testing.assert_array_equal(g.curve.times, flipped.curve.times)
+            np.testing.assert_array_equal(g.curve.knots, flipped.curve.knots)
             np.testing.assert_array_equal(g.curve.probs, flipped.curve.probs)
 
     def test_all_censored_is_empirical_survival_of_censor_times(self):
         g = fit_censoring_km(dataset([1, 2, 3, 4], [0, 0, 0, 0]))
-        np.testing.assert_allclose(g.curve.probs, [0.75, 0.5, 0.25, 0.0])
+        np.testing.assert_allclose(g.curve.probs[0], [0.75, 0.5, 0.25, 0.0])
 
 
 def test_km_consistency_improves_with_sample_size():

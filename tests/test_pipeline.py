@@ -308,7 +308,7 @@ class TestRunExperiment:
             assert curves.rows == indices.size
             for i, idx in enumerate(indices):
                 inst = d.instances[idx]
-                probs.append(survival_at(curves.row(i), inst.time))
+                probs.append(survival_at(curves.subset([i]), inst.time))
                 events.append(inst.event)
         flat = dcal_histogram_from_probs(np.array(probs), np.array(events), 10)
         np.testing.assert_allclose(report.dcal_histogram.counts, flat.counts,
@@ -327,8 +327,8 @@ class TestRunExperiment:
         train = d.subset(np.arange(100))
         val = d.subset(np.flatnonzero(~d.events[100:]) + 100)
         train_km = extend_linear(fit_km(train).curve)
-        curves = extend_linear(fit_cox(train).predict_curves(val), train_km.zero_time)
-        medians = median_survival(curves, train_km.zero_time)
+        curves = extend_linear(fit_cox(train).predict_curves(val), train_km.zero_time[0])
+        medians = median_survival(curves, train_km.zero_time[0])
         assert curves.rows == medians.size == len(val) > 1 and not val.events.any()
         with pytest.raises(ValueError, match="uncensored L1-loss needs at least one instance"):
             _score_fold(val, curves, medians, ("l1-uncensored",), float(d.times.max()),
@@ -365,11 +365,11 @@ class TestOnePredictionPath:
         model = _fit_model(name, d, ExperimentConfig(model=name, mtlr_c_grid=(1.0,)))
         batch = model.predict_curves(d)
         for i, inst in enumerate(d.instances):
-            curve, row = model.predict_curve(inst), batch.row(i)
+            curve, row = model.predict_curve(inst), batch.subset([i])
             np.testing.assert_array_equal(curve.probs,
-                                          model.predict_curves(d.subset([i])).row(0).probs)
+                                          model.predict_curves(d.subset([i])).subset([0]).probs)
             assert curve.interp == row.interp
-            np.testing.assert_array_equal(curve.times, row.times)
+            np.testing.assert_array_equal(curve.knots, row.knots)
             # BLAS may round a row of a matrix product differently once other
             # rows sit beside it, so across batch sizes the values agree to 1e-12
             np.testing.assert_allclose(curve.probs, row.probs, rtol=1e-12, atol=0)
