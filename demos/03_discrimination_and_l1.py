@@ -22,6 +22,7 @@ from isdkit import (
     l1_log,
     l1_margin,
     l1_uncensored,
+    margin_weights,
     median_survival,
     simulate_cohort,
     split_by_censoring,
@@ -66,9 +67,10 @@ for c in (0.0, 2.0, 6.0, 12.0):
 
 v_u, _ = split_by_censoring(validation)
 eta = default_eta(train.times)
+weights = margin_weights(validation.times[~validation.events], train_km_ext)
 print("\nL1 family for cox-kp predictions:")
 print(f"  uncensored only: {l1_uncensored(v_u, cox_medians[validation.events]):7.2f}")
 print(f"  hinge:           {l1_hinge(validation, cox_medians):7.2f}")
-print(f"  margin:          {l1_margin(validation, cox_medians, train_km_ext):7.2f}")
+print(f"  margin:          {l1_margin(validation, cox_medians, weights):7.2f}")
 print(f"  log (margin):    "
-      f"{l1_log(validation, cox_medians, 'margin', eta, train_km_ext):7.3f}")
+      f"{l1_log(validation, cox_medians, 'margin', eta, weights):7.3f}")

@@ -26,7 +26,6 @@ from isdkit import (
     simulate_cohort_latent,
     survival_at,
 )
-from isdkit.calibration import dcal_histogram_from_probs
 
 # --- the probability integral transform in action -------------------------
 cohort = simulate_cohort_latent(
@@ -37,7 +36,7 @@ cohort = simulate_cohort_latent(
 true_probs = np.array([
     cohort.true_survival(i, cohort.latent_death[i]) for i in range(2000)
 ])
-h = dcal_histogram_from_probs(true_probs, np.ones(2000, bool), 10)
+h = dcal_histogram(true_probs, np.ones(2000, bool), 10)
 result = dcal_test(h)
 print("true generating model, probabilities at the true death times:")
 print(f"  bin counts {np.round(h.counts).astype(int)}")
@@ -57,7 +56,7 @@ g_hat = fit_censoring_km(train)
 cox = fit_cox(train)
 curves = extend_linear(cox.predict_curves(validation), t0_km)  # one extended batch
 
-hist = dcal_histogram(validation, curves, 10)
+hist = dcal_histogram(survival_at(curves, validation.times), validation.events, 10)
 print("\ncox-kp on held-out data:")
 print(f"  D-cal counts {np.round(hist.counts, 1)}")
 print(f"  D-cal p = {dcal_test(hist).p_value:.3f}")
@@ -70,7 +69,7 @@ print(f"  1-calibration at the median time ({tstar:.1f}): "
 
 # --- Brier scores -----------------------------------------------------------
 print(f"\n  weighted Brier at t* = {tstar:.1f}: "
-      f"{brier_censored(validation, curves, tstar, g_hat):.4f}")
+      f"{brier_censored(validation, probs, tstar, g_hat):.4f}")
 tau = float(data.times.max())
 print(f"  integrated Brier over [0, {tau:.1f}]: "
       f"{integrated_brier(validation, curves, tau, g_hat):.4f}")

@@ -11,7 +11,6 @@ from .calibration import (
     brier_uncensored,
     calibration_table,
     dcal_histogram,
-    dcal_histogram_from_probs,
     dcal_test,
     integrated_brier,
     one_calibration_dn,
@@ -30,7 +29,6 @@ from .core import (
 from .cox import CoxModel, fit_cox, predict_curve_cox, univariate_cox_pvalue
 from .curves import (
     CurveBatch,
-    average_curves,
     extend_linear,
     integrate_curve,
     mean_survival,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SurvivalDataset
-from .curves import CurveBatch, survival_at
+from .curves import CurveBatch
 from .km import KMCurve, fit_km_arrays, km_at
 from .stats import chi2_sf
 
@@ -33,7 +33,6 @@ __all__ = [
     "brier_censored",
     "integrated_brier",
     "dcal_histogram",
-    "dcal_histogram_from_probs",
     "dcal_test",
 ]
 
@@ -54,6 +53,14 @@ class CalibrationBins:
     mean_predicted: np.ndarray
     observed: np.ndarray
     members: tuple  # index arrays into the input order, one per bin
+
+
+def _per_instance(v: SurvivalDataset, probs) -> np.ndarray:
+    """``probs`` as floats, refused unless it holds one entry per instance."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.size != len(v):
+        raise ValueError(f"{probs.size} probabilities for {len(v)} instances")
+    return probs.reshape(-1)
 
 
 def _bin_memberships(probs: np.ndarray, b: int) -> tuple:
@@ -89,9 +96,7 @@ def calibration_table(v: SurvivalDataset, probs_at_tstar, tstar: float, b: int,
     """
     if censoring not in ("reject", "km"):
         raise ValueError(f"unknown censoring mode {censoring!r}; use 'reject' or 'km'")
-    probs = np.asarray(probs_at_tstar, dtype=float)
-    if probs.size != len(v):
-        raise ValueError(f"{probs.size} probabilities for {len(v)} instances")
+    probs = _per_instance(v, probs_at_tstar)
     times, events = v.times, v.events
     if censoring == "reject" and not events.all():
         raise ValueError("Hosmer-Lemeshow needs fully uncensored data; use the "
@@ -154,9 +159,7 @@ def brier_uncensored(v_u: SurvivalDataset, probs_at_tstar, tstar: float) -> floa
     """Brier score at t* on uncensored data: deaths by t* are scored
     against survival 0, survivors past t* against 1 (the censored formula
     with G identically 1)."""
-    probs = np.asarray(probs_at_tstar, dtype=float)
-    if probs.size != len(v_u):
-        raise ValueError(f"{probs.size} probabilities for {len(v_u)} instances")
+    probs = _per_instance(v_u, probs_at_tstar)
     if not v_u.events.all():
         raise ValueError("uncensored Brier needs fully uncensored data")
     died = v_u.times <= tstar
@@ -170,26 +173,19 @@ def _g_first_zero(g_hat: KMCurve) -> float:
     return float(curve.knots[np.argmax(zeros)]) if zeros.any() else np.inf
 
 
-def _aligned_batch(v: SurvivalDataset, batch: CurveBatch) -> CurveBatch:
-    if batch.rows not in (1, len(v)):
-        raise ValueError(f"{batch.rows} curves for {len(v)} instances")
-    return batch
-
-
-def brier_censored(v: SurvivalDataset, curves: CurveBatch, tstar: float,
+def brier_censored(v: SurvivalDataset, probs_at_tstar, tstar: float,
                    g_hat: KMCurve) -> float:
-    """Inverse-probability-of-censoring-weighted Brier score at t*.
+    """Inverse-probability-of-censoring-weighted Brier score at t* of the
+    predicted survival probabilities S_i(t*), one per instance.
 
     Deaths by t* weigh in at 1/G(t_i), survivors past t* at 1/G(t*);
     instances censored before t* contribute 0 directly.  Raises when a
     required G evaluation is 0 (the score is only defined while the
     censoring curve is positive; see `integrated_brier` for the truncated
-    integral form).  ``curves`` is a `CurveBatch` with one row per patient
-    or one row they share.
+    integral form).
     """
-    batch = _aligned_batch(v, curves)
+    probs = _per_instance(v, probs_at_tstar)
     times, events = v.times, v.events
-    probs = np.broadcast_to(survival_at(batch, tstar), times.shape)
 
     death_terms = (times <= tstar) & events
     alive_terms = times > tstar
@@ -250,20 +246,21 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
     """
     if not tau > 0:
         raise ValueError(f"horizon tau must be positive, got {tau}")
-    batch = _aligned_batch(v, curves)
     n = len(v)
+    if curves.rows not in (1, n):
+        raise ValueError(f"{curves.rows} curves for {n} instances")
     times, events = v.times, v.events
     tau_eff = min(tau, _g_first_zero(g_hat))
     if not tau_eff > 0:
         raise ValueError("censoring curve G is 0 from time 0; the IBS is undefined")
 
-    knots = batch.grid
+    knots = curves.grid
     g_knots = g_hat.curve.knots
     cuts = np.unique(np.concatenate((
         [0.0, tau_eff], knots[knots < tau_eff], g_knots[(g_knots > 0) & (g_knots < tau_eff)],
     )))
     lo, hi = cuts[:-1], cuts[1:]
-    seg = batch.segment_of(lo)          # piece -> knot segment, shared by every row
+    seg = curves.segment_of(lo)         # piece -> knot segment, shared by every row
     g_piece = km_at(g_hat, lo)          # G is constant on each piece and positive
 
     alive_end = np.minimum(times, tau_eff)
@@ -278,30 +275,30 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
 
     # the partial pieces: [lo_k, min(t_i, tau_eff)) alive, with weight 1/G(t)
     # and target 1, and for a death [t_i, hi_k), weight 1/G(t_i) and target 0
-    rows = np.arange(n) if batch.rows > 1 else np.zeros(n, dtype=int)
+    rows = np.arange(n) if curves.rows > 1 else np.zeros(n, dtype=int)
     weight = np.divide(1.0, g_death, out=np.zeros(n), where=dies)
-    alive, _ = _squared_gaps(batch.segment_ends(rows, seg[k], lo[k], alive_end),
+    alive, _ = _squared_gaps(curves.segment_ends(rows, seg[k], lo[k], alive_end),
                              lo[k], alive_end, g_piece[k])
     start = np.where(dies, times, lo[k])
-    _, death = _squared_gaps(batch.segment_ends(rows, seg[k], start, hi[k]),
+    _, death = _squared_gaps(curves.segment_ends(rows, seg[k], start, hi[k]),
                              start, hi[k], 1.0)
     total = np.sum(alive) + np.sum(death * weight)
 
     # the whole pieces: before k alive, after k dead
     piece = np.arange(lo.size)
-    body = int(np.searchsorted(seg, batch.grid.size - 1))     # pieces before t_max
-    if batch.rows == 1:
+    body = int(np.searchsorted(seg, curves.grid.size - 1))    # pieces before t_max
+    if curves.rows == 1:
         alive_w = n - np.cumsum(np.bincount(k, minlength=lo.size))
         death_w = np.cumsum(np.bincount(k + 1, weights=weight, minlength=lo.size + 1))[:-1]
-    for first in range(0, batch.rows, _IBS_BLOCK):
-        block = slice(first, min(first + _IBS_BLOCK, batch.rows))
-        if batch.rows > 1:
+    for first in range(0, curves.rows, _IBS_BLOCK):
+        block = slice(first, min(first + _IBS_BLOCK, curves.rows))
+        if curves.rows > 1:
             k_block = k[block, None]
             alive_w, death_w = piece < k_block, (piece > k_block) * weight[block, None]
         for cols, ends in (
-            (np.s_[:body], batch.segment_tables(block, seg[:body], lo[:body], hi[:body])),
-            (np.s_[body:], batch.segment_ends(np.arange(first, block.stop)[:, None],
-                                              seg[body:], lo[body:], hi[body:])),
+            (np.s_[:body], curves.segment_tables(block, seg[:body], lo[:body], hi[:body])),
+            (np.s_[body:], curves.segment_ends(np.arange(first, block.stop)[:, None],
+                                               seg[body:], lo[body:], hi[body:])),
         ):
             alive, death = _squared_gaps(ends, lo[cols], hi[cols], g_piece[cols])
             total += np.vdot(alive, alive_w[..., cols]) + np.vdot(death, death_w[..., cols])
@@ -319,8 +316,10 @@ class DCalHistogram:
     n_total: float
 
 
-def dcal_histogram_from_probs(probs_at_event, events, b: int = 10) -> DCalHistogram:
-    """Build the D-calibration histogram from precomputed S(t_i | x_i).
+def dcal_histogram(probs_at_event, events, b: int = 10) -> DCalHistogram:
+    """D-calibration histogram of the predicted survival probabilities
+    S(t_i | x_i) at each instance's observed time, with its event flag
+    (ties d = c count as deaths via the flag).
 
     A death adds 1 to the bin containing its probability (bins are
     [k/B, (k+1)/B), top bin closed).  A censored instance with probability
@@ -348,15 +347,6 @@ def dcal_histogram_from_probs(probs_at_event, events, b: int = 10) -> DCalHistog
     below = np.bincount(k, weights=(1.0 / b) / s, minlength=b)
     counts[:-1] += np.cumsum(below[::-1])[::-1][1:]
     return DCalHistogram(edges, counts, float(probs.size))
-
-
-def dcal_histogram(v: SurvivalDataset, curves: CurveBatch, b: int = 10) -> DCalHistogram:
-    """D-calibration histogram of a validation set against its (extended)
-    predicted curves, a row per patient or one row they share; ties d = c
-    count as deaths via the event flag."""
-    batch = _aligned_batch(v, curves)
-    probs = np.broadcast_to(survival_at(batch, v.times), (len(v),))
-    return dcal_histogram_from_probs(probs, v.events, b)
 
 
 def dcal_test(h: DCalHistogram) -> TestResult:

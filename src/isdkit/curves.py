@@ -28,7 +28,6 @@ __all__ = [
     "extend_linear",
     "median_survival",
     "mean_survival",
-    "average_curves",
     "integrate_curve",
 ]
 
@@ -49,9 +48,8 @@ class CurveBatch:
     broadcast against the patients and are never copied per patient.  A
     single curve is a one-row batch (a 1-d ``probs`` is read as one row).
     ``interp`` applies to every row: "step" (right-continuous) or "linear"
-    (anchored at (0, 1) unless a knot sits at 0).  A linear batch may list a
-    knot twice to carry a jump: the first copy holds the left limit, the
-    second the value at the knot.
+    (anchored at (0, 1) unless a knot sits at 0).  The knots are
+    non-negative and strictly increasing.
 
     ``zero_time`` and ``fallback`` (one entry per row) are set by
     `extend_linear`; a batch without them holds each row's last probability
@@ -74,13 +72,8 @@ class CurveBatch:
             raise ValueError("a curve batch needs knots (m,) and probs (rows, m), m >= 1")
         if self.interp not in ("step", "linear"):
             raise ValueError(f"unknown interpolation kind {self.interp!r}")
-        steps = np.diff(knots)
-        if knots[0] < 0 or np.any(steps < 0):
-            raise ValueError("knot times must be non-negative and non-decreasing")
-        if self.interp == "step" and np.any(steps == 0):
-            raise ValueError("knot times of a step batch must be strictly increasing")
-        if np.any(knots[2:] == knots[:-2]):
-            raise ValueError("a knot may appear at most twice")
+        if knots[0] < 0 or np.any(np.diff(knots) <= 0):
+            raise ValueError("knot times must be non-negative and strictly increasing")
         if np.any(probs < 0) or np.any(probs > 1):
             raise ValueError("survival probabilities must lie in [0, 1]")
         if np.any(np.diff(probs, axis=1) > 0):
@@ -97,66 +90,6 @@ class CurveBatch:
                 if value.shape != (probs.shape[0],):
                     raise ValueError(f"{name} needs one entry per row")
                 object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_curves(cls, curves) -> "CurveBatch":
-        """Stack one-row batches (all plain or all extended) into one batch.
-
-        Curves that share their knots and interpolation are stacked as they
-        are.  Otherwise every curve is evaluated on the union of all knots
-        and of the zero times inside it, each union knot is listed twice
-        (left limit, then value) so step rows keep their jumps, and the
-        batch interpolates linearly: each row stays the same function at
-        every time.  (A tail that drops to 0 at once after its last knot
-        keeps its value up to one float step past that knot, which moves an
-        integral by at most that step.)  A curve with a repeated knot
-        already carries a jump the union cannot rebuild, so it is stacked
-        only with curves on its own knots.
-        """
-        curves = list(curves)
-        if not curves:
-            raise ValueError("cannot batch an empty set of curves")
-        if any(c.rows != 1 for c in curves):
-            raise ValueError("from_curves stacks one-row batches")
-        extended = [c.zero_time is not None for c in curves]
-        if any(extended) and not all(extended):
-            raise ValueError("cannot batch extended curves together with plain ones")
-        zero = fallback = None
-        if extended[0]:
-            zero = np.concatenate([c.zero_time for c in curves])
-            fallback = np.concatenate([c.fallback for c in curves])
-        first = curves[0]
-        if all(c is first or (c.interp == first.interp and np.array_equal(c.knots, first.knots))
-               for c in curves):
-            return cls(first.knots, np.vstack([c.probs for c in curves]), first.interp,
-                       zero, fallback)
-        if any(np.any(c.knots[1:] == c.knots[:-1]) for c in curves):
-            raise ValueError("a curve with a repeated knot can only be batched with "
-                             "curves on the same knots")
-
-        knots = np.unique(np.concatenate([c.knots for c in curves]))
-        drop_at = np.full(len(curves), np.nan)
-        if zero is not None:
-            # a tail whose zero time is its last knot drops to 0 right after
-            # it: that row gets a knot one float step later
-            t_max = np.array([c.t_max for c in curves])
-            p_last = np.array([c.probs[0, -1] for c in curves])
-            drops = (zero <= t_max) & (p_last > 0)
-            drop_at[drops] = np.nextafter(t_max[drops], np.inf)
-            knots = np.unique(np.concatenate((knots, zero[zero < knots[-1]], drop_at[drops])))
-        right = np.vstack([survival_at(c, knots) for c in curves])
-        left = right.copy()
-        for i, c in enumerate(curves):
-            row = c.probs[0]
-            if c.interp == "step":
-                jumps = knots <= c.t_max
-                before = np.searchsorted(c.knots, knots[jumps], side="left") - 1
-                left[i, jumps] = np.where(before >= 0, row[np.maximum(before, 0)], 1.0)
-            left[i, knots == drop_at[i]] = row[-1]
-        probs = np.empty((len(curves), 2 * knots.size))
-        probs[:, 0::2] = left
-        probs[:, 1::2] = right
-        return cls(np.repeat(knots, 2), probs, "linear", zero, fallback)
 
     @property
     def rows(self) -> int:
@@ -212,9 +145,9 @@ class CurveBatch:
         j = np.minimum(seg, max(last - 1, 0))
         base = self._prob(rows, j)
         if self.interp == "linear" and last > 0:
-            # a zero-width segment only occurs at the tail, which is masked below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = (self._prob(rows, j + 1) - base) / (knots[j + 1] - knots[j])
+            slope = (self._prob(rows, j + 1) - base) / (knots[j + 1] - knots[j])
+            # t = inf on a flat last segment gives 0 * inf; the tail is masked below
+            with np.errstate(invalid="ignore"):
                 base = base + slope * (t - knots[j])
         tail = self.probs[rows, -1]
         if self.zero_time is not None:
@@ -390,15 +323,3 @@ def mean_survival(c: CurveBatch) -> np.ndarray:
     """Expected survival time: the area under each extended row."""
     return c._suffix_area[:, 0]
 
-
-def average_curves(cs) -> CurveBatch:
-    """Point-wise mean of one-row batches on the union of their knot times,
-    as a one-row batch."""
-    cs = list(cs)
-    if not cs:
-        raise ValueError("cannot average an empty set of curves")
-    union = np.unique(np.concatenate([c.knots for c in cs]))
-    stacked = np.vstack([survival_at(c, union) for c in cs])
-    mean = stacked.mean(axis=0)
-    interp = "step" if all(c.interp == "step" for c in cs) else "linear"
-    return CurveBatch(union, mean, interp)

@@ -127,12 +127,8 @@ def margin_weights(censor_times, train_km: CurveBatch) -> MarginWeights:
     return MarginWeights(alpha, np.atleast_1d(best_guess(censor_times, train_km)))
 
 
-def _margin_terms(v: SurvivalDataset, train_km, weights):
+def _margin_terms(v: SurvivalDataset, weights: MarginWeights):
     times, events = v.times, v.events
-    if weights is None:
-        if train_km is None:
-            raise ValueError("the margin loss needs the training KM curve")
-        weights = margin_weights(times[~events], train_km)
     if weights.alpha.size != np.count_nonzero(~events):
         raise ValueError(f"{weights.alpha.size} margin weights for "
                          f"{np.count_nonzero(~events)} censored instances")
@@ -140,21 +136,18 @@ def _margin_terms(v: SurvivalDataset, train_km, weights):
     alphas[~events] = weights.alpha
     targets = times.copy()
     targets[~events] = weights.best_guess
+    if not alphas.sum() > 0:
+        raise ValueError("margin loss has zero total weight (everyone censored at S_KM = 1)")
     return alphas, targets
 
 
-def l1_margin(v: SurvivalDataset, medians, train_km: CurveBatch = None,
-              weights: MarginWeights = None) -> float:
+def l1_margin(v: SurvivalDataset, medians, weights: MarginWeights) -> float:
     """L1 with Best-Guess targets for censored instances, weighted by
-    alpha = 1 - S_KM(c) from the (extended) training Kaplan-Meier curve.
-    ``weights``, from `margin_weights` on v's censor times, replaces
-    ``train_km`` when they are already at hand."""
+    alpha = 1 - S_KM(c); ``weights`` come from `margin_weights` on v's
+    censor times and the (extended) training Kaplan-Meier curve."""
     med = _aligned(v, medians)
-    alphas, targets = _margin_terms(v, train_km, weights)
-    denom = float(alphas.sum())
-    if denom <= 0:
-        raise ValueError("margin loss has zero total weight (everyone censored at S_KM = 1)")
-    return float(np.sum(alphas * np.abs(targets - med)) / denom)
+    alphas, targets = _margin_terms(v, weights)
+    return float(np.sum(alphas * np.abs(targets - med)) / float(alphas.sum()))
 
 
 def default_eta(times) -> float:
@@ -168,11 +161,10 @@ def default_eta(times) -> float:
 
 
 def l1_log(v: SurvivalDataset, medians, variant: str = "uncensored",
-           eta: float = None, train_km: CurveBatch = None,
-           weights: MarginWeights = None) -> float:
+           eta: float = None, weights: MarginWeights = None) -> float:
     """Relative-error variant: the chosen aggregation applied to
     log(max(x, eta)) in place of every time or median x.  The "margin"
-    variant takes ``train_km`` or precomputed ``weights`` as `l1_margin`."""
+    variant takes the ``weights`` of `l1_margin`."""
     med = _aligned(v, medians)
     if eta is None or not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -185,11 +177,8 @@ def l1_log(v: SurvivalDataset, medians, variant: str = "uncensored",
             raise ValueError("log-L1 'uncensored' needs all-uncensored data")
         return float(np.mean(np.abs(logt(v.times) - logt(med))))
     if variant == "margin":
-        if train_km is None and weights is None:
-            raise ValueError("log-L1 'margin' needs the training KM curve")
-        alphas, targets = _margin_terms(v, train_km, weights)
-        denom = float(alphas.sum())
-        if denom <= 0:
-            raise ValueError("margin loss has zero total weight")
-        return float(np.sum(alphas * np.abs(logt(targets) - logt(med))) / denom)
+        if weights is None:
+            raise ValueError("log-L1 'margin' needs the margin weights")
+        alphas, targets = _margin_terms(v, weights)
+        return float(np.sum(alphas * np.abs(logt(targets) - logt(med))) / float(alphas.sum()))
     raise ValueError(f"unknown log-L1 variant {variant!r}")

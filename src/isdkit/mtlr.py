@@ -236,7 +236,7 @@ def _train(xb, lab: _Labels, reg_c, m):
     )
     theta = result.x.reshape(shape)
     gnorm = float(np.max(np.abs(result.jac)))
-    if not result.success and gnorm > 1e-3:
+    if not np.isfinite(gnorm) or (not result.success and gnorm > 1e-3):
         raise ConvergenceError(
             f"MTLR optimizer failed: {result.message} "
             f"(gradient max-norm {gnorm:.3g} after {result.nit} iterations)",
@@ -255,6 +255,10 @@ def fit_mtlr(d: SurvivalDataset, grid: TimeGrid, c_candidates, folds: int = 5) -
     c_candidates = tuple(float(c) for c in c_candidates)
     if not c_candidates:
         raise ValueError("need at least one regularization candidate")
+    bad = [c for c in c_candidates if not 0 <= c < np.inf]
+    if bad:
+        raise ValueError(f"regularization constant C must be finite and non-negative, "
+                         f"got {bad[0]!r}")
     xb = _with_bias(d.feature_matrix())
     times, events = d.times, d.events
     lab = _encode_labels(times, events, grid)

@@ -236,6 +236,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown metrics {sorted(unknown)}; choose from {ALL_METRICS}")
         if any(not 0 < p < 100 for p in self.percentiles):
             raise ValueError("percentiles must lie strictly between 0 and 100")
+        if self.bins < 2:
+            raise ValueError(f"need at least 2 calibration bins, got {self.bins}")
+        if self.jobs < 1:
+            raise ValueError(f"need at least 1 job, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -391,7 +395,7 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
     dcal_result, dcal_hist = None, None
     if "d-calibration" in cfg.metrics:
         at_times = np.concatenate([out.probs_at_times for out in fold_results])
-        dcal_hist = cal.dcal_histogram_from_probs(at_times, pooled_dataset.events, cfg.bins)
+        dcal_hist = cal.dcal_histogram(at_times, pooled_dataset.events, cfg.bins)
         dcal_result = cal.dcal_test(dcal_hist)
 
     return MetricReport(

@@ -10,7 +10,6 @@ from isdkit.calibration import (
     brier_uncensored,
     calibration_table,
     dcal_histogram,
-    dcal_histogram_from_probs,
     dcal_test,
     one_calibration_dn,
 )
@@ -84,18 +83,18 @@ def test_criterion_02_constant_risk_ties():
 
 
 def test_criterion_03_dcal_blur():
-    h = dcal_histogram_from_probs([0.25], [False], 10)
+    h = dcal_histogram([0.25], [False], 10)
     np.testing.assert_allclose(h.counts[:3], [0.4, 0.4, 0.2], atol=1e-15)
     assert h.counts[3:].sum() == 0.0
 
-    h = dcal_histogram_from_probs([1.0], [False], 10)
+    h = dcal_histogram([1.0], [False], 10)
     np.testing.assert_allclose(h.counts, [0.1] * 10, atol=1e-15)
 
     rng = np.random.default_rng(3)
     for _ in range(10_000):
         s = float(rng.uniform(0, 1))
         b = int(rng.integers(2, 25))
-        h = dcal_histogram_from_probs([s], [False], b)
+        h = dcal_histogram([s], [False], b)
         assert abs(h.counts.sum() - 1.0) < 1e-12
     ok(3, "blur example 0.2/0.4/0.4; censored-at-0 spreads 0.1; weights sum to 1")
 
@@ -111,7 +110,7 @@ def test_criterion_04_true_model_uniformity():
         )
         probs = np.array([cohort.true_survival(i, cohort.latent_death[i])
                           for i in range(2000)])
-        h = dcal_histogram_from_probs(probs, np.ones(2000, bool), 10)
+        h = dcal_histogram(probs, np.ones(2000, bool), 10)
         passes += dcal_test(h).p_value >= 0.05
     assert passes >= 18
     ok(4, f"true-model D-calibration passed in {passes}/20 seeds at n=2000")
@@ -127,7 +126,7 @@ def test_criterion_05_km_dcalibration_on_holdout():
         train = simulate_cohort(config, 8000, seed=100 + seed)
         holdout = simulate_cohort(config, 1000, seed=200 + seed)
         km_ext = extend_linear(fit_km(train).curve)
-        h = dcal_histogram(holdout, CurveBatch.from_curves([km_ext] * len(holdout)), 10)
+        h = dcal_histogram(survival_at(km_ext, holdout.times), holdout.events, 10)
         p = dcal_test(h).p_value
         pvalues.append(p)
         passes += p >= 0.05
@@ -148,13 +147,13 @@ def test_criterion_06_calibration_contrast_fixtures():
     table = calibration_table(d, probs, tstar=10.0, b=2)
     np.testing.assert_array_equal(table.n - table.observed, [3, 1])  # alive counts
     assert one_calibration_dn(d, probs, 10.0, b=2).statistic == pytest.approx(0.0, abs=1e-12)
-    h = dcal_histogram(d, CurveBatch.from_curves(curves), b=2)
+    h = dcal_histogram([survival_at(c, t) for c, t in zip(curves, d.times)], d.events, b=2)
     np.testing.assert_allclose(h.counts, [7.0, 1.0], atol=1e-12)
 
     # D-calibrated but not 1-calibrated at T1
     d = dataset([4.0, 8.0, 16.0, 36.0, 4.0, 9.0, 11.0, 12.0], np.ones(8))
     probs = np.array([survival_at(c, 10.0) for c in curves])
-    h = dcal_histogram(d, CurveBatch.from_curves(curves), b=2)
+    h = dcal_histogram([survival_at(c, t) for c, t in zip(curves, d.times)], d.events, b=2)
     np.testing.assert_allclose(h.counts, [4.0, 4.0], atol=1e-12)
     table = calibration_table(d, probs, tstar=10.0, b=2)
     np.testing.assert_array_equal(table.n - table.observed, [2, 2])
@@ -173,7 +172,7 @@ def test_criterion_07_brier_anchors():
     curves = [extend_linear(random_curve(rng), t0_km=300.0) for _ in range(n)]
     tstar = 8.0
     probs = [survival_at(c, tstar) for c in curves]
-    gap = abs(brier_censored(v, CurveBatch.from_curves(curves), tstar, fit_censoring_km(v))
+    gap = abs(brier_censored(v, probs, tstar, fit_censoring_km(v))
               - brier_uncensored(v, probs, tstar))
     assert gap < 1e-12
 
@@ -193,7 +192,8 @@ def test_criterion_07_brier_anchors():
                        "linear"),
             t0_km=500.0,
         ))
-    ipcw = brier_censored(d, CurveBatch.from_curves(curves), tstar, fit_censoring_km(d))
+    ipcw = brier_censored(d, [survival_at(c, tstar) for c in curves], tstar,
+                          fit_censoring_km(d))
     latent = dataset(cohort.latent_death, np.ones(len(d)))
     latent_probs = [cohort.true_survival(i, tstar) for i in range(len(d))]
     truth = brier_uncensored(latent, latent_probs, tstar)

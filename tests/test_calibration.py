@@ -7,7 +7,6 @@ from isdkit.calibration import (
     brier_uncensored,
     calibration_table,
     dcal_histogram,
-    dcal_histogram_from_probs,
     dcal_test,
     integrated_brier,
     one_calibration_dn,
@@ -123,7 +122,7 @@ class TestBrier:
         g_hat = fit_censoring_km(d)
         tstar = 8.0
         probs = [survival_at(c, tstar) for c in curves]
-        assert brier_censored(d, CurveBatch.from_curves(curves), tstar, g_hat) == pytest.approx(
+        assert brier_censored(d, probs, tstar, g_hat) == pytest.approx(
             brier_uncensored(d, probs, tstar), abs=1e-12
         )
 
@@ -131,7 +130,8 @@ class TestBrier:
         d = dataset([30, 40], [1, 1])
         curves = [extend_linear(step_curve([25.0], [1.0]), t0_km=50.0)] * 2
         g_hat = fit_censoring_km(d)
-        assert brier_censored(d, CurveBatch.from_curves(curves), tstar=10.0, g_hat=g_hat) == 0.0
+        probs = [survival_at(c, 10.0) for c in curves]
+        assert brier_censored(d, probs, tstar=10.0, g_hat=g_hat) == 0.0
 
     def test_ipcw_weights_applied(self):
         # one death before t*, one censored before t*, one surviving past
@@ -142,7 +142,8 @@ class TestBrier:
         # G(2) = 1 (no censorings yet), G(6) = 1/2 after the censoring at 4
         s = 0.4
         expected = (s**2 / 1.0 + (1 - s) ** 2 / 0.5) / 3
-        assert brier_censored(d, CurveBatch.from_curves(curves), tstar, g_hat) == pytest.approx(expected)
+        probs = [survival_at(c, tstar) for c in curves]
+        assert brier_censored(d, probs, tstar, g_hat) == pytest.approx(expected)
 
     def test_zero_g_is_an_error(self):
         # G comes from a training fold whose last observation is censored,
@@ -153,16 +154,16 @@ class TestBrier:
         v = dataset([9.0], [1])
         curves = [extend_linear(step_curve([6.0], [0.4]), t0_km=20.0)]
         with pytest.raises(ValueError, match="G is 0"):
-            brier_censored(v, CurveBatch.from_curves(curves), tstar=5.0, g_hat=g_hat)
+            brier_censored(v, [survival_at(c, 5.0) for c in curves], tstar=5.0, g_hat=g_hat)
 
 
 class TestIntegratedBrier:
     def test_constant_quarter(self):
         # constant 0.5 predictions and no events inside the window
         d = dataset([100.0, 100.0], [1, 1])
-        curves = [extend_linear(step_curve([0.0, 99.0], [0.5, 0.5]))] * 2
+        shared = extend_linear(step_curve([0.0, 99.0], [0.5, 0.5]))
         g_hat = fit_censoring_km(d)
-        assert integrated_brier(d, CurveBatch.from_curves(curves), tau=50.0, g_hat=g_hat) == pytest.approx(0.25)
+        assert integrated_brier(d, shared, tau=50.0, g_hat=g_hat) == pytest.approx(0.25)
 
     def test_matches_dense_trapezoid_quadrature(self, rng):
         n = 12
@@ -173,7 +174,9 @@ class TestIntegratedBrier:
         ), t0_km=200.0) for _ in range(n)]
         g_hat = fit_censoring_km(d)  # identically 1
         tau = 25.0
-        exact = integrated_brier(d, CurveBatch.from_curves(curves), tau, g_hat)
+        # curves on different knots: the IBS is the mean of one-patient IBS
+        exact = np.mean([integrated_brier(d.subset([i]), c, tau, g_hat)
+                         for i, c in enumerate(curves)])
 
         ts = np.linspace(0, tau, 10_001)
         bs = np.empty_like(ts)
@@ -188,77 +191,77 @@ class TestIntegratedBrier:
         # the runner passes the combined train+validation maximum; here we
         # only check the scaling behaviour of the horizon argument
         d = dataset([100.0], [1])
-        curves = [extend_linear(step_curve([0.0, 99.0], [0.5, 0.5]))]
+        curve = extend_linear(step_curve([0.0, 99.0], [0.5, 0.5]))
         g_hat = fit_censoring_km(d)
-        a = integrated_brier(d, CurveBatch.from_curves(curves), tau=10.0, g_hat=g_hat)
-        b = integrated_brier(d, CurveBatch.from_curves(curves), tau=40.0, g_hat=g_hat)
+        a = integrated_brier(d, curve, tau=10.0, g_hat=g_hat)
+        b = integrated_brier(d, curve, tau=40.0, g_hat=g_hat)
         assert a == pytest.approx(b)  # constant integrand: scale free
 
     def test_truncates_where_g_vanishes(self):
         # the censoring curve dies at t = 4; the integral stops there
         d = dataset([2.0, 4.0], [1, 0])
-        curves = [extend_linear(step_curve([6.0], [0.4]), t0_km=20.0)] * 2
+        shared = extend_linear(step_curve([6.0], [0.4]), t0_km=20.0)
         g_hat = fit_censoring_km(d)
-        value = integrated_brier(d, CurveBatch.from_curves(curves), tau=10.0, g_hat=g_hat)
+        value = integrated_brier(d, shared, tau=10.0, g_hat=g_hat)
         assert np.isfinite(value)
 
 
 class TestDCalHistogram:
     def test_worked_blur_example(self):
-        h = dcal_histogram_from_probs([0.25], [False], 10)
+        h = dcal_histogram([0.25], [False], 10)
         assert h.counts[2] == pytest.approx(0.2, abs=1e-12)   # [0.2, 0.3)
         assert h.counts[1] == pytest.approx(0.4, abs=1e-12)   # [0.1, 0.2)
         assert h.counts[0] == pytest.approx(0.4, abs=1e-12)   # [0.0, 0.1)
         assert h.counts[3:].sum() == 0.0
 
     def test_censored_at_time_zero_spreads_evenly(self):
-        h = dcal_histogram_from_probs([1.0], [False], 10)
+        h = dcal_histogram([1.0], [False], 10)
         np.testing.assert_allclose(h.counts, [0.1] * 10, atol=1e-12)
 
     def test_late_censoring_is_not_blurred(self):
-        h = dcal_histogram_from_probs([0.07], [False], 10)
+        h = dcal_histogram([0.07], [False], 10)
         assert h.counts[0] == 1.0
         assert h.counts[1:].sum() == 0.0
 
     def test_zero_probability_limit_case(self):
-        h = dcal_histogram_from_probs([0.0], [False], 10)
+        h = dcal_histogram([0.0], [False], 10)
         assert h.counts[0] == 1.0
 
     def test_blur_weights_sum_to_one(self, rng):
         for _ in range(10_000):
             s = rng.uniform(0, 1)
             b = int(rng.integers(2, 21))
-            h = dcal_histogram_from_probs([s], [False], b)
+            h = dcal_histogram([s], [False], b)
             assert h.counts.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_total_mass_is_the_cohort_size(self, rng):
         n = 300
         probs = rng.uniform(0, 1, n)
         events = rng.random(n) < 0.5
-        h = dcal_histogram_from_probs(probs, events, 10)
+        h = dcal_histogram(probs, events, 10)
         assert h.counts.sum() == pytest.approx(n, abs=1e-9)
 
     def test_uncensored_placement_uses_the_curve_at_death(self):
         curve = extend_linear(linear_curve([10.0], [0.0]))
         d = dataset([2.5], [1])
-        h = dcal_histogram(d, curve, 10)
+        h = dcal_histogram(survival_at(curve, d.times), d.events, 10)
         assert h.counts[7] == 1.0  # S(2.5) = 0.75 lands in [0.7, 0.8)
 
     def test_top_bin_is_closed(self):
-        h = dcal_histogram_from_probs([1.0], [True], 10)
+        h = dcal_histogram([1.0], [True], 10)
         assert h.counts[9] == 1.0
 
 
 class TestDCalTest:
     def test_uniform_counts_score_zero(self):
-        h = dcal_histogram_from_probs(np.linspace(0.05, 0.95, 10), [True] * 10, 10)
+        h = dcal_histogram(np.linspace(0.05, 0.95, 10), [True] * 10, 10)
         result = dcal_test(h)
         assert result.statistic == 0.0
         assert result.p_value == 1.0
         assert result.dof == 9
 
     def test_all_mass_in_one_bin_hand_value(self):
-        h = dcal_histogram_from_probs([0.55] * 100, [True] * 100, 10)
+        h = dcal_histogram([0.55] * 100, [True] * 100, 10)
         result = dcal_test(h)
         # (100 - 10)^2 / 10 + 9 * (0 - 10)^2 / 10 = 900
         assert result.statistic == pytest.approx(900.0, abs=1e-9)
@@ -278,7 +281,7 @@ class TestDCalTest:
                 cohort.true_survival(i, cohort.latent_death[i])
                 for i in range(2000)
             ])
-            h = dcal_histogram_from_probs(probs, np.ones(2000, bool), 10)
+            h = dcal_histogram(probs, np.ones(2000, bool), 10)
             passes += dcal_test(h).p_value >= 0.05
         assert passes >= 18
 
@@ -308,13 +311,13 @@ class TestCalibrationContrastFixtures:
         assert dn.statistic == pytest.approx(0.0, abs=1e-12)
         assert dn.p_value == pytest.approx(1.0)
         # but the 2-bin death placements are 1 high vs 7 low, not 4/4
-        h = dcal_histogram(d, CurveBatch.from_curves(curves), b=2)
+        h = dcal_histogram([survival_at(c, t) for c, t in zip(curves, d.times)], d.events, b=2)
         np.testing.assert_allclose(h.counts, [7.0, 1.0], atol=1e-12)
         assert dcal_test(h).p_value < 0.05
 
     def test_d_calibrated_but_not_one_calibrated(self):
         d, curves = contrast_fixture("d-cal-only")
-        h = dcal_histogram(d, CurveBatch.from_curves(curves), b=2)
+        h = dcal_histogram([survival_at(c, t) for c, t in zip(curves, d.times)], d.events, b=2)
         np.testing.assert_allclose(h.counts, [4.0, 4.0], atol=1e-12)
         assert dcal_test(h).statistic == 0.0
         probs = np.array([survival_at(c, 10.0) for c in curves])
@@ -346,7 +349,7 @@ class TestIpcwUnbiasedness:
             ))
         g_hat = fit_censoring_km(d)
 
-        censored_version = brier_censored(d, CurveBatch.from_curves(curves), tstar, g_hat)
+        censored_version = brier_censored(d, [survival_at(c, tstar) for c in curves], tstar, g_hat)
 
         latent = dataset(cohort.latent_death, np.ones(len(d)))
         probs = [cohort.true_survival(i, tstar) for i in range(len(d))]

@@ -213,6 +213,8 @@ class TestSurvivalCurve:
             CurveBatch([1.0], [1.5])                 # out of range
         with pytest.raises(ValueError):
             CurveBatch([], [])
+        with pytest.raises(ValueError):
+            CurveBatch([1.0, 1.0, 2.0], [0.9, 0.5, 0.4], "linear")  # repeated knot
 
     def test_immutability(self):
         c = CurveBatch([1.0, 2.0], [0.8, 0.4])

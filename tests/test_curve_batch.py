@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from isdkit.calibration import (
     dcal_histogram,
-    dcal_histogram_from_probs,
     integrated_brier,
     one_calibration_dn,
 )
@@ -267,41 +266,13 @@ def extended_steps(*curves):
             for t, p in curves]
 
 
-@given(mixed_curves(), st.lists(st.floats(0.0, 250.0), min_size=1, max_size=6))
-@example(curves=extended_steps(([1.0, 1.5, 2.0, 3.0, 4.0], [0.0] * 5), ([0.1], [0.96875]),
-                               ([0.1], [7.96185145e-156])),
-         extra=[np.nextafter(0.1, np.inf)])  # the tail once rose 1 ulp above p_last
-@settings(max_examples=150, deadline=None)
-def test_curves_on_different_knots_batch_exactly(curves, extra):
-    batch = CurveBatch.from_curves(curves)
-    ts = np.unique(np.concatenate(
-        [extra, [0.0], *[c.knots for c in curves], *[c.zero_time for c in curves]]))
-    values = survival_at(batch, ts[None, :])
-    for i, curve in enumerate(curves):
-        np.testing.assert_allclose(values[i], [ref_survival(curve, t) for t in ts],
-                                   rtol=0, atol=TOL)
-    np.testing.assert_allclose(mean_survival(batch),
-                               [ref_integral(c, 0.0, c.zero_time[0]) for c in curves],
-                               rtol=TOL, atol=TOL)
-
-
-def test_from_curves_stacks_only_one_row_batches():
-    two_rows = CurveBatch([1.0, 2.0], [[0.9, 0.5], [0.8, 0.4]])
-    with pytest.raises(ValueError, match="one-row"):
-        CurveBatch.from_curves([two_rows])
-    with pytest.raises(ValueError, match="one-row"):
-        CurveBatch.from_curves([CurveBatch([1.0, 2.0], [0.9, 0.5]), two_rows])
-
-
-def test_from_curves_keeps_a_repeated_knot_only_on_shared_knots():
-    # the repeated knot at 1 carries a jump from 0.9 to 0.5
-    jump = CurveBatch([1.0, 1.0, 2.0], [0.9, 0.5, 0.4], "linear")
-    other = CurveBatch([1.0, 1.0, 2.0], [0.8, 0.3, 0.3], "linear")
-    stacked = CurveBatch.from_curves([jump, other])
-    np.testing.assert_array_equal(stacked.knots, jump.knots)
-    np.testing.assert_array_equal(stacked.probs, np.vstack((jump.probs, other.probs)))
-    with pytest.raises(ValueError, match="repeated knot"):
-        CurveBatch.from_curves([jump, CurveBatch([3.0], [0.2], "linear")])
+def test_tail_never_rises_above_the_last_knot_value():
+    # one float step past the knot, the extension line once read 1 ulp
+    # above p_last
+    (curve,) = extended_steps(([0.1], [0.96875]))
+    t = np.nextafter(0.1, np.inf)
+    assert survival_at(curve, t) == pytest.approx(ref_survival(curve, t), rel=0, abs=TOL)
+    assert survival_at(curve, t) <= 0.96875
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +316,11 @@ def test_ibs_of_a_curve_list_matches_per_patient_reference(drawn, g_hat):
     g_probs = g_hat.curve.probs[0]
     if (g_probs <= 0).any() and g_hat.curve.knots[np.argmax(g_probs <= 0)] == 0:
         return
-    value = integrated_brier(dataset(times, events), CurveBatch.from_curves(curves), tau, g_hat)
+    # curves on different knots: the IBS divides its total by n * tau_eff,
+    # and tau_eff depends only on tau and G, so it is the mean of the
+    # one-patient IBS
+    value = np.mean([integrated_brier(dataset(times[[i]], events[[i]]), c, tau, g_hat)
+                     for i, c in enumerate(curves)])
     assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
 
 
@@ -368,7 +343,7 @@ def test_best_guess_and_margin_weights_match_reference(drawn, censor_times):
 @settings(max_examples=200, deadline=None)
 def test_dcal_histogram_matches_per_patient_reference(pairs, b):
     probs, events = (np.array(x) for x in zip(*pairs))
-    h = dcal_histogram_from_probs(probs, events, b)
+    h = dcal_histogram(probs, events, b)
     np.testing.assert_allclose(h.counts, ref_dcal(probs, events, b), rtol=0, atol=TOL)
 
 
@@ -379,7 +354,7 @@ def test_dcal_histogram_of_a_batch_matches_reference(data):
     times, events = data.draw(cohorts(n))
     batch, _ = data.draw(batches(rows=n))
     probs = [ref_survival(c, t) for c, t in zip(per_row(batch), times)]
-    h = dcal_histogram(dataset(times, events), batch, 10)
+    h = dcal_histogram(survival_at(batch, times), events, 10)
     np.testing.assert_allclose(h.counts, ref_dcal(probs, events, 10), rtol=0, atol=TOL)
 
 
@@ -410,12 +385,12 @@ def fold_metrics(model, val):
         "ibs": integrated_brier(val, curves, tau, fit_censoring_km(_TRAIN)),
         "l1-uncensored": l1_uncensored(v_u, medians_u),
         "l1-hinge": l1_hinge(val, medians),
-        "l1-margin": l1_margin(val, medians, km_ext),
-        "l1-margin-shared": l1_margin(val, medians, weights=weights),
+        "l1-margin": l1_margin(val, medians, weights),
         "l1-log-uncensored": l1_log(v_u, medians_u, "uncensored", eta),
         "l1-log-margin": l1_log(val, medians, "margin", eta, weights=weights),
     }
-    out.update({f"dcal{k}": c for k, c in enumerate(dcal_histogram(val, curves).counts)})
+    h = dcal_histogram(survival_at(curves, val.times), events)
+    out.update({f"dcal{k}": c for k, c in enumerate(h.counts)})
     if curves.rows > 1:
         tstar = float(np.median(_COHORT.times))
         probs = survival_at(curves, tstar)
@@ -430,7 +405,6 @@ def test_permuting_patients_leaves_fold_metrics_unchanged(name, perm):
     model = _MODELS[name]
     base = fold_metrics(model, _VAL)
     permuted = fold_metrics(model, _VAL.subset(np.array(perm)))
-    assert base["l1-margin"] == base["l1-margin-shared"]
     assert permuted.keys() == base.keys()
     for key, value in base.items():
         assert permuted[key] == pytest.approx(value, rel=TOL, abs=TOL), key

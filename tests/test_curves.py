@@ -3,7 +3,6 @@ import pytest
 import scipy.integrate
 
 from isdkit.curves import (
-    average_curves,
     extend_linear,
     integrate_curve,
     mean_survival,
@@ -151,27 +150,3 @@ class TestMeanAndIntegral:
         # integral of 1 - t/10 over [5, 10] = 1.25
         assert integrate_curve(ec, 5.0, 10.0) == pytest.approx(1.25, abs=1e-12)
         assert integrate_curve(ec, 8.0, 2.0) == 0.0
-
-
-class TestAverageCurves:
-    def test_average_of_identical_curves_is_that_curve(self):
-        c = step_curve([2.0, 5.0], [0.6, 0.1])
-        avg = average_curves([c, c, c])
-        np.testing.assert_array_equal(avg.knots, c.knots)
-        np.testing.assert_allclose(avg.probs, c.probs, atol=1e-15)
-
-    def test_two_step_curves_halfway(self):
-        a = step_curve([2.0], [0.0])
-        b = step_curve([4.0], [0.0])
-        avg = average_curves([a, b])
-        assert survival_at(avg, 3.0) == 0.5
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            average_curves([])
-
-    def test_average_preserves_monotonicity(self, rng):
-        for _ in range(50):
-            cs = [random_curve(rng) for _ in range(rng.integers(1, 5))]
-            avg = average_curves(cs)  # the constructor enforces monotonicity
-            assert np.all(np.diff(avg.probs) <= 0)

@@ -11,6 +11,7 @@ from isdkit.discrimination import (
     l1_log,
     l1_margin,
     l1_uncensored,
+    margin_weights,
 )
 
 from conftest import dataset, linear_curve, random_curve, step_curve
@@ -87,12 +88,17 @@ class TestConcordance:
             concordance(d, [1, 2, 3])
 
 
+def weights_for(v, km):
+    """The margin weights of v's censored instances under the curve km."""
+    return margin_weights(v.times[~v.events], km)
+
+
 _KM = extend_linear(step_curve([2.0, 5.0], [0.5, 0.0]))
 _ALIGNED_METRICS = {
     "concordance": concordance,
     "l1-uncensored": l1_uncensored,
     "l1-hinge": l1_hinge,
-    "l1-margin": lambda v, med: l1_margin(v, med, _KM),
+    "l1-margin": lambda v, med: l1_margin(v, med, weights_for(v, _KM)),
     "l1-log": lambda v, med: l1_log(v, med, "uncensored", eta=0.5),
 }
 
@@ -159,8 +165,6 @@ class TestBestGuess:
 
 class TestMarginWeights:
     def test_invariants_hold_on_random_curves(self, rng):
-        from isdkit.discrimination import margin_weights
-
         for _ in range(30):
             km = extend_linear(random_curve(rng), t0_km=300.0)
             cs = rng.uniform(0, 1.1 * km.zero_time[0], size=8)
@@ -170,8 +174,6 @@ class TestMarginWeights:
 
     def test_early_and_late_extremes(self):
         km = extend_linear(step_curve([2.0, 5.0], [0.5, 0.0]))
-        from isdkit.discrimination import margin_weights
-
         w = margin_weights([0.0, 6.0], km)
         assert w.alpha[0] == 0.0   # S_KM(0) = 1: no information
         assert w.alpha[1] == 1.0   # past the last death: as good as observed
@@ -182,20 +184,21 @@ class TestL1Margin:
         km = extend_linear(step_curve([2.0, 5.0, 9.0], [0.7, 0.3, 0.0]))
         d = dataset([1, 4, 7], [1, 1, 1])
         p = [2, 3, 9]
-        assert l1_margin(d, p, km) == l1_uncensored(d, p)
+        assert l1_margin(d, p, weights_for(d, km)) == l1_uncensored(d, p)
 
     def test_censored_at_zero_contributes_nothing(self):
         km = extend_linear(step_curve([2.0, 5.0], [0.5, 0.0]))
         with_zero = dataset([3, 0], [1, 0])
         without = dataset([3], [1])
-        assert l1_margin(with_zero, [4, 1], km) == l1_margin(without, [4], km)
+        assert (l1_margin(with_zero, [4, 1], weights_for(with_zero, km))
+                == l1_margin(without, [4], weights_for(without, km)))
 
     def test_censored_past_last_death_acts_like_a_death(self):
         km = extend_linear(step_curve([2.0, 5.0], [0.5, 0.0]))
         d = dataset([3, 6], [1, 0])  # censored after S_KM hit 0
         p = [4, 4]
         # alpha = 1 and best guess = censor time
-        assert l1_margin(d, p, km) == pytest.approx((1 + 2) / 2)
+        assert l1_margin(d, p, weights_for(d, km)) == pytest.approx((1 + 2) / 2)
 
 
 class TestLogL1:
@@ -223,7 +226,7 @@ class TestLogL1:
     def test_margin_variant_runs(self):
         km = extend_linear(step_curve([2.0, 5.0], [0.5, 0.0]))
         d = dataset([3, 4], [1, 0])
-        value = l1_log(d, [4, 4], "margin", eta=0.5, train_km=km)
+        value = l1_log(d, [4, 4], "margin", eta=0.5, weights=weights_for(d, km))
         assert np.isfinite(value)
         with pytest.raises(ValueError):
             l1_log(d, [4, 4], "margin", eta=0.5)

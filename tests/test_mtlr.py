@@ -3,13 +3,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from isdkit.core import SurvivalDataset
+from isdkit.core import ConvergenceError, SurvivalDataset
 from isdkit.curves import extend_linear, median_survival
 from isdkit.mtlr import (
     _LOW_MASS,
     TimeGrid,
     _encode_labels,
     _softmax_tail,
+    _train,
     _with_bias,
     default_grid_size,
     fit_mtlr,
@@ -17,6 +18,7 @@ from isdkit.mtlr import (
     mtlr_loglik_grad,
     predict_curve_mtlr,
 )
+from isdkit.pipeline import CohortConfig, simulate_cohort
 
 from conftest import dataset
 
@@ -221,6 +223,14 @@ def two_group(seed, n=120):
     return SurvivalDataset.from_arrays(x, death, np.ones(n, dtype=bool))
 
 
+def weibull_cohort():
+    return simulate_cohort(
+        CohortConfig(family="weibull-ph", n_features=3, beta=(0.8, -0.5, 0.3),
+                     baseline_scale=10.0, baseline_shape=1.5, censor_rate=0.05),
+        200, seed=0,
+    )
+
+
 class TestFitMtlr:
     def test_orders_the_two_groups(self):
         wins = 0
@@ -262,6 +272,29 @@ class TestFitMtlr:
         d = two_group(0, n=20)
         with pytest.raises(ValueError):
             fit_mtlr(d, make_grid(d, 4), ())
+
+    @pytest.mark.parametrize("c", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_c_rejected(self, c):
+        d = weibull_cohort()
+        with pytest.raises(ValueError, match=f"C must be finite and non-negative, got {c}"):
+            fit_mtlr(d, make_grid(d, 15), (1.0, c))
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_gradient_is_a_failure(self, c):
+        # L-BFGS stops at once on a NaN objective, and a NaN gradient norm
+        # is not "small"
+        d = weibull_cohort()
+        grid = make_grid(d, 15)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ConvergenceError, match="gradient max-norm nan"):
+                _train(_with_bias(d.feature_matrix()), _encode_labels(d.times, d.events, grid),
+                       c, grid.m)
+
+    def test_zero_c_still_fits(self):
+        d = weibull_cohort()
+        model = fit_mtlr(d, make_grid(d, 15), (0.0,))
+        assert model.reg_c == 0.0
+        assert np.all(np.isfinite(model.theta)) and model.gradient_norm < 1e-3
 
 
 class TestPredictMtlr:

@@ -298,7 +298,7 @@ class TestRunExperiment:
         assert report.tau == d.times.max()
 
     def test_pooled_dcal_equals_flat_recomputation(self):
-        from isdkit.calibration import dcal_histogram_from_probs
+        from isdkit.calibration import dcal_histogram
         from isdkit.curves import survival_at
 
         d = cohort_with_features(n=150)
@@ -310,7 +310,7 @@ class TestRunExperiment:
                 inst = d.instances[idx]
                 probs.append(survival_at(curves.subset([i]), inst.time))
                 events.append(inst.event)
-        flat = dcal_histogram_from_probs(np.array(probs), np.array(events), 10)
+        flat = dcal_histogram(np.array(probs), np.array(events), 10)
         np.testing.assert_allclose(report.dcal_histogram.counts, flat.counts,
                                    atol=1e-12)
 
@@ -353,6 +353,16 @@ class TestRunExperiment:
             ExperimentConfig(percentiles=(0, 50))
         with pytest.raises(ValueError):
             ExperimentConfig(metrics=("concordance", "auc"))
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"at least 1 job, got {jobs}"):
+            ExperimentConfig(jobs=jobs)
+
+    @pytest.mark.parametrize("bins", [1, 0])
+    def test_bins_below_two_rejected(self, bins):
+        with pytest.raises(ValueError, match=f"at least 2 calibration bins, got {bins}"):
+            ExperimentConfig(bins=bins)
 
 
 class TestOnePredictionPath:

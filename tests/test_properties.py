@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isdkit.calibration import dcal_histogram_from_probs
+from isdkit.calibration import dcal_histogram
 from isdkit.curves import (
     CurveBatch,
     extend_linear,
@@ -60,6 +60,6 @@ def test_integral_is_additive(curve, a, b):
     st.integers(min_value=2, max_value=30),
 )
 def test_every_instance_contributes_unit_mass(prob, event, bins):
-    h = dcal_histogram_from_probs([prob], [event], bins)
+    h = dcal_histogram([prob], [event], bins)
     assert abs(h.counts.sum() - 1.0) < 1e-12
     assert np.all(h.counts >= 0.0)
