@@ -4,9 +4,10 @@ Parameterized in log time for stability: log T = mu(x) + sigma * eps with
 eps standard Gumbel (minimum), mu(x) = intercept + coeffs . x and
 sigma = exp(log_scale).  Equivalently S(t | x) = exp(-(t / lambda(x)) ** k)
 with shape k = 1 / sigma and scale lambda(x) = exp(mu(x)).  Fitting is
-safeguarded Newton on (intercept, coeffs, log_scale) with analytic
-gradient and Hessian; zero times are replaced by half the minimum positive
-observed time before taking logs, without mutating the dataset.
+safeguarded Newton (`newton_ascent`) on (intercept, coeffs, log_scale)
+with analytic gradient and Hessian; zero times are replaced by half the
+minimum positive observed time before taking logs, without mutating the
+dataset.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConvergenceError, FitError, SurvivalDataset, SurvivalModel
+from .core import FitError, SurvivalDataset, SurvivalModel, newton_ascent
 from .curves import CurveBatch
 
 __all__ = ["AftWeibullModel", "fit_aft_weibull", "predict_curve_aft", "aft_loglik"]
@@ -106,66 +107,44 @@ def _replace_zero_times(times: np.ndarray) -> np.ndarray:
     return np.where(times > 0, times, eta)
 
 
-def fit_aft_weibull(d: SurvivalDataset, tol: float = 1e-8, max_iter: int = 200) -> AftWeibullModel:
-    """Maximize the censored Weibull likelihood by safeguarded Newton.
+def _ridged_solve(info, grad):
+    """Newton step; far from the optimum the likelihood need not be
+    concave, so an information that is not positive definite has its
+    spectrum shifted until the step is an ascent direction."""
+    try:
+        np.linalg.cholesky(info)
+    except np.linalg.LinAlgError:
+        lowest = float(np.linalg.eigvalsh(info)[0])
+        info = info + (1.1 * abs(lowest) + 1e-6) * np.eye(info.shape[0])
+    return np.linalg.solve(info, grad)
 
-    The Hessian is ridged until it is negative definite and steps are
-    halved until the likelihood does not decrease, so the accepted
-    log-likelihood sequence is non-decreasing.
-    """
+
+def fit_aft_weibull(d: SurvivalDataset) -> AftWeibullModel:
+    """Maximize the censored Weibull likelihood by `newton_ascent`, the
+    Hessian ridged until it is negative definite.  Raises ConvergenceError
+    (carrying the last iterate) when the Newton fit fails."""
     x = d.feature_matrix()
     times, events = d.times, d.events
     if not events.any():
         raise FitError("AFT fitting needs at least one uncensored instance")
     times = _replace_zero_times(times)
 
-    params = _pack(np.log(times.mean()), np.zeros(x.shape[1]), 0.0)
-    ll, grad, hess = aft_loglik(params, x, times, events, with_derivatives=True)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm < tol:
-            break
-        info = -hess
-        try:
-            np.linalg.cholesky(info)
-        except np.linalg.LinAlgError:
-            # far from the optimum the likelihood need not be concave;
-            # shift the spectrum so the step is an ascent direction
-            lowest = float(np.linalg.eigvalsh(info)[0])
-            info = info + (1.1 * abs(lowest) + 1e-6) * np.eye(info.shape[0])
-        step = np.linalg.solve(info, grad)
-        scale = 1.0
-        floor = ll - 1e-10 * (1.0 + abs(ll))
-        for _ in range(50):
-            candidate = params + scale * step
-            if aft_loglik(candidate, x, times, events) >= floor:
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                "AFT step halving failed to improve the likelihood",
-                last_iterate=params,
-            )
-        params = candidate
+    def loglik(params, derivatives=False):
+        if not derivatives:
+            return aft_loglik(params, x, times, events)
         ll, grad, hess = aft_loglik(params, x, times, events, with_derivatives=True)
+        return ll, grad, -hess
 
-    gnorm = float(np.max(np.abs(grad)))
-    if gnorm >= tol:
-        raise ConvergenceError(
-            f"AFT fit did not converge in {max_iter} iterations "
-            f"(gradient max-norm {gnorm:.3g})",
-            last_iterate=params,
-        )
+    params, _, iterations, gnorm = newton_ascent(
+        loglik, _pack(np.log(times.mean()), np.zeros(x.shape[1]), 0.0), _ridged_solve, "AFT")
 
-    default_grid = np.unique(times)
     return AftWeibullModel(
         intercept=float(params[0]),
         coeffs=params[1:-1].copy(),
         log_scale=float(params[-1]),
         iterations=iterations,
         gradient_norm=gnorm,
-        grid=default_grid,
+        grid=np.unique(times),
         feature_names=d.feature_names,
     )
 

@@ -75,13 +75,8 @@ def _bin_memberships(probs: np.ndarray, b: int) -> tuple:
             "partitioned into calibration bins"
         )
     order = np.argsort(-probs, kind="stable")  # largest predicted survival first
-    base, extra = divmod(n, b)
-    sizes = [base + 1 if j < extra else base for j in range(b)]
-    members, start = [], 0
-    for size in sizes:
-        members.append(order[start:start + size])
-        start += size
-    return tuple(members)
+    # the first n mod b bins get one extra member
+    return tuple(np.array_split(order, b))
 
 
 def calibration_table(v: SurvivalDataset, probs_at_tstar, tstar: float, b: int,

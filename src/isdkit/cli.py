@@ -84,7 +84,6 @@ def cmd_evaluate(args) -> int:
         percentiles=tuple(float(p) for p in args.percentiles.split(",")),
         bins=args.bins,
         folds=args.folds,
-        seed=_seed_from(args),
         jobs=args.jobs,
     )
     out = _out_dir(args, ["metrics.csv", "calibration.csv", "dcal_histogram.csv"])
@@ -254,7 +253,8 @@ def _add_common(parser, dataset=True):
     parser.add_argument("--force", action="store_true",
                         help="overwrite existing output files")
     parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (falls back to ISDKIT_SEED, then 0)")
+                        help="seeds simulate only (falls back to ISDKIT_SEED, then 0); "
+                             "evaluate, fit and report are deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:

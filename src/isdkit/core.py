@@ -25,6 +25,7 @@ __all__ = [
     "SurvivalModel",
     "FitError",
     "ConvergenceError",
+    "newton_ascent",
     "load_csv",
     "save_csv",
     "split_by_censoring",
@@ -42,6 +43,46 @@ class ConvergenceError(FitError):
     def __init__(self, message: str, last_iterate=None):
         super().__init__(message)
         self.last_iterate = last_iterate
+
+
+# the step policy of every Newton fit: the gradient max-norm that ends it, the
+# most steps it takes and the most halvings of one step
+NEWTON_TOL, NEWTON_STEPS, NEWTON_HALVINGS = 1e-8, 100, 40
+
+
+def accepts(new, value):
+    """Whether a trial log-likelihood `new` may replace `value` (elementwise):
+    finite, not the +inf of log 0, and not below it beyond float resolution."""
+    return np.isfinite(new) & (new >= value - 1e-10 * (1.0 + np.abs(value)))
+
+
+def newton_ascent(f, x0, solve, what: str):
+    """Maximize a log-likelihood by Newton steps ``solve(info, grad)`` from
+    x0, each halved until `accepts` takes it; ``f(x)`` gives the value and
+    ``f(x, True)`` (value, gradient, information).  Returns (x, information,
+    Newton steps, gradient max-norm); raises ConvergenceError carrying the
+    last iterate when a step fails or NEWTON_STEPS steps do not converge.
+    """
+    x = x0
+    value, grad, info = f(x, True)
+    for steps in range(NEWTON_STEPS + 1):
+        gnorm = float(np.abs(grad).max(initial=0.0))
+        if gnorm < NEWTON_TOL:
+            return x, info, steps, gnorm
+        if steps == NEWTON_STEPS:
+            break
+        step = solve(info, grad)
+        for halvings in range(NEWTON_HALVINGS):
+            candidate = x + 0.5 ** halvings * step
+            if accepts(f(candidate), value):
+                break
+        else:
+            raise ConvergenceError(f"{what} step halving failed to improve the likelihood",
+                                   last_iterate=x)
+        x = candidate
+        value, grad, info = f(x, True)
+    raise ConvergenceError(f"{what} fit did not converge in {NEWTON_STEPS} steps "
+                           f"(gradient max-norm {gnorm:.3g})", last_iterate=x)
 
 
 @dataclass(frozen=True)
@@ -80,7 +121,7 @@ class SurvivalDataset:
     missing cell.
     """
 
-    def __init__(self, instances, feature_names, time_unit: str = ""):
+    def __init__(self, instances, feature_names):
         names = tuple(str(n) for n in feature_names)
         k = len(names)
         rows, times, events = [], [], []
@@ -94,9 +135,9 @@ class SurvivalDataset:
             events.append(inst.event)
         x, raw = _columns(rows, names)
         self._init(np.array(times, dtype=float), np.array(events, dtype=bool),
-                   x, raw, names, time_unit)
+                   x, raw, names)
 
-    def _init(self, times, events, x, raw, names, time_unit):
+    def _init(self, times, events, x, raw, names):
         if len(set(names)) != len(names):
             repeated = next(name for i, name in enumerate(names) if name in names[:i])
             raise ValueError(f"feature name {repeated!r} appears more than once")
@@ -105,12 +146,11 @@ class SurvivalDataset:
         self.times, self.events, self.values = times, events, x
         self.raw_columns = MappingProxyType(raw)
         self.feature_names = names
-        self.time_unit = time_unit
 
     @classmethod
-    def _from_columns(cls, times, events, x, raw, names, time_unit) -> "SurvivalDataset":
+    def _from_columns(cls, times, events, x, raw, names) -> "SurvivalDataset":
         d = object.__new__(cls)
-        d._init(times, events, x, raw, names, time_unit)
+        d._init(times, events, x, raw, names)
         return d
 
     def __len__(self) -> int:
@@ -120,8 +160,7 @@ class SurvivalDataset:
         return iter(self.instances)
 
     def __repr__(self) -> str:
-        return (f"SurvivalDataset(n={len(self)}, features={self.feature_names!r}, "
-                f"time_unit={self.time_unit!r})")
+        return f"SurvivalDataset(n={len(self)}, features={self.feature_names!r})"
 
     @property
     def instances(self) -> tuple:
@@ -158,7 +197,7 @@ class SurvivalDataset:
         raw = {j: col[idx] for j, col in self.raw_columns.items()}
         return SurvivalDataset._from_columns(self.times[idx], self.events[idx],
                                              self.values[idx], raw,
-                                             self.feature_names, self.time_unit)
+                                             self.feature_names)
 
     def with_features(self, x, feature_names) -> "SurvivalDataset":
         """The same patients with the float feature matrix `x` (n, k) in
@@ -170,11 +209,10 @@ class SurvivalDataset:
                              f"{(len(self), len(names))}")
         if np.isinf(x).any():
             raise ValueError("feature matrix holds an infinite value")
-        return SurvivalDataset._from_columns(self.times, self.events, x, {}, names,
-                                             self.time_unit)
+        return SurvivalDataset._from_columns(self.times, self.events, x, {}, names)
 
     @classmethod
-    def from_arrays(cls, x, times, events, feature_names=None, time_unit="") -> "SurvivalDataset":
+    def from_arrays(cls, x, times, events, feature_names=None) -> "SurvivalDataset":
         x = np.array(x, dtype=float)
         if x.ndim == 1:
             x = x.reshape(-1, 1)
@@ -198,7 +236,7 @@ class SurvivalDataset:
         if bad.any():
             i, j = (int(a) for a in np.argwhere(bad)[0])
             raise ValueError(_non_finite_message(i, names[j], x[i, j]))
-        return cls._from_columns(times, events, x, {}, names, time_unit)
+        return cls._from_columns(times, events, x, {}, names)
 
 
 def _non_finite_message(row: int, name: str, value) -> str:

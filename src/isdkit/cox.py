@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
-from .core import ConvergenceError, FitError, SurvivalDataset, SurvivalModel
+from .core import (NEWTON_HALVINGS, NEWTON_STEPS, NEWTON_TOL, FitError, SurvivalDataset,
+                   SurvivalModel, accepts, newton_ascent)
 from .curves import CurveBatch
 
 __all__ = ["CoxModel", "fit_cox", "predict_curve_cox", "univariate_cox_pvalue",
@@ -117,46 +118,14 @@ def _factor(info):
     return factor
 
 
-def _newton(risk, max_iter, tol):
+def _newton(risk):
+    """(beta, information, Newton steps, gradient max-norm) of a Cox fit."""
     if risk.death_rows.size == 0:
         raise FitError("Cox fitting needs at least one uncensored instance")
-    beta = np.zeros(risk.x.shape[1])
-    loglik, grad, info = risk.partial(beta, True)
-    for iteration in range(max_iter + 1):
-        gnorm = float(np.abs(grad).max(initial=0.0))
-        if gnorm < tol:
-            _factor(info)
-            return beta, info, iteration, gnorm
-        if iteration == max_iter:
-            break
-        step = cho_solve(_factor(info), grad)
-        scale = 1.0
-        # accept anything within float resolution of the current value, but
-        # not +inf: log(0) of a risk set whose every weight underflowed
-        floor = loglik - 1e-10 * (1.0 + abs(loglik))
-        for _ in range(40):
-            candidate = beta + scale * step
-            value = risk.partial(candidate)
-            if np.isfinite(value) and value >= floor:
-                break
-            scale *= 0.5
-        else:
-            raise ConvergenceError(
-                "Cox step halving failed to improve the partial likelihood",
-                last_iterate=beta,
-            )
-        beta = candidate
-        loglik, grad, info = risk.partial(beta, True)
-    raise ConvergenceError(
-        f"Cox fit did not converge in {max_iter} iterations "
-        f"(gradient max-norm {gnorm:.3g})",
-        last_iterate=beta,
-    )
-
-
-def _newton_cox(x, times, events, max_iter, tol):
-    """(beta, information, iterations, gradient max-norm) of a Cox fit."""
-    return _newton(_RiskSets(x, times, events), max_iter, tol)
+    fit = newton_ascent(risk.partial, np.zeros(risk.x.shape[1]),
+                        lambda info, grad: cho_solve(_factor(info), grad), "Cox")
+    _factor(fit[1])
+    return fit
 
 
 def _kp_baseline(beta, risk) -> CurveBatch:
@@ -171,16 +140,15 @@ def _kp_baseline(beta, risk) -> CurveBatch:
     return CurveBatch(risk.death_times, np.clip(np.cumprod(alphas), 0.0, 1.0), "step")
 
 
-def fit_cox(d: SurvivalDataset, max_iter: int = 100, tol: float = 1e-8) -> CoxModel:
-    """Fit a Cox model by safeguarded Newton-Raphson (Breslow ties), then
-    attach the Kalbfleisch-Prentice baseline at each distinct death time.
+def fit_cox(d: SurvivalDataset) -> CoxModel:
+    """Fit a Cox model by `newton_ascent` (Breslow ties), then attach the
+    Kalbfleisch-Prentice baseline at each distinct death time.
 
-    Raises ConvergenceError (carrying the last iterate) when the gradient
-    max-norm fails to reach `tol` within `max_iter` iterations, and
-    FitError when the information matrix is singular.
+    Raises ConvergenceError (carrying the last iterate) when the Newton
+    fit fails, and FitError when the information matrix is singular.
     """
     risk = _RiskSets(d.feature_matrix(), d.times, d.events)
-    beta, _, iterations, gnorm = _newton(risk, max_iter, tol)
+    beta, _, iterations, gnorm = _newton(risk)
     baseline = _kp_baseline(beta, risk)
     return CoxModel(beta, baseline, iterations, gnorm, d.feature_names)
 
@@ -223,7 +191,7 @@ _BLOCK_CELLS = 1 << 20
 _BETA_BOUND = 10.0
 
 
-def _wald_pvalues(x, times, events, max_iter=100, tol=1e-8):
+def _wald_pvalues(x, times, events):
     """Wald p-values of every column of `x` (NaN = missing) as a
     univariate Cox covariate; rows share one time order."""
     order = np.argsort(times, kind="stable")
@@ -232,12 +200,12 @@ def _wald_pvalues(x, times, events, max_iter=100, tol=1e-8):
     block = max(1, _BLOCK_CELLS // max(ts.size, 1))
     for start in range(0, x.shape[1], block):
         cols = np.ascontiguousarray(x[:, start:start + block].T)
-        p[start:start + block] = _wald_block(cols, order, ts, es, max_iter, tol)
+        p[start:start + block] = _wald_block(cols, order, ts, es)
     return p
 
 
-def _wald_block(cols, order, ts, es, max_iter, tol):
-    """`_newton_cox` and the Wald (or score) test on one column at a time,
+def _wald_block(cols, order, ts, es):
+    """`_newton` and the Wald (or score) test on one column at a time,
     run on every column of `cols` (columns × rows) at once.
 
     A missing cell gives its row weight 0, so each column sees exactly its
@@ -304,22 +272,21 @@ def _wald_block(cols, order, ts, es, max_iter, tol):
     u0, i0 = grad.copy(), info.copy()       # the score test's U(0) and I(0)
     active = np.ones(beta.size, dtype=bool)
     converged = np.zeros(beta.size, dtype=bool)
-    for _ in range(max_iter):
-        done = active & (np.abs(grad) < tol)
+    for _ in range(NEWTON_STEPS):
+        done = active & (np.abs(grad) < NEWTON_TOL)
         converged |= done & (info > 0)
         active &= ~done & (info > 0)   # a singular information ends the fit
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         step = grad[rows] / info[rows]
-        floor = loglik[rows] - 1e-10 * (1.0 + np.abs(loglik[rows]))
         scale = np.ones(rows.size)
         candidate = beta[rows].copy()
         pending = np.arange(rows.size)
-        for _ in range(40):
+        for _ in range(NEWTON_HALVINGS):
             candidate[pending] = beta[rows[pending]] + scale[pending] * step[pending]
             new_loglik = partial(rows[pending], candidate[pending], False)
-            pending = pending[~(np.isfinite(new_loglik) & (new_loglik >= floor[pending]))]
+            pending = pending[~accepts(new_loglik, loglik[rows[pending]])]
             if pending.size == 0:
                 break
             scale[pending] *= 0.5
@@ -329,7 +296,7 @@ def _wald_block(cols, order, ts, es, max_iter, tol):
         beta[rows] = candidate[accepted]
         loglik[rows], grad[rows], info[rows] = partial(rows, beta[rows], True)
     else:
-        converged |= active & (np.abs(grad) < tol) & (info > 0)
+        converged |= active & (np.abs(grad) < NEWTON_TOL) & (info > 0)
 
     wald = converged & (np.abs(beta) <= _BETA_BOUND)     # so info > 0
     score = ~wald & (i0 > 0)

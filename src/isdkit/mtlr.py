@@ -39,6 +39,7 @@ __all__ = [
 
 GRAD_TOL = 1e-6
 MAX_ITER = 2000
+_CV_FOLDS = 5  # folds of the internal cross validation that picks C
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def _train(xb, lab: _Labels, reg_c, m):
     return theta, int(result.nit), gnorm
 
 
-def fit_mtlr(d: SurvivalDataset, grid: TimeGrid, c_candidates, folds: int = 5) -> MtlrModel:
+def fit_mtlr(d: SurvivalDataset, grid: TimeGrid, c_candidates) -> MtlrModel:
     """Train on the full dataset after selecting the regularization constant
     by internal cross validation on held-out marginalized log-likelihood.
 
@@ -267,7 +268,7 @@ def fit_mtlr(d: SurvivalDataset, grid: TimeGrid, c_candidates, folds: int = 5) -
     if len(c_candidates) == 1:
         best_c = c_candidates[0]
     else:
-        assignment = fold_indices(times, events, min(folds, len(d)))
+        assignment = fold_indices(times, events, min(_CV_FOLDS, len(d)))
         scores = []
         for c in c_candidates:
             total = 0.0

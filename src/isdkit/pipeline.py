@@ -116,7 +116,9 @@ def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
     level never seen in training gets all-zero indicators.  A string cell
     in the validation fold of a numeric column counts as missing.
 
-    Raises when no feature survives the filter (consider relaxing p_cut).
+    Raises a ValueError when an indicator name repeats the name of another
+    kept column, and a FitError when no feature survives the filter
+    (consider relaxing p_cut).
     """
     n_train = len(train)
     x_t, x_v = train.values, validate.values
@@ -142,6 +144,12 @@ def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
             names.extend(encoded[name])
             cols_t.extend(_indicators(cells, levels))
             cols_v.extend(_indicators(_cells(validate, j), levels))
+    for nominal, indicators in encoded.items():
+        for name in indicators:
+            if names.count(name) > 1:
+                raise ValueError(f"level {name[len(nominal) + 1:]!r} of nominal column "
+                                 f"{nominal!r} gets the name {name!r}, which another "
+                                 "kept column has too; rename one of them")
 
     p_values = {}
     if names:
@@ -224,7 +232,6 @@ class ExperimentConfig:
     percentiles: tuple = (10, 25, 50, 75, 90)
     bins: int = 10
     folds: int = 5
-    seed: int = 0
     mtlr_c_grid: tuple = (0.01, 0.1, 1.0, 10.0, 100.0)
     jobs: int = 1
 

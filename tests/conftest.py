@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isdkit.core import FitError, SurvivalDataset
-from isdkit.cox import _BETA_BOUND, _newton_cox, cox_partial_loglik
+from isdkit.cox import _BETA_BOUND, _newton, _RiskSets, cox_partial_loglik
 from isdkit.curves import CurveBatch
 from isdkit.stats import normal_cdf
 
@@ -48,7 +48,7 @@ def scalar_cox_fit(d, feature_index):
         return 1.0, 0.0
     try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            beta, info, _, _ = _newton_cox(col, times, events, max_iter=100, tol=1e-8)
+            beta, info, _, _ = _newton(_RiskSets(col, times, events))
         beta, var = abs(beta[0]), np.linalg.inv(info)[0, 0]
     except (FitError, np.linalg.LinAlgError):
         beta, var = np.inf, np.nan

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from isdkit.core import (
+    NEWTON_STEPS,
+    ConvergenceError,
     Instance,
     SurvivalDataset,
     load_csv,
+    newton_ascent,
     save_csv,
     split_by_censoring,
 )
@@ -15,6 +18,50 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def concave(x, derivatives=False):
+    """-(x - 3)^2 summed, with its gradient and information."""
+    value = -float(np.sum((x - 3.0) ** 2))
+    if not derivatives:
+        return value
+    return value, -2.0 * (x - 3.0), 2.0 * np.eye(x.size)
+
+
+class TestNewtonAscent:
+    def test_converges_in_one_step_on_a_quadratic(self):
+        x, info, steps, gnorm = newton_ascent(
+            concave, np.zeros(2), lambda info, grad: np.linalg.solve(info, grad), "quadratic")
+        np.testing.assert_array_equal(x, [3.0, 3.0])
+        assert (steps, gnorm) == (1, 0.0)
+        np.testing.assert_array_equal(info, 2.0 * np.eye(2))
+
+    def test_downhill_step_fails_the_halving(self):
+        # long enough that even its 40th halving falls beyond float resolution
+        x0 = np.array([1.0])
+        with pytest.raises(ConvergenceError, match="downhill step halving failed") as err:
+            newton_ascent(concave, x0, lambda info, grad: -1e6 * grad, "downhill")
+        np.testing.assert_array_equal(err.value.last_iterate, x0)
+
+    def test_gradient_that_never_shrinks_hits_the_step_cap(self):
+        # a linear function rises along every step but its gradient stays 1
+        def linear(x, derivatives=False):
+            value = float(x.sum())
+            return (value, np.ones(x.size), np.eye(x.size)) if derivatives else value
+
+        with pytest.raises(ConvergenceError, match=f"in {NEWTON_STEPS} steps") as err:
+            newton_ascent(linear, np.zeros(1), lambda info, grad: grad, "linear")
+        np.testing.assert_array_equal(err.value.last_iterate, [float(NEWTON_STEPS)])
+
+    def test_nan_gradient_raises(self):
+        def broken(x, derivatives=False):
+            value = concave(x)
+            return (value, np.full(x.size, np.nan), np.eye(x.size)) if derivatives else value
+
+        x0 = np.array([1.0, 2.0])
+        with pytest.raises(ConvergenceError, match="broken step halving failed") as err:
+            newton_ascent(broken, x0, lambda info, grad: grad, "broken")
+        np.testing.assert_array_equal(err.value.last_iterate, x0)
 
 
 class TestLoadCsv:

@@ -98,6 +98,22 @@ class TestPreprocess:
         with pytest.raises(FitError, match="p_cut"):
             preprocess(*make_folds(d, 2).split(d, 0), p_cut=1e-9)
 
+    @pytest.mark.parametrize("second, level", [("numeric", "b"), ("nominal", "b=c")])
+    def test_indicator_name_clash_is_refused(self, second, level):
+        # nominal 'a' with level 'b' beside a numeric column 'a=b', or with
+        # level 'b=c' beside a nominal 'a=b' with level 'c' (two 'a=b=c's)
+        rng = np.random.default_rng(2)
+        n = 60
+        other = (rng.standard_normal(n).tolist() if second == "numeric"
+                 else rng.choice(["c", "d"], n).tolist())
+        instances = tuple(Instance((str(rng.choice([level, "z"])), other[i]),
+                                   rng.exponential(5.0), rng.random() < 0.8)
+                          for i in range(n))
+        d = SurvivalDataset(instances, ("a", "a=b"))
+        with pytest.raises(ValueError, match=f"level '{level}' of nominal column 'a' "
+                                             f"gets the name 'a={level}'"):
+            preprocess(d, d)
+
     def test_validation_labels_never_leak(self):
         # perturbing validation labels must change nothing, bitwise
         d = mixed_dataset()
