@@ -38,7 +38,7 @@ cox = fit_cox(cohort)
 print(f"cox-kp coefficients: {np.round(cox.beta, 3)} "
       f"({cox.iterations} Newton iterations)")
 
-aft = fit_aft_weibull(cohort)
+aft = fit_aft_weibull(cohort, grid)
 print(f"aft-weibull shape: {aft.shape:.3f}, baseline scale: "
       f"{aft.scale(np.zeros(2)):.2f}, coefficients: {np.round(aft.coeffs, 3)}")
 
@@ -52,7 +52,7 @@ high_risk = np.array([1.5, -1.0])
 # a feature vector gives that patient's curve as a one-row CurveBatch
 predictors = {
     "cox-kp": lambda x: extend_linear(predict_curve_cox(cox, x), t0_km),
-    "aft-weibull": lambda x: extend_linear(predict_curve_aft(aft, x, grid), t0_km),
+    "aft-weibull": lambda x: extend_linear(predict_curve_aft(aft, x, aft.grid), t0_km),
     "mtlr": lambda x: extend_linear(predict_curve_mtlr(mtlr, x), t0_km),
 }
 

@@ -10,6 +10,7 @@ from .calibration import (
     brier_censored,
     brier_uncensored,
     calibration_table,
+    chi2_sf,
     dcal_histogram,
     dcal_test,
     integrated_brier,
@@ -22,6 +23,7 @@ from .core import (
     Instance,
     SurvivalDataset,
     SurvivalModel,
+    fold_indices,
     load_csv,
     save_csv,
     split_by_censoring,
@@ -59,16 +61,13 @@ from .mtlr import (
 from .pipeline import (
     CohortConfig,
     ExperimentConfig,
-    FoldAssignment,
     MetricReport,
     PreprocessReport,
     SimulatedCohort,
-    make_folds,
     preprocess,
     run_experiment,
     simulate_cohort,
     simulate_cohort_latent,
 )
-from .stats import chi2_sf, normal_cdf
 
 __version__ = "0.1.0"

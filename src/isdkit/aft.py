@@ -12,12 +12,13 @@ dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FitError, SurvivalDataset, SurvivalModel, newton_ascent
 from .curves import CurveBatch
+from .mtlr import TimeGrid
 
 __all__ = ["AftWeibullModel", "fit_aft_weibull", "predict_curve_aft", "aft_loglik"]
 
@@ -27,9 +28,9 @@ class AftWeibullModel(SurvivalModel):
     intercept: float
     coeffs: np.ndarray
     log_scale: float
+    grid: np.ndarray                  # the time points its curves are sampled on
     iterations: int = 0
     gradient_norm: float = 0.0
-    grid: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     feature_names: tuple = ()
 
     @property
@@ -119,10 +120,11 @@ def _ridged_solve(info, grad):
     return np.linalg.solve(info, grad)
 
 
-def fit_aft_weibull(d: SurvivalDataset) -> AftWeibullModel:
+def fit_aft_weibull(d: SurvivalDataset, grid: TimeGrid) -> AftWeibullModel:
     """Maximize the censored Weibull likelihood by `newton_ascent`, the
-    Hessian ridged until it is negative definite.  Raises ConvergenceError
-    (carrying the last iterate) when the Newton fit fails."""
+    Hessian ridged until it is negative definite; the model predicts its
+    curves on the points of `grid`.  Raises ConvergenceError (carrying the
+    last iterate) when the Newton fit fails."""
     x = d.feature_matrix()
     times, events = d.times, d.events
     if not events.any():
@@ -142,18 +144,19 @@ def fit_aft_weibull(d: SurvivalDataset) -> AftWeibullModel:
         intercept=float(params[0]),
         coeffs=params[1:-1].copy(),
         log_scale=float(params[-1]),
+        grid=grid.points,
         iterations=iterations,
         gradient_norm=gnorm,
-        grid=np.unique(times),
         feature_names=d.feature_names,
     )
 
 
 def predict_curve_aft(m: AftWeibullModel, x, grid) -> CurveBatch:
-    """Closed-form Weibull survival sampled on an increasing time grid,
+    """Closed-form Weibull survival sampled on the increasing time points
+    `grid` (an array; a fitted model keeps its own as `m.grid`),
     emitted as piecewise-linear curves: a row per row of the matrix x, one
     row for a feature vector."""
-    grid = np.asarray(getattr(grid, "points", grid), dtype=float)
+    grid = np.asarray(grid, dtype=float)
     x = np.asarray(x, dtype=float)
     mu = m.intercept + x @ m.coeffs
     with np.errstate(divide="ignore"):

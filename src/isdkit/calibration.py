@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .core import SurvivalDataset
 from .curves import CurveBatch
 from .km import KMCurve, fit_km_arrays, km_at
-from .stats import chi2_sf
 
 __all__ = [
     "TestResult",
@@ -34,6 +34,7 @@ __all__ = [
     "integrated_brier",
     "dcal_histogram",
     "dcal_test",
+    "chi2_sf",
 ]
 
 
@@ -42,6 +43,16 @@ class TestResult:
     statistic: float
     dof: int
     p_value: float
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper-tail probability P(X >= x) for a chi-square with `dof` degrees
+    of freedom, used to turn calibration statistics into p-values."""
+    if dof < 1:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {dof}")
+    if x < 0:
+        raise ValueError(f"chi-square statistic must be non-negative, got {x}")
+    return min(1.0, max(0.0, float(gammaincc(dof / 2.0, x / 2.0))))
 
 
 @dataclass(frozen=True)

@@ -10,20 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
 from .core import FitError, load_csv, save_csv
-from .curves import extend_linear
-from .km import fit_km
 from .pipeline import (
     ALL_METRICS,
     MODEL_NAMES,
     CohortConfig,
     ExperimentConfig,
-    _fit_model,
-    preprocess,
+    _fit_predict,
     run_experiment,
     simulate_cohort,
 )
@@ -31,14 +27,10 @@ from .pipeline import (
 __all__ = ["main"]
 
 
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ISDKIT_SEED")
-    return int(env) if env else 0
-
-
 def _out_dir(args, files) -> Path:
+    """The output directory, refusing to overwrite any of `files` without
+    --force.  Under --force the curve files of an earlier run go, so that
+    `curves/` holds the curves of this run only."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if not args.force:
@@ -47,6 +39,9 @@ def _out_dir(args, files) -> Path:
             raise FitError(
                 f"refusing to overwrite {', '.join(clashes)} (use --force)"
             )
+    if "curves" in files:
+        for stale in (out / "curves").glob("patient_*.csv"):
+            stale.unlink()
     return out
 
 
@@ -86,7 +81,8 @@ def cmd_evaluate(args) -> int:
         folds=args.folds,
         jobs=args.jobs,
     )
-    out = _out_dir(args, ["metrics.csv", "calibration.csv", "dcal_histogram.csv"])
+    out = _out_dir(args, ["metrics.csv", "calibration.csv", "dcal_histogram.csv",
+                          "curves"])
     report = run_experiment(dataset, cfg)
 
     rows = []
@@ -150,19 +146,14 @@ def _model_payload(name: str, model) -> dict:
 
 
 def cmd_fit(args) -> int:
+    """Fit on the whole dataset through the code of one `evaluate` fold,
+    with the dataset as both its training and its validation rows."""
     raw = load_csv(args.dataset, args.time_col, args.event_col)
-    out = _out_dir(args, ["model.json"])
-    # feature models need the encoded/imputed/standardized representation;
-    # fitting on the full dataset means the pipeline is fit on it as well
-    dataset = raw
-    if args.model != "km" and raw.feature_names:
-        dataset, _, _ = preprocess(raw, raw)
-    model = _fit_model(args.model, dataset, ExperimentConfig(model=args.model))
+    out = _out_dir(args, ["model.json", "curves"])
+    model, _, curves = _fit_predict(args.model, raw, raw, ExperimentConfig.mtlr_c_grid)
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(_model_payload(args.model, model), fh, indent=1)
-
-    t0_km = extend_linear(fit_km(dataset).curve).zero_time[0]
-    _write_curves(out, range(len(dataset)), extend_linear(model.predict_curves(dataset), t0_km))
+    _write_curves(out, range(len(raw)), curves)
     print(f"wrote fitted {args.model} to {out}")
     return 0
 
@@ -177,16 +168,22 @@ def cmd_simulate(args) -> int:
         baseline_shape=args.shape,
         censor_rate=args.censor_rate,
     )
-    cohort = simulate_cohort(config, args.n, _seed_from(args))
+    cohort = simulate_cohort(config, args.n, args.seed)
     save_csv(cohort, out / "cohort.csv", args.time_col, args.event_col)
     print(f"wrote {args.n} simulated patients to {out / 'cohort.csv'}")
     return 0
 
 
 def cmd_report(args) -> int:
-    runs = [Path(r) for r in args.runs]
+    runs = {}                         # label (the last part of the path) -> path
+    for run in map(Path, args.runs):
+        label = run.name or str(run)
+        if label in runs:
+            raise ValueError(f"runs {runs[label]} and {run} share the label {label!r}; "
+                             "give each run a directory of its own name")
+        runs[label] = run
     tables = {}
-    for run in runs:
+    for label, run in runs.items():
         metrics_file = run / "metrics.csv"
         if not metrics_file.exists():
             raise FitError(f"{metrics_file} not found; is {run} an evaluate output?")
@@ -194,7 +191,7 @@ def cmd_report(args) -> int:
             rows = list(csv.DictReader(fh))
         means = {r["metric"]: float(r["value"]) for r in rows if r["fold"] == "mean"}
         sds = {r["metric"]: float(r["value"]) for r in rows if r["fold"] == "sd"}
-        tables[run.name or str(run)] = (means, sds)
+        tables[label] = (means, sds)
     if not tables:
         raise FitError("no runs given to report on")
 
@@ -218,12 +215,12 @@ def cmd_report(args) -> int:
     _write_csv(out / "comparison.csv", ["run", "metric", "mean", "sd", "best"], rows)
 
     hist_rows = []
-    for run in runs:
+    for label, run in runs.items():
         hist_file = run / "dcal_histogram.csv"
         if hist_file.exists():
             with open(hist_file, encoding="utf-8") as fh:
                 for row in csv.DictReader(fh):
-                    hist_rows.append([run.name or str(run), row["bin_lo"],
+                    hist_rows.append([label, row["bin_lo"],
                                       row["bin_hi"], row["count"]])
     if hist_rows:
         _write_csv(out / "dcal_histograms.csv", ["run", "bin_lo", "bin_hi", "count"],
@@ -231,11 +228,11 @@ def cmd_report(args) -> int:
 
     # plot data for curve figures: the first few patients of each run
     curve_rows = []
-    for run in runs:
+    for label, run in runs.items():
         for path in sorted((run / "curves").glob("patient_*.csv"))[:10]:
             with open(path, encoding="utf-8") as fh:
                 for row in csv.DictReader(fh):
-                    curve_rows.append([run.name or str(run), path.stem,
+                    curve_rows.append([label, path.stem,
                                        row["time"], row["survival"]])
     if curve_rows:
         _write_csv(out / "curves_sample.csv", ["run", "patient", "time", "survival"],
@@ -252,8 +249,8 @@ def _add_common(parser, dataset=True):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--force", action="store_true",
                         help="overwrite existing output files")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seeds simulate only (falls back to ISDKIT_SEED, then 0); "
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seeds simulate only (default 0); "
                              "evaluate, fit and report are deterministic")
 
 

@@ -331,7 +331,8 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
     missing cell empty instead), raise a ValueError naming the row (1-based
     file line) and column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig skips the byte-order mark that Excel writes before the header
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

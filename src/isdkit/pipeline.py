@@ -14,13 +14,13 @@ folds into a single test, never averaging p-values.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import calibration as cal
 from .aft import fit_aft_weibull
-from .core import FitError, SurvivalDataset, SurvivalModel, fold_indices
+from .core import FitError, SurvivalDataset, fold_indices
 from .cox import fit_cox, univariate_cox_pvalue
 from .curves import CurveBatch, extend_linear, median_survival, survival_at
 from .discrimination import (
@@ -37,14 +37,12 @@ from .mtlr import default_grid_size, fit_mtlr, make_grid
 
 __all__ = [
     "PreprocessReport",
-    "FoldAssignment",
     "ExperimentConfig",
     "MetricReport",
     "OneCalEntry",
     "CohortConfig",
     "SimulatedCohort",
     "preprocess",
-    "make_folds",
     "fold_indices",
     "run_experiment",
     "simulate_cohort",
@@ -197,32 +195,6 @@ def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
 
 
 # ---------------------------------------------------------------------------
-# folds
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    fold_of: np.ndarray
-    k: int
-
-    def fold(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == j)
-
-    def split(self, d: SurvivalDataset, j: int):
-        val_mask = self.fold_of == j
-        return d.subset(~val_mask), d.subset(val_mask)
-
-
-def make_folds(d: SurvivalDataset, k: int = 5) -> FoldAssignment:
-    """Stratified fold assignment; deterministic given the dataset order
-    (the dealing rule of `fold_indices` needs no randomness)."""
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
-    if len(d) < k:
-        raise ValueError(f"cannot split {len(d)} instances into {k} folds")
-    return FoldAssignment(fold_indices(d.times, d.events, k), k)
-
-
-# ---------------------------------------------------------------------------
 # experiment
 
 @dataclass(frozen=True)
@@ -245,6 +217,8 @@ class ExperimentConfig:
             raise ValueError("percentiles must lie strictly between 0 and 100")
         if self.bins < 2:
             raise ValueError(f"need at least 2 calibration bins, got {self.bins}")
+        if self.folds < 2:
+            raise ValueError(f"need at least 2 folds, got {self.folds}")
         if self.jobs < 1:
             raise ValueError(f"need at least 1 job, got {self.jobs}")
 
@@ -282,18 +256,28 @@ class _FoldOutput:
     val_indices: np.ndarray
 
 
-def _fit_model(name: str, train: SurvivalDataset, cfg: ExperimentConfig) -> SurvivalModel:
-    """The trained model; its `predict_curves` gives a fold's CurveBatch."""
+def _fit_predict(name: str, raw_train: SurvivalDataset, raw_val: SurvivalDataset,
+                 c_grid: tuple) -> tuple:
+    """Preprocess on the training rows (when the model reads features), fit
+    the model and predict the validation rows as one extended batch.
+    Returns (model, extended training Kaplan-Meier curve, curves)."""
+    train, val = raw_train, raw_val
+    if name != "km" and raw_train.feature_names:
+        train, val, _ = preprocess(raw_train, raw_val)
+
+    train_km_ext = extend_linear(fit_km(train).curve)
     if name == "km":
-        return KaplanMeierModel.fit(train)
-    if name == "cox-kp":
-        return fit_cox(train)
-    if name not in ("aft-weibull", "mtlr"):
+        model = KaplanMeierModel.fit(train)
+    elif name == "cox-kp":
+        model = fit_cox(train)
+    elif name in ("aft-weibull", "mtlr"):
+        grid = make_grid(train, default_grid_size(len(train)))
+        model = (fit_aft_weibull(train, grid) if name == "aft-weibull"
+                 else fit_mtlr(train, grid, c_grid))
+    else:
         raise ValueError(f"unknown model {name!r}")
-    grid = make_grid(train, default_grid_size(len(train)))
-    if name == "aft-weibull":
-        return replace(fit_aft_weibull(train), grid=grid.points)
-    return fit_mtlr(train, grid, cfg.mtlr_c_grid)
+    curves = extend_linear(model.predict_curves(val), float(train_km_ext.zero_time[0]))
+    return model, train_km_ext, curves
 
 
 def _score_fold(val: SurvivalDataset, curves: CurveBatch, medians: np.ndarray, metrics,
@@ -329,28 +313,20 @@ def _score_fold(val: SurvivalDataset, curves: CurveBatch, medians: np.ndarray, m
     return scores
 
 
-def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig, assignment: FoldAssignment,
-              fold: int, tau: float, tstars: tuple) -> _FoldOutput:
-    raw_train, raw_val = assignment.split(d, fold)
-    needs_features = cfg.model != "km" and len(d.feature_names) > 0
-    if needs_features:
-        train, val, _ = preprocess(raw_train, raw_val)
-    else:
-        train, val = raw_train, raw_val
-
-    train_km_ext = extend_linear(fit_km(train).curve)
+def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig, val_mask: np.ndarray,
+              tau: float, tstars: tuple) -> _FoldOutput:
+    raw_train, raw_val = d.subset(~val_mask), d.subset(val_mask)
+    _, train_km_ext, curves = _fit_predict(cfg.model, raw_train, raw_val, cfg.mtlr_c_grid)
     t0_km = float(train_km_ext.zero_time[0])
-    model = _fit_model(cfg.model, train, cfg)
-    curves = extend_linear(model.predict_curves(val), t0_km)
     n = len(raw_val)
     medians = np.broadcast_to(median_survival(curves, t0_km), (n,))
 
     at_tstars = np.broadcast_to(survival_at(curves, np.asarray(tstars)[None, :]),
                                 (n, len(tstars)))
     at_times = np.broadcast_to(survival_at(curves, raw_val.times), (n,))
-    scores = _score_fold(raw_val, curves, medians, cfg.metrics, tau, train, train_km_ext)
+    scores = _score_fold(raw_val, curves, medians, cfg.metrics, tau, raw_train, train_km_ext)
     return _FoldOutput(curves, scores, at_tstars, at_times, t0_km,
-                       assignment.fold(fold))
+                       np.flatnonzero(val_mask))
 
 
 def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
@@ -362,13 +338,15 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
     percentiles and D-calibration run once on the pooled predictions of
     all folds.  Fit failures propagate with the fold index attached.
     """
-    assignment = make_folds(d, cfg.folds)
+    if len(d) < cfg.folds:
+        raise ValueError(f"cannot split {len(d)} instances into {cfg.folds} folds")
+    fold_of = fold_indices(d.times, d.events, cfg.folds)
     tau = float(d.times.max())
     tstars = tuple(float(np.percentile(d.times, p)) for p in cfg.percentiles)
 
     def run(fold):
         try:
-            return _run_fold(d, cfg, assignment, fold, tau, tstars)
+            return _run_fold(d, cfg, fold_of == fold, tau, tstars)
         except FitError as exc:
             raise FitError(f"fold {fold}: {exc}") from exc
         except ValueError as exc:

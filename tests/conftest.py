@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from isdkit.core import FitError, SurvivalDataset
 from isdkit.cox import _BETA_BOUND, _newton, _RiskSets, cox_partial_loglik
 from isdkit.curves import CurveBatch
-from isdkit.stats import normal_cdf
 
 
 def step_curve(times, probs):
@@ -53,10 +53,10 @@ def scalar_cox_fit(d, feature_index):
     except (FitError, np.linalg.LinAlgError):
         beta, var = np.inf, np.nan
     if var > 0 and beta <= _BETA_BOUND:
-        return 2.0 * normal_cdf(-beta / np.sqrt(var)), beta
+        return 2.0 * ndtr(-beta / np.sqrt(var)), beta
     _, u0, i0 = cox_partial_loglik(np.zeros(1), col, times, events, with_derivatives=True)
     if i0[0, 0] > 0:
-        return 2.0 * normal_cdf(-abs(u0[0]) / np.sqrt(i0[0, 0])), beta
+        return 2.0 * ndtr(-abs(u0[0]) / np.sqrt(i0[0, 0])), beta
     return 1.0, beta
 
 

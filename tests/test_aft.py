@@ -4,6 +4,7 @@ import pytest
 from isdkit.aft import aft_loglik, fit_aft_weibull, predict_curve_aft
 from isdkit.core import FitError, SurvivalDataset
 from isdkit.curves import survival_at
+from isdkit.mtlr import default_grid_size, make_grid
 
 from conftest import dataset
 
@@ -21,11 +22,16 @@ def weibull_sample(seed, n=2000, shape=2.0, scale=10.0, censor_rate=0.0):
                                        feature_names=())
 
 
+def fit(d):
+    """`fit_aft_weibull` on the grid that `run_experiment` gives it."""
+    return fit_aft_weibull(d, make_grid(d, default_grid_size(len(d))))
+
+
 class TestFitAft:
     def test_uncensored_parameter_recovery(self):
         shape_err, scale_err = [], []
         for seed in range(20):
-            m = fit_aft_weibull(weibull_sample(seed))
+            m = fit(weibull_sample(seed))
             shape_err.append(abs(m.shape - 2.0) / 2.0)
             scale_err.append(abs(m.scale(np.zeros(0)) - 10.0) / 10.0)
         assert np.median(shape_err) < 0.05
@@ -35,24 +41,31 @@ class TestFitAft:
         shape_err, scale_err = [], []
         for seed in range(20):
             d = weibull_sample(seed, censor_rate=0.12)  # roughly half censored
-            m = fit_aft_weibull(d)
+            m = fit(d)
             shape_err.append(abs(m.shape - 2.0) / 2.0)
             scale_err.append(abs(m.scale(np.zeros(0)) - 10.0) / 10.0)
         assert np.median(shape_err) < 0.15
         assert np.median(scale_err) < 0.15
 
     def test_exponential_data_has_shape_near_one(self):
-        shapes = [fit_aft_weibull(weibull_sample(seed, shape=1.0)).shape
+        shapes = [fit(weibull_sample(seed, shape=1.0)).shape
                   for seed in range(20)]
         assert 0.9 < np.median(shapes) < 1.1
 
     def test_no_events_rejected(self):
         with pytest.raises(FitError, match="uncensored"):
-            fit_aft_weibull(dataset([1, 2, 3], [0, 0, 0]))
+            fit(dataset([1, 2, 3], [0, 0, 0]))
+
+    def test_curves_sit_on_the_given_grid(self):
+        d = weibull_sample(2, n=200, censor_rate=0.05)
+        grid = make_grid(d, 8)
+        m = fit_aft_weibull(d, grid)
+        np.testing.assert_array_equal(m.grid, grid.points)
+        np.testing.assert_array_equal(m.predict_curves(d).knots, grid.points)
 
     def test_zero_times_replaced_not_fatal(self):
         d = dataset([0.0, 1.0, 2.0, 4.0, 8.0], [1, 1, 1, 1, 1])
-        m = fit_aft_weibull(d)
+        m = fit(d)
         assert np.isfinite(m.intercept)
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -81,13 +94,13 @@ class TestFitAft:
 
 class TestPredictAft:
     def test_survival_at_the_scale_is_one_over_e(self):
-        m = fit_aft_weibull(weibull_sample(0))
+        m = fit(weibull_sample(0))
         lam = m.scale(np.zeros(0))
         curve = predict_curve_aft(m, np.zeros(0), np.array([lam])).subset([0])
         assert curve.probs[0, 0] == pytest.approx(np.exp(-1), rel=1e-12)
 
     def test_time_zero_is_one(self):
-        m = fit_aft_weibull(weibull_sample(0))
+        m = fit(weibull_sample(0))
         curve = predict_curve_aft(m, np.zeros(0), np.array([0.0, 5.0])).subset([0])
         assert curve.probs[0, 0] == 1.0
         assert survival_at(curve, 0.0) == 1.0
@@ -99,7 +112,7 @@ class TestPredictAft:
         lin = x @ np.array([0.8, -0.5])
         death = 10 * np.exp(-lin) * rng_local.weibull(1.5, size=400)
         d = SurvivalDataset.from_arrays(x, death, np.ones(400, dtype=bool))
-        m = fit_aft_weibull(d)
+        m = fit(d)
         grid = np.linspace(0.5, 40, 60)
         for _ in range(20):
             xa, xb = rng.standard_normal(2), rng.standard_normal(2)
@@ -109,7 +122,7 @@ class TestPredictAft:
             assert np.all(diff >= -1e-12) or np.all(diff <= 1e-12)
 
     def test_strictly_decreasing_and_positive(self):
-        m = fit_aft_weibull(weibull_sample(1))
+        m = fit(weibull_sample(1))
         curve = predict_curve_aft(m, np.zeros(0), np.linspace(0.5, 60, 50)).subset([0])
         assert np.all(np.diff(curve.probs) < 0)
         assert np.all(curve.probs > 0)

@@ -37,11 +37,16 @@ class TestSimulate:
         assert len(d) == 40
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
+        # there is no environment fallback: without --seed, simulate draws
+        # with seed 0 whatever ISDKIT_SEED holds
+        out1, out2, out0 = tmp_path / "a", tmp_path / "b", tmp_path / "zero"
         monkeypatch.setenv("ISDKIT_SEED", "17")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--n", "20", "--out", str(out1)])
+        monkeypatch.delenv("ISDKIT_SEED")
         main(["simulate", "--n", "20", "--out", str(out2)])
+        main(["simulate", "--n", "20", "--seed", "0", "--out", str(out0)])
         assert (out1 / "cohort.csv").read_bytes() == (out2 / "cohort.csv").read_bytes()
+        assert (out2 / "cohort.csv").read_bytes() == (out0 / "cohort.csv").read_bytes()
 
     def test_bad_parameters_exit_one(self, tmp_path, capsys):
         code = main(["simulate", "--n", "10", "--scale", "-1",
@@ -101,6 +106,29 @@ class TestEvaluate:
         code = main(["evaluate", "--dataset", str(toy_csv), "--model", "km",
                      "--folds", "3", "--out", str(out), "--force"])
         assert code == 0
+
+    def test_refuses_the_curves_of_a_fit_without_force(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "mix"
+        assert main(["fit", "--dataset", str(toy_csv), "--model", "cox-kp",
+                     "--out", str(out)]) == 0
+        code = main(["evaluate", "--dataset", str(toy_csv), "--model", "km",
+                     "--folds", "3", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(out / "curves") in err and "--force" in err
+        assert not (out / "metrics.csv").exists()
+
+    def test_force_leaves_the_curves_of_the_last_run_only(self, tmp_path):
+        config = CohortConfig(family="weibull-ph", n_features=2, beta=(0.8, -0.5),
+                              censor_rate=0.04)
+        out = tmp_path / "run"
+        for n in (60, 40):
+            path = tmp_path / f"cohort{n}.csv"
+            save_csv(simulate_cohort(config, n, seed=1), path)
+            assert main(["evaluate", "--dataset", str(path), "--model", "km",
+                         "--folds", "3", "--out", str(out), "--force"]) == 0
+        files = sorted(p.name for p in (out / "curves").iterdir())
+        assert files == [f"patient_{i:05d}.csv" for i in range(40)]
 
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -210,6 +238,18 @@ class TestReport:
         assert main(["report", "--runs", str(run), "--out", str(out)]) == 0
         rows = read_rows(out / "comparison.csv")
         assert all(r["best"] == "1" for r in rows)
+
+    def test_runs_sharing_a_label_are_refused(self, toy_csv, tmp_path, capsys):
+        run_a, run_b = tmp_path / "a" / "run", tmp_path / "b" / "run"
+        for run, model in ((run_a, "km"), (run_b, "cox-kp")):
+            main(["evaluate", "--dataset", str(toy_csv), "--model", model,
+                  "--folds", "3", "--out", str(run)])
+        out = tmp_path / "report"
+        code = main(["report", "--runs", str(run_a), str(run_b), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(run_a) in err and str(run_b) in err and "'run'" in err
+        assert not (out / "comparison.csv").exists()
 
     def test_missing_inputs_error(self, tmp_path, capsys):
         code = main(["report", "--runs", str(tmp_path / "nothing"),

@@ -132,6 +132,17 @@ class TestLoadCsv:
         d = load_csv(path, "time", "event")
         assert d.instances[0].features[0] == "lung"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel writes a UTF-8 byte-order mark before the first header cell
+        text = "time,event,age,site\n2.5,1,50.25,lung\n3,0,,colon\n0.125,1,44,lung\n"
+        plain = load_csv(write(tmp_path, text), "time", "event")
+        marked = load_csv(write(tmp_path, "\ufeff" + text, "bom.csv"), "time", "event")
+        np.testing.assert_array_equal(marked.times, plain.times)
+        np.testing.assert_array_equal(marked.events, plain.events)
+        np.testing.assert_array_equal(marked.values, plain.values)
+        assert marked.feature_names == plain.feature_names == ("age", "site")
+        assert [i.features for i in marked.instances] == [i.features for i in plain.instances]
+
     def test_round_trip_identity(self, tmp_path):
         path = write(
             tmp_path,

@@ -9,10 +9,9 @@ from isdkit.pipeline import (
     MODEL_NAMES,
     CohortConfig,
     ExperimentConfig,
-    _fit_model,
+    _fit_predict,
     _score_fold,
     fold_indices,
-    make_folds,
     preprocess,
     run_experiment,
     simulate_cohort,
@@ -31,6 +30,12 @@ def cohort_with_features(seed=0, n=200):
     events = death <= censor
     return SurvivalDataset.from_arrays(x, times, events,
                                        feature_names=("a", "b", "noise"))
+
+
+def split(d, k, fold):
+    """(training rows, validation rows) of one of k folds dealt by `fold_indices`."""
+    val = fold_indices(d.times, d.events, k) == fold
+    return d.subset(~val), d.subset(val)
 
 
 def mixed_dataset(n=120, seed=0):
@@ -56,8 +61,7 @@ def mixed_dataset(n=120, seed=0):
 class TestPreprocess:
     def test_missing_and_constant_features_dropped(self):
         d = mixed_dataset()
-        folds = make_folds(d, 2)
-        train, val = folds.split(d, 0)
+        train, val = split(d, 2, 0)
         _, _, report = preprocess(train, val)
         assert "lab" in report.dropped_missing
         assert "flat" in report.dropped_missing
@@ -65,8 +69,7 @@ class TestPreprocess:
 
     def test_nominal_feature_expands_to_indicators(self):
         d = mixed_dataset()
-        folds = make_folds(d, 2)
-        train, val = folds.split(d, 0)
+        train, val = split(d, 2, 0)
         _, _, report = preprocess(train, val)
         assert report.encoded["site"] == ("site=colon", "site=head", "site=lung")
         for name in report.encoded["site"]:
@@ -74,8 +77,7 @@ class TestPreprocess:
 
     def test_prognostic_feature_survives_filter(self):
         d = mixed_dataset()
-        folds = make_folds(d, 2)
-        train, val = folds.split(d, 0)
+        train, val = split(d, 2, 0)
         train2, val2, report = preprocess(train, val)
         assert "strong" in report.selected
         assert train2.feature_names == report.selected
@@ -83,8 +85,7 @@ class TestPreprocess:
 
     def test_outputs_are_standardized_and_complete(self):
         d = mixed_dataset()
-        folds = make_folds(d, 2)
-        train, val = folds.split(d, 0)
+        train, val = split(d, 2, 0)
         train2, val2, _ = preprocess(train, val)
         xt = train2.feature_matrix()          # raises if anything missing
         val2.feature_matrix()
@@ -96,7 +97,7 @@ class TestPreprocess:
         d = dataset(rng.exponential(5, 40), np.ones(40),
                     x=rng.standard_normal((40, 1)))
         with pytest.raises(FitError, match="p_cut"):
-            preprocess(*make_folds(d, 2).split(d, 0), p_cut=1e-9)
+            preprocess(*split(d, 2, 0), p_cut=1e-9)
 
     @pytest.mark.parametrize("second, level", [("numeric", "b"), ("nominal", "b=c")])
     def test_indicator_name_clash_is_refused(self, second, level):
@@ -117,8 +118,7 @@ class TestPreprocess:
     def test_validation_labels_never_leak(self):
         # perturbing validation labels must change nothing, bitwise
         d = mixed_dataset()
-        folds = make_folds(d, 2)
-        train, val = folds.split(d, 0)
+        train, val = split(d, 2, 0)
         train_a, val_a, report_a = preprocess(train, val)
 
         perturbed = SurvivalDataset(
@@ -209,7 +209,7 @@ class TestPreprocessEquivalence:
     @pytest.mark.parametrize("fold", [0, 1])
     def test_matches_the_instance_walking_pipeline(self, seed, fold):
         d = with_mixed_column(mixed_dataset(seed=seed), seed)
-        train, val = make_folds(d, 2).split(d, fold)
+        train, val = split(d, 2, fold)
         # an unseen validation level, and a string in a numeric column
         cells = [list(inst.features) for inst in val.instances]
         cells[0][1] = "kidney"
@@ -239,31 +239,34 @@ class TestPreprocessEquivalence:
 
 
 class TestMakeFolds:
+    """Dealing by `fold_indices`, the one fold splitter (`make_folds` and
+    `FoldAssignment`, which wrapped it, are gone)."""
+
     def test_round_robin_dealing(self):
         d = dataset(np.arange(1.0, 11.0), np.ones(10))
-        folds = make_folds(d, 5)
+        fold_of = fold_indices(d.times, d.events, 5)
         # times i and i+5 share a fold after sorting
         for j in range(5):
-            times = sorted(d.times[folds.fold(j)])
+            times = sorted(d.times[fold_of == j])
             assert times == [j + 1.0, j + 6.0]
 
     def test_censoring_balance(self):
         rng = np.random.default_rng(0)
         events = rng.random(100) < 0.6
         d = dataset(rng.uniform(1, 50, 100), events)
-        folds = make_folds(d, 5)
-        censored_per_fold = [np.sum(~d.events[folds.fold(j)]) for j in range(5)]
+        fold_of = fold_indices(d.times, d.events, 5)
+        censored_per_fold = [np.sum(~d.events[fold_of == j]) for j in range(5)]
         assert max(censored_per_fold) - min(censored_per_fold) <= 1
 
     def test_deterministic(self):
         d = dataset(np.arange(1.0, 21.0), np.tile([1, 0], 10))
-        a = make_folds(d, 4).fold_of
-        b = make_folds(d, 4).fold_of
+        a = fold_indices(d.times, d.events, 4)
+        b = fold_indices(d.times, d.events, 4)
         np.testing.assert_array_equal(a, b)
 
     def test_too_few_instances_rejected(self):
-        with pytest.raises(ValueError):
-            make_folds(dataset([1.0, 2.0], [1, 1]), 5)
+        with pytest.raises(ValueError, match="cannot split 2 instances into 5 folds"):
+            run_experiment(dataset([1.0, 2.0], [1, 1]), ExperimentConfig(folds=5))
 
     def test_fold_indices_cover_everything(self):
         # 9 uncensored and 4 censored, each group dealt from fold 0
@@ -380,6 +383,11 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"at least 2 calibration bins, got {bins}"):
             ExperimentConfig(bins=bins)
 
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_folds_below_two_rejected(self, folds):
+        with pytest.raises(ValueError, match=f"at least 2 folds, got {folds}"):
+            ExperimentConfig(folds=folds)
+
 
 class TestOnePredictionPath:
     """`predict_curve(inst)` is row 0 of `predict_curves` on a one-patient
@@ -387,8 +395,10 @@ class TestOnePredictionPath:
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_predict_curve_is_a_row_of_predict_curves(self, name):
-        d = cohort_with_features(n=60)
-        model = _fit_model(name, d, ExperimentConfig(model=name, mtlr_c_grid=(1.0,)))
+        raw = cohort_with_features(n=60)
+        model, _, _ = _fit_predict(name, raw, raw, (1.0,))
+        # the rows the model was fitted on, as it reads them
+        d = raw if name == "km" else preprocess(raw, raw)[0]
         batch = model.predict_curves(d)
         for i, inst in enumerate(d.instances):
             curve, row = model.predict_curve(inst), batch.subset([i])

@@ -1,11 +1,12 @@
+"""The chi-square tail `calibration.chi2_sf` behind every calibration p-value."""
+
 import math
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 
-from isdkit.stats import chi2_sf, normal_cdf, regularized_gamma_q
+from isdkit.calibration import chi2_sf
 
 
 def test_chi2_sf_at_zero_is_one():
@@ -54,27 +55,3 @@ def test_chi2_sf_rejects_bad_input():
         chi2_sf(1.0, 0)
     with pytest.raises(ValueError):
         chi2_sf(-0.5, 3)
-
-
-def test_gamma_q_edges():
-    assert regularized_gamma_q(2.5, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        regularized_gamma_q(0.0, 1.0)
-
-
-def test_normal_cdf_center_and_symmetry():
-    assert normal_cdf(0.0) == 0.5
-    for z in (0.1, 0.5, 1.3, 2.9, 7.0):
-        assert normal_cdf(z) + normal_cdf(-z) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_normal_cdf_975_quantile():
-    # frozen from a high-precision evaluation of Phi(1.959964)
-    assert normal_cdf(1.959964) == pytest.approx(0.975000000903558, abs=1e-9)
-
-
-def test_normal_cdf_against_scipy_reference():
-    for z in np.linspace(-8, 8, 161):
-        assert normal_cdf(float(z)) == pytest.approx(
-            float(scipy.special.ndtr(z)), abs=1e-12
-        )
