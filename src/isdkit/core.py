@@ -240,7 +240,7 @@ class SurvivalDataset:
 
 
 def _non_finite_message(row: int, name: str, value) -> str:
-    return (f"row {row}, column {name!r}: non-finite value {value!r}; "
+    return (f"row {row}, column {name!r}: non-finite value {float(value)}; "
             "use None to mark a missing cell")
 
 

@@ -246,9 +246,11 @@ def _wald_block(cols, order, ts, es):
 
     # a diverging fit (a separating column) may drive a risk-set sum to 0,
     # so its likelihood reads +inf; the line search accepts only a finite
-    # candidate, and such a column gets the score test below
+    # candidate, discarding the derivatives computed with it, and such a
+    # column gets the score test below
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def partial(rows, beta, derivatives):
+    def partial(rows, beta):
+        """(loglik, grad, info) of the columns `rows` at beta, in one pass."""
         zr, wr, dr = z[rows], weight[rows], deaths[rows]
         eta = zr * beta[:, None]
         shift = np.where(wr > 0, eta, -np.inf).max(axis=1)
@@ -260,15 +262,13 @@ def _wald_block(cols, order, ts, es):
         s0 = np.where(dr > 0, at_deaths(ws), 1.0)
         loglik = (np.take(eta, death_rows, axis=1).sum(axis=1)
                   - (dr * (np.log(s0) + shift[:, None])).sum(axis=1))
-        if not derivatives:
-            return loglik
         mean = at_deaths(ws * zr) / s0
         grad = death_z[rows] - (dr * mean).sum(axis=1)
         info = (dr * (at_deaths(ws * zr * zr) / s0 - mean * mean)).sum(axis=1)
         return loglik, grad, info
 
     beta = np.zeros(z.shape[0])
-    loglik, grad, info = partial(slice(None), beta, True)
+    loglik, grad, info = partial(slice(None), beta)
     u0, i0 = grad.copy(), info.copy()       # the score test's U(0) and I(0)
     active = np.ones(beta.size, dtype=bool)
     converged = np.zeros(beta.size, dtype=bool)
@@ -276,25 +276,23 @@ def _wald_block(cols, order, ts, es):
         done = active & (np.abs(grad) < NEWTON_TOL)
         converged |= done & (info > 0)
         active &= ~done & (info > 0)   # a singular information ends the fit
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
+        pending = np.flatnonzero(active)
+        if pending.size == 0:
             break
-        step = grad[rows] / info[rows]
-        scale = np.ones(rows.size)
-        candidate = beta[rows].copy()
-        pending = np.arange(rows.size)
+        step = grad[pending] / info[pending]
+        scale = np.ones(pending.size)
         for _ in range(NEWTON_HALVINGS):
-            candidate[pending] = beta[rows[pending]] + scale[pending] * step[pending]
-            new_loglik = partial(rows[pending], candidate[pending], False)
-            pending = pending[~accepts(new_loglik, loglik[rows[pending]])]
+            candidate = beta[pending] + scale * step
+            # while every column is searching, views replace fancy-index copies
+            trial = partial(slice(None) if pending.size == beta.size else pending, candidate)
+            took = accepts(trial[0], loglik[pending])
+            rows = pending[took]
+            beta[rows] = candidate[took]
+            loglik[rows], grad[rows], info[rows] = (a[took] for a in trial)
+            pending, step, scale = pending[~took], step[~took], scale[~took] * 0.5
             if pending.size == 0:
                 break
-            scale[pending] *= 0.5
-        active[rows[pending]] = False      # step halving failed
-        accepted = np.setdiff1d(np.arange(rows.size), pending)
-        rows = rows[accepted]
-        beta[rows] = candidate[accepted]
-        loglik[rows], grad[rows], info[rows] = partial(rows, beta[rows], True)
+        active[pending] = False            # step halving failed
     else:
         converged |= active & (np.abs(grad) < NEWTON_TOL) & (info > 0)
 

@@ -72,11 +72,12 @@ class CurveBatch:
             raise ValueError("a curve batch needs knots (m,) and probs (rows, m), m >= 1")
         if self.interp not in ("step", "linear"):
             raise ValueError(f"unknown interpolation kind {self.interp!r}")
-        if knots[0] < 0 or np.any(np.diff(knots) <= 0):
+        # each check is a positive condition, so that NaN fails it
+        if not (knots[0] >= 0 and np.all(np.diff(knots) > 0)):
             raise ValueError("knot times must be non-negative and strictly increasing")
-        if np.any(probs < 0) or np.any(probs > 1):
+        if not (np.all(probs >= 0) and np.all(probs <= 1)):
             raise ValueError("survival probabilities must lie in [0, 1]")
-        if np.any(np.diff(probs, axis=1) > 0):
+        if not np.all(np.diff(probs, axis=1) <= 0):
             raise ValueError("survival probabilities must be non-increasing")
         for name, value in (("knots", knots), ("probs", probs)):
             if value.flags.writeable:  # read-only, so batches can share arrays

@@ -200,12 +200,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="finite"):
             Instance((1.0,), time, True)
 
-    @pytest.mark.parametrize("row, col, value", [(3, 0, np.nan), (10, 4, np.inf),
-                                                 (0, 2, -np.inf)])
-    def test_from_arrays_rejects_non_finite_cells(self, row, col, value):
+    @pytest.mark.parametrize("row, col, value, text", [(3, 0, np.nan, "nan"),
+                                                       (10, 4, np.inf, "inf"),
+                                                       (0, 2, -np.inf, "-inf")],
+                             ids=["3-0-nan", "10-4-inf", "0-2--inf"])
+    def test_from_arrays_rejects_non_finite_cells(self, row, col, value, text):
         x = np.random.default_rng(0).standard_normal((12, 5))
         x[row, col] = value
-        with pytest.raises(ValueError, match=f"row {row}, column 'x{col}': non-finite"):
+        # the value prints as a plain float on every numpy version
+        with pytest.raises(ValueError, match=f"row {row}, column 'x{col}': "
+                                             f"non-finite value {text};"):
             SurvivalDataset.from_arrays(x, np.arange(1.0, 13.0), np.ones(12))
 
     def test_from_arrays_reports_the_first_non_finite_cell(self):
@@ -216,10 +220,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="row 3, column 'x0'"):
             SurvivalDataset.from_arrays(x, np.arange(1.0, 13.0), np.ones(12))
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
-    def test_instances_reject_non_finite_cells(self, value):
+    @pytest.mark.parametrize("value, text", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                             (np.float64("-inf"), "-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_instances_reject_non_finite_cells(self, value, text):
         instances = (Instance((1.0, None), 1.0, True), Instance(("a", value), 2.0, False))
-        with pytest.raises(ValueError, match="row 1, column 'b': non-finite"):
+        with pytest.raises(ValueError, match=f"row 1, column 'b': non-finite value {text};"):
             SurvivalDataset(instances, ("a", "b"))
 
     def test_columns_and_instance_views(self):
@@ -273,6 +279,17 @@ class TestSurvivalCurve:
             CurveBatch([], [])
         with pytest.raises(ValueError):
             CurveBatch([1.0, 1.0, 2.0], [0.9, 0.5, 0.4], "linear")  # repeated knot
+
+    def test_nan_probabilities_rejected(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            CurveBatch([1.0, 2.0], [np.nan, np.nan])
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            CurveBatch([1.0, 2.0], [[0.9, 0.5], [0.8, np.nan]])
+
+    @pytest.mark.parametrize("knots", [[1.0, np.nan], [np.nan, 2.0], [np.nan]])
+    def test_nan_knots_rejected(self, knots):
+        with pytest.raises(ValueError, match="non-negative and strictly increasing"):
+            CurveBatch(knots, [0.5, 0.2][:len(knots)])
 
     def test_immutability(self):
         c = CurveBatch([1.0, 2.0], [0.8, 0.4])

@@ -6,7 +6,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isdkit.core import FitError, Instance, SurvivalDataset
+from isdkit import cox
+from isdkit.core import FitError, Instance, SurvivalDataset, accepts
 from isdkit.cox import (
     _RiskSets,
     _factor,
@@ -410,6 +411,63 @@ class TestBatchedFilter:
             p = self.check(d)               # batched, int and reference paths
         assert p[0] == 1.0 and univariate_cox_pvalue(d, 0) == 1.0
         assert scalar_cox_fit(d, 0) == (1.0, 0.0)
+
+    def test_one_likelihood_pass_per_trial(self, monkeypatch):
+        # each pass takes one exp; the first pass is at beta = 0, and every
+        # trial of the line search is one pass that also gives the derivatives
+        counts = {"passes": 0, "trials": 0}
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(a):
+                counts["passes"] += 1
+                return np.exp(a)
+
+        def counting_accepts(new, value):
+            counts["trials"] += 1
+            return accepts(new, value)
+
+        monkeypatch.setattr(cox, "np", CountingNumpy())
+        monkeypatch.setattr(cox, "accepts", counting_accepts)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((40, 3))
+        times = rng.exponential(np.exp(-0.8 * x[:, 0]))
+        d = dataset(times, rng.random(40) < 0.7, x)
+        univariate_cox_pvalue(d, range(3))
+        assert counts["trials"] >= 3
+        assert counts["passes"] == 1 + counts["trials"]
+
+    def test_refused_trials_keep_the_int_path_bits(self, monkeypatch):
+        # the heavy-tailed first column refuses its first full step while the
+        # others take theirs, so that trial discards the derivatives of one
+        # column; -t and -log t separate the deaths, and -t diverges until its
+        # trials are refused too
+        mixed = []
+
+        def recording_accepts(new, value):
+            took = accepts(new, value)
+            mixed.append(0 < took.sum() < took.size)
+            return took
+
+        monkeypatch.setattr(cox, "accepts", recording_accepts)
+        rng = np.random.default_rng(3)
+        n = 40
+        times = rng.exponential(1.0, n)
+        events = rng.random(n) < 0.7
+        x = np.column_stack([rng.standard_cauchy(n), -times, rng.standard_normal(n),
+                             np.exp(2.0 * rng.standard_normal(n)), -np.log(times)])
+        d = dataset(times, events, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = univariate_cox_pvalue(d, range(5))
+            assert mixed[0]
+            assert batched.tolist() == [univariate_cox_pvalue(d, j) for j in range(5)]
+            self.check(d)
+        # a column that separates the deaths is kept
+        assert batched[1] < 1e-6 and batched[4] < 1e-6
 
     def test_missing_cells_and_tied_times(self):
         rng = np.random.default_rng(11)
