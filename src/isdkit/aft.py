@@ -5,7 +5,7 @@ eps standard Gumbel (minimum), mu(x) = intercept + coeffs . x and
 sigma = exp(log_scale).  Equivalently S(t | x) = exp(-(t / lambda(x)) ** k)
 with shape k = 1 / sigma and scale lambda(x) = exp(mu(x)).  Fitting is
 safeguarded Newton (`newton_ascent`) on (intercept, coeffs, log_scale)
-with analytic gradient and Hessian; zero times are replaced by half the
+with analytic gradient and information; zero times are replaced by half the
 minimum positive observed time before taking logs, without mutating the
 dataset.
 """
@@ -51,13 +51,13 @@ class AftWeibullModel(SurvivalModel):
         return predict_curve_aft(self, d.feature_matrix(), self.grid)
 
 
-def _pack(intercept, coeffs, log_scale):
-    return np.concatenate(([intercept], coeffs, [log_scale]))
-
-
-def aft_loglik(params, x, times, events, with_derivatives=False):
+# absurd trial points during step halving may overflow; the resulting
+# inf/nan likelihood is simply rejected by the line search
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def aft_loglik(params, x, times, events):
     """Censored Weibull log-likelihood in the (intercept, coeffs, log_scale)
-    parameterization; optionally analytic gradient and Hessian.
+    parameterization, its analytic gradient and the information matrix
+    (the negative Hessian).
 
     Uncensored rows contribute log f(t | x) and censored rows log S(c | x).
     All times must be positive.
@@ -71,14 +71,9 @@ def aft_loglik(params, x, times, events, with_derivatives=False):
 
     z = np.log(times)
     mu = intercept + x @ coeffs
-    # absurd trial points during step halving may overflow; the resulting
-    # inf/nan likelihood is simply rejected by the line search
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w = (z - mu) / sigma
-        u = np.exp(w)
-        ll = np.where(events, -log_scale - z + w - u, -u).sum()
-    if not with_derivatives:
-        return float(ll)
+    w = (z - mu) / sigma
+    u = np.exp(w)
+    ll = np.where(events, -log_scale - z + w - u, -u).sum()
 
     # per-row derivatives with respect to (mu, log sigma)
     d_mu = np.where(events, (u - 1.0) / sigma, u / sigma)
@@ -90,14 +85,10 @@ def aft_loglik(params, x, times, events, with_derivatives=False):
     design = np.hstack((np.ones((x.shape[0], 1)), x))  # columns for (intercept, coeffs)
     grad = np.concatenate((design.T @ d_mu, [d_s.sum()]))
 
-    p = design.shape[1]
-    hess = np.zeros((p + 1, p + 1))
-    hess[:p, :p] = design.T @ (d_mumu[:, None] * design)
-    cross = design.T @ d_mus
-    hess[:p, p] = cross
-    hess[p, :p] = cross
-    hess[p, p] = d_ss.sum()
-    return float(ll), grad, hess
+    cross = (design.T @ d_mus)[:, None]
+    hess = np.block([[design.T @ (d_mumu[:, None] * design), cross],
+                     [cross.T, d_ss.sum()]])
+    return float(ll), grad, -hess
 
 
 def _replace_zero_times(times: np.ndarray) -> np.ndarray:
@@ -131,14 +122,10 @@ def fit_aft_weibull(d: SurvivalDataset, grid: TimeGrid) -> AftWeibullModel:
         raise FitError("AFT fitting needs at least one uncensored instance")
     times = _replace_zero_times(times)
 
-    def loglik(params, derivatives=False):
-        if not derivatives:
-            return aft_loglik(params, x, times, events)
-        ll, grad, hess = aft_loglik(params, x, times, events, with_derivatives=True)
-        return ll, grad, -hess
-
     params, _, iterations, gnorm = newton_ascent(
-        loglik, _pack(np.log(times.mean()), np.zeros(x.shape[1]), 0.0), _ridged_solve, "AFT")
+        lambda p: aft_loglik(p, x, times, events),
+        np.concatenate(([np.log(times.mean())], np.zeros(x.shape[1]), [0.0])),
+        _ridged_solve, "AFT")
 
     return AftWeibullModel(
         intercept=float(params[0]),

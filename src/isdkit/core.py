@@ -57,14 +57,14 @@ def accepts(new, value):
 
 
 def newton_ascent(f, x0, solve, what: str):
-    """Maximize a log-likelihood by Newton steps ``solve(info, grad)`` from
-    x0, each halved until `accepts` takes it; ``f(x)`` gives the value and
-    ``f(x, True)`` (value, gradient, information).  Returns (x, information,
-    Newton steps, gradient max-norm); raises ConvergenceError carrying the
-    last iterate when a step fails or NEWTON_STEPS steps do not converge.
-    """
+    """Maximize a log-likelihood ``f(x) -> (value, gradient, information)``
+    by Newton steps ``solve(info, grad)`` from x0, each halved until
+    `accepts` takes it; each trial is one call of f.  Returns (x,
+    information, Newton steps, gradient max-norm); raises ConvergenceError
+    carrying the last iterate when a step fails or NEWTON_STEPS steps do
+    not converge."""
     x = x0
-    value, grad, info = f(x, True)
+    value, grad, info = f(x)
     for steps in range(NEWTON_STEPS + 1):
         gnorm = float(np.abs(grad).max(initial=0.0))
         if gnorm < NEWTON_TOL:
@@ -74,13 +74,14 @@ def newton_ascent(f, x0, solve, what: str):
         step = solve(info, grad)
         for halvings in range(NEWTON_HALVINGS):
             candidate = x + 0.5 ** halvings * step
-            if accepts(f(candidate), value):
+            trial = f(candidate)
+            if accepts(trial[0], value):
                 break
         else:
             raise ConvergenceError(f"{what} step halving failed to improve the likelihood",
                                    last_iterate=x)
         x = candidate
-        value, grad, info = f(x, True)
+        value, grad, info = trial
     raise ConvergenceError(f"{what} fit did not converge in {NEWTON_STEPS} steps "
                            f"(gradient max-norm {gnorm:.3g})", last_iterate=x)
 
@@ -101,9 +102,11 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
         object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "event", bool(self.event))
         if not (math.isfinite(self.time) and self.time >= 0):
             raise ValueError(f"time must be finite and non-negative, got {self.time}")
+        if self.event not in (0, 1):        # also False/True and numpy bools
+            raise ValueError(f"event must be 0 or 1, got {self.event!r}")
+        object.__setattr__(self, "event", bool(self.event))
 
 
 class SurvivalDataset:
@@ -174,10 +177,6 @@ class SurvivalDataset:
         return tuple(Instance(row, t, e) for row, t, e in
                      zip(rows, self.times.tolist(), self.events.tolist()))
 
-    @property
-    def n_uncensored(self) -> int:
-        return int(self.events.sum())
-
     def feature_matrix(self) -> np.ndarray:
         """All features as a float matrix; raises if any cell is missing or
         categorical (run the preprocessing pipeline first in that case)."""
@@ -217,7 +216,7 @@ class SurvivalDataset:
         if x.ndim == 1:
             x = x.reshape(-1, 1)
         times = np.array(times, dtype=float)
-        events = np.array(events, dtype=bool)
+        events = np.array(events, dtype=float)
         if feature_names is None:
             feature_names = tuple(f"x{j}" for j in range(x.shape[1]))
         names = tuple(str(n) for n in feature_names)
@@ -232,6 +231,11 @@ class SurvivalDataset:
             i = int(np.argmax(bad_time))
             raise ValueError(f"row {i}: time must be finite and non-negative, "
                              f"got {times[i]}")
+        bad_event = (events != 0) & (events != 1)
+        if bad_event.any():
+            i = int(np.argmax(bad_event))
+            raise ValueError(f"row {i}: event must be 0 or 1, got {events[i]}")
+        events = events == 1
         bad = ~np.isfinite(x)
         if bad.any():
             i, j = (int(a) for a in np.argwhere(bad)[0])
@@ -407,10 +411,16 @@ def _format_cell(value) -> str:
 
 def save_csv(d: SurvivalDataset, path, time_col: str = "time", event_col: str = "event") -> None:
     """Write a dataset in the format `load_csv` reads (round-trip safe for
-    times, events, and numeric features)."""
+    times, events, and numeric features); a header naming one column twice
+    is refused before the file is opened."""
+    header = [time_col, event_col, *d.feature_names]
+    names = [h.strip() for h in header]     # as load_csv reads them
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"column {name!r} would appear more than once in the header")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([time_col, event_col, *d.feature_names])
+        writer.writerow(header)
         for inst in d.instances:
             writer.writerow(
                 [repr(inst.time), int(inst.event), *(_format_cell(v) for v in inst.features)]

@@ -65,9 +65,12 @@ class _RiskSets:
         self.deaths = np.diff(self.tie_start, append=self.death_rows.size).astype(float)
         self.death_x = self.x[self.death_rows].sum(axis=0)
 
-    def partial(self, beta, derivatives=False):
-        """Log partial likelihood at beta; with `derivatives` also its
-        gradient and the information matrix (the negative Hessian)."""
+    # a far-off trial may overflow exp or drive a risk-set sum to 0, so its
+    # likelihood reads inf or NaN and the line search refuses it
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def partial(self, beta):
+        """Log partial likelihood at beta, its gradient and the information
+        matrix (the negative Hessian), in one pass."""
         eta = self.x @ beta
         # guard exp overflow during line searches far from the optimum
         shift = eta.max() if eta.size else 0.0
@@ -75,8 +78,6 @@ class _RiskSets:
         d = self.deaths
         s0 = _suffix_sum(w)[self.first]
         loglik = float(self.death_x @ beta - d @ (np.log(s0) + shift))
-        if not derivatives:
-            return loglik
         means = _suffix_sum(w[:, None] * self.x)[self.first] / s0[:, None]
         grad = self.death_x - d @ means
         # sum_j d_j / s0_j * sum_{l in R_j} w_l x_l x_l^T regroups by row:
@@ -88,15 +89,16 @@ class _RiskSets:
         return loglik, grad, info
 
 
-def cox_partial_loglik(beta, x, times, events, with_derivatives=False):
-    """Breslow log partial likelihood; optionally its gradient and Hessian.
+def cox_partial_loglik(beta, x, times, events):
+    """Breslow log partial likelihood, its gradient and the information
+    matrix (the negative Hessian).
 
     Arrays may be in any order; ties among deaths share one risk-set term
     weighted by the death count.
     """
     risk = _RiskSets(np.asarray(x, dtype=float), np.asarray(times, dtype=float),
                      np.asarray(events, dtype=bool))
-    return risk.partial(np.asarray(beta, dtype=float), with_derivatives)
+    return risk.partial(np.asarray(beta, dtype=float))
 
 
 # a Cholesky pivot at most this fraction of its diagonal entry means the

@@ -47,14 +47,13 @@ def scalar_cox_fit(d, feature_index):
     if not events.any():
         return 1.0, 0.0
     try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            beta, info, _, _ = _newton(_RiskSets(col, times, events))
+        beta, info, _, _ = _newton(_RiskSets(col, times, events))
         beta, var = abs(beta[0]), np.linalg.inv(info)[0, 0]
     except (FitError, np.linalg.LinAlgError):
         beta, var = np.inf, np.nan
     if var > 0 and beta <= _BETA_BOUND:
         return 2.0 * ndtr(-beta / np.sqrt(var)), beta
-    _, u0, i0 = cox_partial_loglik(np.zeros(1), col, times, events, with_derivatives=True)
+    _, u0, i0 = cox_partial_loglik(np.zeros(1), col, times, events)
     if i0[0, 0] > 0:
         return 2.0 * ndtr(-abs(u0[0]) / np.sqrt(i0[0, 0])), beta
     return 1.0, beta

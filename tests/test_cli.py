@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from isdkit.cli import main
 from isdkit.core import load_csv, save_csv
 from isdkit.mtlr import default_grid_size, make_grid
 from isdkit.pipeline import CohortConfig, simulate_cohort
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -47,6 +53,13 @@ class TestSimulate:
         main(["simulate", "--n", "20", "--seed", "0", "--out", str(out0)])
         assert (out1 / "cohort.csv").read_bytes() == (out2 / "cohort.csv").read_bytes()
         assert (out2 / "cohort.csv").read_bytes() == (out0 / "cohort.csv").read_bytes()
+
+    @pytest.mark.parametrize("cols", [["--time-col", "x0"], ["--time-col", "t", "--event-col", "t"]])
+    def test_repeated_column_exits_one_without_a_file(self, tmp_path, capsys, cols):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--n", "20", *cols, "--out", str(out)]) == 1
+        assert "appear more than once" in capsys.readouterr().err
+        assert not (out / "cohort.csv").exists()
 
     def test_bad_parameters_exit_one(self, tmp_path, capsys):
         code = main(["simulate", "--n", "10", "--scale", "-1",
@@ -143,6 +156,31 @@ class TestEvaluate:
                      "--folds", "3", "--out", str(tmp_path / "run")])
         assert code == 1
         assert "fold" in capsys.readouterr().err
+
+    def test_separating_column_prints_only_the_error(self, tmp_path):
+        # b = -time separates the deaths; the Cox line search refuses its
+        # overflowing trials without numpy warnings on stderr (a subprocess
+        # with the default warning filters, so that pytest filters nothing)
+        rng = np.random.default_rng(0)
+        times = rng.exponential(10, 200)
+        events = (rng.random(200) < 0.7).astype(int)
+        path = tmp_path / "separating.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "event", "a", "b"])
+            writer.writerows(zip(times.tolist(), events.tolist(),
+                                 rng.standard_normal(200).tolist(), (-times).tolist()))
+        path_var = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path_var, PYTHONWARNINGS="default")
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from isdkit.cli import main; sys.exit(main())",
+             "evaluate", "--dataset", str(path), "--model", "cox-kp",
+             "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error: fold 0: singular information matrix in Cox fit; "
+            "remove constant or collinear features"]
 
 
 class TestFit:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isdkit import aft, core
 from isdkit.core import (
     NEWTON_STEPS,
     ConvergenceError,
@@ -11,7 +12,10 @@ from isdkit.core import (
     save_csv,
     split_by_censoring,
 )
+from isdkit.cox import _RiskSets, fit_cox
 from isdkit.curves import CurveBatch
+from isdkit.mtlr import make_grid
+from isdkit.pipeline import CohortConfig, simulate_cohort
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -20,11 +24,9 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
-def concave(x, derivatives=False):
+def concave(x):
     """-(x - 3)^2 summed, with its gradient and information."""
     value = -float(np.sum((x - 3.0) ** 2))
-    if not derivatives:
-        return value
     return value, -2.0 * (x - 3.0), 2.0 * np.eye(x.size)
 
 
@@ -45,23 +47,51 @@ class TestNewtonAscent:
 
     def test_gradient_that_never_shrinks_hits_the_step_cap(self):
         # a linear function rises along every step but its gradient stays 1
-        def linear(x, derivatives=False):
-            value = float(x.sum())
-            return (value, np.ones(x.size), np.eye(x.size)) if derivatives else value
+        def linear(x):
+            return float(x.sum()), np.ones(x.size), np.eye(x.size)
 
         with pytest.raises(ConvergenceError, match=f"in {NEWTON_STEPS} steps") as err:
             newton_ascent(linear, np.zeros(1), lambda info, grad: grad, "linear")
         np.testing.assert_array_equal(err.value.last_iterate, [float(NEWTON_STEPS)])
 
     def test_nan_gradient_raises(self):
-        def broken(x, derivatives=False):
-            value = concave(x)
-            return (value, np.full(x.size, np.nan), np.eye(x.size)) if derivatives else value
+        def broken(x):
+            return concave(x)[0], np.full(x.size, np.nan), np.eye(x.size)
 
         x0 = np.array([1.0, 2.0])
         with pytest.raises(ConvergenceError, match="broken step halving failed") as err:
             newton_ascent(broken, x0, lambda info, grad: grad, "broken")
         np.testing.assert_array_equal(err.value.last_iterate, x0)
+
+    @pytest.mark.parametrize("model", ["cox", "aft"])
+    def test_fits_make_one_likelihood_pass_per_trial(self, monkeypatch, model):
+        # the start point takes one pass and every trial of the line search
+        # one more, whether it is accepted or refused
+        counts = {"passes": 0, "trials": 0}
+
+        def counting(f):
+            def wrapper(*args):
+                counts["passes"] += 1
+                return f(*args)
+            return wrapper
+
+        accepts = core.accepts
+
+        def counting_accepts(new, value):
+            counts["trials"] += 1
+            return accepts(new, value)
+
+        monkeypatch.setattr(core, "accepts", counting_accepts)
+        config = CohortConfig(family="weibull-ph", n_features=8, censor_rate=0.05)
+        d = simulate_cohort(config, 400, 1)
+        if model == "cox":
+            monkeypatch.setattr(_RiskSets, "partial", counting(_RiskSets.partial))
+            m = fit_cox(d)
+        else:
+            monkeypatch.setattr(aft, "aft_loglik", counting(aft.aft_loglik))
+            m = aft.fit_aft_weibull(d, make_grid(d, 20))
+        assert counts["trials"] >= m.iterations >= 3
+        assert counts["passes"] == 1 + counts["trials"]
 
 
 class TestLoadCsv:
@@ -157,6 +187,16 @@ class TestLoadCsv:
         for a, b in zip(d1.instances, d2.instances):
             assert a.features == b.features
 
+    @pytest.mark.parametrize("time_col, event_col, repeated", [("x0", "event", "x0"),
+                                                               ("t", "t", "t")])
+    def test_save_refuses_a_repeated_column_before_writing(self, tmp_path, time_col,
+                                                           event_col, repeated):
+        d = SurvivalDataset.from_arrays(np.zeros((2, 1)), [1.0, 2.0], [1, 0])
+        out = tmp_path / "cohort.csv"
+        with pytest.raises(ValueError, match=f"column '{repeated}' would appear more than once"):
+            save_csv(d, out, time_col, event_col)
+        assert not out.exists()
+
 
 class TestDataset:
     def test_split_partitions_everything(self):
@@ -194,6 +234,24 @@ class TestDataset:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             Instance((1.0,), -0.5, True)
+
+    @pytest.mark.parametrize("flag", ["no", 0.5, 2, float("nan"), None])
+    def test_instance_rejects_an_event_flag_other_than_0_or_1(self, flag):
+        with pytest.raises(ValueError, match=f"event must be 0 or 1, got {flag!r}"):
+            Instance((1.0,), 1.0, flag)
+
+    @pytest.mark.parametrize("flag", [True, False, 1, 0, 1.0, np.True_, np.False_])
+    def test_instance_accepts_bool_and_0_1_flags(self, flag):
+        event = Instance((1.0,), 1.0, flag).event
+        assert type(event) is bool and event == bool(flag)
+
+    def test_from_arrays_rejects_an_event_flag_other_than_0_or_1(self):
+        with pytest.raises(ValueError, match="row 0: event must be 0 or 1, got nan"):
+            SurvivalDataset.from_arrays(np.zeros((3, 1)), [1, 2, 3], [np.nan, 0.5, 2])
+        with pytest.raises(ValueError, match="row 2: event must be 0 or 1, got 2"):
+            SurvivalDataset.from_arrays(np.zeros((3, 1)), [1, 2, 3], [1, 0, 2])
+        d = SurvivalDataset.from_arrays(np.zeros((3, 1)), [1, 2, 3], np.array([True, False, True]))
+        assert d.events.dtype == bool and d.events.tolist() == [True, False, True]
 
     @pytest.mark.parametrize("time", [np.inf, np.nan])
     def test_non_finite_time_rejected(self, time):

@@ -17,7 +17,9 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(demo):
+    # a RuntimeWarning (overflow, log 0, ...) in a demo fails it, as in the tests
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error::RuntimeWarning")
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
-                            text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+                            text=True, timeout=300, env=env)
     assert result.returncode == 0, result.stderr
