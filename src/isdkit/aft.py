@@ -127,15 +127,8 @@ def fit_aft_weibull(d: SurvivalDataset, grid: TimeGrid) -> AftWeibullModel:
         np.concatenate(([np.log(times.mean())], np.zeros(x.shape[1]), [0.0])),
         _ridged_solve, "AFT")
 
-    return AftWeibullModel(
-        intercept=float(params[0]),
-        coeffs=params[1:-1].copy(),
-        log_scale=float(params[-1]),
-        grid=grid.points,
-        iterations=iterations,
-        gradient_norm=gnorm,
-        feature_names=d.feature_names,
-    )
+    return AftWeibullModel(float(params[0]), params[1:-1].copy(), float(params[-1]),
+                           grid.points, iterations, gnorm, d.feature_names)
 
 
 def predict_curve_aft(m: AftWeibullModel, x, grid) -> CurveBatch:

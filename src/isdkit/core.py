@@ -86,6 +86,11 @@ def newton_ascent(f, x0, solve, what: str):
                            f"(gradient max-norm {gnorm:.3g})", last_iterate=x)
 
 
+def _repeated(names):
+    """The first name in `names` that an earlier one repeats, or None."""
+    return next((name for i, name in enumerate(names) if name in names[:i]), None)
+
+
 @dataclass(frozen=True)
 class Instance:
     """One patient: covariates plus the recorded (time, event) label.
@@ -141,8 +146,7 @@ class SurvivalDataset:
                    x, raw, names)
 
     def _init(self, times, events, x, raw, names):
-        if len(set(names)) != len(names):
-            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        if (repeated := _repeated(names)) is not None:
             raise ValueError(f"feature name {repeated!r} appears more than once")
         for arr in (times, events, x, *raw.values()):
             arr.setflags(write=False)
@@ -176,6 +180,10 @@ class SurvivalDataset:
                 row[j] = value
         return tuple(Instance(row, t, e) for row, t, e in
                      zip(rows, self.times.tolist(), self.events.tolist()))
+
+    @property
+    def n_uncensored(self) -> int:
+        return int(self.events.sum())
 
     def feature_matrix(self) -> np.ndarray:
         """All features as a float matrix; raises if any cell is missing or
@@ -343,9 +351,8 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
-        for i, h in enumerate(header):
-            if h in header[:i]:
-                raise ValueError(f"{path}: column {h!r} appears more than once in the header")
+        if (repeated := _repeated(header)) is not None:
+            raise ValueError(f"{path}: column {repeated!r} appears more than once in the header")
         for col in (time_col, event_col):
             if col not in header:
                 raise ValueError(f"{path}: column {col!r} not found in header {header}")
@@ -414,10 +421,8 @@ def save_csv(d: SurvivalDataset, path, time_col: str = "time", event_col: str = 
     times, events, and numeric features); a header naming one column twice
     is refused before the file is opened."""
     header = [time_col, event_col, *d.feature_names]
-    names = [h.strip() for h in header]     # as load_csv reads them
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"column {name!r} would appear more than once in the header")
+    if (repeated := _repeated([h.strip() for h in header])) is not None:    # as load_csv reads it
+        raise ValueError(f"column {repeated!r} would appear more than once in the header")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

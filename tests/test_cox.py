@@ -209,16 +209,18 @@ class TestFitCox:
         rng = np.random.default_rng(0)
         times, events = rng.exponential(10, 100), rng.random(100) < 0.7
         x = (-times - (-times).mean()) / times.std()
-        accepted = []       # the current value each trial is compared against
+        accepted = []       # the trial values the fit took
 
         def recording_accepts(new, value):
-            accepted.append(value)
-            return accepts(new, value)
+            took = accepts(new, value)
+            if took:
+                accepted.append(new)
+            return took
 
         monkeypatch.setattr(core, "accepts", recording_accepts)
         with pytest.raises(FitError, match="singular information matrix"):
             fit_cox(SurvivalDataset.from_arrays(x[:, None], times, events))
-        assert len(set(accepted)) > 1 and np.all(np.isfinite(accepted))
+        assert len(accepted) > 1 and np.all(np.isfinite(accepted))
 
     def test_separating_column_raises_fit_error_without_warnings(self):
         # the line search's far-off trials overflow exp and take log 0, and
