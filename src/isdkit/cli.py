@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import FitError, load_csv, save_csv
+from .core import FitError, _csv_header, load_csv, save_csv
 from .pipeline import (
     ALL_METRICS,
     MODEL_NAMES,
@@ -159,7 +159,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args, ["cohort.csv"])
     config = CohortConfig(
         family=args.family,
         n_features=args.n_features,
@@ -169,6 +168,8 @@ def cmd_simulate(args) -> int:
         censor_rate=args.censor_rate,
     )
     cohort = simulate_cohort(config, args.n, args.seed)
+    _csv_header(args.time_col, args.event_col, cohort.feature_names)  # refused before --out is made
+    out = _out_dir(args, ["cohort.csv"])
     save_csv(cohort, out / "cohort.csv", args.time_col, args.event_col)
     print(f"wrote {args.n} simulated patients to {out / 'cohort.csv'}")
     return 0

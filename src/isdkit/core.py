@@ -416,13 +416,19 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def _csv_header(time_col: str, event_col: str, feature_names) -> list:
+    """The header `save_csv` writes; refused when it names one column twice."""
+    header = [time_col, event_col, *feature_names]
+    if (repeated := _repeated([h.strip() for h in header])) is not None:    # as load_csv reads it
+        raise ValueError(f"column {repeated!r} would appear more than once in the header")
+    return header
+
+
 def save_csv(d: SurvivalDataset, path, time_col: str = "time", event_col: str = "event") -> None:
     """Write a dataset in the format `load_csv` reads (round-trip safe for
     times, events, and numeric features); a header naming one column twice
     is refused before the file is opened."""
-    header = [time_col, event_col, *d.feature_names]
-    if (repeated := _repeated([h.strip() for h in header])) is not None:    # as load_csv reads it
-        raise ValueError(f"column {repeated!r} would appear more than once in the header")
+    header = _csv_header(time_col, event_col, d.feature_names)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import ndtr
 
 from .core import (NEWTON_HALVINGS, NEWTON_STEPS, NEWTON_TOL, FitError, SurvivalDataset,
@@ -108,6 +107,7 @@ _PIVOT_TOL = np.finfo(float).eps ** 0.75
 
 def _factor(info):
     """Cholesky factor of the information matrix; FitError when singular."""
+    from scipy.linalg import cho_factor
     # a non-finite information (every weight of a risk set underflowed on a
     # diverging fit) fails cho_factor's finiteness check: singular too
     try:
@@ -122,6 +122,7 @@ def _factor(info):
 
 def _newton(risk):
     """(beta, information, Newton steps, gradient max-norm) of a Cox fit."""
+    from scipy.linalg import cho_solve
     if risk.death_rows.size == 0:
         raise FitError("Cox fitting needs at least one uncensored instance")
     fit = newton_ascent(risk.partial, np.zeros(risk.x.shape[1]),

@@ -59,8 +59,11 @@ def _aligned(v: SurvivalDataset, values) -> np.ndarray:
 
 def concordance(v: SurvivalDataset, risks) -> float:
     """Fraction of comparable pairs ranked correctly by the risk scores,
-    one per instance of v; ties in risk or in death time score 0.5."""
+    one per instance of v; ties in risk or in death time score 0.5.  A NaN
+    risk is refused: its pairs would count as comparable but never score."""
     risks = _aligned(v, risks)
+    if (nan := np.flatnonzero(np.isnan(risks))).size:
+        raise ValueError(f"{nan.size} NaN risk score(s), the first at index {nan[0]}")
     times, events = v.times, v.events
     ordered, tied = _pair_masks(times, events)
     n_pairs = ordered.sum() + tied.sum()

@@ -59,13 +59,14 @@ class TestSimulate:
         out = tmp_path / "sim"
         assert main(["simulate", "--n", "20", *cols, "--out", str(out)]) == 1
         assert "appear more than once" in capsys.readouterr().err
-        assert not (out / "cohort.csv").exists()
+        assert not out.exists()
 
     def test_bad_parameters_exit_one(self, tmp_path, capsys):
         code = main(["simulate", "--n", "10", "--scale", "-1",
                      "--out", str(tmp_path / "x")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvaluate:

@@ -82,6 +82,17 @@ class TestConcordance:
         c2 = concordance(d, -risks)
         assert c1 + c2 == pytest.approx(1.0)
 
+    def test_nan_risk_is_refused_with_its_count_and_first_index(self):
+        # the pairs of a NaN risk would count as comparable and never score:
+        # [5, 4, nan, 2, 1] read 0.6 where [5, 4, 3, 2, 1] reads 1.0
+        d = dataset([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
+        assert concordance(d, [5, 4, 3, 2, 1]) == 1.0
+        assert concordance(d, [np.inf, 4, 3, 2, -np.inf]) == 1.0
+        with pytest.raises(ValueError, match=r"1 NaN risk score\(s\), the first at index 2"):
+            concordance(d, [5, 4, np.nan, 2, 1])
+        with pytest.raises(ValueError, match=r"2 NaN .* index 0"):
+            concordance(d, [np.nan, 4, 3, np.nan, 1])
+
     def test_no_comparable_pairs_is_an_error(self):
         d = dataset([1, 2, 3], [0, 0, 0])
         with pytest.raises(ValueError, match="comparable"):
