@@ -173,8 +173,9 @@ def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
     numeric stability (the Wald z is scale-invariant).  A fit that does not
     converge, or whose |beta| passes `_BETA_BOUND` (a column that separates
     the deaths drives beta to infinity), gets the score (log-rank) test at
-    beta = 0 instead; a column without information at beta = 0 gets p = 1,
-    so it is never selected.
+    beta = 0 instead; a column without information at beta = 0, or with
+    less than rounding resolves (`_INFO_TOL`), gets p = 1, so it is never
+    selected.
 
     An int `feature_index` gives one float; a sequence of indices gives an
     array of p-values, fitted together by one lockstep Newton run.
@@ -192,6 +193,11 @@ _BLOCK_CELLS = 1 << 20
 # |beta| of a standardized column past this (a hazard ratio above e**10 per
 # standard deviation) is taken as a fit diverging on a separating column
 _BETA_BOUND = 10.0
+
+# the information at beta = 0 is each risk set's second moment less its
+# squared mean; at most this fraction of the summed second moments, it is
+# lost in their rounding (the column barely varies within any risk set)
+_INFO_TOL = np.finfo(float).eps ** 0.5
 
 
 def _wald_pvalues(x, times, events):
@@ -247,6 +253,9 @@ def _wald_block(cols, order, ts, es):
                              np.searchsorted(ts[es], death_times), axis=1)
     death_z = np.take(z, death_rows, axis=1).sum(axis=1)
 
+    def at_deaths(a):   # risk-set sums: suffix sums of time-sorted rows
+        return np.take(np.cumsum(a[:, ::-1], axis=1), first, axis=1)
+
     # a diverging fit (a separating column) may drive a risk-set sum to 0,
     # so its likelihood reads +inf; the line search accepts only a finite
     # candidate, discarding the derivatives computed with it, and such a
@@ -258,10 +267,6 @@ def _wald_block(cols, order, ts, es):
         eta = zr * beta[:, None]
         shift = np.where(wr > 0, eta, -np.inf).max(axis=1)
         ws = np.exp(eta - shift[:, None]) * wr
-
-        def at_deaths(a):   # risk-set sums: suffix sums of time-sorted rows
-            return np.take(np.cumsum(a[:, ::-1], axis=1), first, axis=1)
-
         s0 = np.where(dr > 0, at_deaths(ws), 1.0)
         loglik = (np.take(eta, death_rows, axis=1).sum(axis=1)
                   - (dr * (np.log(s0) + shift[:, None])).sum(axis=1))
@@ -300,7 +305,11 @@ def _wald_block(cols, order, ts, es):
         converged |= active & (np.abs(grad) < NEWTON_TOL) & (info > 0)
 
     wald = converged & (np.abs(beta) <= _BETA_BOUND)     # so info > 0
-    score = ~wald & (i0 > 0)
+    score = np.flatnonzero(~wald & (i0 > 0))
+    # the summed risk-set second moments at beta = 0, which I(0) must pass
+    zs, ds = z[score], deaths[score]
+    second = at_deaths(zs * zs) / np.where(ds > 0, at_deaths(weight[score]), 1.0)
+    score = score[i0[score] > _INFO_TOL * (ds * second).sum(axis=1)]
     p_usable = np.ones(beta.size)
     # the lower tail: no cancellation for large z
     p_usable[wald] = 2.0 * ndtr(-(np.abs(beta[wald]) / np.sqrt(1.0 / info[wald])))

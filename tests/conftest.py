@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from isdkit.core import FitError, SurvivalDataset
-from isdkit.cox import _BETA_BOUND, _newton, _RiskSets, cox_partial_loglik
+from isdkit.cox import _BETA_BOUND, _INFO_TOL, _newton, _RiskSets, cox_partial_loglik
 from isdkit.curves import CurveBatch
 
 
@@ -28,7 +28,8 @@ def scalar_cox_fit(d, feature_index):
     """Reference for the univariate Cox filter: one complete-case Newton
     fit and Wald test per column, walking the instances cell by cell, and
     the score test at beta = 0 where the fit fails or |beta| passes the
-    bound.  Returns (p-value, |beta| of the standardized feature)."""
+    bound, unless its information is within rounding of the risk sets'
+    second moments.  Returns (p-value, |beta| of the standardized feature)."""
     values, keep_times, keep_events = [], [], []
     for inst in d.instances:
         v = inst.features[feature_index]
@@ -54,7 +55,9 @@ def scalar_cox_fit(d, feature_index):
     if var > 0 and beta <= _BETA_BOUND:
         return 2.0 * ndtr(-beta / np.sqrt(var)), beta
     _, u0, i0 = cox_partial_loglik(np.zeros(1), col, times, events)
-    if i0[0, 0] > 0:
+    second = sum(np.sum(events & (times == t)) * np.mean(col[times >= t] ** 2)
+                 for t in np.unique(times[events]))
+    if i0[0, 0] > _INFO_TOL * second:
         return 2.0 * ndtr(-abs(u0[0]) / np.sqrt(i0[0, 0])), beta
     return 1.0, beta
 
