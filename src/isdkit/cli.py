@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import FitError, _csv_header, load_csv, save_csv
+from .core import FitError, load_csv, save_csv
 from .pipeline import (
     ALL_METRICS,
     MODEL_NAMES,
@@ -30,9 +30,9 @@ __all__ = ["main"]
 def _out_dir(args, files) -> Path:
     """The output directory, refusing to overwrite any of `files` without
     --force.  Under --force the curve files of an earlier run go, so that
-    `curves/` holds the curves of this run only."""
+    `curves/` holds the curves of this run only.  The directory is made
+    by the first file written, so a run that fails leaves none behind."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if not args.force:
         clashes = [str(out / f) for f in files if (out / f).exists()]
         if clashes:
@@ -84,6 +84,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args, ["metrics.csv", "calibration.csv", "dcal_histogram.csv",
                           "curves"])
     report = run_experiment(dataset, cfg)
+    out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for metric, values in report.fold_scores.items():
@@ -151,6 +152,7 @@ def cmd_fit(args) -> int:
     raw = load_csv(args.dataset, args.time_col, args.event_col)
     out = _out_dir(args, ["model.json", "curves"])
     model, _, curves = _fit_predict(args.model, raw, raw, ExperimentConfig.mtlr_c_grid)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(_model_payload(args.model, model), fh, indent=1)
     _write_curves(out, range(len(raw)), curves)
@@ -159,6 +161,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out = _out_dir(args, ["cohort.csv"])
     config = CohortConfig(
         family=args.family,
         n_features=args.n_features,
@@ -168,8 +171,6 @@ def cmd_simulate(args) -> int:
         censor_rate=args.censor_rate,
     )
     cohort = simulate_cohort(config, args.n, args.seed)
-    _csv_header(args.time_col, args.event_col, cohort.feature_names)  # refused before --out is made
-    out = _out_dir(args, ["cohort.csv"])
     save_csv(cohort, out / "cohort.csv", args.time_col, args.event_col)
     print(f"wrote {args.n} simulated patients to {out / 'cohort.csv'}")
     return 0
@@ -213,6 +214,7 @@ def cmd_report(args) -> int:
                 run, metric, _fmt(means[metric]), _fmt(sds.get(metric, 0.0)),
                 "1" if means[metric] == best else "0",
             ])
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "comparison.csv", ["run", "metric", "mean", "sd", "best"], rows)
 
     hist_rows = []

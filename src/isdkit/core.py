@@ -14,6 +14,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import chain
+from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator
 
@@ -416,19 +417,15 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _csv_header(time_col: str, event_col: str, feature_names) -> list:
-    """The header `save_csv` writes; refused when it names one column twice."""
-    header = [time_col, event_col, *feature_names]
-    if (repeated := _repeated([h.strip() for h in header])) is not None:    # as load_csv reads it
-        raise ValueError(f"column {repeated!r} would appear more than once in the header")
-    return header
-
-
 def save_csv(d: SurvivalDataset, path, time_col: str = "time", event_col: str = "event") -> None:
     """Write a dataset in the format `load_csv` reads (round-trip safe for
-    times, events, and numeric features); a header naming one column twice
-    is refused before the file is opened."""
-    header = _csv_header(time_col, event_col, d.feature_names)
+    times, events, and numeric features), making the file's directory if
+    it is missing; a header naming one column twice is refused before
+    either is made."""
+    header = [time_col, event_col, *d.feature_names]
+    if (repeated := _repeated([h.strip() for h in header])) is not None:    # as load_csv reads it
+        raise ValueError(f"column {repeated!r} would appear more than once in the header")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

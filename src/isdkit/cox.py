@@ -171,11 +171,12 @@ def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
     Used as the feature-selection filter: missing cells are dropped
     (complete-case for this feature) and the feature is standardized for
     numeric stability (the Wald z is scale-invariant).  A fit that does not
-    converge, or whose |beta| passes `_BETA_BOUND` (a column that separates
-    the deaths drives beta to infinity), gets the score (log-rank) test at
-    beta = 0 instead; a column without information at beta = 0, or with
-    less than rounding resolves (`_INFO_TOL`), gets p = 1, so it is never
-    selected.
+    converge, whose |beta| passes `_BETA_BOUND` (a column that separates
+    the deaths drives beta to infinity), or that stops where it starts,
+    at beta = 0 (its Wald z is 0 whatever the data), gets the score
+    (log-rank) test at beta = 0 instead, on the column centred where the
+    deaths are (see `_score_block`); a column without information at
+    beta = 0 gets p = 1, so it is never selected.
 
     An int `feature_index` gives one float; a sequence of indices gives an
     array of p-values, fitted together by one lockstep Newton run.
@@ -193,11 +194,6 @@ _BLOCK_CELLS = 1 << 20
 # |beta| of a standardized column past this (a hazard ratio above e**10 per
 # standard deviation) is taken as a fit diverging on a separating column
 _BETA_BOUND = 10.0
-
-# the information at beta = 0 is each risk set's second moment less its
-# squared mean; at most this fraction of the summed second moments, it is
-# lost in their rounding (the column barely varies within any risk set)
-_INFO_TOL = np.finfo(float).eps ** 0.5
 
 
 def _wald_pvalues(x, times, events):
@@ -253,9 +249,6 @@ def _wald_block(cols, order, ts, es):
                              np.searchsorted(ts[es], death_times), axis=1)
     death_z = np.take(z, death_rows, axis=1).sum(axis=1)
 
-    def at_deaths(a):   # risk-set sums: suffix sums of time-sorted rows
-        return np.take(np.cumsum(a[:, ::-1], axis=1), first, axis=1)
-
     # a diverging fit (a separating column) may drive a risk-set sum to 0,
     # so its likelihood reads +inf; the line search accepts only a finite
     # candidate, discarding the derivatives computed with it, and such a
@@ -267,17 +260,16 @@ def _wald_block(cols, order, ts, es):
         eta = zr * beta[:, None]
         shift = np.where(wr > 0, eta, -np.inf).max(axis=1)
         ws = np.exp(eta - shift[:, None]) * wr
-        s0 = np.where(dr > 0, at_deaths(ws), 1.0)
+        s0 = np.where(dr > 0, _risk_sums(ws, first), 1.0)
         loglik = (np.take(eta, death_rows, axis=1).sum(axis=1)
                   - (dr * (np.log(s0) + shift[:, None])).sum(axis=1))
-        mean = at_deaths(ws * zr) / s0
+        mean = _risk_sums(ws * zr, first) / s0
         grad = death_z[rows] - (dr * mean).sum(axis=1)
-        info = (dr * (at_deaths(ws * zr * zr) / s0 - mean * mean)).sum(axis=1)
+        info = (dr * (_risk_sums(ws * zr * zr, first) / s0 - mean * mean)).sum(axis=1)
         return loglik, grad, info
 
     beta = np.zeros(z.shape[0])
     loglik, grad, info = partial(slice(None), beta)
-    u0, i0 = grad.copy(), info.copy()       # the score test's U(0) and I(0)
     active = np.ones(beta.size, dtype=bool)
     converged = np.zeros(beta.size, dtype=bool)
     for _ in range(NEWTON_STEPS):
@@ -304,15 +296,49 @@ def _wald_block(cols, order, ts, es):
     else:
         converged |= active & (np.abs(grad) < NEWTON_TOL) & (info > 0)
 
-    wald = converged & (np.abs(beta) <= _BETA_BOUND)     # so info > 0
-    score = np.flatnonzero(~wald & (i0 > 0))
-    # the summed risk-set second moments at beta = 0, which I(0) must pass
-    zs, ds = z[score], deaths[score]
-    second = at_deaths(zs * zs) / np.where(ds > 0, at_deaths(weight[score]), 1.0)
-    score = score[i0[score] > _INFO_TOL * (ds * second).sum(axis=1)]
+    wald = converged & (np.abs(beta) <= _BETA_BOUND) & (beta != 0)     # so info > 0
+    score = np.flatnonzero(~wald)
+    u0, i0 = _score_block(z[score], present[score], deaths[score], death_rows, first)
+    score, u0, i0 = score[i0 > 0], u0[i0 > 0], i0[i0 > 0]
     p_usable = np.ones(beta.size)
     # the lower tail: no cancellation for large z
     p_usable[wald] = 2.0 * ndtr(-(np.abs(beta[wald]) / np.sqrt(1.0 / info[wald])))
-    p_usable[score] = 2.0 * ndtr(-(np.abs(u0[score]) / np.sqrt(i0[score])))
+    p_usable[score] = 2.0 * ndtr(-(np.abs(u0) / np.sqrt(i0)))
     p[usable] = p_usable
     return p
+
+
+def _risk_sums(a, first):
+    """Risk-set sums of each row of `a` (columns × time-sorted rows): its
+    suffix sums at each death time's first row at risk, which `first`
+    counts from the last row."""
+    return np.take(np.cumsum(a[:, ::-1], axis=1), first, axis=1)
+
+
+def _score_block(z, present, deaths, death_rows, first):
+    """The score test's U(0) and I(0) of every column of `z` (columns ×
+    time-sorted rows), with the death structure of `_wald_block`.
+
+    I(0) sums the variances of the risk sets, and a second moment less a
+    squared mean loses them to rounding when the column's values at risk
+    sit far from its mean: a row censored before every death may set the
+    column's mean and spread.  So each column is centred on the median of
+    its values at risk at its first death, which is exact for a column
+    constant there, and scaled by their largest deviation.  Every later
+    risk set is part of that one, so no second moment passes n times its
+    variance, while I(0) is at least that variance: rounding costs I(0)
+    about log10(n) digits, whatever the column's other values.
+    """
+    centred = np.zeros(z.shape)
+    for c, (col, keep, d) in enumerate(zip(z, present, deaths)):
+        start = z.shape[1] - 1 - first[np.argmax(d > 0)]
+        at_risk = col[start:]
+        dev = at_risk - np.median(at_risk[keep[start:]])
+        spread = np.abs(dev[keep[start:]]).max()
+        if spread > 0:                     # else U(0) = I(0) = 0: p = 1
+            centred[c, start:] = np.where(keep[start:], dev / spread, 0.0)
+    s0 = np.where(deaths > 0, _risk_sums(present.astype(float), first), 1.0)
+    mean = _risk_sums(centred, first) / s0
+    u0 = np.take(centred, death_rows, axis=1).sum(axis=1) - (deaths * mean).sum(axis=1)
+    i0 = (deaths * (_risk_sums(centred * centred, first) / s0 - mean * mean)).sum(axis=1)
+    return u0, i0

@@ -1,11 +1,13 @@
 """Shared builders for curve and dataset fixtures."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from isdkit.core import FitError, SurvivalDataset
-from isdkit.cox import _BETA_BOUND, _INFO_TOL, _newton, _RiskSets, cox_partial_loglik
+from isdkit.cox import _BETA_BOUND, _newton, _RiskSets
 from isdkit.curves import CurveBatch
 
 
@@ -27,9 +29,9 @@ def dataset(times, events, x=None):
 def scalar_cox_fit(d, feature_index):
     """Reference for the univariate Cox filter: one complete-case Newton
     fit and Wald test per column, walking the instances cell by cell, and
-    the score test at beta = 0 where the fit fails or |beta| passes the
-    bound, unless its information is within rounding of the risk sets'
-    second moments.  Returns (p-value, |beta| of the standardized feature)."""
+    the score test at beta = 0, computed exactly, where the fit fails,
+    |beta| passes the bound or the fit stops at beta = 0.  Returns (p-value, |beta| of the standardized
+    feature)."""
     values, keep_times, keep_events = [], [], []
     for inst in d.instances:
         v = inst.features[feature_index]
@@ -52,14 +54,25 @@ def scalar_cox_fit(d, feature_index):
         beta, var = abs(beta[0]), np.linalg.inv(info)[0, 0]
     except (FitError, np.linalg.LinAlgError):
         beta, var = np.inf, np.nan
-    if var > 0 and beta <= _BETA_BOUND:
+    if var > 0 and 0 < beta <= _BETA_BOUND:
         return 2.0 * ndtr(-beta / np.sqrt(var)), beta
-    _, u0, i0 = cox_partial_loglik(np.zeros(1), col, times, events)
-    second = sum(np.sum(events & (times == t)) * np.mean(col[times >= t] ** 2)
-                 for t in np.unique(times[events]))
-    if i0[0, 0] > _INFO_TOL * second:
-        return 2.0 * ndtr(-abs(u0[0]) / np.sqrt(i0[0, 0])), beta
+    u0, i0 = exact_score_test(col[:, 0], times, events)
+    if i0 > 0:
+        return 2.0 * ndtr(-np.sqrt(float(u0 * u0 / i0))), beta
     return 1.0, beta
+
+
+def exact_score_test(values, times, events):
+    """U(0) and I(0) of the Breslow score test on one column, in exact
+    rational arithmetic, one death time at a time."""
+    u0 = i0 = Fraction(0)
+    for t in np.unique(times[events]):
+        at_risk = [Fraction(v) for v in values[times >= t]]
+        dead = [Fraction(v) for v in values[(times == t) & events]]
+        mean = sum(at_risk) / len(at_risk)
+        u0 += sum(dead) - len(dead) * mean
+        i0 += len(dead) * (sum(v * v for v in at_risk) / len(at_risk) - mean * mean)
+    return u0, i0
 
 
 def scalar_cox_pvalue(d, feature_index):

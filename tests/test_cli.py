@@ -157,6 +157,7 @@ class TestEvaluate:
                      "--folds", "3", "--out", str(tmp_path / "run")])
         assert code == 1
         assert "fold" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()       # made by the first write only
 
     def test_separating_column_prints_only_the_error(self, tmp_path):
         # b = -time separates the deaths; the Cox line search refuses its
@@ -203,6 +204,7 @@ class TestFit:
         code = main(["fit", "--dataset", str(path), "--model", "mtlr",
                      "--out", str(tmp_path / "fit")])
         assert code == 1
+        assert not (tmp_path / "fit").exists()
 
     def test_collinear_features_error_cleanly(self, tmp_path, capsys):
         # prognostic collinear pair: both survive the univariate filter,
@@ -288,7 +290,7 @@ class TestReport:
         assert code == 1
         err = capsys.readouterr().err
         assert str(run_a) in err and str(run_b) in err and "'run'" in err
-        assert not (out / "comparison.csv").exists()
+        assert not out.exists()
 
     def test_missing_inputs_error(self, tmp_path, capsys):
         code = main(["report", "--runs", str(tmp_path / "nothing"),

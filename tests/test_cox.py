@@ -420,19 +420,25 @@ class TestBatchedFilter:
         assert p[0] == 1.0 and univariate_cox_pvalue(d, 0) == 1.0
         assert scalar_cox_fit(d, 0) == (1.0, 0.0)
 
-    def test_information_lost_in_rounding_gives_p_one(self):
-        # among the rows at risk at a death the column varies by 1.2e-7 of
-        # its standard deviation, so I(0) ~ 1e-14 is a difference of second
-        # moments near 1 and rounding sets its first digits; the separating
-        # fit diverges, and a score test on that I(0) moved p by 5e-3
-        # relative between summation orders
+    def test_score_test_on_a_column_barely_varying_at_risk(self):
+        # the row censored before both deaths sets the column's mean and
+        # spread, and the two rows at risk differ by 1.2e-7 of that spread,
+        # so the separating fit diverges and second moments about the mean
+        # would lose I(0) to rounding; U(0)**2 / I(0) is exactly 1
         x = np.array([[-1.192092896e-07], [np.nan], [-1.0], [0.0]])
         cells = [tuple(None if np.isnan(v) else v for v in row) for row in x]
         d = SurvivalDataset(tuple(Instance(c, t, e) for c, t, e in
                                   zip(cells, [2.0, 0.0, 0.0, 1.0], [1, 0, 0, 1])), ("c0",))
         p = self.check(d)
-        assert p.tolist() == [1.0]
+        assert p[0] == pytest.approx(2.0 * scipy.special.ndtr(-1.0), rel=1e-12)
         assert scalar_cox_fit(d, 0)[1] > 1e6
+
+    def test_score_test_on_a_column_constant_at_risk(self):
+        # the column varies only through the row censored before every
+        # death, so there is no information at beta = 0
+        x = np.array([[0.1], [0.1], [0.1], [-1.0]])
+        d = dataset([1.0, 2.0, 3.0, 0.5], [1, 1, 0, 0], x)
+        assert self.check(d).tolist() == [1.0]
 
     def test_one_likelihood_pass_per_trial(self, monkeypatch):
         # each pass takes one exp; the first pass is at beta = 0, and every
