@@ -326,8 +326,9 @@ def _score_block(z, present, deaths, death_rows, first):
     its values at risk at its first death, which is exact for a column
     constant there, and scaled by their largest deviation.  Every later
     risk set is part of that one, so no second moment passes n times its
-    variance, while I(0) is at least that variance: rounding costs I(0)
-    about log10(n) digits, whatever the column's other values.
+    variance, while I(0) is at least that variance: the digits rounding
+    costs I(0) grow with log10(n) alone, whatever the column's other
+    values.
     """
     centred = np.zeros(z.shape)
     for c, (col, keep, d) in enumerate(zip(z, present, deaths)):
