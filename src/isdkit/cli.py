@@ -29,9 +29,8 @@ __all__ = ["main"]
 
 def _out_dir(args, files) -> Path:
     """The output directory, refusing to overwrite any of `files` without
-    --force.  Under --force the curve files of an earlier run go, so that
-    `curves/` holds the curves of this run only.  The directory is made
-    by the first file written, so a run that fails leaves none behind."""
+    --force.  The directory is made by the first file written, so a run
+    that fails leaves none behind."""
     out = Path(args.out)
     if not args.force:
         clashes = [str(out / f) for f in files if (out / f).exists()]
@@ -39,9 +38,6 @@ def _out_dir(args, files) -> Path:
             raise FitError(
                 f"refusing to overwrite {', '.join(clashes)} (use --force)"
             )
-    if "curves" in files:
-        for stale in (out / "curves").glob("patient_*.csv"):
-            stale.unlink()
     return out
 
 
@@ -56,18 +52,22 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_curves(out: Path, indices, curves) -> None:
-    """One CSV per row of an extended CurveBatch, named by the patient
-    indices (every patient reads a shared row): the knots, then the row's
-    zero time at probability 0."""
+def _write_curves(out: Path, folds) -> None:
+    """One CSV per row of each extended CurveBatch in `folds`, (patient
+    indices, batch) pairs (every patient reads a shared row): the knots,
+    then the row's zero time at probability 0.  A succeeded run deletes the
+    earlier run's curve files first; a failed one leaves them whole."""
     curves_dir = out / "curves"
     curves_dir.mkdir(exist_ok=True)
-    knots = [_fmt(t) for t in curves.knots]
-    for i, idx in enumerate(indices):
-        r = i if curves.rows > 1 else 0
-        rows = [[t, _fmt(p)] for t, p in zip(knots, curves.probs[r])]
-        rows.append([_fmt(curves.zero_time[r]), _fmt(0.0)])
-        _write_csv(curves_dir / f"patient_{idx:05d}.csv", ["time", "survival"], rows)
+    for stale in curves_dir.glob("patient_*.csv"):
+        stale.unlink()
+    for indices, curves in folds:
+        knots = [_fmt(t) for t in curves.knots]
+        for i, idx in enumerate(indices):
+            r = i if curves.rows > 1 else 0
+            rows = [[t, _fmt(p)] for t, p in zip(knots, curves.probs[r])]
+            rows.append([_fmt(curves.zero_time[r]), _fmt(0.0)])
+            _write_csv(curves_dir / f"patient_{idx:05d}.csv", ["time", "survival"], rows)
 
 
 def cmd_evaluate(args) -> int:
@@ -117,8 +117,7 @@ def cmd_evaluate(args) -> int:
                 for lo, hi, c in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts)]
         _write_csv(out / "dcal_histogram.csv", ["bin_lo", "bin_hi", "count"], rows)
 
-    for indices, curves in report.fold_predictions:
-        _write_curves(out, indices, curves)
+    _write_curves(out, report.fold_predictions)
     print(f"wrote evaluation of {args.model} to {out}")
     return 0
 
@@ -155,7 +154,7 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "model.json", "w", encoding="utf-8") as fh:
         json.dump(_model_payload(args.model, model), fh, indent=1)
-    _write_curves(out, range(len(raw)), curves)
+    _write_curves(out, [(range(len(raw)), curves)])
     print(f"wrote fitted {args.model} to {out}")
     return 0
 

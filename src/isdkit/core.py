@@ -10,13 +10,12 @@ matrices (the preprocessing pipeline guarantees that).
 from __future__ import annotations
 
 import csv
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Real
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator
 
 import numpy as np
 
@@ -98,21 +97,59 @@ class Instance:
 
     ``event`` is True when the recorded time is an observed death and
     False when it is a censoring time (a lower bound on the death time).
-    A death tied with its censor time is encoded as event=True.
+    A death tied with its censor time is encoded as event=True.  An
+    `Instance` holds what it is given; `SurvivalDataset` checks it.
     """
 
     features: tuple
     time: float
     event: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "time", float(self.time))
-        if not (math.isfinite(self.time) and self.time >= 0):
-            raise ValueError(f"time must be finite and non-negative, got {self.time}")
-        if self.event not in (0, 1):        # also False/True and numpy bools
-            raise ValueError(f"event must be 0 or 1, got {self.event!r}")
-        object.__setattr__(self, "event", bool(self.event))
+
+class _InputError(ValueError):
+    """An input value that `SurvivalDataset.from_arrays` refuses: `row` is
+    0-based, `column` is a feature index, "time" or "event" (None for a
+    whole row), and `problem` says what is wrong."""
+
+    def __init__(self, row: int, column, names: tuple, problem: str):
+        self.row, self.column, self.problem = row, column, problem
+        where = f", column {names[column]!r}" if isinstance(column, int) else ""
+        super().__init__(f"row {row}{where}: {problem}")
+
+
+def _numbers(cells, what: str, rule: str) -> np.ndarray:
+    """`cells` as a numeric array, refusing the first one that is not a
+    real number (a string, even "1", or None) with its row."""
+    arr = np.asarray(cells)
+    if arr.dtype.kind not in "biuf":
+        listed = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+        for i, cell in enumerate(listed):
+            if not isinstance(cell, (Real, np.bool_)):
+                raise _InputError(i, what, (), f"{what} {rule}, got {cell!r}")
+        arr = np.array(listed, dtype=float)
+    return arr
+
+
+def _cell_columns(rows: list, n: int, k: int):
+    """The float matrix (NaN for missing and string cells), the raw cells
+    of every column holding a string, and the number of those NaN cells,
+    from one row of cells per patient."""
+    raw = {}
+    if any(issubclass(kind, str) for kind in set(map(type, chain.from_iterable(rows)))):
+        is_str = np.array([[isinstance(v, str) for v in row] for row in rows],
+                          dtype=bool).reshape(n, k)
+        x = np.array([[None if isinstance(v, str) else v for v in row] for row in rows],
+                     dtype=float).reshape(n, k)
+        for j in np.flatnonzero(is_str.any(axis=0)):
+            col = np.empty(n, dtype=object)
+            col[:] = [row[j] for row in rows]
+            present = ~is_str[:, j] & ~np.isnan(x[:, j])
+            col[present] = x[present, j].tolist()
+            raw[int(j)] = col
+        blank = int(is_str.sum())
+    else:
+        x, blank = np.array(rows, dtype=float).reshape(n, k), 0
+    return x, raw, blank + sum(row.count(None) for row in rows)
 
 
 class SurvivalDataset:
@@ -123,68 +160,52 @@ class SurvivalDataset:
     category string, and ``raw_columns`` maps the index of every column
     that holds a string to its raw cells (None, str or float).
 
-    ``SurvivalDataset(instances, feature_names)`` converts `Instance`s in
-    one pass; `from_arrays` builds the arrays directly.  ``instances`` and
-    iteration give `Instance` views built on demand.  A non-finite numeric
-    cell is rejected with its row and column named: ``None`` marks a
-    missing cell.
+    `from_arrays` is the one constructor: it checks every input rule and
+    builds the columns.  ``SurvivalDataset(instances, feature_names)``
+    transposes `Instance`s into it, and ``instances`` gives `Instance`
+    views built from the columns on each call.
     """
 
     def __init__(self, instances, feature_names):
-        names = tuple(str(n) for n in feature_names)
-        k = len(names)
-        rows, times, events = [], [], []
-        for i, inst in enumerate(instances):
-            if len(inst.features) != k:
-                raise ValueError(
-                    f"instance {i} has {len(inst.features)} features, expected {k}"
-                )
-            rows.append(inst.features)
-            times.append(inst.time)
-            events.append(inst.event)
-        x, raw = _columns(rows, names)
-        self._init(np.array(times, dtype=float), np.array(events, dtype=bool),
-                   x, raw, names)
+        instances = tuple(instances)
+        d = SurvivalDataset.from_arrays([inst.features for inst in instances],
+                                        [inst.time for inst in instances],
+                                        [inst.event for inst in instances], feature_names)
+        self.__dict__.update(d.__dict__)
 
-    def _init(self, times, events, x, raw, names):
+    @classmethod
+    def _from_columns(cls, times, events, x, raw, names) -> "SurvivalDataset":
         if (repeated := _repeated(names)) is not None:
             raise ValueError(f"feature name {repeated!r} appears more than once")
         for arr in (times, events, x, *raw.values()):
             arr.setflags(write=False)
-        self.times, self.events, self.values = times, events, x
-        self.raw_columns = MappingProxyType(raw)
-        self.feature_names = names
-
-    @classmethod
-    def _from_columns(cls, times, events, x, raw, names) -> "SurvivalDataset":
         d = object.__new__(cls)
-        d._init(times, events, x, raw, names)
+        d.times, d.events, d.values = times, events, x
+        d.raw_columns, d.feature_names = MappingProxyType(raw), names
         return d
 
     def __len__(self) -> int:
         return self.times.size
 
-    def __iter__(self) -> Iterator[Instance]:
-        return iter(self.instances)
-
     def __repr__(self) -> str:
         return f"SurvivalDataset(n={len(self)}, features={self.feature_names!r})"
 
-    @property
-    def instances(self) -> tuple:
-        """One `Instance` per patient, built from the columns on each call."""
+    def _cell_rows(self) -> list:
+        """One list of cells per patient: None, str or float."""
         rows = self.values.tolist()
         for i, j in np.argwhere(np.isnan(self.values)).tolist():
             rows[i][j] = None
         for j, col in self.raw_columns.items():
             for row, value in zip(rows, col):
                 row[j] = value
-        return tuple(Instance(row, t, e) for row, t, e in
-                     zip(rows, self.times.tolist(), self.events.tolist()))
+        return rows
 
     @property
-    def n_uncensored(self) -> int:
-        return int(self.events.sum())
+    def instances(self) -> tuple:
+        """One `Instance` per patient, built from the columns on each call;
+        its time is a float and its event a bool."""
+        return tuple(Instance(tuple(row), t, e) for row, t, e in
+                     zip(self._cell_rows(), self.times.tolist(), self.events.tolist()))
 
     def feature_matrix(self) -> np.ndarray:
         """All features as a float matrix; raises if any cell is missing or
@@ -221,71 +242,62 @@ class SurvivalDataset:
 
     @classmethod
     def from_arrays(cls, x, times, events, feature_names=None) -> "SurvivalDataset":
-        x = np.array(x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        times = np.array(times, dtype=float)
-        events = np.array(events, dtype=float)
-        if feature_names is None:
-            feature_names = tuple(f"x{j}" for j in range(x.shape[1]))
-        names = tuple(str(n) for n in feature_names)
-        n = times.size
-        if x.shape != (n, len(names)) or events.shape != (n,) or times.ndim != 1:
+        """A dataset from its features, times and event flags, with every
+        input rule checked.
+
+        `x` is a numeric (n, k) array (a 1-D array is one column) or n rows
+        of cells, each a number, a category string or None for a missing
+        cell.  A time must be a finite non-negative number and an event
+        flag False/True or 0/1 (a string such as "1" is refused), and a
+        numeric cell must be finite.  A refusal is a ValueError naming the
+        row (0-based), and the column of a cell.  Feature names default to
+        x0, x1, ...
+        """
+        times = _numbers(times, "time", "must be a number")
+        events = _numbers(events, "event", "must be 0 or 1")
+        rows = None
+        if isinstance(x, np.ndarray) and x.dtype.kind in "biuf":
+            x = np.array(x, dtype=float)
+            x = x.reshape(-1, 1) if x.ndim == 1 else x
+            shape = x.shape
+        else:
+            rows = x.tolist() if isinstance(x, np.ndarray) else [tuple(row) for row in x]
+            shape = (len(rows), len(rows[0]) if rows else 0)
+        names = tuple(f"x{j}" for j in range(shape[-1] if shape else 0)) \
+            if feature_names is None else tuple(str(name) for name in feature_names)
+        n, k = times.size, len(names)
+        if rows is not None:
+            for i, row in enumerate(rows):
+                if len(row) != k:
+                    raise _InputError(i, None, names, f"{len(row)} features, expected {k}")
+            shape = (len(rows), k)
+        if shape != (n, k) or events.shape != (n,) or times.ndim != 1:
             raise ValueError(
-                f"features {x.shape}, times {times.shape} and events {events.shape} "
-                f"do not describe {len(names)} features of the same patients"
+                f"features {shape}, times {times.shape} and events {events.shape} "
+                f"do not describe {k} features of the same patients"
             )
-        bad_time = ~(np.isfinite(times) & (times >= 0))
+        bad_time = ~np.isfinite(times) | (times < 0)
         if bad_time.any():
             i = int(np.argmax(bad_time))
-            raise ValueError(f"row {i}: time must be finite and non-negative, "
-                             f"got {times[i]}")
+            what = "non-finite" if not np.isfinite(times[i]) else "negative"
+            raise _InputError(i, "time", names, f"{what} time {times[i].item()!r}")
         bad_event = (events != 0) & (events != 1)
         if bad_event.any():
             i = int(np.argmax(bad_event))
-            raise ValueError(f"row {i}: event must be 0 or 1, got {events[i]}")
-        events = events == 1
+            raise _InputError(i, "event", names,
+                              f"event must be 0 or 1, got {events[i].item()!r}")
+        raw, blank = {}, 0
+        if rows is not None:
+            x, raw, blank = _cell_columns(rows, n, k)
+        # NaN marks a None or string cell; any other non-finite cell is refused
         bad = ~np.isfinite(x)
-        if bad.any():
-            i, j = (int(a) for a in np.argwhere(bad)[0])
-            raise ValueError(_non_finite_message(i, names[j], x[i, j]))
-        return cls._from_columns(times, events, x, {}, names)
-
-
-def _non_finite_message(row: int, name: str, value) -> str:
-    return (f"row {row}, column {name!r}: non-finite value {float(value)}; "
-            "use None to mark a missing cell")
-
-
-def _columns(rows: list, names: tuple):
-    """The float matrix (NaN for missing and string cells) and the raw
-    cells of every column holding a string, from one tuple per patient."""
-    n, k = len(rows), len(names)
-    kinds = set(map(type, chain.from_iterable(rows)))
-    raw = {}
-    if any(issubclass(kind, str) for kind in kinds):
-        is_str = np.array([[isinstance(v, str) for v in row] for row in rows],
-                          dtype=bool).reshape(n, k)
-        numeric = [[None if isinstance(v, str) else v for v in row] for row in rows]
-        x = np.array(numeric, dtype=float).reshape(n, k)
-        for j in np.flatnonzero(is_str.any(axis=0)):
-            col = np.empty(n, dtype=object)
-            col[:] = [row[j] for row in rows]
-            present = ~is_str[:, j] & ~np.isnan(x[:, j])
-            col[present] = x[present, j].tolist()
-            raw[int(j)] = col
-    else:
-        numeric = rows
-        x = np.array(rows, dtype=float).reshape(n, k)
-    # NaN marks a None or string cell; any other non-finite cell is an error
-    blank = ~np.isfinite(x)
-    if np.count_nonzero(blank) != sum(row.count(None) for row in numeric) \
-            or np.isinf(x).any():
-        for i, j in zip(*np.nonzero(blank)):
-            value = rows[i][j]
-            if value is not None and not isinstance(value, str):
-                raise ValueError(_non_finite_message(int(i), names[j], value))
-    return x, raw
+        if np.count_nonzero(bad) > blank:
+            for i, j in np.argwhere(bad).tolist():
+                cell = x[i, j] if rows is None else rows[i][j]
+                if cell is not None and not isinstance(cell, str):
+                    raise _InputError(i, j, names, f"non-finite value {float(cell)}; "
+                                      "mark a missing cell None (an empty CSV cell)")
+        return cls._from_columns(np.array(times, dtype=float), events == 1, x, raw, names)
 
 
 class SurvivalModel(ABC):
@@ -295,12 +307,6 @@ class SurvivalModel(ABC):
     def predict_curves(self, d: SurvivalDataset):
         """Predicted curves of every instance of `d` as one
         `isdkit.curves.CurveBatch` on the model's knot vector."""
-
-    def predict_curve(self, inst: Instance):
-        """Predicted survival curve for one instance, as a one-row
-        `CurveBatch`: `predict_curves` on a one-patient dataset."""
-        names = [f"x{j}" for j in range(len(inst.features))]
-        return self.predict_curves(SurvivalDataset([inst], names))
 
 
 def split_by_censoring(d: SurvivalDataset):
@@ -325,10 +331,8 @@ def fold_indices(times, events, k: int) -> np.ndarray:
 
 def _parse_cell(raw: str):
     text = raw.strip()
-    if text == "":
-        return None
     try:
-        return float(text)
+        return float(text) if text else None
     except ValueError:
         return text
 
@@ -337,12 +341,14 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
     """Read a survival dataset from a headed CSV file.
 
     One row per patient; `time_col` must parse as a finite non-negative
-    real and `event_col` as 0 (censored) or 1 (death).  Every other column
-    becomes a feature: numeric cells parse to floats, non-numeric cells are
-    kept as category strings for later one-hot encoding, empty cells become
-    missing markers.  Malformed cells, including "nan" and "inf" (leave a
-    missing cell empty instead), raise a ValueError naming the row (1-based
-    file line) and column.
+    real and `event_col` as 0 (censored) or 1 (death), and the two must
+    differ.  Every other column becomes a feature: numeric cells parse to
+    floats, non-numeric cells are kept as category strings for later
+    one-hot encoding, empty cells become missing markers.  The cells go
+    through `SurvivalDataset.from_arrays`, whose refusals (a malformed
+    time or flag, or a "nan" or "inf" feature cell: leave a missing cell
+    empty instead) come back as a ValueError naming the row (1-based file
+    line) and column.
     """
     # utf-8-sig skips the byte-order mark that Excel writes before the header
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -357,64 +363,29 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
         for col in (time_col, event_col):
             if col not in header:
                 raise ValueError(f"{path}: column {col!r} not found in header {header}")
-        t_idx = header.index(time_col)
-        e_idx = header.index(event_col)
-        feature_names = tuple(h for i, h in enumerate(header) if i not in (t_idx, e_idx))
-        feature_idx = [i for i in range(len(header)) if i not in (t_idx, e_idx)]
-
-        instances = []
+        if time_col == event_col:
+            raise ValueError(f"{path}: column {time_col!r} cannot be both the time "
+                             "and the event column")
+        records = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
                 )
-            try:
-                time = float(row[t_idx])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {line_no}, column {time_col!r}: "
-                    f"cannot parse time {row[t_idx]!r}"
-                )
-            if not math.isfinite(time):
-                raise ValueError(
-                    f"{path}: row {line_no}, column {time_col!r}: "
-                    f"non-finite time {row[t_idx]!r}"
-                )
-            if time < 0:
-                raise ValueError(
-                    f"{path}: row {line_no}, column {time_col!r}: "
-                    f"negative time {time}"
-                )
-            try:
-                event = float(row[e_idx])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {line_no}, column {event_col!r}: "
-                    f"cannot parse event flag {row[e_idx]!r}"
-                )
-            if event not in (0.0, 1.0):
-                raise ValueError(
-                    f"{path}: row {line_no}, column {event_col!r}: "
-                    f"event flag must be 0 or 1, got {row[e_idx]!r}"
-                )
-            features = tuple(_parse_cell(row[i]) for i in feature_idx)
-            for i, value in zip(feature_idx, features):
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: row {line_no}, column {header[i]!r}: non-finite "
-                        f"value {row[i]!r}; leave the cell empty to mark it missing"
-                    )
-            instances.append(Instance(features, time, event == 1.0))
+            records.append([_parse_cell(cell) for cell in row])
 
-    return SurvivalDataset(tuple(instances), feature_names)
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
+    t_idx, e_idx = header.index(time_col), header.index(event_col)
+    feature_idx = [i for i in range(len(header)) if i not in (t_idx, e_idx)]
+    names = tuple(header[i] for i in feature_idx)
+    try:
+        return SurvivalDataset.from_arrays([[rec[i] for i in feature_idx] for rec in records],
+                                           [rec[t_idx] for rec in records],
+                                           [rec[e_idx] for rec in records], names)
+    except _InputError as exc:
+        column = names[exc.column] if isinstance(exc.column, int) \
+            else {"time": time_col, "event": event_col}[exc.column]
+        raise ValueError(f"{path}: row {exc.row + 2}, column {column!r}: {exc.problem}") \
+            from None
 
 
 def save_csv(d: SurvivalDataset, path, time_col: str = "time", event_col: str = "event") -> None:
@@ -429,7 +400,6 @@ def save_csv(d: SurvivalDataset, path, time_col: str = "time", event_col: str = 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for inst in d.instances:
-            writer.writerow(
-                [repr(inst.time), int(inst.event), *(_format_cell(v) for v in inst.features)]
-            )
+        for t, e, cells in zip(d.times.tolist(), d.events.tolist(), d._cell_rows()):
+            writer.writerow([repr(t), int(e), *("" if v is None else v if isinstance(v, str)
+                                                else repr(v) for v in cells)])

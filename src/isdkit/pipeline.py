@@ -338,9 +338,10 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
     percentiles and D-calibration run once on the pooled predictions of
     all folds.  Fit failures propagate with the fold index attached.
     """
-    if len(d) < cfg.folds:
-        raise ValueError(f"cannot split {len(d)} instances into {cfg.folds} folds")
     fold_of = fold_indices(d.times, d.events, cfg.folds)
+    if empty := np.setdiff1d(np.arange(cfg.folds), fold_of).tolist():
+        raise ValueError(f"cannot split {len(d)} instances into {cfg.folds} folds: fold(s) "
+                         f"{', '.join(map(str, empty))} would be empty; use fewer folds")
     tau = float(d.times.max())
     tstars = tuple(float(np.percentile(d.times, p)) for p in cfg.percentiles)
 

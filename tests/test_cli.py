@@ -144,6 +144,20 @@ class TestEvaluate:
         files = sorted(p.name for p in (out / "curves").iterdir())
         assert files == [f"patient_{i:05d}.csv" for i in range(40)]
 
+    def test_failed_force_run_keeps_the_earlier_run_whole(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        rows = "".join(f"{i + 1},{i % 3 > 0:d},7\n" for i in range(40))
+        path.write_text("time,event,x\n" + rows, encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["evaluate", "--dataset", str(path), "--model", "km",
+                     "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.rglob("*.csv")}
+        assert len(before) == 3 + 40
+        assert main(["evaluate", "--dataset", str(path), "--model", "cox-kp",
+                     "--out", str(out), "--force"]) == 1
+        assert "no feature passed the univariate Cox filter" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.rglob("*.csv")} == before
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--model", "km"])  # missing required flags

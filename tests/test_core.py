@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,23 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_csv(path, "time", "event")
 
+    @pytest.mark.parametrize("cells", ["4.5,1,50", "1,1,50"])
+    def test_time_column_that_is_the_event_column_rejected(self, tmp_path, cells):
+        path = write(tmp_path, f"time,event,age\n{cells}\n")
+        with pytest.raises(ValueError, match="data.csv: column 'time' cannot be both the "
+                                             "time and the event column"):
+            load_csv(path, "time", "time")
+
+    def test_empty_time_and_text_flag_name_row_and_column(self, tmp_path):
+        path = write(tmp_path, "time,event,age\n2,1,50\n,0,61\n")
+        with pytest.raises(ValueError, match="row 3, column 'time': time must be a number, "
+                                             "got None"):
+            load_csv(path, "time", "event")
+        path = write(tmp_path, "t,e,age\n2,1,50\n3,no,61\n")
+        with pytest.raises(ValueError, match="row 3, column 'e': event must be 0 or 1, "
+                                             "got 'no'"):
+            load_csv(path, "t", "e")
+
     def test_missing_column_rejected(self, tmp_path):
         path = write(tmp_path, "time,event\n2,1\n")
         with pytest.raises(ValueError, match="age"):
@@ -232,17 +251,23 @@ class TestDataset:
             d.with_features([[1.0, 2.0]], ["b", "b"])
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            Instance((1.0,), -0.5, True)
+        with pytest.raises(ValueError, match="row 1: negative time -0.5"):
+            SurvivalDataset((Instance((1.0,), 1.0, True), Instance((1.0,), -0.5, True)),
+                            ("a",))
+        with pytest.raises(ValueError, match="row 0: negative time -0.5"):
+            SurvivalDataset.from_arrays(np.zeros((1, 1)), [-0.5], [True])
 
-    @pytest.mark.parametrize("flag", ["no", 0.5, 2, float("nan"), None])
+    @pytest.mark.parametrize("flag", ["no", "1", 0.5, 2, float("nan"), None])
     def test_instance_rejects_an_event_flag_other_than_0_or_1(self, flag):
-        with pytest.raises(ValueError, match=f"event must be 0 or 1, got {flag!r}"):
-            Instance((1.0,), 1.0, flag)
+        pattern = f"row 1: event must be 0 or 1, got {re.escape(repr(flag))}$"
+        with pytest.raises(ValueError, match=pattern):
+            SurvivalDataset((Instance((1.0,), 2.0, 0), Instance((1.0,), 1.0, flag)), ("a",))
+        with pytest.raises(ValueError, match=pattern):
+            SurvivalDataset.from_arrays([[1.0], [1.0]], [2.0, 1.0], [False, flag])
 
     @pytest.mark.parametrize("flag", [True, False, 1, 0, 1.0, np.True_, np.False_])
     def test_instance_accepts_bool_and_0_1_flags(self, flag):
-        event = Instance((1.0,), 1.0, flag).event
+        event = SurvivalDataset((Instance((1.0,), 1.0, flag),), ("a",)).instances[0].event
         assert type(event) is bool and event == bool(flag)
 
     def test_from_arrays_rejects_an_event_flag_other_than_0_or_1(self):
@@ -255,8 +280,10 @@ class TestDataset:
 
     @pytest.mark.parametrize("time", [np.inf, np.nan])
     def test_non_finite_time_rejected(self, time):
-        with pytest.raises(ValueError, match="finite"):
-            Instance((1.0,), time, True)
+        with pytest.raises(ValueError, match=f"row 0: non-finite time {time}"):
+            SurvivalDataset((Instance((1.0,), time, True),), ("a",))
+        with pytest.raises(ValueError, match="row 1: time must be a number, got '2'"):
+            SurvivalDataset.from_arrays(np.zeros((2, 1)), [1.0, "2"], [True, True])
 
     @pytest.mark.parametrize("row, col, value, text", [(3, 0, np.nan, "nan"),
                                                        (10, 4, np.inf, "inf"),
@@ -294,10 +321,11 @@ class TestDataset:
         np.testing.assert_array_equal(
             d.values, [[1.5, np.nan, np.nan], [np.nan, 3.0, 4.0], [2.0, np.nan, 5.0]])
         assert list(d.raw_columns) == [1]
-        assert [i.features for i in d] == [(1.5, "lung", None), (None, 3.0, 4.0),
-                                           (2.0, None, 5.0)]
+        assert [i.features for i in d.instances] == [(1.5, "lung", None), (None, 3.0, 4.0),
+                                                     (2.0, None, 5.0)]
         part = d.subset([2, 0])
-        assert [i.features for i in part] == [(2.0, None, 5.0), (1.5, "lung", None)]
+        assert [i.features for i in part.instances] == [(2.0, None, 5.0),
+                                                        (1.5, "lung", None)]
         assert list(part.times) == [3.0, 2.0] and list(part.events) == [True, True]
         for arr in (d.times, d.events, d.values, d.raw_columns[1]):
             with pytest.raises(ValueError):

@@ -238,12 +238,12 @@ class TestFitMtlr:
             d = two_group(seed)
             grid = make_grid(d, 8)
             model = fit_mtlr(d, grid, (1.0,))
-            t0 = extend_linear(model.predict_curve(d.instances[0])).zero_time[0] + 1.0
+            t0 = extend_linear(model.predict_curves(d.subset([0]))).zero_time[0] + 1.0
             med_a = median_survival(
-                extend_linear(model.predict_curve(d.instances[0]), t0), t0
+                extend_linear(model.predict_curves(d.subset([0])), t0), t0
             )
             med_b = median_survival(
-                extend_linear(model.predict_curve(d.instances[-1]), t0), t0
+                extend_linear(model.predict_curves(d.subset([-1])), t0), t0
             )
             wins += med_a < med_b
         assert wins >= 19

@@ -268,6 +268,19 @@ class TestMakeFolds:
         with pytest.raises(ValueError, match="cannot split 2 instances into 5 folds"):
             run_experiment(dataset([1.0, 2.0], [1, 1]), ExperimentConfig(folds=5))
 
+    @pytest.mark.parametrize("metric", ["ibs", "l1-hinge"])
+    def test_a_split_with_an_empty_fold_is_refused_before_any_fit(self, monkeypatch, metric):
+        # 2 deaths and 3 censorings are each dealt from fold 0: folds [0 1 0 1 2]
+        d = dataset([1.0, 2.0, 3.0, 4.0, 5.0], [1, 1, 0, 0, 0])
+        np.testing.assert_array_equal(fold_indices(d.times, d.events, 5), [0, 1, 0, 1, 2])
+        monkeypatch.setattr("isdkit.pipeline._run_fold", None)     # a fit would fail
+        with pytest.raises(ValueError, match=r"cannot split 5 instances into 5 folds: "
+                                             r"fold\(s\) 3, 4 would be empty; use fewer folds"):
+            run_experiment(d, ExperimentConfig(model="km", metrics=(metric,)))
+        monkeypatch.undo()
+        report = run_experiment(d, ExperimentConfig(model="km", metrics=(metric,), folds=3))
+        assert np.isfinite(report.fold_scores[metric]).all()
+
     def test_fold_indices_cover_everything(self):
         # 9 uncensored and 4 censored, each group dealt from fold 0
         fold_of = fold_indices(np.arange(13.0), np.tile([1, 0, 1], 5)[:13], 5)
@@ -390,8 +403,8 @@ class TestRunExperiment:
 
 
 class TestOnePredictionPath:
-    """`predict_curve(inst)` is row 0 of `predict_curves` on a one-patient
-    dataset, for every model."""
+    """`predict_curves` on a one-patient dataset is that patient's row of
+    `predict_curves` on the whole dataset, for every model."""
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_predict_curve_is_a_row_of_predict_curves(self, name):
@@ -401,9 +414,9 @@ class TestOnePredictionPath:
         d = raw if name == "km" else preprocess(raw, raw)[0]
         batch = model.predict_curves(d)
         for i, inst in enumerate(d.instances):
-            curve, row = model.predict_curve(inst), batch.subset([i])
-            np.testing.assert_array_equal(curve.probs,
-                                          model.predict_curves(d.subset([i])).subset([0]).probs)
+            curve, row = model.predict_curves(d.subset([i])), batch.subset([i])
+            if name == "km":
+                np.testing.assert_array_equal(curve.probs, model.predict_curve(inst).probs)
             assert curve.interp == row.interp
             np.testing.assert_array_equal(curve.knots, row.knots)
             # BLAS may round a row of a matrix product differently once other
@@ -414,22 +427,19 @@ class TestOnePredictionPath:
 
 
 def rescaled(d, a):
-    return SurvivalDataset(
-        tuple(Instance(inst.features, a * inst.time, inst.event) for inst in d.instances),
-        d.feature_names,
-    )
+    return SurvivalDataset.from_arrays(d.values, a * d.times, d.events, d.feature_names)
 
 
 class TestTimeRescaling:
     """Multiplying every time by a > 0 rescales the curves along the time
-    axis and nothing else: rank and probability metrics stay, time-valued
-    L1 losses scale by a."""
+    axis and nothing else: rank and probability metrics and the
+    calibration p-values stay, time-valued L1 losses scale by a."""
 
-    @pytest.mark.parametrize("model", ["km", "cox-kp"])
-    @pytest.mark.parametrize("a", [0.5, 2.0])
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    @pytest.mark.parametrize("a", [0.5, 2.0, 1024.0, 1 / 1024])
     def test_fold_metrics_and_dcal(self, model, a):
         d = cohort_with_features(n=150)
-        cfg = ExperimentConfig(model=model, folds=3)
+        cfg = ExperimentConfig(model=model, folds=3, mtlr_c_grid=(1.0,))
         base, scaled = run_experiment(d, cfg), run_experiment(rescaled(d, a), cfg)
         factors = {"concordance": 1.0, "ibs": 1.0, "l1-log-uncensored": 1.0,
                    "l1-log-margin": 1.0, "l1-uncensored": a, "l1-hinge": a,
@@ -438,10 +448,17 @@ class TestTimeRescaling:
         for metric, factor in factors.items():
             np.testing.assert_allclose(
                 scaled.fold_scores[metric], factor * np.asarray(base.fold_scores[metric]),
-                rtol=1e-9, atol=0, err_msg=metric,
+                rtol=1e-12, atol=0, err_msg=metric,
             )
         np.testing.assert_allclose(scaled.dcal_histogram.counts, base.dcal_histogram.counts,
-                                   rtol=1e-9, atol=0)
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scaled.dcal.p_value, base.dcal.p_value, rtol=1e-12, atol=0)
+        assert len(scaled.one_calibration) == len(base.one_calibration) == 5
+        for s, b in zip(scaled.one_calibration, base.one_calibration):
+            assert s.error == b.error
+            if b.result is not None:
+                np.testing.assert_allclose(s.result.p_value, b.result.p_value,
+                                           rtol=1e-12, atol=0, err_msg=s.percentile)
 
 
 class TestSimulateCohort:
