@@ -117,17 +117,17 @@ class _InputError(ValueError):
         super().__init__(f"row {row}{where}: {problem}")
 
 
-def _numbers(cells, what: str, rule: str) -> np.ndarray:
-    """`cells` as a numeric array, refusing the first one that is not a
-    real number (a string, even "1", or None) with its row."""
+_REAL = (Real, np.bool_)
+
+
+def _reals(cells):
+    """`cells` as a list and as a float array with NaN in place of every
+    cell that is not a real number (a string, even "1", or None)."""
+    listed = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
     arr = np.asarray(cells)
     if arr.dtype.kind not in "biuf":
-        listed = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
-        for i, cell in enumerate(listed):
-            if not isinstance(cell, (Real, np.bool_)):
-                raise _InputError(i, what, (), f"{what} {rule}, got {cell!r}")
-        arr = np.array(listed, dtype=float)
-    return arr
+        arr = np.array([c if isinstance(c, _REAL) else np.nan for c in listed], dtype=float)
+    return listed, arr.astype(float)
 
 
 def _cell_columns(rows: list, n: int, k: int):
@@ -138,18 +138,18 @@ def _cell_columns(rows: list, n: int, k: int):
     if any(issubclass(kind, str) for kind in set(map(type, chain.from_iterable(rows)))):
         is_str = np.array([[isinstance(v, str) for v in row] for row in rows],
                           dtype=bool).reshape(n, k)
-        x = np.array([[None if isinstance(v, str) else v for v in row] for row in rows],
-                     dtype=float).reshape(n, k)
+        numeric = [[None if isinstance(v, str) else v for v in row] for row in rows]
+        x = np.array(numeric, dtype=float).reshape(n, k)
         for j in np.flatnonzero(is_str.any(axis=0)):
             col = np.empty(n, dtype=object)
             col[:] = [row[j] for row in rows]
             present = ~is_str[:, j] & ~np.isnan(x[:, j])
             col[present] = x[present, j].tolist()
             raw[int(j)] = col
-        blank = int(is_str.sum())
     else:
-        x, blank = np.array(rows, dtype=float).reshape(n, k), 0
-    return x, raw, blank + sum(row.count(None) for row in rows)
+        numeric = rows
+        x = np.array(rows, dtype=float).reshape(n, k)
+    return x, raw, sum(row.count(None) for row in numeric)
 
 
 class SurvivalDataset:
@@ -245,59 +245,78 @@ class SurvivalDataset:
         """A dataset from its features, times and event flags, with every
         input rule checked.
 
-        `x` is a numeric (n, k) array (a 1-D array is one column) or n rows
+        `x` is a numeric (n, k) array (a 1-D one is one column), or n rows
         of cells, each a number, a category string or None for a missing
         cell.  A time must be a finite non-negative number and an event
         flag False/True or 0/1 (a string such as "1" is refused), and a
         numeric cell must be finite.  A refusal is a ValueError naming the
-        row (0-based), and the column of a cell.  Feature names default to
-        x0, x1, ...
+        row (0-based), and the column of a cell.  A row of the wrong length
+        is refused first; otherwise the first row that breaks a rule is
+        named, its time checked before its event flag and its cells.
+        Feature names default to x0, x1, ...
         """
-        times = _numbers(times, "time", "must be a number")
-        events = _numbers(events, "event", "must be 0 or 1")
+        # a list is read as rows of cells, since numpy would turn its numbers
+        # into strings beside a string; any other array of numbers is a matrix
+        arr = None if isinstance(x, (list, tuple)) else np.asarray(x)
         rows = None
-        if isinstance(x, np.ndarray) and x.dtype.kind in "biuf":
-            x = np.array(x, dtype=float)
-            x = x.reshape(-1, 1) if x.ndim == 1 else x
+        if arr is not None and arr.dtype.kind in "biuf":
+            x = arr.astype(float)
+            if x.ndim == 1:
+                x = x.reshape(-1, 1)
             shape = x.shape
         else:
-            rows = x.tolist() if isinstance(x, np.ndarray) else [tuple(row) for row in x]
+            cells = x if arr is None else arr.tolist()
+            rows = [tuple(row) if isinstance(row, (list, tuple, np.ndarray)) else (row,)
+                    for row in cells]
             shape = (len(rows), len(rows[0]) if rows else 0)
-        names = tuple(f"x{j}" for j in range(shape[-1] if shape else 0)) \
-            if feature_names is None else tuple(str(name) for name in feature_names)
-        n, k = times.size, len(names)
+        if feature_names is None:
+            names = tuple(f"x{j}" for j in range(shape[-1] if shape else 0))
+        else:
+            names = tuple(str(name) for name in feature_names)
+        k = len(names)
         if rows is not None:
             for i, row in enumerate(rows):
                 if len(row) != k:
                     raise _InputError(i, None, names, f"{len(row)} features, expected {k}")
             shape = (len(rows), k)
+        time_cells, times = _reals(times)
+        event_cells, events = _reals(events)
+        n = times.size
         if shape != (n, k) or events.shape != (n,) or times.ndim != 1:
             raise ValueError(
                 f"features {shape}, times {times.shape} and events {events.shape} "
                 f"do not describe {k} features of the same patients"
             )
+        refusals = []                       # (row, column, problem): the first of each rule
         bad_time = ~np.isfinite(times) | (times < 0)
         if bad_time.any():
             i = int(np.argmax(bad_time))
-            what = "non-finite" if not np.isfinite(times[i]) else "negative"
-            raise _InputError(i, "time", names, f"{what} time {times[i].item()!r}")
+            if not isinstance(time_cells[i], _REAL):
+                problem = f"time must be a number, got {time_cells[i]!r}"
+            else:
+                what = "non-finite" if not np.isfinite(times[i]) else "negative"
+                problem = f"{what} time {times[i].item()!r}"
+            refusals.append((i, "time", problem))
         bad_event = (events != 0) & (events != 1)
         if bad_event.any():
             i = int(np.argmax(bad_event))
-            raise _InputError(i, "event", names,
-                              f"event must be 0 or 1, got {events[i].item()!r}")
+            value = event_cells[i]
+            value = value.item() if isinstance(value, np.generic) else value
+            refusals.append((i, "event", f"event must be 0 or 1, got {value!r}"))
         raw, blank = {}, 0
         if rows is not None:
             x, raw, blank = _cell_columns(rows, n, k)
         # NaN marks a None or string cell; any other non-finite cell is refused
         bad = ~np.isfinite(x)
         if np.count_nonzero(bad) > blank:
-            for i, j in np.argwhere(bad).tolist():
-                cell = x[i, j] if rows is None else rows[i][j]
-                if cell is not None and not isinstance(cell, str):
-                    raise _InputError(i, j, names, f"non-finite value {float(cell)}; "
-                                      "mark a missing cell None (an empty CSV cell)")
-        return cls._from_columns(np.array(times, dtype=float), events == 1, x, raw, names)
+            i, j = next((i, j) for i, j in np.argwhere(bad).tolist()
+                        if rows is None or not (rows[i][j] is None or isinstance(rows[i][j], str)))
+            refusals.append((i, j, f"non-finite value {float(x[i, j])}; "
+                                   "mark a missing cell None (an empty CSV cell)"))
+        if refusals:
+            row, column, problem = min(refusals, key=lambda refusal: refusal[0])
+            raise _InputError(row, column, names, problem)
+        return cls._from_columns(times, events == 1, x, raw, names)
 
 
 class SurvivalModel(ABC):
@@ -331,8 +350,10 @@ def fold_indices(times, events, k: int) -> np.ndarray:
 
 def _parse_cell(raw: str):
     text = raw.strip()
+    if text == "":
+        return None
     try:
-        return float(text) if text else None
+        return float(text)
     except ValueError:
         return text
 
@@ -366,26 +387,38 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
         if time_col == event_col:
             raise ValueError(f"{path}: column {time_col!r} cannot be both the time "
                              "and the event column")
-        records = []
+        records, short_row = [], None
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
-                )
+                short_row = f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
+                break
             records.append([_parse_cell(cell) for cell in row])
 
     t_idx, e_idx = header.index(time_col), header.index(event_col)
     feature_idx = [i for i in range(len(header)) if i not in (t_idx, e_idx)]
     names = tuple(header[i] for i in feature_idx)
-    try:
-        return SurvivalDataset.from_arrays([[rec[i] for i in feature_idx] for rec in records],
-                                           [rec[t_idx] for rec in records],
-                                           [rec[e_idx] for rec in records], names)
+    try:    # the rows before a row of the wrong length are checked first
+        d = SurvivalDataset.from_arrays([[rec[i] for i in feature_idx] for rec in records],
+                                        [rec[t_idx] for rec in records],
+                                        [rec[e_idx] for rec in records], names)
     except _InputError as exc:
-        column = names[exc.column] if isinstance(exc.column, int) \
-            else {"time": time_col, "event": event_col}[exc.column]
+        if isinstance(exc.column, int):
+            column = names[exc.column]
+        else:
+            column = {"time": time_col, "event": event_col}[exc.column]
         raise ValueError(f"{path}: row {exc.row + 2}, column {column!r}: {exc.problem}") \
             from None
+    if short_row is not None:
+        raise ValueError(short_row)
+    return d
+
+
+def _format_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return repr(value)
 
 
 def save_csv(d: SurvivalDataset, path, time_col: str = "time", event_col: str = "event") -> None:
@@ -401,5 +434,4 @@ def save_csv(d: SurvivalDataset, path, time_col: str = "time", event_col: str = 
         writer = csv.writer(fh)
         writer.writerow(header)
         for t, e, cells in zip(d.times.tolist(), d.events.tolist(), d._cell_rows()):
-            writer.writerow([repr(t), int(e), *("" if v is None else v if isinstance(v, str)
-                                                else repr(v) for v in cells)])
+            writer.writerow([repr(t), int(e), *(_format_cell(v) for v in cells)])

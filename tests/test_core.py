@@ -155,6 +155,18 @@ class TestLoadCsv:
                                              "got 'no'"):
             load_csv(path, "t", "e")
 
+    @pytest.mark.parametrize("lines, where", [
+        (["2,2,50", "3,0,61", "-4,1,70"], "row 2, column 'event'"),
+        (["2,1,nan", "-3,0,61"], "row 2, column 'age'"),
+        (["2,1,50", "-3,2,inf"], "row 3, column 'time'"),
+        (["2,1,50", "3,2,61", "4,1"], "row 3, column 'event'"),
+    ], ids=["event-before-time", "cell-before-time", "time-before-event-and-cell",
+            "before-a-short-row"])
+    def test_first_bad_line_is_named(self, tmp_path, lines, where):
+        path = write(tmp_path, "time,event,age\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=where):
+            load_csv(path, "time", "event")
+
     def test_missing_column_rejected(self, tmp_path):
         path = write(tmp_path, "time,event\n2,1\n")
         with pytest.raises(ValueError, match="age"):
@@ -277,6 +289,28 @@ class TestDataset:
             SurvivalDataset.from_arrays(np.zeros((3, 1)), [1, 2, 3], [1, 0, 2])
         d = SurvivalDataset.from_arrays(np.zeros((3, 1)), [1, 2, 3], np.array([True, False, True]))
         assert d.events.dtype == bool and d.events.tolist() == [True, False, True]
+
+    def test_from_arrays_names_the_first_bad_row(self):
+        with pytest.raises(ValueError, match="row 0: event must be 0 or 1, got 'no'$"):
+            SurvivalDataset.from_arrays(np.zeros((4, 1)), [1, 2, 3, -4], ["no", 0, 1, 1])
+        with pytest.raises(ValueError, match="row 1, column 'x0': non-finite value inf"):
+            SurvivalDataset.from_arrays([[0.0], [np.inf], [0.0]], [1, 2, -3], [1, 0, 2])
+        with pytest.raises(ValueError, match="row 1: negative time -2.0$"):
+            SurvivalDataset.from_arrays([[0.0], [np.inf]], [1, -2], [1, 2])
+
+    def test_from_arrays_takes_lists_and_one_dimensional_features(self):
+        times, events = [1.0, 2.0, 3.0], [1, 0, 1]
+        expected = SurvivalDataset.from_arrays(np.array([[1.0], [2.0], [3.0]]), times, events)
+        for x in ([1.0, 2.0, 3.0], (1, 2, 3), np.array([1, 2, 3]), [[1.0], [2.0], [3.0]]):
+            d = SurvivalDataset.from_arrays(x, times, events)
+            assert d.feature_names == ("x0",) and not d.raw_columns
+            assert d.values.tolist() == expected.values.tolist()
+        d = SurvivalDataset.from_arrays([[1, 2.5], [3, 4.5]], [1.0, 2.0], [1, 0], ["a", "b"])
+        assert d.values.tolist() == [[1.0, 2.5], [3.0, 4.5]]
+        d = SurvivalDataset.from_arrays(np.array([1.0, None, 3.0], dtype=object), times, events)
+        assert np.isnan(d.values[1, 0]) and d.values[[0, 2], 0].tolist() == [1.0, 3.0]
+        d = SurvivalDataset.from_arrays(["a", 2.0, None], times, events)
+        assert d.raw_columns[0].tolist() == ["a", 2.0, None]
 
     @pytest.mark.parametrize("time", [np.inf, np.nan])
     def test_non_finite_time_rejected(self, time):

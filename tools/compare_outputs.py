@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the outputs of a git revision with those of the working tree.
 
-    python tools/compare_outputs.py REV [--keep DIR]
+    python tools/compare_outputs.py REV
 
 REV (a commit, branch or tag) is exported with ``git archive REV | tar -x``
 into a temporary directory; this reads the object store only and needs no
@@ -149,13 +149,12 @@ def compare_dirs(a: Path, b: Path) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the git revision to compare with the working tree")
-    parser.add_argument("--keep", help="keep both output trees in this new directory")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
-        work = Path(args.keep) if args.keep else Path(tmp)
+        work = Path(tmp)
         parent, inputs = work / "tree", work / "inputs"
         for d in (parent, inputs):
-            d.mkdir(parents=True)
+            d.mkdir()
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev],
                                  capture_output=True)
         if archive.returncode != 0:
@@ -170,8 +169,6 @@ def main(argv=None) -> int:
         lines, same = compare_dirs(work / "out-rev", work / "out-work")
         print(f"{args.rev} against the working tree:")
         print("\n".join(lines))
-        if args.keep:
-            print(f"outputs kept in {work}")
     return 0 if same else 1
 
 
