@@ -142,5 +142,5 @@ def predict_curve_aft(m: AftWeibullModel, x, grid) -> CurveBatch:
     with np.errstate(divide="ignore"):
         logt = np.log(grid)
     w = (logt - mu[..., None]) / m.sigma
-    probs = np.clip(np.where(grid == 0.0, 1.0, np.exp(-np.exp(w))), 0.0, 1.0)
+    probs = np.clip(np.exp(-np.exp(w)), 0.0, 1.0)  # log 0 = -inf gives S(0) = 1
     return CurveBatch(grid, probs, "linear")

@@ -50,7 +50,7 @@ def chi2_sf(x: float, dof: int) -> float:
     of freedom, used to turn calibration statistics into p-values."""
     if dof < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {dof}")
-    if x < 0:
+    if not x >= 0:  # a positive condition, so that NaN fails it
         raise ValueError(f"chi-square statistic must be non-negative, got {x}")
     return min(1.0, max(0.0, float(gammaincc(dof / 2.0, x / 2.0))))
 
@@ -66,12 +66,19 @@ class CalibrationBins:
     members: tuple  # index arrays into the input order, one per bin
 
 
+def _refuse_nan(probs: np.ndarray) -> np.ndarray:
+    if (nan := np.flatnonzero(np.isnan(probs))).size:
+        raise ValueError(f"{nan.size} NaN probability value(s), the first at index {nan[0]}")
+    return probs
+
+
 def _per_instance(v: SurvivalDataset, probs) -> np.ndarray:
-    """``probs`` as floats, refused unless it holds one entry per instance."""
+    """``probs`` as floats, refused unless it holds one entry per instance
+    and none is NaN."""
     probs = np.asarray(probs, dtype=float)
     if probs.size != len(v):
         raise ValueError(f"{probs.size} probabilities for {len(v)} instances")
-    return probs.reshape(-1)
+    return _refuse_nan(probs.reshape(-1))
 
 
 def _bin_memberships(probs: np.ndarray, b: int) -> tuple:
@@ -260,7 +267,7 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
     if not tau_eff > 0:
         raise ValueError("censoring curve G is 0 from time 0; the IBS is undefined")
 
-    knots = curves.grid
+    knots = curves.knots
     g_knots = g_hat.curve.knots
     cuts = np.unique(np.concatenate((
         [0.0, tau_eff], knots[knots < tau_eff], g_knots[(g_knots > 0) & (g_knots < tau_eff)],
@@ -292,7 +299,7 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
 
     # the whole pieces: before k alive, after k dead
     piece = np.arange(lo.size)
-    body = int(np.searchsorted(seg, curves.grid.size - 1))    # pieces before t_max
+    body = int(np.searchsorted(seg, knots.size - 1))    # pieces before t_max
     if curves.rows == 1:
         alive_w = n - np.cumsum(np.bincount(k, minlength=lo.size))
         death_w = np.cumsum(np.bincount(k + 1, weights=weight, minlength=lo.size + 1))[:-1]
@@ -339,6 +346,7 @@ def dcal_histogram(probs_at_event, events, b: int = 10) -> DCalHistogram:
         raise ValueError("probabilities and event flags must align")
     if b < 2:
         raise ValueError(f"need at least 2 bins, got {b}")
+    _refuse_nan(probs)
     if np.any(probs < 0) or np.any(probs > 1):
         raise ValueError("survival probabilities must lie in [0, 1]")
 

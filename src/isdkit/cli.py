@@ -111,11 +111,13 @@ def cmd_evaluate(args) -> int:
                ["test", "percentile", "tstar", "statistic", "dof", "p_value", "error"],
                rows)
 
+    # without d-calibration only the header, so no earlier run's histogram is left
+    rows = []
     if report.dcal_histogram is not None:
         h = report.dcal_histogram
         rows = [[_fmt(lo), _fmt(hi), _fmt(c)]
                 for lo, hi, c in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts)]
-        _write_csv(out / "dcal_histogram.csv", ["bin_lo", "bin_hi", "count"], rows)
+    _write_csv(out / "dcal_histogram.csv", ["bin_lo", "bin_hi", "count"], rows)
 
     _write_curves(out, report.fold_predictions)
     print(f"wrote evaluation of {args.model} to {out}")
@@ -198,7 +200,7 @@ def cmd_report(args) -> int:
 
     higher_is_better = {"concordance"}
     metrics = sorted({m for means, _ in tables.values() for m in means})
-    out = _out_dir(args, ["comparison.csv"])
+    out = _out_dir(args, ["comparison.csv", "dcal_histograms.csv", "curves_sample.csv"])
     rows = []
     for metric in metrics:
         entries = {run: means[metric] for run, (means, _) in tables.items() if metric in means}
@@ -224,9 +226,7 @@ def cmd_report(args) -> int:
                 for row in csv.DictReader(fh):
                     hist_rows.append([label, row["bin_lo"],
                                       row["bin_hi"], row["count"]])
-    if hist_rows:
-        _write_csv(out / "dcal_histograms.csv", ["run", "bin_lo", "bin_hi", "count"],
-                   hist_rows)
+    _write_csv(out / "dcal_histograms.csv", ["run", "bin_lo", "bin_hi", "count"], hist_rows)
 
     # plot data for curve figures: the first few patients of each run
     curve_rows = []
@@ -236,9 +236,7 @@ def cmd_report(args) -> int:
                 for row in csv.DictReader(fh):
                     curve_rows.append([label, path.stem,
                                        row["time"], row["survival"]])
-    if curve_rows:
-        _write_csv(out / "curves_sample.csv", ["run", "patient", "time", "survival"],
-                   curve_rows)
+    _write_csv(out / "curves_sample.csv", ["run", "patient", "time", "survival"], curve_rows)
     print(f"wrote comparison of {len(runs)} runs to {out}")
     return 0
 

@@ -368,8 +368,8 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
     one-hot encoding, empty cells become missing markers.  The cells go
     through `SurvivalDataset.from_arrays`, whose refusals (a malformed
     time or flag, or a "nan" or "inf" feature cell: leave a missing cell
-    empty instead) come back as a ValueError naming the row (1-based file
-    line) and column.
+    empty instead) come back as a ValueError naming the row (the 1-based
+    file line where its record starts) and column.
     """
     # utf-8-sig skips the byte-order mark that Excel writes before the header
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -387,12 +387,15 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
         if time_col == event_col:
             raise ValueError(f"{path}: column {time_col!r} cannot be both the time "
                              "and the event column")
-        records, short_row = [], None
-        for line_no, row in enumerate(reader, start=2):
+        # a quoted cell may span lines: record i starts on the line after ends[i]
+        records, ends, short_row = [], [reader.line_num], None
+        for row in reader:
             if len(row) != len(header):
-                short_row = f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
+                short_row = (f"{path}: row {ends[-1] + 1} has {len(row)} cells, "
+                             f"expected {len(header)}")
                 break
             records.append([_parse_cell(cell) for cell in row])
+            ends.append(reader.line_num)
 
     t_idx, e_idx = header.index(time_col), header.index(event_col)
     feature_idx = [i for i in range(len(header)) if i not in (t_idx, e_idx)]
@@ -406,7 +409,7 @@ def load_csv(path, time_col: str, event_col: str) -> SurvivalDataset:
             column = names[exc.column]
         else:
             column = {"time": time_col, "event": event_col}[exc.column]
-        raise ValueError(f"{path}: row {exc.row + 2}, column {column!r}: {exc.problem}") \
+        raise ValueError(f"{path}: row {ends[exc.row] + 1}, column {column!r}: {exc.problem}") \
             from None
     if short_row is not None:
         raise ValueError(short_row)

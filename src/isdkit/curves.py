@@ -47,9 +47,11 @@ class CurveBatch:
     row per patient, or one row that every patient shares; per-row results
     broadcast against the patients and are never copied per patient.  A
     single curve is a one-row batch (a 1-d ``probs`` is read as one row).
-    ``interp`` applies to every row: "step" (right-continuous) or "linear"
-    (anchored at (0, 1) unless a knot sits at 0).  The knots are
-    non-negative and strictly increasing.
+    ``interp`` applies to every row: "step" (right-continuous) or "linear".
+    The knots are non-negative and strictly increasing, and every survival
+    curve starts at (0, 1): given a first knot past 0, the constructor
+    prepends knot 0 with probability 1 to every row, so ``knots[0]`` is
+    always 0.  Knots that start at 0 are kept as given.
 
     ``zero_time`` and ``fallback`` (one entry per row) are set by
     `extend_linear`; a batch without them holds each row's last probability
@@ -79,10 +81,14 @@ class CurveBatch:
             raise ValueError("survival probabilities must lie in [0, 1]")
         if not np.all(np.diff(probs, axis=1) <= 0):
             raise ValueError("survival probabilities must be non-increasing")
+        if knots[0] > 0:  # the (0, 1) anchor, in new arrays the batch owns
+            knots = np.concatenate(([0.0], knots))
+            probs = np.hstack((np.ones((probs.shape[0], 1)), probs))
+        else:  # copies of arrays the caller could still write to
+            knots = knots.copy() if knots.flags.writeable else knots
+            probs = probs.copy() if probs.flags.writeable else probs
         for name, value in (("knots", knots), ("probs", probs)):
-            if value.flags.writeable:  # read-only, so batches can share arrays
-                value = value.copy()
-                value.setflags(write=False)
+            value.setflags(write=False)  # read-only, so batches can share arrays
             object.__setattr__(self, name, value)
         for name in ("zero_time", "fallback"):
             value = getattr(self, name)
@@ -105,22 +111,6 @@ class CurveBatch:
         """Number of rows whose zero time is the training-KM fallback."""
         return 0 if self.fallback is None else int(np.count_nonzero(self.fallback))
 
-    @cached_property
-    def _anchored(self) -> int:
-        return int(self.knots[0] > 0)
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        """The knots with t = 0 prepended when no knot sits there; before the
-        first knot every row starts from the (0, 1) anchor."""
-        return np.concatenate(([0.0], self.knots)) if self._anchored else self.knots
-
-    def _prob(self, rows, j):
-        # probabilities at `grid` index j, without copying probs to add the anchor
-        if not self._anchored:
-            return self.probs[rows, j]
-        return np.where(j > 0, self.probs[rows, np.maximum(j - 1, 0)], 1.0)
-
     def subset(self, indices) -> "CurveBatch":
         """The rows of the given patients (none gives a batch without rows);
         a shared row stays shared."""
@@ -134,19 +124,19 @@ class CurveBatch:
                        fallback=take(self.fallback))
 
     def segment_of(self, t) -> np.ndarray:
-        """Index of the `grid` segment [k_j, k_{j+1}) holding each t >= 0;
+        """Index of the knot segment [k_j, k_{j+1}) holding each t >= 0;
         the last index means past t_max (the tail)."""
-        return np.searchsorted(self.grid, t, side="right") - 1
+        return np.searchsorted(self.knots, t, side="right") - 1
 
     def _line(self, rows, seg, t):
         # value at t of the line each row follows on segment `seg` (the
         # extension when seg is the last knot, exactly p_last at t_max)
-        knots = self.grid
+        knots = self.knots
         last = knots.size - 1
         j = np.minimum(seg, max(last - 1, 0))
-        base = self._prob(rows, j)
+        base = self.probs[rows, j]
         if self.interp == "linear" and last > 0:
-            slope = (self._prob(rows, j + 1) - base) / (knots[j + 1] - knots[j])
+            slope = (self.probs[rows, j + 1] - base) / (knots[j + 1] - knots[j])
             # t = inf on a flat last segment gives 0 * inf; the tail is masked below
             with np.errstate(invalid="ignore"):
                 base = base + slope * (t - knots[j])
@@ -170,7 +160,7 @@ class CurveBatch:
         """
         cut = b
         if self.zero_time is not None:
-            cut = np.where(seg >= self.grid.size - 1,
+            cut = np.where(seg >= self.knots.size - 1,
                            np.clip(self.zero_time[rows], a, b), b)
         return self._line(rows, seg, a), cut, self._line(rows, seg, cut)
 
@@ -179,12 +169,11 @@ class CurveBatch:
         before t_max, as (rows, pieces) tables; `seg` is sorted, so each
         segment's knot values are read once, as columns of the row slice.
         The cut is b, and a step batch returns one table for both ends."""
-        knots, probs, anchored = self.grid, self.probs[rows], self._anchored
-        base = probs[:, np.maximum(seg - anchored, 0)]
-        base[:, :np.searchsorted(seg, anchored)] = 1.0      # the (0, 1) anchor
+        knots, probs = self.knots, self.probs[rows]
+        base = probs[:, seg]
         if self.interp == "step":
             return base, b, base
-        slope = (probs[:, seg + 1 - anchored] - base) / (knots[seg + 1] - knots[seg])
+        slope = (probs[:, seg + 1] - base) / (knots[seg + 1] - knots[seg])
         return base + slope * (a - knots[seg]), b, base + slope * (b - knots[seg])
 
     def _evaluate(self, t):
@@ -203,26 +192,22 @@ class CurveBatch:
 
     @cached_property
     def _suffix_area(self) -> np.ndarray:
-        # suffix[:, j] = integral of each row from grid knot j to infinity
+        # suffix[:, j] = integral of each row from knot j to infinity
         if self.zero_time is None:
             raise ValueError("areas need extended curves; call extend_linear first")
         probs = self.probs
-        linear = self.interp == "linear"
-        pieces = [_trapezoid(np.diff(self.knots), probs[:, :-1],
-                             probs[:, 1:] if linear else probs[:, :-1])]
-        if self._anchored:
-            first = _trapezoid(self.knots[0], 1.0, probs[:, :1] if linear else 1.0)
-            pieces.insert(0, np.broadcast_to(first, (self.rows, 1)))
+        inside = _trapezoid(np.diff(self.knots), probs[:, :-1],
+                            probs[:, 1:] if self.interp == "linear" else probs[:, :-1])
         width = self.zero_time - self.t_max
         tail = np.where(width > 0, _trapezoid(width, probs[:, -1], 0.0), 0.0)
-        areas = np.hstack((*pieces, tail[:, None]))
+        areas = np.hstack((inside, tail[:, None]))
         return np.cumsum(areas[:, ::-1], axis=1)[:, ::-1]
 
     def area_from(self, c) -> np.ndarray:
         """Integral of S from c to infinity, c of shape () or (q,) with one
         time per patient; one suffix-sum table serves every query."""
         c = np.asarray(c, dtype=float).reshape(-1)
-        knots = self.grid
+        knots = self.knots
         last = knots.size - 1
         suffix = self._suffix_area
         rows = np.arange(self.rows) if self.rows > 1 else 0
@@ -231,7 +216,7 @@ class CurveBatch:
         s_c = self._evaluate(c)
         # before t_max: the rest of c's segment plus everything after it;
         # past t_max: the triangle under the extension up to its zero time
-        end = self._prob(rows, nxt) if self.interp == "linear" else s_c
+        end = self.probs[rows, nxt] if self.interp == "linear" else s_c
         inside = _trapezoid(knots[nxt] - c, s_c, end) + suffix[rows, nxt]
         tail = _trapezoid(np.maximum(self.zero_time[rows] - c, 0.0), s_c, 0.0)
         return np.where(seg < last, inside, tail)
@@ -289,16 +274,16 @@ def median_survival(c: CurveBatch, t0_km: float) -> np.ndarray:
     """
     if c.zero_time is None:
         raise ValueError("medians need extended curves; call extend_linear first")
-    knots = c.grid
+    knots = c.knots
     below = c.probs <= 0.5
-    k = np.argmax(below, axis=1) + c._anchored  # grid index of the first knot <= 0.5
+    k = np.argmax(below, axis=1)  # index of the first knot <= 0.5
     if c.interp == "step":
         crossing = knots[k]
     else:
         rows = np.arange(c.rows)
         prev = np.maximum(k - 1, 0)
-        t_prev, p_prev = knots[prev], c._prob(rows, prev)
-        t_k, p_k = knots[k], c._prob(rows, k)
+        t_prev, p_prev = knots[prev], c.probs[rows, prev]
+        t_k, p_k = knots[k], c.probs[rows, k]
         with np.errstate(divide="ignore", invalid="ignore"):
             crossing = np.where(
                 p_prev <= 0.5, t_prev,

@@ -20,8 +20,10 @@ class KMCurve:
 
     ``times`` holds every distinct observed time; ``at_risk``, ``deaths``
     and ``censored`` are aligned counts.  The step curve, a one-row
-    `CurveBatch`, has knots only at times with at least one death (or a
-    single knot at probability 1 when there are no deaths at all).
+    `CurveBatch`, has the knot (0, 1) and then knots only at times with at
+    least one death (or a single knot at probability 1 at the last time
+    when there are no deaths at all); a death at time 0 makes the first
+    knot (0, S(0)).
     """
 
     curve: CurveBatch

@@ -294,12 +294,10 @@ def fit_mtlr(d: SurvivalDataset, grid: TimeGrid, c_candidates) -> MtlrModel:
 
 def predict_curve_mtlr(m: MtlrModel, x) -> CurveBatch:
     """Survival curves from the running sum of interval masses, emitted as
-    piecewise-linear curves through (0, 1) and the grid knots: a row per row
-    of the matrix x, one row for a feature vector."""
+    piecewise-linear curves on the grid knots (the batch adds the (0, 1)
+    knot): a row per row of the matrix x, one row for a feature vector."""
     xb = _with_bias(np.asarray(x, dtype=float).reshape(-1, m.theta.shape[1] - 1))
     _, tail = _softmax_tail(m.theta, xb)
     surv = np.minimum(tail[1:] / tail[0], 1.0).T  # S(t_i) = P(interval >= i)
-    times = np.concatenate(([0.0], m.grid.points))
     monotone = np.maximum.accumulate(surv[:, ::-1], axis=1)[:, ::-1]
-    probs = np.clip(np.hstack((np.ones((xb.shape[0], 1)), monotone)), 0.0, 1.0)
-    return CurveBatch(times, probs, "linear")
+    return CurveBatch(m.grid.points, np.clip(monotone, 0.0, 1.0), "linear")

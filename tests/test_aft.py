@@ -61,7 +61,7 @@ class TestFitAft:
         grid = make_grid(d, 8)
         m = fit_aft_weibull(d, grid)
         np.testing.assert_array_equal(m.grid, grid.points)
-        np.testing.assert_array_equal(m.predict_curves(d).knots, grid.points)
+        np.testing.assert_array_equal(m.predict_curves(d).knots, [0.0, *grid.points])
 
     def test_zero_times_replaced_not_fatal(self):
         d = dataset([0.0, 1.0, 2.0, 4.0, 8.0], [1, 1, 1, 1, 1])
@@ -97,7 +97,7 @@ class TestPredictAft:
         m = fit(weibull_sample(0))
         lam = m.scale(np.zeros(0))
         curve = predict_curve_aft(m, np.zeros(0), np.array([lam])).subset([0])
-        assert curve.probs[0, 0] == pytest.approx(np.exp(-1), rel=1e-12)
+        assert curve.probs[0, 1] == pytest.approx(np.exp(-1), rel=1e-12)
 
     def test_time_zero_is_one(self):
         m = fit(weibull_sample(0))

@@ -59,6 +59,14 @@ class TestOneCalibrationHL:
         with pytest.raises(ValueError, match="partition"):
             one_calibration_hl(d, [0.5, 0.5, 0.5, 0.5], 2.0, b=2)
 
+    def test_a_nan_probability_is_refused(self, rng):
+        # its statistic would be NaN, which chi2_sf once turned into p = 0
+        probs = rng.uniform(0.01, 0.99, 100)
+        probs[37] = np.nan
+        d = dataset(rng.uniform(1, 50, 100), np.ones(100))
+        with pytest.raises(ValueError, match=r"1 NaN probability .*, the first at index 37"):
+            one_calibration_hl(d, probs, tstar=25.0)
+
     def test_unknown_censoring_mode_rejected(self):
         d = dataset([1, 2, 3, 4], [1, 0, 1, 1])
         with pytest.raises(ValueError, match="unknown censoring mode 'rejct'"):
@@ -92,6 +100,13 @@ class TestOneCalibrationDN:
             result = one_calibration_dn(d, probs, tstar, b=10)
             passes += result.p_value >= 0.05
         assert passes >= 18
+
+    def test_a_nan_probability_is_refused(self, rng):
+        probs = rng.uniform(0.01, 0.99, 100)
+        probs[[5, 60]] = np.nan
+        d = dataset(rng.uniform(1, 50, 100), rng.random(100) < 0.7)
+        with pytest.raises(ValueError, match=r"2 NaN probability .*, the first at index 5"):
+            one_calibration_dn(d, probs, tstar=25.0)
 
     def test_all_censored_bin_names_the_bin(self):
         probs = np.array([0.9, 0.8, 0.2, 0.1])
@@ -259,6 +274,11 @@ class TestDCalTest:
         assert result.statistic == 0.0
         assert result.p_value == 1.0
         assert result.dof == 9
+
+    def test_a_nan_probability_is_refused(self):
+        # its counts would be NaN, which dcal_test once read as p = 0
+        with pytest.raises(ValueError, match=r"1 NaN probability .*, the first at index 1"):
+            dcal_histogram([0.5, np.nan, 0.3, 0.9], [1, 0, 1, 0], 2)
 
     def test_all_mass_in_one_bin_hand_value(self):
         h = dcal_histogram([0.55] * 100, [True] * 100, 10)

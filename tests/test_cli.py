@@ -121,6 +121,19 @@ class TestEvaluate:
                      "--folds", "3", "--out", str(out), "--force"])
         assert code == 0
 
+    def test_a_force_rerun_leaves_no_stale_histogram(self, toy_csv, tmp_path):
+        # a run without d-calibration once kept the earlier run's histogram,
+        # which report then published as the new run's
+        out, report = tmp_path / "run", tmp_path / "report"
+        args = ["evaluate", "--dataset", str(toy_csv), "--model", "km",
+                "--folds", "3", "--out", str(out)]
+        assert main(args) == 0
+        assert len(read_rows(out / "dcal_histogram.csv")) == 10
+        assert main(args + ["--force", "--metrics", "concordance"]) == 0
+        assert (out / "dcal_histogram.csv").read_text() == "bin_lo,bin_hi,count\n"
+        assert main(["report", "--runs", str(out), "--out", str(report)]) == 0
+        assert read_rows(report / "dcal_histograms.csv") == []
+
     def test_refuses_the_curves_of_a_fit_without_force(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "mix"
         assert main(["fit", "--dataset", str(toy_csv), "--model", "cox-kp",
@@ -264,7 +277,7 @@ class TestFit:
         assert len(files) == 200
         for f in files:
             rows = read_rows(f)
-            assert [float(r["time"]) for r in rows[:-1]] == grid
+            assert [float(r["time"]) for r in rows[:-1]] == [0.0, *grid]
             assert float(rows[-1]["survival"]) == 0.0
 
 
@@ -293,6 +306,19 @@ class TestReport:
         assert main(["report", "--runs", str(run), "--out", str(out)]) == 0
         rows = read_rows(out / "comparison.csv")
         assert all(r["best"] == "1" for r in rows)
+
+    @pytest.mark.parametrize("name", ["dcal_histograms.csv", "curves_sample.csv"])
+    def test_refuses_to_overwrite_any_of_its_files_without_force(self, toy_csv, tmp_path,
+                                                                 capsys, name):
+        run, out = tmp_path / "km", tmp_path / "report"
+        main(["evaluate", "--dataset", str(toy_csv), "--model", "km",
+              "--folds", "3", "--out", str(run)])
+        out.mkdir()
+        (out / name).write_text("kept\n")
+        assert main(["report", "--runs", str(run), "--out", str(out)]) == 1
+        assert "--force" in capsys.readouterr().err
+        assert (out / name).read_text() == "kept\n"
+        assert not (out / "comparison.csv").exists()
 
     def test_runs_sharing_a_label_are_refused(self, toy_csv, tmp_path, capsys):
         run_a, run_b = tmp_path / "a" / "run", tmp_path / "b" / "run"

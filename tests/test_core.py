@@ -160,8 +160,10 @@ class TestLoadCsv:
         (["2,1,nan", "-3,0,61"], "row 2, column 'age'"),
         (["2,1,50", "-3,2,inf"], "row 3, column 'time'"),
         (["2,1,50", "3,2,61", "4,1"], "row 3, column 'event'"),
+        (['2,1,"two\nlines"', "-3,0,x"], "row 4, column 'time': negative time -3.0"),
+        (['2,1,"two\nlines"', "3,0"], "row 4 has 2 cells, expected 3"),
     ], ids=["event-before-time", "cell-before-time", "time-before-event-and-cell",
-            "before-a-short-row"])
+            "before-a-short-row", "after-a-two-line-cell", "short-after-a-two-line-cell"])
     def test_first_bad_line_is_named(self, tmp_path, lines, where):
         path = write(tmp_path, "time,event,age\n" + "\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=where):

@@ -215,6 +215,22 @@ def censoring_curves(draw):
 # ---------------------------------------------------------------------------
 # curves
 
+@given(knot_vectors(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_batch_starts_at_zero_one(knots, data):
+    n_rows = data.draw(st.integers(1, 5))
+    probs = np.vstack([data.draw(rows_on(knots.size)) for _ in range(n_rows)])
+    batch = CurveBatch(knots, probs, data.draw(st.sampled_from(["step", "linear"])))
+    assert batch.knots[0] == 0.0
+    if knots[0] > 0:
+        assert np.all(batch.probs[:, 0] == 1.0)
+        knots_kept, probs_kept = batch.knots[1:], batch.probs[:, 1:]
+    else:
+        knots_kept, probs_kept = batch.knots, batch.probs
+    # the given knots and probabilities are kept bit for bit
+    assert knots_kept.tobytes() == knots.tobytes()
+    assert probs_kept.tobytes() == probs.tobytes()
+
 @given(batches())
 @settings(max_examples=150, deadline=None)
 def test_batch_extension_median_and_mean_match_each_curve(drawn):

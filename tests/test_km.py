@@ -18,7 +18,7 @@ class TestFitKm:
 
     def test_no_censoring_reduces_to_empirical_survival(self):
         km = fit_km(dataset([1, 2, 3, 4], [1, 1, 1, 1]))
-        np.testing.assert_allclose(km.curve.probs[0], [0.75, 0.5, 0.25, 0.0])
+        np.testing.assert_allclose(km.curve.probs[0], [1.0, 0.75, 0.5, 0.25, 0.0])
 
     def test_single_death(self):
         km = fit_km(dataset([5], [1]))
@@ -63,7 +63,7 @@ class TestCensoringKm:
 
     def test_all_censored_is_empirical_survival_of_censor_times(self):
         g = fit_censoring_km(dataset([1, 2, 3, 4], [0, 0, 0, 0]))
-        np.testing.assert_allclose(g.curve.probs[0], [0.75, 0.5, 0.25, 0.0])
+        np.testing.assert_allclose(g.curve.probs[0], [1.0, 0.75, 0.5, 0.25, 0.0])
 
 
 def test_km_consistency_improves_with_sample_size():

@@ -425,6 +425,14 @@ class TestOnePredictionPath:
             if name == "km":
                 np.testing.assert_array_equal(curve.probs, row.probs)
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_predicted_curves_start_at_zero_one(self, name):
+        raw = cohort_with_features(n=60)
+        model, _, _ = _fit_predict(name, raw, raw, (1.0,))
+        batch = model.predict_curves(raw if name == "km" else preprocess(raw, raw)[0])
+        assert batch.knots[0] == 0.0
+        assert np.all(batch.probs[:, 0] == 1.0)
+
 
 def rescaled(d, a):
     return SurvivalDataset.from_arrays(d.values, a * d.times, d.events, d.feature_names)

@@ -55,3 +55,5 @@ def test_chi2_sf_rejects_bad_input():
         chi2_sf(1.0, 0)
     with pytest.raises(ValueError):
         chi2_sf(-0.5, 3)
+    with pytest.raises(ValueError):
+        chi2_sf(float("nan"), 3)
