@@ -231,6 +231,7 @@ def test_every_batch_starts_at_zero_one(knots, data):
     assert knots_kept.tobytes() == knots.tobytes()
     assert probs_kept.tobytes() == probs.tobytes()
 
+
 @given(batches())
 @settings(max_examples=150, deadline=None)
 def test_batch_extension_median_and_mean_match_each_curve(drawn):
