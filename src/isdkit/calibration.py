@@ -237,9 +237,6 @@ def _squared_gaps(ends, a, b, g):
     return alive, third * (s_a * s_a + s_a * s_cut + s_cut * s_cut)
 
 
-_IBS_BLOCK = 32  # rows per block of the (rows x pieces) tables
-
-
 def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
                      g_hat: KMCurve) -> float:
     """Average of the censored Brier score over [0, tau]:
@@ -303,15 +300,15 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
     if curves.rows == 1:
         alive_w = n - np.cumsum(np.bincount(k, minlength=lo.size))
         death_w = np.cumsum(np.bincount(k + 1, weights=weight, minlength=lo.size + 1))[:-1]
-    for first in range(0, curves.rows, _IBS_BLOCK):
-        block = slice(first, min(first + _IBS_BLOCK, curves.rows))
+    for block in curves.row_blocks():
         if curves.rows > 1:
             k_block = k[block, None]
             alive_w, death_w = piece < k_block, (piece > k_block) * weight[block, None]
         for cols, ends in (
             (np.s_[:body], curves.segment_tables(block, seg[:body], lo[:body], hi[:body])),
-            (np.s_[body:], curves.segment_ends(np.arange(first, block.stop)[:, None],
-                                               seg[body:], lo[body:], hi[body:])),
+            # every piece past t_max lies in the last segment
+            (np.s_[body:], curves.segment_ends(np.arange(block.start, block.stop)[:, None],
+                                               knots.size - 1, lo[body:], hi[body:])),
         ):
             alive, death = _squared_gaps(ends, lo[cols], hi[cols], g_piece[cols])
             total += np.vdot(alive, alive_w[..., cols]) + np.vdot(death, death_w[..., cols])

@@ -65,7 +65,7 @@ def _write_curves(out: Path, folds) -> None:
         knots = [_fmt(t) for t in curves.knots]
         for i, idx in enumerate(indices):
             r = i if curves.rows > 1 else 0
-            rows = [[t, _fmt(p)] for t, p in zip(knots, curves.probs[r])]
+            rows = [[t, _fmt(p)] for t, p in zip(knots, curves.row(r))]
             rows.append([_fmt(curves.zero_time[r]), _fmt(0.0)])
             _write_csv(curves_dir / f"patient_{idx:05d}.csv", ["time", "survival"], rows)
 

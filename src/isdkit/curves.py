@@ -11,14 +11,14 @@ curves at observed times are unchanged.
 Within a fold every model emits its curves on one shared knot vector, so
 the curves of a validation set are one `CurveBatch`: a knot vector plus a
 probability matrix with a row per patient (or a single row every patient
-shares, for Kaplan-Meier).  A single curve is a one-row batch, so every
+shares, for Kaplan-Meier), or, for Cox-KP, one baseline row plus one
+exponent per patient.  A single curve is a one-row batch, so every
 function here has one evaluator and one extension path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 FLAT_TOLERANCE = 1e-10  # S(t_max) > 1 - this counts as "never left 1"
+# rows per (rows x knots) table that a query on a batch builds at once, so a
+# batch in power form never holds a probability per patient and knot
+ROW_BLOCK = 32
 
 
 def _trapezoid(width, start, end):
@@ -43,15 +46,23 @@ def _trapezoid(width, start, end):
 class CurveBatch:
     """Survival curves on one shared knot vector.
 
-    ``probs[i, j]`` is row i's probability at ``knots[j]``.  A batch has a
-    row per patient, or one row that every patient shares; per-row results
-    broadcast against the patients and are never copied per patient.  A
-    single curve is a one-row batch (a 1-d ``probs`` is read as one row).
-    ``interp`` applies to every row: "step" (right-continuous) or "linear".
-    The knots are non-negative and strictly increasing, and every survival
-    curve starts at (0, 1): given a first knot past 0, the constructor
-    prepends knot 0 with probability 1 to every row, so ``knots[0]`` is
-    always 0.  Knots that start at 0 are kept as given.
+    ``probs[i, j]`` is row i's probability at ``knots[j]``.  ``base`` holds
+    these probabilities as a (rows, m) matrix, or, with ``exponent`` given
+    (the power form of a Cox-KP batch), as one baseline row S0 that row i
+    raises to ``exponent[i]``: ``probs[i, j] = clip(S0[j] ** exponent[i],
+    0, 1)``.  A batch in power form keeps O(rows + m) floats; every query
+    builds its probabilities at most `ROW_BLOCK` rows at a time, and
+    ``probs`` builds the whole matrix anew on each read.
+
+    A batch has a row per patient, or one row that every patient shares;
+    per-row results broadcast against the patients and are never copied
+    per patient.  A single curve is a one-row batch (a 1-d ``base`` is read
+    as one row).  ``interp`` applies to every row: "step"
+    (right-continuous) or "linear".  The knots are non-negative and
+    strictly increasing, and every survival curve starts at (0, 1): given
+    a first knot past 0, the constructor prepends knot 0 with probability
+    1 to every row, so ``knots[0]`` is always 0.  Knots that start at 0
+    are kept as given.
 
     ``zero_time`` and ``fallback`` (one entry per row) are set by
     `extend_linear`; a batch without them holds each row's last probability
@@ -59,48 +70,105 @@ class CurveBatch:
     """
 
     knots: np.ndarray
-    probs: np.ndarray
+    base: np.ndarray
     interp: str = "step"
     zero_time: np.ndarray | None = None
     fallback: np.ndarray | None = None
+    exponent: np.ndarray | None = None
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim == 1:
-            probs = probs[None, :]
-        if knots.ndim != 1 or knots.size == 0 or probs.ndim != 2 \
-                or probs.shape[1] != knots.size:
+        base = np.asarray(self.base, dtype=float)
+        if base.ndim == 1:
+            base = base[None, :]
+        if knots.ndim != 1 or knots.size == 0 or base.ndim != 2 \
+                or base.shape[1] != knots.size:
             raise ValueError("a curve batch needs knots (m,) and probs (rows, m), m >= 1")
         if self.interp not in ("step", "linear"):
             raise ValueError(f"unknown interpolation kind {self.interp!r}")
         # each check is a positive condition, so that NaN fails it
         if not (knots[0] >= 0 and np.all(np.diff(knots) > 0)):
             raise ValueError("knot times must be non-negative and strictly increasing")
-        if not (np.all(probs >= 0) and np.all(probs <= 1)):
+        if not (np.all(base >= 0) and np.all(base <= 1)):
             raise ValueError("survival probabilities must lie in [0, 1]")
-        if not np.all(np.diff(probs, axis=1) <= 0):
+        if not np.all(np.diff(base, axis=1) <= 0):
             raise ValueError("survival probabilities must be non-increasing")
+        arrays = {}
+        rows = base.shape[0]
+        if self.exponent is not None:
+            exponent = np.asarray(self.exponent, dtype=float)
+            if rows != 1 or exponent.ndim != 1:
+                raise ValueError("a batch in power form needs one baseline row and "
+                                 "exponents (rows,)")
+            # a non-negative exponent keeps every row in [0, 1] and non-increasing
+            if (bad := np.flatnonzero(~(exponent >= 0))).size:
+                raise ValueError(f"row {bad[0]}: exponent {exponent[bad[0]]} is not a "
+                                 "non-negative number")
+            arrays["exponent"] = exponent.copy() if exponent.flags.writeable else exponent
+            rows = exponent.size
         if knots[0] > 0:  # the (0, 1) anchor, in new arrays the batch owns
             knots = np.concatenate(([0.0], knots))
-            probs = np.hstack((np.ones((probs.shape[0], 1)), probs))
+            base = np.hstack((np.ones((base.shape[0], 1)), base))
         else:  # copies of arrays the caller could still write to
             knots = knots.copy() if knots.flags.writeable else knots
-            probs = probs.copy() if probs.flags.writeable else probs
-        for name, value in (("knots", knots), ("probs", probs)):
+            base = base.copy() if base.flags.writeable else base
+        arrays.update(knots=knots, base=base)
+        for name, value in arrays.items():
             value.setflags(write=False)  # read-only, so batches can share arrays
             object.__setattr__(self, name, value)
         for name in ("zero_time", "fallback"):
             value = getattr(self, name)
             if value is not None:
                 value = np.asarray(value, dtype=float if name == "zero_time" else bool)
-                if value.shape != (probs.shape[0],):
+                if value.shape != (rows,):
                     raise ValueError(f"{name} needs one entry per row")
                 object.__setattr__(self, name, value)
 
     @property
     def rows(self) -> int:
-        return int(self.probs.shape[0])
+        return int((self.base if self.exponent is None else self.exponent).shape[0])
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The (rows, m) probability matrix; a batch in power form builds it
+        on each read."""
+        return self.base if self.exponent is None else self._probs(slice(None), slice(None))
+
+    def _probs(self, rows, cols) -> np.ndarray:
+        """``probs[rows, cols]`` without building ``probs``: ``rows`` and
+        ``cols`` are index arrays (or ints) that broadcast together, or
+        ``rows`` is a slice and ``cols`` an index array or slice, which
+        gives a (rows, cols) table.
+
+        The power form lays every cell out flat with its own exponent for
+        one ``np.power`` call, so each probability has the same bits
+        however the rows and knots are read: a scalar ``**`` rounds
+        differently, and numpy squares an exponent of exactly 2 (and roots
+        one of 0.5) that it reads with stride 0, which a broadcast exponent
+        may be, depending on the shapes."""
+        if self.exponent is None:
+            return self.base[rows][:, cols] if isinstance(rows, slice) else self.base[rows, cols]
+        if isinstance(rows, slice):
+            b, r = self.base[0, cols], self.exponent[rows]
+            shape = (r.size, b.size)
+            b, r = np.tile(b, r.size), np.repeat(r, b.size)
+        else:
+            b, r = np.broadcast_arrays(self.base[0, cols], self.exponent[rows])
+            shape = b.shape
+            b, r = b.ravel(), r.ravel()
+        p = np.power(b, r).reshape(shape)
+        return np.clip(p, 0.0, 1.0, out=p)
+
+    def row_blocks(self) -> list:
+        """The rows as slices of at most `ROW_BLOCK` rows, the unit in which
+        a query builds (rows x knots) tables; an empty slice for a batch
+        without rows."""
+        return [slice(first, min(first + ROW_BLOCK, self.rows))
+                for first in range(0, max(self.rows, 1), ROW_BLOCK)]
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i's probabilities at the knots."""
+        return self._probs(i, slice(None))
 
     @property
     def t_max(self) -> float:
@@ -113,15 +181,17 @@ class CurveBatch:
 
     def subset(self, indices) -> "CurveBatch":
         """The rows of the given patients (none gives a batch without rows);
-        a shared row stays shared."""
+        a shared row stays shared, and a batch in power form keeps its
+        baseline row."""
         if self.rows == 1:
             return self
         idx = np.asarray(indices)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         take = (lambda a: None if a is None else a[idx])
-        return replace(self, probs=self.probs[idx], zero_time=take(self.zero_time),
-                       fallback=take(self.fallback))
+        base = self.base[idx] if self.exponent is None else self.base
+        return replace(self, base=base, exponent=take(self.exponent),
+                       zero_time=take(self.zero_time), fallback=take(self.fallback))
 
     def segment_of(self, t) -> np.ndarray:
         """Index of the knot segment [k_j, k_{j+1}) holding each t >= 0;
@@ -134,13 +204,13 @@ class CurveBatch:
         knots = self.knots
         last = knots.size - 1
         j = np.minimum(seg, max(last - 1, 0))
-        base = self.probs[rows, j]
+        base = self._probs(rows, j)
         if self.interp == "linear" and last > 0:
-            slope = (self.probs[rows, j + 1] - base) / (knots[j + 1] - knots[j])
+            slope = (self._probs(rows, j + 1) - base) / (knots[j + 1] - knots[j])
             # t = inf on a flat last segment gives 0 * inf; the tail is masked below
             with np.errstate(invalid="ignore"):
                 base = base + slope * (t - knots[j])
-        tail = self.probs[rows, -1]
+        tail = self._probs(rows, -1)
         if self.zero_time is not None:
             zero = self.zero_time[rows]
             width = zero - knots[last]
@@ -169,7 +239,7 @@ class CurveBatch:
         before t_max, as (rows, pieces) tables; `seg` is sorted, so each
         segment's knot values are read once, as columns of the row slice.
         The cut is b, and a step batch returns one table for both ends."""
-        knots, probs = self.knots, self.probs[rows]
+        knots, probs = self.knots, self._probs(rows, slice(None))
         base = probs[:, seg]
         if self.interp == "step":
             return base, b, base
@@ -190,34 +260,40 @@ class CurveBatch:
         values = self._line(np.arange(self.rows)[:, None], self.segment_of(t2), t2)
         return values if t.ndim == 2 else values[:, 0]
 
-    @cached_property
-    def _suffix_area(self) -> np.ndarray:
-        # suffix[:, j] = integral of each row from knot j to infinity
+    def _suffix_area(self, rows: slice) -> np.ndarray:
+        # suffix[:, j] = integral of each row of the slice from knot j to infinity
         if self.zero_time is None:
             raise ValueError("areas need extended curves; call extend_linear first")
-        probs = self.probs
+        probs = self._probs(rows, slice(None))
         inside = _trapezoid(np.diff(self.knots), probs[:, :-1],
                             probs[:, 1:] if self.interp == "linear" else probs[:, :-1])
-        width = self.zero_time - self.t_max
+        width = self.zero_time[rows] - self.t_max
         tail = np.where(width > 0, _trapezoid(width, probs[:, -1], 0.0), 0.0)
         areas = np.hstack((inside, tail[:, None]))
         return np.cumsum(areas[:, ::-1], axis=1)[:, ::-1]
 
     def area_from(self, c) -> np.ndarray:
         """Integral of S from c to infinity, c of shape () or (q,) with one
-        time per patient; one suffix-sum table serves every query."""
+        time per patient; each block of rows builds one suffix-sum table
+        that serves every query on it."""
         c = np.asarray(c, dtype=float).reshape(-1)
         knots = self.knots
         last = knots.size - 1
-        suffix = self._suffix_area
         rows = np.arange(self.rows) if self.rows > 1 else 0
         seg = self.segment_of(c)
         nxt = np.minimum(seg + 1, last)
+        if self.rows > 1:
+            nxt_of = np.broadcast_to(nxt, (self.rows,))
+            after = np.concatenate([
+                np.take_along_axis(self._suffix_area(block), nxt_of[block, None], axis=1)[:, 0]
+                for block in self.row_blocks()])
+        else:
+            after = self._suffix_area(slice(None))[0, nxt]
         s_c = self._evaluate(c)
         # before t_max: the rest of c's segment plus everything after it;
         # past t_max: the triangle under the extension up to its zero time
-        end = self.probs[rows, nxt] if self.interp == "linear" else s_c
-        inside = _trapezoid(knots[nxt] - c, s_c, end) + suffix[rows, nxt]
+        end = self._probs(rows, nxt) if self.interp == "linear" else s_c
+        inside = _trapezoid(knots[nxt] - c, s_c, end) + after
         tail = _trapezoid(np.maximum(self.zero_time[rows] - c, 0.0), s_c, 0.0)
         return np.where(seg < last, inside, tail)
 
@@ -248,11 +324,15 @@ def extend_linear(c: CurveBatch, t0_km: float | None = None) -> CurveBatch:
     non-positive ``t0_km`` is an error in that case.  Returns the batch
     with one ``zero_time`` and ``fallback`` entry per row.
     """
-    p_last = c.probs[:, -1]
+    p_last = c._probs(np.arange(c.rows), -1)
     t_max = c.t_max
     dead = p_last <= 0.0
     flat = p_last > 1.0 - FLAT_TOLERANCE
-    first_zero = c.knots[np.argmax(c.probs <= 0.0, axis=1)]
+    # the first knot at 0 of each row, read in the blocks that hold a dead row
+    first_zero = np.zeros(c.rows)
+    for block in c.row_blocks():
+        if dead[block].any():
+            first_zero[block] = c.knots[np.argmax(c._probs(block, slice(None)) <= 0.0, axis=1)]
     with np.errstate(divide="ignore", invalid="ignore"):
         zero = np.where(dead, first_zero, t_max / (1.0 - p_last))
     if flat.any():
@@ -275,26 +355,30 @@ def median_survival(c: CurveBatch, t0_km: float) -> np.ndarray:
     if c.zero_time is None:
         raise ValueError("medians need extended curves; call extend_linear first")
     knots = c.knots
-    below = c.probs <= 0.5
-    k = np.argmax(below, axis=1)  # index of the first knot <= 0.5
+    # per row, the index of the first knot <= 0.5 and whether there is one
+    k = np.zeros(c.rows, dtype=np.intp)
+    crosses = np.zeros(c.rows, dtype=bool)
+    for block in c.row_blocks():
+        below = c._probs(block, slice(None)) <= 0.5
+        k[block], crosses[block] = np.argmax(below, axis=1), below.any(axis=1)
+    rows = np.arange(c.rows)
     if c.interp == "step":
         crossing = knots[k]
     else:
-        rows = np.arange(c.rows)
         prev = np.maximum(k - 1, 0)
-        t_prev, p_prev = knots[prev], c.probs[rows, prev]
-        t_k, p_k = knots[k], c.probs[rows, k]
+        t_prev, p_prev = knots[prev], c._probs(rows, prev)
+        t_k, p_k = knots[k], c._probs(rows, k)
         with np.errstate(divide="ignore", invalid="ignore"):
             crossing = np.where(
                 p_prev <= 0.5, t_prev,
                 t_prev + (p_prev - 0.5) * (t_k - t_prev) / (p_prev - p_k),
             )
     # no knot at or below 0.5: the crossing happens on the extension line
-    p_last = c.probs[:, -1]
+    p_last = c._probs(rows, -1)
     width = c.zero_time - c.t_max
     with np.errstate(divide="ignore", invalid="ignore"):
         on_tail = np.where(width > 0, c.zero_time - 0.5 * width / p_last, c.t_max)
-    median = np.where(below.any(axis=1), crossing, on_tail)
+    median = np.where(crosses, crossing, on_tail)
     return np.minimum(median, float(t0_km))
 
 
@@ -307,5 +391,4 @@ def integrate_curve(c: CurveBatch, a: float, b: float) -> np.ndarray:
 
 def mean_survival(c: CurveBatch) -> np.ndarray:
     """Expected survival time: the area under each extended row."""
-    return c._suffix_area[:, 0]
-
+    return np.concatenate([c._suffix_area(block)[:, 0] for block in c.row_blocks()])

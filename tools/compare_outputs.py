@@ -11,8 +11,11 @@ and the tree's own ``src/`` on ``PYTHONPATH``:
 
 - ``isdkit simulate`` of one cohort;
 - ``isdkit evaluate`` and ``isdkit fit`` of all four models on that cohort;
-- ``isdkit evaluate`` of mtlr on a CSV with nominal and missing cells, which
-  this script writes once and hands to both trees;
+- ``isdkit evaluate`` of mtlr on a CSV with nominal and missing cells, and
+  of cox-kp with two fold threads on a CSV of 124 numeric columns with
+  empty cells (the univariate Cox filter then fits its columns in more
+  than one block); this script writes both CSVs once and hands them to
+  both trees;
 - every demo under ``demos/``, its stdout kept.
 
 The manifest uses the command line, a stable interface, so it also runs on
@@ -57,6 +60,9 @@ def manifest(tree: Path) -> list:
     steps.append(("evaluate-mtlr-mixed", cli + [
         "evaluate", "--dataset", "{inputs}/mixed.csv", "--model", "mtlr",
         "--out", "evaluate-mtlr-mixed"]))
+    steps.append(("evaluate-cox-kp-wide", cli + [
+        "evaluate", "--dataset", "{inputs}/wide.csv", "--model", "cox-kp", "--jobs", "2",
+        "--out", "evaluate-cox-kp-wide"]))
     for demo in sorted((tree / "demos").glob("*.py")):
         steps.append((f"demo-{demo.stem}", [str(demo)]))
     return steps
@@ -80,6 +86,25 @@ def write_mixed_csv(path: Path, n: int = 120) -> None:
                                               for j in range(2)]
             writer.writerow([repr(float(min(death[i], censor[i]))),
                              int(death[i] <= censor[i]), *cells, stage[i], flag[i]])
+
+
+def write_wide_csv(path: Path, n: int = 400, k: int = 124) -> None:
+    """A cohort CSV of k numeric columns, the first three linked to the
+    outcome, with about 5% of the cells of the others empty."""
+    rng = np.random.default_rng(20181002)
+    x = rng.standard_normal((n, k))
+    death = 10 * np.exp(-(0.8 * x[:, 0] - 0.6 * x[:, 1] + 0.4 * x[:, 2]) / 1.5) \
+        * rng.weibull(1.5, n)
+    censor = rng.exponential(20.0, n)
+    empty = rng.random((n, k)) < 0.05
+    empty[:, :3] = False
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "event", *(f"x{j}" for j in range(k))])
+        for i in range(n):
+            cells = ["" if empty[i, j] else repr(float(x[i, j])) for j in range(k)]
+            writer.writerow([repr(float(min(death[i], censor[i]))),
+                             int(death[i] <= censor[i]), *cells])
 
 
 def run_manifest(tree: Path, out: Path, steps, inputs: Path) -> None:
@@ -162,6 +187,7 @@ def main(argv=None) -> int:
             return 2
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
         write_mixed_csv(inputs / "mixed.csv")
+        write_wide_csv(inputs / "wide.csv")
         for tree, name in ((parent, args.rev), (ROOT, "working tree")):
             print(f"running the manifest in {name} ...", flush=True)
             run_manifest(tree, work / f"out-{'rev' if tree is parent else 'work'}",
