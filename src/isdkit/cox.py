@@ -162,22 +162,26 @@ def predict_curve_cox(m: CoxModel, x) -> CurveBatch:
     of the matrix x, one row for a feature vector.  A NaN feature cell is
     refused, naming its row."""
     x = np.asarray(x, dtype=float)
-    exponent = np.exp(x @ m.beta).reshape(-1)
+    # x . beta > 709 overflows to +inf, a valid exponent: S = 0 below S0 = 1
+    with np.errstate(over="ignore"):
+        exponent = np.exp(x @ m.beta).reshape(-1)
     return CurveBatch(m.baseline.knots, m.baseline.base, "step", exponent=exponent)
 
 
 def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
     """Two-sided Wald (or score) p-value for the single-feature Cox coefficient.
 
-    Used as the feature-selection filter: missing cells are dropped
-    (complete-case for this feature) and the feature is standardized for
-    numeric stability (the Wald z is scale-invariant).  A fit that does not
-    converge, whose |beta| passes `_BETA_BOUND` (a column that separates
-    the deaths drives beta to infinity), or that stops where it starts,
-    at beta = 0 (its Wald z is 0 whatever the data), gets the score
-    (log-rank) test at beta = 0 instead, on the column centred where the
-    deaths are (see `_score_block`); a column without information at
-    beta = 0 gets p = 1, so it is never selected.
+    Used as the feature-selection filter.  A feature is fitted on its rows
+    at risk, its complete cases at or after its first death, and is
+    standardized on them for numeric stability (the Wald z is
+    scale-invariant); a row in no risk set changes no bit of p.  A fit that
+    does not converge, whose |beta| passes `_BETA_BOUND`, that stops where
+    it starts, at beta = 0 (its Wald z is 0 whatever the data), or whose
+    column separates the deaths (every death holds the largest raw value at
+    risk, or every death the smallest, so the likelihood rises to beta =
+    ±inf) gets the score (log-rank) test at beta = 0 instead, read off the
+    fit's first pass; a column without information at beta = 0 gets p = 1,
+    so it is never selected.
 
     An int `feature_index` gives one float; a sequence of indices gives an
     array of p-values, fitted together by one lockstep Newton run.
@@ -198,73 +202,70 @@ def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
 _BLOCK_CELLS = 1 << 15
 
 # |beta| of a standardized column past this (a hazard ratio above e**10 per
-# standard deviation) is taken as a fit diverging on a separating column
+# standard deviation) is taken as a fit diverging on a nearly separating column
 _BETA_BOUND = 10.0
 
 
 def _wald_pvalues(x, times, events):
-    """Wald p-values of every column of `x` (NaN = missing) as a
+    """Wald (or score) p-values of every column of `x` (NaN = missing) as a
     univariate Cox covariate; rows share one time order."""
     order = np.argsort(times, kind="stable")
     ts, es = times[order], events[order]
     p = np.ones(x.shape[1])
-    block = max(1, _BLOCK_CELLS // max(ts.size, 1))
+    if not es.any():                       # no risk set: nothing to test
+        return p
+    block = max(1, _BLOCK_CELLS // ts.size)
     for start in range(0, x.shape[1], block):
-        cols = np.ascontiguousarray(x[:, start:start + block].T)
-        p[start:start + block] = _wald_block(cols, order, ts, es)
+        # np.take gives C-contiguous time-sorted rows, one per column
+        p[start:start + block] = _wald_block(
+            np.take(x[:, start:start + block].T, order, axis=1), ts, es)
     return p
 
 
-def _wald_block(cols, order, ts, es):
-    """`_newton` and the Wald (or score) test on one column at a time,
-    run on every column of `cols` (columns × rows) at once.
+def _wald_block(cols, ts, es):
+    """`_newton` and the Wald (or score) test on one column at a time, run
+    on every column of `cols` (columns × time-sorted rows, overwritten) at
+    once.
 
-    A missing cell gives its row weight 0, so each column sees exactly its
-    complete cases: the same risk sets, suffix sums and Breslow tie counts.
+    Each column gives weight only to its rows at risk, its complete cases
+    at or after its first death, and is centred and scaled on them: it sees
+    exactly its risk sets and Breslow tie counts, and a row in no risk set
+    drops out before any arithmetic.  The beta = 0 pass that starts the
+    Newton run gives the score test's U(0) and I(0).  On this scale no
+    risk set's second moment passes n, while I(0) is at least the first
+    death's count, so I(0) loses digits with log10(n) alone.
     """
-    present = ~np.isnan(cols)
-    z = np.zeros(cols.shape)
-    usable = np.zeros(cols.shape[0], dtype=bool)
-    for c, (col, keep) in enumerate(zip(cols, present)):
-        values = col[keep]
-        if values.size < 2 or values.min() == values.max():
-            continue
-        # a column of subnormal values may vary and still have std 0
-        sd = values.std()
-        if sd == 0:
-            continue
-        # the complete cases in input order, as one scalar fit sees them
-        z[c, keep] = (values - values.mean()) / sd
-        usable[c] = True
-    present, z = np.take(present, order, axis=1), np.take(z, order, axis=1)
-    usable &= (present & es).any(axis=1)
-    p = np.ones(cols.shape[0])
-    if not usable.any():
-        return p
-    present, z = present[usable], z[usable]
-    weight = present.astype(float)
-
-    # np.take keeps row slices C-contiguous, so each row sum below is the
-    # pairwise sum a one-column fit takes over the same numbers
     death_rows = np.flatnonzero(es)
     death_times = np.unique(ts[es])
-    # position in the reversed rows of each death time's first row at risk
+    # each death time's first row at risk, counted from the last row
     first = ts.size - 1 - np.searchsorted(ts, death_times, side="left")
-    # deaths of each column at each distinct death time
-    deaths = np.add.reduceat(np.take(weight, death_rows, axis=1),
-                             np.searchsorted(ts[es], death_times), axis=1)
+    weight, dead, separates = _at_risk(cols, ts, es)
+    usable = weight.any(axis=1)
+    if not usable.all():             # so that a search of every column can use views
+        cols, weight, dead, separates = (a[usable] for a in (cols, weight, dead, separates))
+    deaths = np.add.reduceat(dead, np.searchsorted(ts[es], death_times), axis=1, dtype=float)
+
+    z = cols                                         # standardized in place
+    z[~weight] = 0.0
+    count = weight.sum(axis=1)
+    z -= (z.sum(axis=1) / count)[:, None]
+    z *= weight
+    # a column of subnormal values may vary and still have sd 0: z = 0 then
+    sd = np.sqrt(np.einsum("ij,ij->i", z, z) / count)
+    z /= np.where(sd > 0, sd, np.inf)[:, None]
+    # np.take keeps row slices C-contiguous, so each row sum below is the
+    # pairwise sum a one-column fit takes over the same numbers
     death_z = np.take(z, death_rows, axis=1).sum(axis=1)
 
     # a diverging fit (a separating column) may drive a risk-set sum to 0,
     # so its likelihood reads +inf; the line search accepts only a finite
-    # candidate, discarding the derivatives computed with it, and such a
-    # column gets the score test below
+    # candidate, discarding the derivatives computed with it
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def partial(rows, beta):
         """(loglik, grad, info) of the columns `rows` at beta, in one pass."""
         zr, wr, dr = z[rows], weight[rows], deaths[rows]
         eta = zr * beta[:, None]
-        shift = np.where(wr > 0, eta, -np.inf).max(axis=1)
+        shift = np.where(wr, eta, -np.inf).max(axis=1)
         ws = np.exp(eta - shift[:, None]) * wr
         s0 = np.where(dr > 0, _risk_sums(ws, first), 1.0)
         loglik = (np.take(eta, death_rows, axis=1).sum(axis=1)
@@ -276,6 +277,7 @@ def _wald_block(cols, order, ts, es):
 
     beta = np.zeros(z.shape[0])
     loglik, grad, info = partial(slice(None), beta)
+    u0, i0 = grad.copy(), info.copy()
     active = np.ones(beta.size, dtype=bool)
     converged = np.zeros(beta.size, dtype=bool)
     for _ in range(NEWTON_STEPS):
@@ -302,50 +304,41 @@ def _wald_block(cols, order, ts, es):
     else:
         converged |= active & (np.abs(grad) < NEWTON_TOL) & (info > 0)
 
-    wald = converged & (np.abs(beta) <= _BETA_BOUND) & (beta != 0)     # so info > 0
-    score = np.flatnonzero(~wald)
-    u0, i0 = _score_block(z[score], present[score], deaths[score], death_rows, first)
-    score, u0, i0 = score[i0 > 0], u0[i0 > 0], i0[i0 > 0]
+    # converged, so info > 0
+    wald = converged & (np.abs(beta) <= _BETA_BOUND) & (beta != 0) & ~separates
+    score = ~wald & (i0 > 0)
     p_usable = np.ones(beta.size)
     # the lower tail: no cancellation for large z
     p_usable[wald] = 2.0 * ndtr(-(np.abs(beta[wald]) / np.sqrt(1.0 / info[wald])))
-    p_usable[score] = 2.0 * ndtr(-(np.abs(u0) / np.sqrt(i0)))
+    p_usable[score] = 2.0 * ndtr(-(np.abs(u0[score]) / np.sqrt(i0[score])))
+    p = np.ones(usable.size)
     p[usable] = p_usable
     return p
 
 
-def _risk_sums(a, first):
-    """Risk-set sums of each row of `a` (columns × time-sorted rows): its
-    suffix sums at each death time's first row at risk, which `first`
+def _risk_sums(a, first, reduce=np.add):
+    """Risk-set sums, or another `reduce` such as np.fmax, of each row of
+    `a` (columns × time-sorted rows): its suffix reductions at the first
+    rows at risk (of each death time, or of each death) that `first`
     counts from the last row."""
-    return np.take(np.cumsum(a[:, ::-1], axis=1), first, axis=1)
+    return np.take(reduce.accumulate(a[:, ::-1], axis=1), first, axis=1)
 
 
-def _score_block(z, present, deaths, death_rows, first):
-    """The score test's U(0) and I(0) of every column of `z` (columns ×
-    time-sorted rows), with the death structure of `_wald_block`.
-
-    I(0) sums the variances of the risk sets, and a second moment less a
-    squared mean loses them to rounding when the column's values at risk
-    sit far from its mean: a row censored before every death may set the
-    column's mean and spread.  So each column is centred on the median of
-    its values at risk at its first death, which is exact for a column
-    constant there, and scaled by their largest deviation.  Every later
-    risk set is part of that one, so no second moment passes n times its
-    variance, while I(0) is at least that variance: the digits rounding
-    costs I(0) grow with log10(n) alone, whatever the column's other
-    values.
-    """
-    centred = np.zeros(z.shape)
-    for c, (col, keep, d) in enumerate(zip(z, present, deaths)):
-        start = z.shape[1] - 1 - first[np.argmax(d > 0)]
-        at_risk = col[start:]
-        dev = at_risk - np.median(at_risk[keep[start:]])
-        spread = np.abs(dev[keep[start:]]).max()
-        if spread > 0:                     # else U(0) = I(0) = 0: p = 1
-            centred[c, start:] = np.where(keep[start:], dev / spread, 0.0)
-    s0 = np.where(deaths > 0, _risk_sums(present.astype(float), first), 1.0)
-    mean = _risk_sums(centred, first) / s0
-    u0 = np.take(centred, death_rows, axis=1).sum(axis=1) - (deaths * mean).sum(axis=1)
-    i0 = (deaths * (_risk_sums(centred * centred, first) / s0 - mean * mean)).sum(axis=1)
-    return u0, i0
+def _at_risk(cols, ts, es):
+    """(weight, dead, separates) of every column of `cols` (columns ×
+    time-sorted rows, NaN = missing): True at its rows at risk, its
+    complete cases at or after its first death, and at its present deaths;
+    and whether every death holds the largest value at risk, or every death
+    the smallest.  Raw values are compared, so that rounding cannot make a
+    tie.  A column without a death, or constant at risk, has no information
+    at beta = 0 and gets no row."""
+    starts = np.searchsorted(ts, ts[es], side="left")    # each death's first row at risk
+    death_cells = np.take(cols, np.flatnonzero(es), axis=1)
+    dead = ~np.isnan(death_cells)
+    hi, lo = (_risk_sums(cols, ts.size - 1 - starts, extreme) for extreme in (np.fmax, np.fmin))
+    separates = ~(death_cells < hi).any(axis=1) | ~(death_cells > lo).any(axis=1)
+    k0 = dead.argmax(axis=1)                              # each column's first death
+    c = np.arange(k0.size)
+    usable = dead[c, k0] & (hi[c, k0] > lo[c, k0])
+    weight = ~np.isnan(cols) & (np.arange(ts.size) >= starts[k0][:, None]) & usable[:, None]
+    return weight, dead, separates

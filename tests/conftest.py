@@ -27,39 +27,44 @@ def dataset(times, events, x=None):
 
 
 def scalar_cox_fit(d, feature_index):
-    """Reference for the univariate Cox filter: one complete-case Newton
-    fit and Wald test per column, walking the instances cell by cell, and
-    the score test at beta = 0, computed exactly, where the fit fails,
-    |beta| passes the bound or the fit stops at beta = 0.  Returns (p-value, |beta| of the standardized
-    feature)."""
-    values, keep_times, keep_events = [], [], []
-    for inst in d.instances:
-        v = inst.features[feature_index]
-        if v is None or isinstance(v, str):
-            continue
-        values.append(float(v))
-        keep_times.append(inst.time)
-        keep_events.append(inst.event)
-    values = np.asarray(values)
+    """Reference for the univariate Cox filter: one Newton fit and Wald test
+    per column on its rows at risk (its complete cases at or after its
+    first death), walking the instances cell by cell, and the score test at
+    beta = 0, computed exactly on the raw values at risk, where the fit
+    fails, |beta| passes the bound, the fit stops at beta = 0 or the column
+    separates the deaths.  Returns (p-value, |beta| of the feature
+    standardized at risk)."""
+    cells = [(inst.features[feature_index], inst.time, inst.event) for inst in d.instances]
+    rows = [(float(v), t, e) for v, t, e in cells if v is not None and not isinstance(v, str)]
+    deaths = [t for _, t, e in rows if e]
+    if not deaths:
+        return 1.0, 0.0
+    at_risk = [row for row in rows if row[1] >= min(deaths)]
+    values, times, events = (np.asarray(a) for a in zip(*at_risk))
+    events = events.astype(bool)
     # a column of subnormal values may vary and still have std 0
-    if values.size < 2 or np.unique(values).size < 2 or values.std() == 0:
+    if np.unique(values).size < 2 or values.std() == 0:
         return 1.0, 0.0
     col = ((values - values.mean()) / values.std()).reshape(-1, 1)
-    times = np.asarray(keep_times)
-    events = np.asarray(keep_events, dtype=bool)
-    if not events.any():
-        return 1.0, 0.0
     try:
         beta, info, _, _ = _newton(_RiskSets(col, times, events))
         beta, var = abs(beta[0]), np.linalg.inv(info)[0, 0]
     except (FitError, np.linalg.LinAlgError):
         beta, var = np.inf, np.nan
-    if var > 0 and 0 < beta <= _BETA_BOUND:
+    if var > 0 and 0 < beta <= _BETA_BOUND and not separates(values, times, events):
         return 2.0 * ndtr(-beta / np.sqrt(var)), beta
-    u0, i0 = exact_score_test(col[:, 0], times, events)
+    u0, i0 = exact_score_test(values, times, events)
     if i0 > 0:
         return 2.0 * ndtr(-np.sqrt(float(u0 * u0 / i0))), beta
     return 1.0, beta
+
+
+def separates(values, times, events):
+    """Whether every death holds the largest value at risk, or every death
+    the smallest: the partial likelihood then rises to beta = +inf or -inf."""
+    at_risk = [(v, values[times >= t]) for v, t in zip(values[events], times[events])]
+    return (all(v == risk.max() for v, risk in at_risk)
+            or all(v == risk.min() for v, risk in at_risk))
 
 
 def exact_score_test(values, times, events):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isdkit import core, cox
@@ -21,7 +21,7 @@ from isdkit.curves import survival_at
 from isdkit.km import fit_km, km_at
 from isdkit.pipeline import preprocess
 
-from conftest import dataset, scalar_cox_fit
+from conftest import dataset, scalar_cox_fit, separates
 
 
 def reference_partial(beta, x, times, events):
@@ -365,16 +365,19 @@ def filter_cohorts(draw):
 
 
 class TestBatchedFilter:
-    """The batched filter against one scalar Newton fit per column.
+    """The batched filter against one scalar Newton fit per column on its
+    rows at risk.
 
-    A missing cell puts a zero into the batched row sums, which pairs the
-    terms differently from a sum over the complete cases alone.  That moves
-    p by under 1e-12 relative while the fit converges at |beta| < 6 on the
-    standardized scale.  A column that (nearly) separates the deaths drives
-    beta toward infinity; Newton then stops wherever rounding decides, and
-    fuzzing such columns moved p by up to 1e-8 relative, hence the wider
-    bound there.  Past |beta| = 10 both sides take the score test at
-    beta = 0 instead.
+    A missing cell or a row before the column's first death puts a zero
+    into the batched row sums, which pairs the terms differently from a sum
+    over the rows at risk alone.  That moves p by under 1e-12 relative
+    while the fit converges at |beta| < 6 on the standardized scale.  A
+    column that nearly separates the deaths drives beta toward infinity;
+    Newton then stops wherever rounding decides, and fuzzing such columns
+    moved p by up to 1e-8 relative, hence the wider bound there.  Past
+    |beta| = 10, and on a column that separates the deaths, both sides
+    take the score test at beta = 0 instead; the reference computes it
+    exactly on the raw values at risk.
     """
 
     @staticmethod
@@ -423,17 +426,56 @@ class TestBatchedFilter:
         assert scalar_cox_fit(d, 0) == (1.0, 0.0)
 
     def test_score_test_on_a_column_barely_varying_at_risk(self):
-        # the row censored before both deaths sets the column's mean and
-        # spread, and the two rows at risk differ by 1.2e-7 of that spread,
-        # so the separating fit diverges and second moments about the mean
-        # would lose I(0) to rounding; U(0)**2 / I(0) is exactly 1
+        # the row censored before both deaths is far from the two rows at
+        # risk, which differ by 1.2e-7 of that distance; centred on all
+        # three, second moments would lose I(0) to rounding.  The column
+        # separates the deaths, and U(0)**2 / I(0) is exactly 1
         x = np.array([[-1.192092896e-07], [np.nan], [-1.0], [0.0]])
+        times, events = np.array([2.0, 0.0, 0.0, 1.0]), np.array([1, 0, 0, 1], dtype=bool)
         cells = [tuple(None if np.isnan(v) else v for v in row) for row in x]
         d = SurvivalDataset(tuple(Instance(c, t, e) for c, t, e in
-                                  zip(cells, [2.0, 0.0, 0.0, 1.0], [1, 0, 0, 1])), ("c0",))
+                                  zip(cells, times, events)), ("c0",))
         p = self.check(d)
         assert p[0] == pytest.approx(2.0 * scipy.special.ndtr(-1.0), rel=1e-12)
-        assert scalar_cox_fit(d, 0)[1] > 1e6
+        keep = ~np.isnan(x[:, 0])
+        assert separates(x[keep, 0], times[keep], events[keep])
+
+    def test_separating_columns_get_the_score_test(self):
+        # on two patients who both die, -t holds the largest value at risk
+        # at each death and t the smallest; standardized at risk, either
+        # fit stops near |beta| = 9.6, inside the bound, where the Wald p
+        # reads 0.999.  The likelihood rises to beta = ±inf, and the score
+        # test's U(0)**2 / I(0) is exactly 1
+        times = np.array([1.0, 2.0])
+        d = dataset(times, [1, 1], np.column_stack([-times, times]))
+        assert self.check(d) == pytest.approx(2.0 * scipy.special.ndtr(-1.0), rel=1e-12)
+        assert all(0 < scalar_cox_fit(d, j)[1] < cox._BETA_BOUND for j in range(2))
+
+    @given(filter_cohorts(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_row_in_no_risk_set_changes_no_bit(self, d, data):
+        # a row with a time before its column's first death is in none of the
+        # column's risk sets, so no value it takes can move a p-value
+        j = data.draw(st.integers(0, len(d.feature_names) - 1))
+        cells = [inst.features[j] for inst in d.instances]
+        deaths = [inst.time for inst, v in zip(d.instances, cells) if inst.event and v is not None]
+        before = [i for i, (inst, v) in enumerate(zip(d.instances, cells))
+                  if v is not None and (not deaths or inst.time < min(deaths))]
+        assume(before)
+        i = data.draw(st.sampled_from(before))
+        value = data.draw(st.one_of(st.sampled_from([-1e12, 1e12]),
+                                    st.floats(allow_nan=False, allow_infinity=False)))
+        instances = list(d.instances)
+        features = list(instances[i].features)
+        features[j] = value
+        instances[i] = Instance(tuple(features), instances[i].time, instances[i].event)
+        moved = SurvivalDataset(tuple(instances), d.feature_names)
+        every = range(len(d.feature_names))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (univariate_cox_pvalue(moved, every).tolist()
+                    == univariate_cox_pvalue(d, every).tolist())
+            assert univariate_cox_pvalue(moved, j) == univariate_cox_pvalue(d, j)
 
     def test_score_test_on_a_column_constant_at_risk(self):
         # the column varies only through the row censored before every

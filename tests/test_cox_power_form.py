@@ -6,6 +6,7 @@ form must hold no probability per patient and knot at once."""
 
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,20 @@ def test_a_nan_feature_cell_is_refused_naming_its_row():
         predict_curve_cox(model, x)
     with pytest.raises(ValueError, match=r"^row 0: exponent nan"):
         predict_curve_cox(model, x[6])
+
+
+def test_an_overflowing_exponent_reads_zero_below_the_first_knot_under_one():
+    # x . beta = 800 overflows exp to +inf, a valid exponent: S = 0 wherever S0 < 1
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((40, 2))
+    model = fit_cox(dataset(rng.exponential(10.0, 40), rng.random(40) < 0.8, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = predict_curve_cox(model, [800.0 / model.beta[0], 0.0]).probs[0]
+    below = model.baseline.probs[0] < 1.0
+    assert below.any() and not below.all()
+    assert probs[below].tolist() == [0.0] * below.sum()
+    assert probs[~below].tolist() == [1.0] * (~below).sum()
 
 
 def test_a_negative_exponent_and_a_matrix_base_are_refused():
