@@ -222,37 +222,143 @@ def brier_censored(v: SurvivalDataset, probs_at_tstar, tstar: float,
     return float(total / len(v))
 
 
-def _squared_gaps(ends, a, b, g):
-    # integrals over [a, b] of (1 - S)^2 / g and of S^2, where S is linear
-    # from S(a) to S(cut) on [a, cut] and 0 on [cut, b] (see
-    # CurveBatch.segment_ends); one table for both ends (from
-    # CurveBatch.segment_tables) is an S constant up to cut = b
-    s_a, cut, s_cut = ends
-    u = 1.0 - s_a
-    if s_cut is s_a:
-        return u * u * ((b - a) / g), s_a * s_a * (b - a)
-    third = (cut - a) / 3.0
-    w = 1.0 - s_cut
-    alive = (third * (u * u + u * w + w * w) + (b - cut)) / g
-    return alive, third * (s_a * s_a + s_a * s_cut + s_cut * s_cut)
+def _power_moments(a, b, w):
+    # (1, (a + b) / 2, (a^2 + ab + b^2) / 3) * w: with w = (b - a) / g, the
+    # integrals of 1, u and u^2 over [a, b] at weight 1/g, each a sum of
+    # non-negative terms for 0 <= a <= b; the callers take b - a from the
+    # uncentred times
+    return np.stack((w, w * (a + b) * 0.5, w * (a * a + a * b + b * b) / 3.0))
+
+
+class _InverseGMoments:
+    """Moments of 1/G on the knot segments [k_j, k_{j+1}) of a batch, cut
+    at ``tau_eff``: A_p = integral of (u - k_j)^p / G(u) du, p = 0, 1, 2.
+
+    G is a step function, so each moment is a sum over the pieces between
+    the merged curve and G knots.  Centred at each segment's left knot,
+    every term is non-negative and no sum cancels, however far from 0 the
+    times lie.  ``totals`` holds the moments of the segments that end by
+    ``tau_eff`` (the first ``whole``); `upto` reads a segment's moments up
+    to any time inside it."""
+
+    def __init__(self, knots, g_hat: KMCurve, tau_eff: float):
+        # merge the sorted curve knots and G knots up to tau_eff: the
+        # pieces start at each, and the last one, [tau_eff, tau_eff), is
+        # empty; each piece's curve segment and G step
+        inner, g_knots = knots[knots <= tau_eff], g_hat.curve.knots
+        both = np.concatenate((inner, [tau_eff], g_knots[(g_knots > 0) & (g_knots < tau_eff)]))
+        order = np.argsort(both, kind="stable")
+        merged = both[order]
+        distinct = np.append(merged[1:] != merged[:-1], True)
+        lo = merged[distinct]
+        hi = np.append(lo[1:], tau_eff)
+        seg = np.cumsum(order < inner.size)[distinct] - 1
+        g = g_hat.curve.row(0)[np.cumsum(order > inner.size)[distinct]]
+        left = knots[seg]
+        acc = _power_moments(lo - left, hi - left, (hi - lo) / g)
+        # a segmented scan: acc[:, q] becomes the sum over q's segment up to q
+        step = 1
+        while (same := seg[step:] == seg[:-step]).any():
+            acc[:, step:] += np.where(same, acc[:, :-step], 0.0)
+            step *= 2
+        self.knots, self.lo, self.g = knots, lo, g
+        self.before = np.zeros_like(acc)
+        self.before[:, 1:] = np.where(seg[1:] == seg[:-1], acc[:, :-1], 0.0)
+        self.whole = int(seg[-1])
+        # each whole segment's last piece is the one before the next knot's
+        self.totals = np.take(acc, np.flatnonzero(np.diff(seg))[:self.whole], axis=1)
+
+    def upto(self, seg, x):
+        """(3, len(x)) moments over [k_seg, x), for each x in its segment
+        ``seg`` and at most ``tau_eff``."""
+        k = self.knots[seg]
+        q = np.searchsorted(self.lo, x, side="right") - 1
+        lo = self.lo[q]
+        return np.take(self.before, q, axis=1) + _power_moments(lo - k, x - k,
+                                                                (x - lo) / self.g[q])
+
+
+def _lines(curves: CurveBatch, rows, seg):
+    """Each row's curve on its segment ``seg``: the line
+    S(u) = p - c1 (u - left) from the segment's left knot up to ``stop``
+    (the next knot or, in the tail, the zero time), and 0 past it.
+    Returns (p, left, stop, c1)."""
+    knots = curves.knots
+    last = knots.size - 1
+    p = curves._probs(rows, seg)
+    left = knots[seg]
+    tail = seg == last
+    nxt = np.minimum(seg + 1, last)
+    stop = np.where(tail, np.maximum(curves.zero_time[rows], left), knots[nxt])
+    drop = np.where(tail, p, 0.0 if curves.interp == "step" else p - curves._probs(rows, nxt))
+    c1 = np.divide(drop, stop - left, out=np.zeros(p.shape), where=stop > left)
+    return p, left, stop, c1
+
+
+def _square_area(p, left, c1, a, b):
+    # integral of S^2 over [a, b] on the line S(u) = p - c1 (u - left)
+    s_a, s_b = p - c1 * (a - left), p - c1 * (b - left)
+    return (b - a) / 3.0 * (s_a * s_a + s_a * s_b + s_b * s_b)
+
+
+def _segment_terms(p, coef, width, out):
+    """For the (rows, m) probability table ``p``, the integrals of
+    (1 - S)^2 / G and of S^2 over each whole segment j < len(width), as
+    out[0] and out[1]; a step batch passes two (rows, j) tables in
+    ``out``, a linear one four.
+
+    On segment j, 1 - S = c0 + c1 (u - k_j) with c0 = 1 - S(k_j) and c1
+    the slope down, so the first is c0^2 A0 + 2 c0 c1 A1 + c1^2 A2 with
+    ``coef`` = (A0, 2 A1, A2); c1 is 0 on a step segment."""
+    alive, death = out[0], out[1]
+    left = p[:, :width.size]
+    np.subtract(1.0, left, out=alive)
+    if len(out) == 2:
+        alive *= alive
+        alive *= coef[0]
+        np.multiply(left, left, out=death)
+        death *= width
+        return alive, death
+    right, c1, tmp = p[:, 1:width.size + 1], out[2], out[3]
+    np.subtract(left, right, out=c1)
+    c1 /= width
+    np.multiply(alive, coef[0], out=tmp)
+    np.multiply(c1, coef[1], out=death)
+    tmp += death
+    alive *= tmp                            # c0 (c0 A0 + 2 c1 A1)
+    c1 *= c1
+    c1 *= coef[2]
+    alive += c1
+    np.add(left, right, out=death)          # width / 3 (S_l^2 + S_l S_r + S_r^2)
+    death *= left
+    np.multiply(right, right, out=tmp)
+    death += tmp
+    death *= width / 3.0
+    return alive, death
 
 
 def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
                      g_hat: KMCurve) -> float:
     """Average of the censored Brier score over [0, tau]:
-    (1/tau) * integral of BS_t dt, computed exactly piece by piece.
+    (1/tau) * integral of BS_t dt, computed exactly over each curve's knot
+    segments.
 
-    The pieces lie between the merged breakpoints (curve knots and
-    censoring-curve knots); on each the censoring curve is constant and
-    every curve is linear up to where its tail reaches 0, so each piece has
-    a closed form.  A patient's alive integral over [0, min(t_i, tau)] is
-    the whole pieces before its own piece plus part of that piece, and a
-    death's integral over [t_i, tau] part of its piece plus the whole
-    pieces after it, so each (rows x pieces) table is summed under one
-    mask per row (for a shared row, a count of patients per piece).  If
-    the censoring curve hits 0 before tau the integral and its
-    normalization are truncated at that time.  ``curves`` is a `CurveBatch`
-    with one row per patient or one row they share.
+    Patient i adds the integral of (1 - S_i)^2 / G over [0, min(t_i, tau)]
+    and, for a death, that of S_i^2 / G(t_i) over [t_i, tau].  On each
+    segment [k_j, k_{j+1}) a curve is a line, 1 - S = c0 + c1 (u - k_j)
+    (c1 = 0 for a step curve; past t_max, the extension line up to its
+    zero time and 1 after it), and G is a step function.  So the alive
+    term of a whole segment is c0^2 A0 + 2 c0 c1 A1 + c1^2 A2 in the
+    moments A_p of 1/G on it, which every row shares (see
+    `_InverseGMoments`), and that of the segment holding min(t_i, tau)
+    reads the same moments up to that time.  The death term needs only the
+    curve.  The whole segments of the rows form (rows x segments) tables,
+    built a block of rows at a time in buffers allocated once per call and
+    summed under one mask per row (for a shared row, weighted by the
+    number of patients that reach each segment).  If the censoring curve
+    hits 0 before tau the integral and its normalization are truncated at
+    that time.  ``curves`` is a `CurveBatch` with one row per patient or
+    one row they share.
     """
     if not tau > 0:
         raise ValueError(f"horizon tau must be positive, got {tau}")
@@ -263,55 +369,75 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
     tau_eff = min(tau, _g_first_zero(g_hat))
     if not tau_eff > 0:
         raise ValueError("censoring curve G is 0 from time 0; the IBS is undefined")
-
-    knots = curves.knots
-    g_knots = g_hat.curve.knots
-    cuts = np.unique(np.concatenate((
-        [0.0, tau_eff], knots[knots < tau_eff], g_knots[(g_knots > 0) & (g_knots < tau_eff)],
-    )))
-    lo, hi = cuts[:-1], cuts[1:]
-    seg = curves.segment_of(lo)         # piece -> knot segment, shared by every row
-    g_piece = km_at(g_hat, lo)          # G is constant on each piece and positive
-
-    alive_end = np.minimum(times, tau_eff)
-    # each patient's own piece; a death before tau_eff lies in it too
-    k = np.clip(np.searchsorted(cuts, alive_end, side="right") - 1, 0, lo.size - 1)
-    dies = events & (times < tau_eff)
-    g_death = km_at(g_hat, np.where(dies, times, 0.0))
-    if np.any(g_death[dies] <= 0):
+    dies = np.flatnonzero(events & (times < tau_eff))
+    g_death = km_at(g_hat, times[dies])
+    if np.any(g_death <= 0):
         raise ValueError(
             "censoring curve G is 0 at an observed death inside the integration window"
         )
+    weight = np.zeros(n)
+    weight[dies] = 1.0 / g_death
 
-    # the partial pieces: [lo_k, min(t_i, tau_eff)) alive, with weight 1/G(t)
-    # and target 1, and for a death [t_i, hi_k), weight 1/G(t_i) and target 0
-    rows = np.arange(n) if curves.rows > 1 else np.zeros(n, dtype=int)
-    weight = np.divide(1.0, g_death, out=np.zeros(n), where=dies)
-    alive, _ = _squared_gaps(curves.segment_ends(rows, seg[k], lo[k], alive_end),
-                             lo[k], alive_end, g_piece[k])
-    start = np.where(dies, times, lo[k])
-    _, death = _squared_gaps(curves.segment_ends(rows, seg[k], start, hi[k]),
-                             start, hi[k], 1.0)
-    total = np.sum(alive) + np.sum(death * weight)
+    knots = curves.knots
+    moments = _InverseGMoments(knots, g_hat, tau_eff)
+    whole = moments.whole
+    rows = np.arange(n) if curves.rows > 1 else 0
 
-    # the whole pieces: before k alive, after k dead
-    piece = np.arange(lo.size)
-    body = int(np.searchsorted(seg, knots.size - 1))    # pieces before t_max
-    if curves.rows == 1:
-        alive_w = n - np.cumsum(np.bincount(k, minlength=lo.size))
-        death_w = np.cumsum(np.bincount(k + 1, weights=weight, minlength=lo.size + 1))[:-1]
-    for block in curves.row_blocks():
-        if curves.rows > 1:
-            k_block = k[block, None]
-            alive_w, death_w = piece < k_block, (piece > k_block) * weight[block, None]
-        for cols, ends in (
-            (np.s_[:body], curves.segment_tables(block, seg[:body], lo[:body], hi[:body])),
-            # every piece past t_max lies in the last segment
-            (np.s_[body:], curves.segment_ends(np.arange(block.start, block.stop)[:, None],
-                                               knots.size - 1, lo[body:], hi[body:])),
-        ):
-            alive, death = _squared_gaps(ends, lo[cols], hi[cols], g_piece[cols])
-            total += np.vdot(alive, alive_w[..., cols]) + np.vdot(death, death_w[..., cols])
+    # alive from the left knot of the segment that holds min(t_i, tau_eff):
+    # (1 - S)^2 = (c0 + c1 (u - left))^2 on the line, and 1 past it
+    alive_end = np.minimum(times, tau_eff)
+    seg = curves.segment_of(alive_end)
+    p, left, stop, c1 = _lines(curves, rows, seg)
+    line_end = np.minimum(stop, alive_end)
+    past = np.flatnonzero(line_end < alive_end)
+    # one read for the line's moments and, past the line, 1/G's up to the end
+    read = moments.upto(np.concatenate((seg, seg[past])),
+                        np.concatenate((line_end, alive_end[past])))
+    (a0, a1, a2), beyond = read[:, :n], read[0, n:]
+    c0 = 1.0 - p
+    alive = c0 * (c0 * a0 + 2.0 * c1 * a1) + c1 * c1 * a2
+    alive[past] += beyond - a0[past]
+    total = np.sum(alive)
+
+    # dead from t_i to the end of its segment, and on [k_whole, tau_eff)
+    if dies.size:
+        t_d = times[dies]
+        end = np.maximum(np.minimum(stop[dies], tau_eff), t_d)
+        death = _square_area(p[dies], left[dies], c1[dies], t_d, end)
+        after = seg[dies] < whole
+        if after.any():
+            p_w, left_w, stop_w, c1_w = _lines(curves, np.arange(curves.rows), whole)
+            end = np.clip(stop_w, left_w, tau_eff)
+            piece = _square_area(p_w, left_w, c1_w, left_w, end)
+            death[after] += piece[dies[after]] if curves.rows > 1 else piece[0]
+        total += np.vdot(death, weight[dies])
+
+    # the whole segments, which end by tau_eff: alive before a row's own
+    # segment, dead after it
+    if whole:
+        coef = moments.totals * np.array([[1.0], [2.0], [1.0]])
+        seg_width = np.diff(knots[:whole + 1])
+        probs = curves.block_buffer()
+        tables = np.empty((2 if curves.interp == "step" else 4, probs.shape[1], whole))
+        if curves.rows == 1:
+            alive, death = _segment_terms(curves._probs(slice(None), slice(None), out=probs),
+                                          coef, seg_width, tables[:, :1])
+            alive_w = n - np.cumsum(np.bincount(seg, minlength=whole + 1))[:whole]
+            death_w = np.cumsum(np.bincount(seg + 1, weights=weight, minlength=whole + 2))[:whole]
+            total += np.vdot(alive[0], alive_w) + np.vdot(death[0], death_w)
+        else:
+            cols = np.arange(whole)
+            mask = np.empty(tables.shape[1:], dtype=bool)
+            for block in curves.row_blocks():
+                size = block.stop - block.start
+                alive, death = _segment_terms(curves._probs(block, slice(None), out=probs),
+                                              coef, seg_width, tables[:, :size])
+                own = seg[block]
+                death *= weight[block, None]
+                np.copyto(death, alive, where=np.less(cols, own[:, None], out=mask[:size]))
+                inside = np.flatnonzero(own < whole)
+                death[inside, own[inside]] = 0.0
+                total += np.sum(death)
 
     return float(total / (n * tau_eff))
 

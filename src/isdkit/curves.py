@@ -134,30 +134,43 @@ class CurveBatch:
         on each read."""
         return self.base if self.exponent is None else self._probs(slice(None), slice(None))
 
-    def _probs(self, rows, cols) -> np.ndarray:
+    def _probs(self, rows, cols, out=None) -> np.ndarray:
         """``probs[rows, cols]`` without building ``probs``: ``rows`` and
         ``cols`` are index arrays (or ints) that broadcast together, or
         ``rows`` is a slice and ``cols`` an index array or slice, which
-        gives a (rows, cols) table.
+        gives a (rows, cols) table.  The power form builds the table of a
+        row slice and every knot in ``out`` when given, scratch from
+        `block_buffer` that a loop over the row blocks allocates once: the
+        table is then the leading rows of ``out[0]``, and the next block
+        overwrites it.  A matrix batch returns a view of its rows.
 
-        The power form lays every cell out flat with its own exponent for
-        one ``np.power`` call, so each probability has the same bits
-        however the rows and knots are read: a scalar ``**`` rounds
-        differently, and numpy squares an exponent of exactly 2 (and roots
-        one of 0.5) that it reads with stride 0, which a broadcast exponent
-        may be, depending on the shapes."""
+        The power form lays every cell out in contiguous arrays with its
+        own exponent for one ``np.power`` call, so each probability has
+        the same bits however the rows and knots are read: a scalar ``**``
+        rounds differently, numpy squares an exponent of exactly 2 (and
+        roots one of 0.5) that it reads with stride 0, which a broadcast
+        exponent may be, and a broadcast base takes another loop."""
         if self.exponent is None:
             return self.base[rows][:, cols] if isinstance(rows, slice) else self.base[rows, cols]
         if isinstance(rows, slice):
             b, r = self.base[0, cols], self.exponent[rows]
-            shape = (r.size, b.size)
-            b, r = np.tile(b, r.size), np.repeat(r, b.size)
+            if out is None:
+                out = np.empty((2, r.size, b.size))
+            p, tile = out[0, :r.size], out[1, :r.size]
+            tile[...] = b
+            p[...] = r[:, None]
+            np.power(tile, p, out=p)
         else:
             b, r = np.broadcast_arrays(self.base[0, cols], self.exponent[rows])
-            shape = b.shape
-            b, r = b.ravel(), r.ravel()
-        p = np.power(b, r).reshape(shape)
+            p = np.power(b.ravel(), r.ravel()).reshape(b.shape)
         return np.clip(p, 0.0, 1.0, out=p)
+
+    def block_buffer(self) -> np.ndarray:
+        """Scratch for `_probs` to build one row block's (rows x knots)
+        table in, so a loop over `row_blocks` allocates it once: tables
+        above glibc's mmap threshold would otherwise map fresh pages for
+        every block."""
+        return np.empty((2, min(self.rows, ROW_BLOCK), self.knots.size))
 
     def row_blocks(self) -> list:
         """The rows as slices of at most `ROW_BLOCK` rows, the unit in which
@@ -220,31 +233,21 @@ class CurveBatch:
             tail = np.where(t > knots[last], np.clip(down, 0.0, tail), tail)
         return np.where(seg >= last, tail, base)
 
-    def segment_ends(self, rows, seg, a, b):
-        """Values of each row's curve on [a, b] inside segment `seg`.
-
-        Returns (S(a), cut, S(cut)): S is polynomial of degree <= 1 on
-        [a, cut] and 0 on [cut, b], where ``cut = b`` except in the tail,
-        which is cut where it reaches 0.  Arguments broadcast together;
-        ``rows`` indexes the batch rows.
-        """
-        cut = b
-        if self.zero_time is not None:
-            cut = np.where(seg >= self.knots.size - 1,
-                           np.clip(self.zero_time[rows], a, b), b)
-        return self._line(rows, seg, a), cut, self._line(rows, seg, cut)
-
-    def segment_tables(self, rows: slice, seg, a, b):
-        """`segment_ends` of the rows in the slice `rows` on pieces [a, b)
-        before t_max, as (rows, pieces) tables; `seg` is sorted, so each
-        segment's knot values are read once, as columns of the row slice.
-        The cut is b, and a step batch returns one table for both ends."""
-        knots, probs = self.knots, self._probs(rows, slice(None))
-        base = probs[:, seg]
-        if self.interp == "step":
-            return base, b, base
-        slope = (probs[:, seg + 1] - base) / (knots[seg + 1] - knots[seg])
-        return base + slope * (a - knots[seg]), b, base + slope * (b - knots[seg])
+    def first_at_or_below(self, level: float, wanted=None):
+        """Per row, the index of the first knot with S <= level (0 if none)
+        and whether there is one.  The rows are read a block at a time in
+        one reused buffer, and only the blocks that hold a row of the mask
+        ``wanted`` when it is given."""
+        first = np.zeros(self.rows, dtype=np.intp)
+        found = np.zeros(self.rows, dtype=bool)
+        buf = self.block_buffer()
+        below = np.empty(buf.shape[1:], dtype=bool)
+        for block in self.row_blocks():
+            if wanted is None or wanted[block].any():
+                mask = np.less_equal(self._probs(block, slice(None), out=buf), level,
+                                     out=below[:block.stop - block.start])
+                first[block], found[block] = np.argmax(mask, axis=1), mask.any(axis=1)
+        return first, found
 
     def _evaluate(self, t):
         # S at times t >= 0; see survival_at
@@ -329,10 +332,7 @@ def extend_linear(c: CurveBatch, t0_km: float | None = None) -> CurveBatch:
     dead = p_last <= 0.0
     flat = p_last > 1.0 - FLAT_TOLERANCE
     # the first knot at 0 of each row, read in the blocks that hold a dead row
-    first_zero = np.zeros(c.rows)
-    for block in c.row_blocks():
-        if dead[block].any():
-            first_zero[block] = c.knots[np.argmax(c._probs(block, slice(None)) <= 0.0, axis=1)]
+    first_zero = c.knots[c.first_at_or_below(0.0, wanted=dead)[0]]
     with np.errstate(divide="ignore", invalid="ignore"):
         zero = np.where(dead, first_zero, t_max / (1.0 - p_last))
     if flat.any():
@@ -355,12 +355,7 @@ def median_survival(c: CurveBatch, t0_km: float) -> np.ndarray:
     if c.zero_time is None:
         raise ValueError("medians need extended curves; call extend_linear first")
     knots = c.knots
-    # per row, the index of the first knot <= 0.5 and whether there is one
-    k = np.zeros(c.rows, dtype=np.intp)
-    crosses = np.zeros(c.rows, dtype=bool)
-    for block in c.row_blocks():
-        below = c._probs(block, slice(None)) <= 0.5
-        k[block], crosses[block] = np.argmax(below, axis=1), below.any(axis=1)
+    k, crosses = c.first_at_or_below(0.5)
     rows = np.arange(c.rows)
     if c.interp == "step":
         crossing = knots[k]

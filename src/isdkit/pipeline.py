@@ -336,12 +336,20 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
     model has them), predict and extend the validation curves as one
     batch, and score the discrimination metrics and the IBS.  Calibration
     percentiles and D-calibration run once on the pooled predictions of
-    all folds.  Fit failures propagate with the fold index attached.
+    all folds.  A split that leaves a fold empty, or a fold's training rows
+    without a death, is refused before any fit.  Fit failures propagate
+    with the fold index attached; an error that is not a `FitError` or
+    `ValueError` becomes a `RuntimeError` that names its class.
     """
     fold_of = fold_indices(d.times, d.events, cfg.folds)
     if empty := np.setdiff1d(np.arange(cfg.folds), fold_of).tolist():
         raise ValueError(f"cannot split {len(d)} instances into {cfg.folds} folds: fold(s) "
                          f"{', '.join(map(str, empty))} would be empty; use fewer folds")
+    deaths = np.bincount(fold_of[d.events], minlength=cfg.folds)
+    if no_death := np.flatnonzero(deaths == deaths.sum()).tolist():
+        raise ValueError(f"fold{'s' if len(no_death) > 1 else ''} "
+                         f"{', '.join(map(str, no_death))}: no death among the training rows "
+                         f"({int(deaths.sum())} in the whole dataset); every model needs one")
     tau = float(d.times.max())
     tstars = tuple(float(np.percentile(d.times, p)) for p in cfg.percentiles)
 
@@ -353,7 +361,7 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
         except ValueError as exc:
             raise ValueError(f"fold {fold}: {exc}") from exc
         except Exception as exc:
-            raise RuntimeError(f"fold {fold}: {exc}") from exc
+            raise RuntimeError(f"fold {fold}: {type(exc).__name__}: {exc}") from exc
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -341,6 +341,47 @@ def test_ibs_of_a_curve_list_matches_per_patient_reference(drawn, g_hat):
     assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
 
 
+# Every time 1e6 from the origin: curve knots 2 apart with many G knots
+# between them, and no cut off a grid of quarters, so that the reference's
+# quadrature points are exact floats.  The moments of 1/G on a segment are
+# centred at its left knot; moments from 0 would cancel here in every
+# linear segment and in the tail of a row that takes the fallback zero
+# time.
+_FAR = 1e6
+
+
+def _far_batches():
+    rng = np.random.default_rng(11)
+    knots = _FAR + np.arange(0.0, 17.0, 2.0)
+    falling = [np.concatenate(([1.0], np.sort(rng.uniform(0.05, 1.0, knots.size - 1))[::-1]))
+               for _ in range(9)]
+    rows = np.vstack([*falling, np.ones(knots.size)])   # the last row is flat at 1
+    rows[4, 5:] = 0.0                                   # and one reaches 0
+    t0_km = _FAR + 17.0
+    exponent = np.append(rng.uniform(0.2, 3.0, 9), 0.0)
+    return {"step": extend_linear(CurveBatch(knots, rows, "step"), t0_km),
+            "linear": extend_linear(CurveBatch(knots, rows, "linear"), t0_km),
+            "power": extend_linear(CurveBatch(knots, falling[0], exponent=exponent), t0_km)}
+
+
+@pytest.mark.parametrize("kind", ["step", "linear", "power"])
+def test_ibs_keeps_its_precision_far_from_time_zero(kind):
+    batch = _far_batches()[kind]
+    times = _FAR + np.array([0.375, 1.5, 2.25, 3.0, 5.125, 7.75, 9.5, 15.25, 16.5, 18.0])
+    events = np.arange(times.size) % 2 == 0
+    quarters = np.arange(1, 73)
+    g_hat = fit_censoring_km(dataset(_FAR + 0.25 * quarters, quarters % 3 == 0))
+    tau = _FAR + 17.5
+    inside = np.histogram(g_hat.curve.knots, batch.knots[1:])[0]
+    assert inside.min() >= 5                    # G knots in every curve segment
+    # the flat row's patient lives past its fallback zero time and tau
+    assert batch.fallback[-1] and batch.zero_time[-1] < tau < times[-1]
+    value = integrated_brier(dataset(times, events), batch, tau, g_hat)
+    # the IBS divides by n * tau, so only a relative bound means anything here
+    assert value == pytest.approx(ref_ibs(times, events, per_row(batch), tau, g_hat),
+                                  rel=TOL, abs=0.0)
+
+
 @given(batches(rows=1), st.lists(st.floats(0.0, 250.0), min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_best_guess_and_margin_weights_match_reference(drawn, censor_times):

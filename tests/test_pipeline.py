@@ -281,6 +281,22 @@ class TestMakeFolds:
         report = run_experiment(d, ExperimentConfig(model="km", metrics=(metric,), folds=3))
         assert np.isfinite(report.fold_scores[metric]).all()
 
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    @pytest.mark.parametrize("deaths", [0, 1])
+    def test_a_fold_whose_training_rows_hold_no_death_is_refused_before_any_fit(
+            self, monkeypatch, model, deaths):
+        rng = np.random.default_rng(5)
+        events = np.zeros(40, dtype=bool)
+        events[rng.permutation(40)[:deaths]] = True
+        d = dataset(rng.exponential(10.0, 40), events, x=rng.standard_normal((40, 3)))
+        # fold_indices deals a single death to fold 0, whose training rows then hold none
+        assert (fold_indices(d.times, d.events, 5)[events] == 0).all()
+        monkeypatch.setattr("isdkit.pipeline._run_fold", None)     # a fit would fail
+        folds = "fold 0" if deaths else "folds 0, 1, 2, 3, 4"
+        with pytest.raises(ValueError, match=rf"^{folds}: no death among the training rows "
+                                             rf"\({deaths} in the whole dataset\)"):
+            run_experiment(d, ExperimentConfig(model=model))
+
     def test_fold_indices_cover_everything(self):
         # 9 uncensored and 4 censored, each group dealt from fold 0
         fold_of = fold_indices(np.arange(13.0), np.tile([1, 0, 1], 5)[:13], 5)
@@ -377,6 +393,16 @@ class TestRunExperiment:
         d = dataset(np.arange(1.0, 31.0), np.ones(30), x=np.ones((30, 1)))
         with pytest.raises(RuntimeError, match="fold 0"):
             run_experiment(d, ExperimentConfig(model="cox-kp", folds=3))
+
+    def test_a_wrapped_fold_error_names_its_class(self, monkeypatch):
+        def overflow(train):
+            raise FloatingPointError("overflow encountered in exp")
+
+        monkeypatch.setattr("isdkit.pipeline.fit_cox", overflow)
+        with pytest.raises(RuntimeError, match=r"^fold 0: FloatingPointError: overflow "
+                                               r"encountered in exp$") as caught:
+            run_experiment(cohort_with_features(n=60), ExperimentConfig(model="cox-kp", folds=3))
+        assert isinstance(caught.value.__cause__, FloatingPointError)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
