@@ -154,9 +154,10 @@ class CurveBatch:
             return self.base[rows][:, cols] if isinstance(rows, slice) else self.base[rows, cols]
         if isinstance(rows, slice):
             b, r = self.base[0, cols], self.exponent[rows]
-            if out is None:
-                out = np.empty((2, r.size, b.size))
-            p, tile = out[0, :r.size], out[1, :r.size]
+            shape = (r.size, b.size)
+            # without `out`, two arrays, so that the table holds no tile alive
+            p, tile = (np.empty(shape), np.empty(shape)) if out is None else \
+                (out[0, :r.size], out[1, :r.size])
             tile[...] = b
             p[...] = r[:, None]
             np.power(tile, p, out=p)
