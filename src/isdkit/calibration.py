@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .core import SurvivalDataset
-from .curves import CurveBatch
+from .curves import ROW_BLOCK, CurveBatch
 from .km import KMCurve, fit_km_arrays, km_at
 
 __all__ = [
@@ -278,23 +278,6 @@ class _InverseGMoments:
                                                                 (x - lo) / self.g[q])
 
 
-def _lines(curves: CurveBatch, rows, seg):
-    """Each row's curve on its segment ``seg``: the line
-    S(u) = p - c1 (u - left) from the segment's left knot up to ``stop``
-    (the next knot or, in the tail, the zero time), and 0 past it.
-    Returns (p, left, stop, c1)."""
-    knots = curves.knots
-    last = knots.size - 1
-    p = curves._probs(rows, seg)
-    left = knots[seg]
-    tail = seg == last
-    nxt = np.minimum(seg + 1, last)
-    stop = np.where(tail, np.maximum(curves.zero_time[rows], left), knots[nxt])
-    drop = np.where(tail, p, 0.0 if curves.interp == "step" else p - curves._probs(rows, nxt))
-    c1 = np.divide(drop, stop - left, out=np.zeros(p.shape), where=stop > left)
-    return p, left, stop, c1
-
-
 def _square_area(p, left, c1, a, b):
     # integral of S^2 over [a, b] on the line S(u) = p - c1 (u - left)
     s_a, s_b = p - c1 * (a - left), p - c1 * (b - left)
@@ -347,7 +330,8 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
     and, for a death, that of S_i^2 / G(t_i) over [t_i, tau].  On each
     segment [k_j, k_{j+1}) a curve is a line, 1 - S = c0 + c1 (u - k_j)
     (c1 = 0 for a step curve; past t_max, the extension line up to its
-    zero time and 1 after it), and G is a step function.  So the alive
+    zero time and 1 after it, or, on a batch that is not extended, the
+    last probability held), and G is a step function.  So the alive
     term of a whole segment is c0^2 A0 + 2 c0 c1 A1 + c1^2 A2 in the
     moments A_p of 1/G on it, which every row shares (see
     `_InverseGMoments`), and that of the segment holding min(t_i, tau)
@@ -387,7 +371,7 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
     # (1 - S)^2 = (c0 + c1 (u - left))^2 on the line, and 1 past it
     alive_end = np.minimum(times, tau_eff)
     seg = curves.segment_of(alive_end)
-    p, left, stop, c1 = _lines(curves, rows, seg)
+    p, left, stop, c1 = curves.segment_line(rows, seg)
     line_end = np.minimum(stop, alive_end)
     past = np.flatnonzero(line_end < alive_end)
     # one read for the line's moments and, past the line, 1/G's up to the end
@@ -406,7 +390,7 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
         death = _square_area(p[dies], left[dies], c1[dies], t_d, end)
         after = seg[dies] < whole
         if after.any():
-            p_w, left_w, stop_w, c1_w = _lines(curves, np.arange(curves.rows), whole)
+            p_w, left_w, stop_w, c1_w = curves.segment_line(np.arange(curves.rows), whole)
             end = np.clip(stop_w, left_w, tau_eff)
             piece = _square_area(p_w, left_w, c1_w, left_w, end)
             death[after] += piece[dies[after]] if curves.rows > 1 else piece[0]
@@ -417,21 +401,20 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
     if whole:
         coef = moments.totals * np.array([[1.0], [2.0], [1.0]])
         seg_width = np.diff(knots[:whole + 1])
-        probs = curves.block_buffer()
-        tables = np.empty((2 if curves.interp == "step" else 4, probs.shape[1], whole))
+        tables = np.empty((2 if curves.interp == "step" else 4,
+                           min(curves.rows, ROW_BLOCK), whole))
         if curves.rows == 1:
-            alive, death = _segment_terms(curves._probs(slice(None), slice(None), out=probs),
-                                          coef, seg_width, tables[:, :1])
+            (_, probs), = curves.block_tables()
+            alive, death = _segment_terms(probs, coef, seg_width, tables)
             alive_w = n - np.cumsum(np.bincount(seg, minlength=whole + 1))[:whole]
             death_w = np.cumsum(np.bincount(seg + 1, weights=weight, minlength=whole + 2))[:whole]
             total += np.vdot(alive[0], alive_w) + np.vdot(death[0], death_w)
         else:
             cols = np.arange(whole)
             mask = np.empty(tables.shape[1:], dtype=bool)
-            for block in curves.row_blocks():
+            for block, probs in curves.block_tables():
                 size = block.stop - block.start
-                alive, death = _segment_terms(curves._probs(block, slice(None), out=probs),
-                                              coef, seg_width, tables[:, :size])
+                alive, death = _segment_terms(probs, coef, seg_width, tables[:, :size])
                 own = seg[block]
                 death *= weight[block, None]
                 np.copyto(death, alive, where=np.less(cols, own[:, None], out=mask[:size]))

@@ -139,10 +139,10 @@ class CurveBatch:
         ``cols`` are index arrays (or ints) that broadcast together, or
         ``rows`` is a slice and ``cols`` an index array or slice, which
         gives a (rows, cols) table.  The power form builds the table of a
-        row slice and every knot in ``out`` when given, scratch from
-        `block_buffer` that a loop over the row blocks allocates once: the
-        table is then the leading rows of ``out[0]``, and the next block
-        overwrites it.  A matrix batch returns a view of its rows.
+        row slice and every knot in ``out`` when given, the (2, rows, m)
+        scratch that `block_tables` reuses across blocks: the table is then
+        the leading rows of ``out[0]``, and the next block overwrites it.
+        A matrix batch returns a view of its rows.
 
         The power form lays every cell out in contiguous arrays with its
         own exponent for one ``np.power`` call, so each probability has
@@ -166,19 +166,26 @@ class CurveBatch:
             p = np.power(b.ravel(), r.ravel()).reshape(b.shape)
         return np.clip(p, 0.0, 1.0, out=p)
 
-    def block_buffer(self) -> np.ndarray:
-        """Scratch for `_probs` to build one row block's (rows x knots)
-        table in, so a loop over `row_blocks` allocates it once: tables
-        above glibc's mmap threshold would otherwise map fresh pages for
-        every block."""
-        return np.empty((2, min(self.rows, ROW_BLOCK), self.knots.size))
-
     def row_blocks(self) -> list:
         """The rows as slices of at most `ROW_BLOCK` rows, the unit in which
         a query builds (rows x knots) tables; an empty slice for a batch
         without rows."""
         return [slice(first, min(first + ROW_BLOCK, self.rows))
                 for first in range(0, max(self.rows, 1), ROW_BLOCK)]
+
+    def block_tables(self, wanted=None):
+        """Yield (block, table) for each of `row_blocks`, the table being
+        the block's (rows x knots) probabilities; with a row mask
+        ``wanted``, only the blocks that hold one of its rows.  A batch in
+        power form builds every table in one buffer allocated up front,
+        since tables above glibc's mmap threshold would otherwise map fresh
+        pages for every block, so a table holds only until the next
+        block."""
+        buf = None if self.exponent is None else \
+            np.empty((2, min(self.rows, ROW_BLOCK), self.knots.size))
+        for block in self.row_blocks():
+            if wanted is None or wanted[block].any():
+                yield block, self._probs(block, slice(None), out=buf)
 
     def row(self, i: int) -> np.ndarray:
         """Row i's probabilities at the knots."""
@@ -212,42 +219,64 @@ class CurveBatch:
         the last index means past t_max (the tail)."""
         return np.searchsorted(self.knots, t, side="right") - 1
 
-    def _line(self, rows, seg, t):
-        # value at t of the line each row follows on segment `seg` (the
-        # extension when seg is the last knot, exactly p_last at t_max)
+    def _segment(self, rows, seg):
+        # each row's probability at the left knot of its segment `seg`, that
+        # knot, the end of the segment's line (the next knot or, in the
+        # tail, the zero time, infinite on a batch that holds its last
+        # probability) and the next knot's index
         knots = self.knots
         last = knots.size - 1
-        j = np.minimum(seg, max(last - 1, 0))
-        base = self._probs(rows, j)
-        if self.interp == "linear" and last > 0:
-            slope = (self._probs(rows, j + 1) - base) / (knots[j + 1] - knots[j])
-            # t = inf on a flat last segment gives 0 * inf; the tail is masked below
-            with np.errstate(invalid="ignore"):
-                base = base + slope * (t - knots[j])
-        tail = self._probs(rows, -1)
-        if self.zero_time is not None:
-            zero = self.zero_time[rows]
-            width = zero - knots[last]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                down = np.where(width > 0, tail * (zero - t) / width, 0.0)
-            # rounding may lift the line just past t_max above p_last
-            tail = np.where(t > knots[last], np.clip(down, 0.0, tail), tail)
-        return np.where(seg >= last, tail, base)
+        nxt = np.minimum(seg + 1, last)
+        zero = np.inf if self.zero_time is None else \
+            np.maximum(self.zero_time[rows], knots[last])
+        return self._probs(rows, seg), knots[seg], np.where(seg == last, zero, knots[nxt]), nxt
+
+    def segment_line(self, rows, seg):
+        """The line each row follows on its knot segment ``seg``:
+        S(u) = p - c1 (u - left) from the segment's left knot up to
+        ``stop``, and 0 past it.  ``stop`` is the next knot or, on the last
+        knot (the tail), the zero time, which is infinite for a batch that
+        holds its last probability.  Returns (p, left, stop, c1); c1 is 0
+        on a step segment."""
+        p, left, stop, nxt = self._segment(rows, seg)
+        tail = seg == self.knots.size - 1
+        drop = np.where(tail, p, 0.0 if self.interp == "step" else p - self._probs(rows, nxt))
+        c1 = np.divide(drop, stop - left, out=np.zeros(np.shape(drop)), where=stop > left)
+        return p, left, stop, c1
+
+    def _line(self, rows, seg, t):
+        # value at t of the line `segment_line` gives each row on segment
+        # `seg` (the extension when seg is the last knot, exactly p_last at
+        # t_max), without the slope a step batch does not need
+        p, left, stop, nxt = self._segment(rows, seg)
+        # in the tail a linear slope may divide by a width of 0 or meet
+        # t = inf, and the extension divides by 0 for a row at 0 by t_max;
+        # each is masked below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.interp == "linear":
+                inside = p + (self._probs(rows, nxt) - p) / (stop - left) * (t - left)
+            else:
+                inside = p
+            if self.zero_time is None:
+                tail = p
+            else:
+                width = stop - left
+                down = np.where(width > 0, p * (stop - t) / width, 0.0)
+                # rounding may lift the line just past t_max above p_last
+                tail = np.where(t > left, np.clip(down, 0.0, p), p)
+        return np.where(seg == self.knots.size - 1, tail, inside)
 
     def first_at_or_below(self, level: float, wanted=None):
         """Per row, the index of the first knot with S <= level (0 if none)
-        and whether there is one.  The rows are read a block at a time in
-        one reused buffer, and only the blocks that hold a row of the mask
+        and whether there is one.  The rows are read through
+        `block_tables`, only the blocks that hold a row of the mask
         ``wanted`` when it is given."""
         first = np.zeros(self.rows, dtype=np.intp)
         found = np.zeros(self.rows, dtype=bool)
-        buf = self.block_buffer()
-        below = np.empty(buf.shape[1:], dtype=bool)
-        for block in self.row_blocks():
-            if wanted is None or wanted[block].any():
-                mask = np.less_equal(self._probs(block, slice(None), out=buf), level,
-                                     out=below[:block.stop - block.start])
-                first[block], found[block] = np.argmax(mask, axis=1), mask.any(axis=1)
+        below = np.empty((min(self.rows, ROW_BLOCK), self.knots.size), dtype=bool)
+        for block, probs in self.block_tables(wanted):
+            mask = np.less_equal(probs, level, out=below[:probs.shape[0]])
+            first[block], found[block] = np.argmax(mask, axis=1), mask.any(axis=1)
         return first, found
 
     def _evaluate(self, t):

@@ -310,6 +310,34 @@ def test_batched_ibs_matches_per_patient_reference(data, g_hat, tau):
     assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
 
 
+@given(st.data(), censoring_curves(), st.floats(1.0, 80.0))
+@settings(max_examples=100, deadline=None)
+def test_ibs_of_a_batch_that_is_not_extended_holds_its_last_probability(data, g_hat, tau):
+    # a batch without zero times holds each row's last probability past
+    # t_max; the reference reads the same curves given a knot at 100 (past
+    # every time and tau) that repeats that probability, extended from there
+    n = data.draw(st.integers(1, 6))
+    times, events = data.draw(cohorts(n))
+    g_probs = g_hat.curve.probs[0]
+    if (g_probs <= 0).any() and g_hat.curve.knots[np.argmax(g_probs <= 0)] == 0:
+        return
+    form = data.draw(st.sampled_from(["shared", "rows", "power"]))
+    extended, _ = data.draw(batches(rows=1 if form != "rows" else n))
+    knots, probs, interp = extended.knots, extended.probs, extended.interp
+    exponent = None
+    if form == "power":
+        exponent = np.array(data.draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)))
+        interp = "step"
+    plain = CurveBatch(knots, probs, interp, exponent=exponent)
+    held = extend_linear(CurveBatch(np.append(knots, 100.0), np.hstack((probs, probs[:, -1:])),
+                                    interp, exponent=exponent), 200.0)
+    curves = per_row(held) * (n if form == "shared" else 1)
+    value = integrated_brier(dataset(times, events), plain, tau, g_hat)
+    assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
+    assert value == pytest.approx(integrated_brier(dataset(times, events), held, tau, g_hat),
+                                  rel=TOL, abs=TOL)
+
+
 @st.composite
 def curves_with_cohort(draw):
     curves = draw(mixed_curves())

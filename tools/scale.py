@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Time one cross-validated run of a model on a large synthetic cohort.
 
-    python tools/scale.py --model cox-kp --n 50000 [--seed 0] [--jobs 1] [--profile 15]
+    python tools/scale.py --model cox-kp --n 50000 [--profile 15]
 
 The cohort is ``simulate_cohort`` weibull-ph with 5 features,
 beta = (0.7, -0.7, 0.5, -0.5, 0.3), baseline scale 10, shape 1.5 and
-exponential censoring at rate 0.055 (about 38% censored).  The run is
-``run_experiment`` in this process with 5 folds, every metric and the MTLR
-C grid (1.0,).  The script prints one line: the model, n, the wall time of
-the run and the process's peak resident set size (``ru_maxrss``, which
-also covers building the cohort).  ``--profile N`` runs under cProfile and
+exponential censoring at rate 0.055 (about 38% censored), drawn with
+seed 0.  The run is ``run_experiment`` in this process with 5 folds in
+one thread, every metric and the MTLR C grid (1.0,).  The script prints
+one line: the model, n, the wall time of the run and the process's peak
+resident set size (``ru_maxrss``, which also covers building the
+cohort).  ``--profile N`` runs under cProfile and
 then prints the N functions with the largest cumulative time, so a stage
 such as ``integrated_brier`` can be read off.  The tree's own ``src/`` goes
 first on the import path, so the script measures the checkout it sits in.
@@ -38,14 +39,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--model", required=True, choices=MODEL_NAMES)
     parser.add_argument("--n", type=int, required=True, help="cohort size")
-    parser.add_argument("--seed", type=int, default=0, help="cohort seed")
-    parser.add_argument("--jobs", type=int, default=1, help="fold threads")
     parser.add_argument("--profile", type=int, default=0, metavar="N",
                         help="print the N functions with the largest cumulative time")
     args = parser.parse_args(argv)
 
-    cohort = simulate_cohort(COHORT, args.n, args.seed)
-    cfg = ExperimentConfig(model=args.model, folds=5, mtlr_c_grid=(1.0,), jobs=args.jobs)
+    cohort = simulate_cohort(COHORT, args.n, 0)
+    cfg = ExperimentConfig(model=args.model, folds=5, mtlr_c_grid=(1.0,), jobs=1)
     profile = cProfile.Profile() if args.profile else None
     start = time.perf_counter()
     if profile:
