@@ -72,9 +72,11 @@ def _refuse_nan(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _per_instance(v: SurvivalDataset, probs) -> np.ndarray:
-    """``probs`` as floats, refused unless it holds one entry per instance
-    and none is NaN."""
+def _per_instance(v: SurvivalDataset, probs, tstar: float) -> np.ndarray:
+    """``probs`` at ``tstar`` as floats, refused unless t* is a time >= 0,
+    and ``probs`` holds one entry per instance and none is NaN."""
+    if not tstar >= 0:  # a positive condition, so that NaN fails it
+        raise ValueError(f"t* must be a time >= 0 (got {tstar})")
     probs = np.asarray(probs, dtype=float)
     if probs.size != len(v):
         raise ValueError(f"{probs.size} probabilities for {len(v)} instances")
@@ -109,7 +111,7 @@ def calibration_table(v: SurvivalDataset, probs_at_tstar, tstar: float, b: int,
     """
     if censoring not in ("reject", "km"):
         raise ValueError(f"unknown censoring mode {censoring!r}; use 'reject' or 'km'")
-    probs = _per_instance(v, probs_at_tstar)
+    probs = _per_instance(v, probs_at_tstar, tstar)
     times, events = v.times, v.events
     if censoring == "reject" and not events.all():
         raise ValueError("Hosmer-Lemeshow needs fully uncensored data; use the "
@@ -172,7 +174,7 @@ def brier_uncensored(v_u: SurvivalDataset, probs_at_tstar, tstar: float) -> floa
     """Brier score at t* on uncensored data: deaths by t* are scored
     against survival 0, survivors past t* against 1 (the censored formula
     with G identically 1)."""
-    probs = _per_instance(v_u, probs_at_tstar)
+    probs = _per_instance(v_u, probs_at_tstar, tstar)
     if not v_u.events.all():
         raise ValueError("uncensored Brier needs fully uncensored data")
     died = v_u.times <= tstar
@@ -197,7 +199,7 @@ def brier_censored(v: SurvivalDataset, probs_at_tstar, tstar: float,
     censoring curve is positive; see `integrated_brier` for the truncated
     integral form).
     """
-    probs = _per_instance(v, probs_at_tstar)
+    probs = _per_instance(v, probs_at_tstar, tstar)
     times, events = v.times, v.events
 
     death_terms = (times <= tstar) & events

@@ -10,7 +10,9 @@ self-consistency equation, using the closed form
 
 where w = exp(beta . x) and wbar_j averages w over the deaths tied at t_j.
 With a single death this is the exact KP solution, and with all
-coefficients zero it reduces exactly to the Kaplan-Meier factors.
+coefficients zero it reduces exactly to the Kaplan-Meier factors.  The
+baseline is kept as log H0(t_j) = log sum_{k <= j} -log alpha_k, and a
+patient's curve S0(t) ** exp(x . beta) as exp(-exp(x . beta + log H0(t))).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ __all__ = ["CoxModel", "fit_cox", "predict_curve_cox", "univariate_cox_pvalue",
 @dataclass(frozen=True)
 class CoxModel(SurvivalModel):
     """Fitted Cox model: coefficients plus the KP baseline curve S0, a
-    one-row `CurveBatch`."""
+    one-row `CurveBatch` in hazard form at eta = 0."""
 
     beta: np.ndarray
     baseline: CurveBatch
@@ -131,16 +133,25 @@ def _newton(risk):
     return fit
 
 
+@np.errstate(divide="ignore")
 def _kp_baseline(beta, risk) -> CurveBatch:
-    w = np.exp(risk.x @ beta)
+    eta = risk.x @ beta
+    w = np.exp(eta - eta.max())
+    censored = w.copy()
+    censored[risk.death_rows] = 0.0
     s0 = _suffix_sum(w)[risk.first]
-    wbar = np.add.reduceat(w[risk.death_rows], risk.tie_start) / risk.deaths
-    inner = 1.0 - risk.deaths * wbar / s0
-    # when every patient at risk dies the factor is exactly 0; rounding may
-    # leave inner at +1 ulp, which a large wbar would lift towards 1
-    inner[risk.first + risk.deaths == w.size] = 0.0
-    alphas = np.maximum(inner, 0.0) ** (1.0 / wbar)
-    return CurveBatch(risk.death_times, np.clip(np.cumprod(alphas), 0.0, 1.0), "step")
+    # the weight at risk that does not die at t_j, summed directly: the rows
+    # censored from t_j up to the next death time, and every row from there
+    # on; exactly 0 when everyone at risk dies, so that H0 = inf from t_j on
+    rest = np.add.reduceat(censored, risk.first) + np.append(s0[1:], 0.0)
+    share = np.add.reduceat(w[risk.death_rows], risk.tie_start) / s0
+    # -log(alpha_j) * wbar_j = -log(rest_j / s0_j), without cancellation
+    term = np.where(share <= 0.5, -np.log1p(-np.minimum(share, 0.5)), np.log(s0 / rest))
+    # -log(alpha_j) = (term / share) * d_j / s0_j; term / share tends to 1
+    # when the deaths' shifted weights underflow
+    per_share = np.divide(term, share, out=np.ones_like(share), where=share > 0)
+    log_h = np.log(per_share * risk.deaths / s0) - eta.max()
+    return CurveBatch(risk.death_times, np.logaddexp.accumulate(log_h), "step", eta=[0.0])
 
 
 def fit_cox(d: SurvivalDataset) -> CoxModel:
@@ -157,15 +168,11 @@ def fit_cox(d: SurvivalDataset) -> CoxModel:
 
 
 def predict_curve_cox(m: CoxModel, x) -> CurveBatch:
-    """S(t | x) = S0(t) ** exp(beta . x) at the baseline knots, as a batch in
-    power form (the baseline row and one exponent per row): a row per row
-    of the matrix x, one row for a feature vector.  A NaN feature cell is
-    refused, naming its row."""
-    x = np.asarray(x, dtype=float)
-    # x . beta > 709 overflows to +inf, a valid exponent: S = 0 below S0 = 1
-    with np.errstate(over="ignore"):
-        exponent = np.exp(x @ m.beta).reshape(-1)
-    return CurveBatch(m.baseline.knots, m.baseline.base, "step", exponent=exponent)
+    """S(t | x) = S0(t) ** exp(x . beta) at the baseline knots, in hazard
+    form with eta = x . beta: a row per row of the matrix x, one row for a
+    feature vector.  A NaN feature cell is refused, naming its row."""
+    eta = (np.asarray(x, dtype=float) @ m.beta).reshape(-1)
+    return CurveBatch(m.baseline.knots, m.baseline.base, "step", eta=eta)
 
 
 def univariate_cox_pvalue(d: SurvivalDataset, feature_index):

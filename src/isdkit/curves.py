@@ -11,9 +11,9 @@ curves at observed times are unchanged.
 Within a fold every model emits its curves on one shared knot vector, so
 the curves of a validation set are one `CurveBatch`: a knot vector plus a
 probability matrix with a row per patient (or a single row every patient
-shares, for Kaplan-Meier), or, for Cox-KP, one baseline row plus one
-exponent per patient.  A single curve is a one-row batch, so every
-function here has one evaluator and one extension path.
+shares, for Kaplan-Meier), or, for Cox-KP, one log cumulative hazard row
+plus one linear predictor per patient.  A single curve is a one-row batch,
+so every function here has one evaluator and one extension path.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
 
 FLAT_TOLERANCE = 1e-10  # S(t_max) > 1 - this counts as "never left 1"
 # rows per (rows x knots) table that a query on a batch builds at once, so a
-# batch in power form never holds a probability per patient and knot
+# batch in hazard form never holds a probability per patient and knot
 ROW_BLOCK = 32
 
 
@@ -47,12 +47,13 @@ class CurveBatch:
     """Survival curves on one shared knot vector.
 
     ``probs[i, j]`` is row i's probability at ``knots[j]``.  ``base`` holds
-    these probabilities as a (rows, m) matrix, or, with ``exponent`` given
-    (the power form of a Cox-KP batch), as one baseline row S0 that row i
-    raises to ``exponent[i]``: ``probs[i, j] = clip(S0[j] ** exponent[i],
-    0, 1)``.  A batch in power form keeps O(rows + m) floats; every query
-    builds its probabilities at most `ROW_BLOCK` rows at a time, and
-    ``probs`` builds the whole matrix anew on each read.
+    these probabilities as a (rows, m) matrix, or, with ``eta`` given (the
+    hazard form of a Cox-KP batch), as one row of the log cumulative
+    baseline hazard log H0 (-inf where H0 = 0) and one linear predictor
+    ``eta[i]`` per row: ``probs[i, j] = exp(-exp(eta[i] + base[0, j]))``.
+    A batch in hazard form keeps O(rows + m) floats; every query builds
+    its probabilities at most `ROW_BLOCK` rows at a time, and ``probs``
+    builds the whole matrix anew on each read.
 
     A batch has a row per patient, or one row that every patient shares;
     per-row results broadcast against the patients and are never copied
@@ -61,8 +62,8 @@ class CurveBatch:
     (right-continuous) or "linear".  The knots are non-negative and
     strictly increasing, and every survival curve starts at (0, 1): given
     a first knot past 0, the constructor prepends knot 0 with probability
-    1 to every row, so ``knots[0]`` is always 0.  Knots that start at 0
-    are kept as given.
+    1 (log H0 = -inf) to every row, so ``knots[0]`` is always 0.  Knots
+    that start at 0 are kept as given.
 
     ``zero_time`` and ``fallback`` (one entry per row) are set by
     `extend_linear`; a batch without them holds each row's last probability
@@ -74,7 +75,7 @@ class CurveBatch:
     interp: str = "step"
     zero_time: np.ndarray | None = None
     fallback: np.ndarray | None = None
-    exponent: np.ndarray | None = None
+    eta: np.ndarray | None = None
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -89,26 +90,28 @@ class CurveBatch:
         # each check is a positive condition, so that NaN fails it
         if not (knots[0] >= 0 and np.all(np.diff(knots) > 0)):
             raise ValueError("knot times must be non-negative and strictly increasing")
-        if not (np.all(base >= 0) and np.all(base <= 1)):
-            raise ValueError("survival probabilities must lie in [0, 1]")
-        if not np.all(np.diff(base, axis=1) <= 0):
-            raise ValueError("survival probabilities must be non-increasing")
         arrays = {}
         rows = base.shape[0]
-        if self.exponent is not None:
-            exponent = np.asarray(self.exponent, dtype=float)
-            if rows != 1 or exponent.ndim != 1:
-                raise ValueError("a batch in power form needs one baseline row and "
-                                 "exponents (rows,)")
-            # a non-negative exponent keeps every row in [0, 1] and non-increasing
-            if (bad := np.flatnonzero(~(exponent >= 0))).size:
-                raise ValueError(f"row {bad[0]}: exponent {exponent[bad[0]]} is not a "
-                                 "non-negative number")
-            arrays["exponent"] = exponent.copy() if exponent.flags.writeable else exponent
-            rows = exponent.size
+        if self.eta is None:
+            if not (np.all(base >= 0) and np.all(base <= 1)):
+                raise ValueError("survival probabilities must lie in [0, 1]")
+            if not np.all(np.diff(base, axis=1) <= 0):
+                raise ValueError("survival probabilities must be non-increasing")
+        else:
+            eta = np.asarray(self.eta, dtype=float)
+            if rows != 1 or eta.ndim != 1:
+                raise ValueError("a batch in hazard form needs one log H0 row and eta (rows,)")
+            # neighbours, not np.diff: -inf - -inf is NaN
+            if np.isnan(base).any() or not np.all(base[0, 1:] >= base[0, :-1]):
+                raise ValueError("log cumulative hazards must be non-decreasing numbers")
+            # an infinite eta would meet log H0 = -inf at the anchor in inf - inf
+            if (bad := np.flatnonzero(~np.isfinite(eta))).size:
+                raise ValueError(f"row {bad[0]}: eta {eta[bad[0]]} is not a finite number")
+            arrays["eta"] = eta.copy() if eta.flags.writeable else eta
+            rows = eta.size
         if knots[0] > 0:  # the (0, 1) anchor, in new arrays the batch owns
             knots = np.concatenate(([0.0], knots))
-            base = np.hstack((np.ones((base.shape[0], 1)), base))
+            base = np.hstack((np.full((len(base), 1), 1.0 if self.eta is None else -np.inf), base))
         else:  # copies of arrays the caller could still write to
             knots = knots.copy() if knots.flags.writeable else knots
             base = base.copy() if base.flags.writeable else base
@@ -126,45 +129,33 @@ class CurveBatch:
 
     @property
     def rows(self) -> int:
-        return int((self.base if self.exponent is None else self.exponent).shape[0])
+        return int((self.base if self.eta is None else self.eta).shape[0])
 
     @property
     def probs(self) -> np.ndarray:
-        """The (rows, m) probability matrix; a batch in power form builds it
+        """The (rows, m) probability matrix; a batch in hazard form builds it
         on each read."""
-        return self.base if self.exponent is None else self._probs(slice(None), slice(None))
+        return self.base if self.eta is None else self._probs(slice(None), slice(None))
 
     def _probs(self, rows, cols, out=None) -> np.ndarray:
         """``probs[rows, cols]`` without building ``probs``: ``rows`` and
         ``cols`` are index arrays (or ints) that broadcast together, or
         ``rows`` is a slice and ``cols`` an index array or slice, which
-        gives a (rows, cols) table.  The power form builds the table of a
-        row slice and every knot in ``out`` when given, the (2, rows, m)
-        scratch that `block_tables` reuses across blocks: the table is then
-        the leading rows of ``out[0]``, and the next block overwrites it.
-        A matrix batch returns a view of its rows.
-
-        The power form lays every cell out in contiguous arrays with its
-        own exponent for one ``np.power`` call, so each probability has
-        the same bits however the rows and knots are read: a scalar ``**``
-        rounds differently, numpy squares an exponent of exactly 2 (and
-        roots one of 0.5) that it reads with stride 0, which a broadcast
-        exponent may be, and a broadcast base takes another loop."""
-        if self.exponent is None:
+        gives a (rows, cols) table.  A matrix batch returns a view of its
+        rows.  The hazard form computes every cell as exp(-exp(eta + log
+        H0)), elementwise, so it has the same bits however the rows and
+        knots are read; the table of a row slice and every knot goes in the
+        leading rows of ``out`` when given, the scratch that `block_tables`
+        reuses across blocks, which the next block overwrites."""
+        if self.eta is None:
             return self.base[rows][:, cols] if isinstance(rows, slice) else self.base[rows, cols]
-        if isinstance(rows, slice):
-            b, r = self.base[0, cols], self.exponent[rows]
-            shape = (r.size, b.size)
-            # without `out`, two arrays, so that the table holds no tile alive
-            p, tile = (np.empty(shape), np.empty(shape)) if out is None else \
-                (out[0, :r.size], out[1, :r.size])
-            tile[...] = b
-            p[...] = r[:, None]
-            np.power(tile, p, out=p)
-        else:
-            b, r = np.broadcast_arrays(self.base[0, cols], self.exponent[rows])
-            p = np.power(b.ravel(), r.ravel()).reshape(b.shape)
-        return np.clip(p, 0.0, 1.0, out=p)
+        eta = self.eta[rows, None] if isinstance(rows, slice) else self.eta[rows]
+        p = np.add(eta, self.base[0, cols], out=None if out is None else out[:eta.shape[0]])
+        # a cumulative hazard past 1.8e308 overflows to inf, which reads S = 0
+        with np.errstate(over="ignore"):
+            if np.ndim(p) == 0:
+                return np.exp(-np.exp(p))
+            return np.exp(np.negative(np.exp(p, out=p), out=p), out=p)
 
     def row_blocks(self) -> list:
         """The rows as slices of at most `ROW_BLOCK` rows, the unit in which
@@ -177,12 +168,11 @@ class CurveBatch:
         """Yield (block, table) for each of `row_blocks`, the table being
         the block's (rows x knots) probabilities; with a row mask
         ``wanted``, only the blocks that hold one of its rows.  A batch in
-        power form builds every table in one buffer allocated up front,
+        hazard form builds every table in one buffer allocated up front,
         since tables above glibc's mmap threshold would otherwise map fresh
         pages for every block, so a table holds only until the next
         block."""
-        buf = None if self.exponent is None else \
-            np.empty((2, min(self.rows, ROW_BLOCK), self.knots.size))
+        buf = None if self.eta is None else np.empty((min(self.rows, ROW_BLOCK), self.knots.size))
         for block in self.row_blocks():
             if wanted is None or wanted[block].any():
                 yield block, self._probs(block, slice(None), out=buf)
@@ -202,16 +192,16 @@ class CurveBatch:
 
     def subset(self, indices) -> "CurveBatch":
         """The rows of the given patients (none gives a batch without rows);
-        a shared row stays shared, and a batch in power form keeps its
-        baseline row."""
+        a shared row stays shared, and a batch in hazard form keeps its
+        log H0 row."""
         if self.rows == 1:
             return self
         idx = np.asarray(indices)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
         take = (lambda a: None if a is None else a[idx])
-        base = self.base[idx] if self.exponent is None else self.base
-        return replace(self, base=base, exponent=take(self.exponent),
+        base = self.base[idx] if self.eta is None else self.base
+        return replace(self, base=base, eta=take(self.eta),
                        zero_time=take(self.zero_time), fallback=take(self.fallback))
 
     def segment_of(self, t) -> np.ndarray:
@@ -282,7 +272,7 @@ class CurveBatch:
     def _evaluate(self, t):
         # S at times t >= 0; see survival_at
         t = np.asarray(t, dtype=float)
-        if t.size and t.min() < 0:
+        if t.size and not t.min() >= 0:
             raise ValueError("survival curves are only defined for t >= 0")
         if self.rows == 1:
             values = self._line(0, self.segment_of(t), t)

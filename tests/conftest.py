@@ -1,5 +1,6 @@
 """Shared builders for curve and dataset fixtures."""
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,39 @@ def exact_score_test(values, times, events):
         u0 += sum(dead) - len(dead) * mean
         i0 += len(dead) * (sum(v * v for v in at_risk) / len(at_risk) - mean * mean)
     return u0, i0
+
+
+def exact_kp_hazard(x, beta, times, events):
+    """The distinct death times and the Kalbfleisch-Prentice cumulative
+    baseline hazard H0 at each, in 60-digit decimal arithmetic, one death
+    time at a time: H0 grows by -log(1 - q_j) / wbar_j, where q_j is the
+    deaths' share of the weight at risk; it is infinite from a death time
+    at which everyone at risk dies.  x . beta is exact in the float inputs.
+    For q_j <= 1/2, 1 - q_j is formed at a precision that keeps all 60
+    digits of q_j; past 1/2, 1 - q_j is the weight at risk that does not
+    die, summed directly, over the weight at risk."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rows = np.asarray(x, float).reshape(len(times), -1)
+        w = np.array([sum((Decimal(float(v)) * Decimal(float(b)) for v, b in zip(row, beta)),
+                          Decimal(0)).exp() for row in rows])
+        death_times, hazard, h0 = np.unique(times[events]), [], Decimal(0)
+        for t in death_times:
+            at_risk, dead = times >= t, (times == t) & events
+            s0, dead_sum = sum(w[at_risk], Decimal(0)), sum(w[dead], Decimal(0))
+            q = dead_sum / s0
+            if not (at_risk & ~dead).any():
+                h0 = Decimal("Infinity")
+            elif h0.is_finite():
+                if q > Decimal("0.5"):
+                    log_rest = (sum(w[at_risk & ~dead], Decimal(0)) / s0).ln()
+                else:
+                    with localcontext() as wide:
+                        wide.prec = 60 - q.adjusted()
+                        log_rest = (1 - q).ln()
+                h0 -= log_rest / (dead_sum / int(dead.sum()))
+            hazard.append(h0)
+    return death_times, hazard
 
 
 def scalar_cox_pvalue(d, feature_index):

@@ -108,6 +108,12 @@ class TestOneCalibrationDN:
         with pytest.raises(ValueError, match=r"2 NaN probability .*, the first at index 5"):
             one_calibration_dn(d, probs, tstar=25.0)
 
+    def test_a_nan_tstar_is_refused(self, rng):
+        # the within-bin KM curves read their tails at t* = NaN: a false rejection
+        d = dataset(rng.uniform(1, 50, 100), rng.random(100) < 0.7)
+        with pytest.raises(ValueError, match=r"t\* must be a time >= 0 \(got nan\)"):
+            one_calibration_dn(d, rng.uniform(0.01, 0.99, 100), tstar=np.nan)
+
     def test_all_censored_bin_names_the_bin(self):
         probs = np.array([0.9, 0.8, 0.2, 0.1])
         d = dataset([1, 2, 30, 40], [0, 0, 1, 1])
@@ -119,6 +125,17 @@ class TestBrier:
     def test_constant_half_scores_quarter(self):
         d = dataset([1, 5, 9, 20], [1, 1, 1, 1])
         assert brier_uncensored(d, [0.5] * 4, tstar=7.0) == 0.25
+
+    def test_uncensored_score_refuses_a_nan_tstar(self):
+        d = dataset([1, 5, 9, 20], [1, 1, 1, 1])
+        with pytest.raises(ValueError, match=r"t\* must be a time >= 0 \(got nan\)"):
+            brier_uncensored(d, [0.5] * 4, tstar=np.nan)
+
+    def test_censored_score_refuses_a_nan_tstar(self):
+        # every comparison with NaN is False, so the score once read 0.0
+        d = dataset([2.0, 4.0, 9.0], [1, 0, 1])
+        with pytest.raises(ValueError, match=r"t\* must be a time >= 0 \(got nan\)"):
+            brier_censored(d, [0.4] * 3, tstar=np.nan, g_hat=fit_censoring_km(d))
 
     def test_perfect_predictions_score_zero(self):
         d = dataset([1, 20], [1, 1])

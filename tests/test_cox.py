@@ -1,4 +1,5 @@
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from isdkit.curves import survival_at
 from isdkit.km import fit_km, km_at
 from isdkit.pipeline import preprocess
 
-from conftest import dataset, scalar_cox_fit, separates
+from conftest import dataset, exact_kp_hazard, scalar_cox_fit, separates
 
 
 def reference_partial(beta, x, times, events):
@@ -107,6 +108,82 @@ def test_kp_baseline_ends_at_zero_when_every_patient_at_risk_dies(times, x, beta
     times = np.array(times)
     risk = _RiskSets(np.array(x)[:, None], times, np.ones(times.size, dtype=bool))
     assert _kp_baseline(np.array([beta]), risk).probs[0, -1] == 0.0
+
+
+# |log H0 - log H0_exact|, the relative error of H0, that _kp_baseline may
+# make: x . beta and its shift are rounded once each, and every death time
+# adds a few roundings, in cohorts of at most a dozen rows
+KP_LOG_TOL = 1e-12
+
+
+def assert_matches_exact_kp(baseline, x, beta, times, events):
+    death_times, exact = exact_kp_hazard(x, beta, times, events)
+    np.testing.assert_array_equal(baseline.knots, np.r_[0.0, death_times])
+    log_h0 = baseline.base[0, 1:]
+    for got, want in zip(log_h0, exact):
+        if want.is_infinite():
+            assert got == np.inf
+        else:
+            assert abs(got - float(want.ln())) <= KP_LOG_TOL
+
+
+@st.composite
+def tied_cohorts(draw):
+    """(x, beta, times, events) of up to a dozen rows on four whole times,
+    with small integer features and |beta| up to 25, so that one death's
+    weight often dominates its risk set by e**150."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 2))
+    times = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
+    events = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    events[draw(st.integers(0, n - 1))] = True
+    x = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * k, max_size=n * k)),
+                 float).reshape(n, k)
+    beta = np.array(draw(st.lists(st.floats(-25.0, 25.0), min_size=k, max_size=k)))
+    return x, beta, times, events
+
+
+@given(tied_cohorts())
+@settings(max_examples=200, deadline=None)
+def test_kp_baseline_matches_the_exact_hazard_on_small_tied_cohorts(cohort):
+    x, beta, times, events = cohort
+    baseline = _kp_baseline(beta, _RiskSets(x, times, events))
+    assert_matches_exact_kp(baseline, x, beta, times, events)
+
+
+def test_kp_baseline_takes_a_linear_predictor_past_the_overflow_of_exp():
+    times = np.arange(1.0, 9.0)
+    events = np.array([1, 0, 1, 1, 0, 1, 0, 1], bool)
+    x = np.array([30.0, 29.5, 28.0, 31.0, 29.0, 30.5, 28.5, 29.8])[:, None]
+    beta = np.array([25.0])                     # x . beta from 700 to 775
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        baseline = _kp_baseline(beta, _RiskSets(x, times, events))
+    assert_matches_exact_kp(baseline, x, beta, times, events)
+
+
+def test_one_dominant_death_leaves_the_baseline_at_one():
+    # deaths at t = 1 and 2 only; row 0's weight dominates the first risk
+    # set, so 1 - d * wbar / s0 rounds to 0 although S0(1) = 1 - 2.8e-26
+    times = np.arange(1.0, 21.0)
+    events = times <= 2
+    raw = np.zeros(20)
+    raw[:2] = [3.0, 1.0]
+    x = ((raw - raw.mean()) / raw.std())[:, None]
+    model = fit_cox(dataset(times, events, x))
+    beta = model.beta
+    assert 15.0 < beta[0] < 15.3
+    _, exact = exact_kp_hazard(x, beta, times, events)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        # S_i(1) = exp(-H0(1) exp(x_i . beta)), and S0(1) at x . beta = 0
+        s0_at_1 = (-exact[0]).exp()
+        rows_at_1 = [(-exact[0] * (Decimal(float(v)) * Decimal(float(beta[0]))).exp()).exp()
+                     for v in x[:, 0]]
+    assert 1 - s0_at_1 < Decimal("1e-17")
+    assert all(1 - s < Decimal("1e-17") for s in rows_at_1[1:])
+    assert model.baseline.knots[1] == 1.0 and model.baseline.probs[0, 1] == 1.0
+    assert predict_curve_cox(model, x).probs[1:, 1].tolist() == [1.0] * 19
 
 
 class TestPartialLikelihood:

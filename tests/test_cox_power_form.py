@@ -1,7 +1,8 @@
-"""A Cox-KP batch in power form (one baseline row plus one exponent per
-patient) against the same curves stored as a full probability matrix.
+"""A Cox-KP batch in hazard form (one log H0 row plus one linear
+predictor eta per patient) against the same curves stored as a full
+probability matrix.
 
-Every query must give the same bits on both forms, and a fold in power
+Every query must give the same bits on both forms, and a fold in hazard
 form must hold no probability per patient and knot at once."""
 
 import tempfile
@@ -38,54 +39,49 @@ def bits(a):
 # ---------------------------------------------------------------------------
 # strategies
 
-def _exp(eta):
-    with np.errstate(over="ignore"):
-        return float(np.exp(eta))
-
-
-unit = st.floats(0.0, 1.0, allow_subnormal=False)
-# exp of x . beta: 0 (underflow), +inf (x . beta > 709) and values between
-exponents = st.one_of(st.sampled_from([0.0, 1.0, np.inf]),
-                      st.floats(-750.0, 750.0).map(_exp),
-                      st.floats(0.0, 20.0, allow_subnormal=False))
+# x . beta: 0, values far past the overflow of exp(eta) (709) and between
+etas = st.one_of(st.sampled_from([0.0, 838.0, -838.0]), st.floats(-750.0, 750.0),
+                 st.floats(-3.0, 3.0, allow_subnormal=False))
+log_hazards = st.floats(-40.0, 10.0, allow_subnormal=False)
 
 
 @st.composite
 def baselines(draw):
-    """Knots, possibly from 0, and a non-increasing baseline row: with tied
-    probabilities (flat stretches), or reaching 0 at one of its knots."""
+    """Knots, possibly from 0, and a non-decreasing log H0 row: with ties
+    (flat stretches), starting at -inf (H0 = 0) or ending at +inf (the
+    curves reach 0 at one of its knots)."""
     m = draw(st.integers(1, 8))
     knots = sorted(draw(st.lists(st.floats(0.1, 50.0, allow_subnormal=False),
                                  min_size=m, max_size=m, unique=True)))
     if draw(st.booleans()):
         knots[0] = 0.0
-    values = draw(st.lists(unit, min_size=1, max_size=m))
-    row = np.sort(np.resize(values, m))[::-1].copy()   # repeats give ties
+    values = draw(st.lists(log_hazards, min_size=1, max_size=m))
+    row = np.sort(np.resize(values, m))                # repeats give ties
     if draw(st.booleans()):
-        row[draw(st.integers(0, m - 1)):] = 0.0
+        row[:draw(st.integers(1, m))] = -np.inf
+    if draw(st.booleans()):
+        row[draw(st.integers(0, m - 1)):] = np.inf
     return np.array(knots), row
 
 
-def full_matrix(row, r):
-    """clip(S0 ** r[:, None], 0, 1) with an exponent per cell: broadcast
-    with stride 0, numpy's power squares an exponent of exactly 2 and
-    roots one of 0.5, depending on the matrix shape."""
-    base, exponent = (a.copy() for a in np.broadcast_arrays(row, r[:, None]))
-    return np.clip(base ** exponent, 0.0, 1.0)
+def full_matrix(row, eta):
+    """The probabilities of every row and knot, by plain broadcasting."""
+    with np.errstate(over="ignore"):
+        return np.exp(-np.exp(eta[:, None] + row[None, :]))
 
 
 @st.composite
 def both_forms(draw):
-    """(power form, matrix form, t0_km) of the same extended curves."""
+    """(hazard form, matrix form, t0_km) of the same extended curves."""
     knots, row = draw(baselines())
     # one row, a few, and more than one block of rows
     n = draw(st.sampled_from([1, 2, 5, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7]))
-    r = np.array(draw(st.lists(exponents, min_size=n, max_size=n)))
+    eta = np.array(draw(st.lists(etas, min_size=n, max_size=n)))
     interp = draw(st.sampled_from(["step", "linear"]))
     t0_km = draw(st.floats(51.0, 200.0))
-    power = CurveBatch(knots, row, interp, exponent=r)
-    matrix = CurveBatch(knots, full_matrix(row, r), interp)
-    return extend_linear(power, t0_km), extend_linear(matrix, t0_km), t0_km
+    hazard = CurveBatch(knots, row, interp, eta=eta)
+    matrix = CurveBatch(knots, full_matrix(row, eta), interp)
+    return extend_linear(hazard, t0_km), extend_linear(matrix, t0_km), t0_km
 
 
 def written_curves(batch, indices):
@@ -100,25 +96,25 @@ def written_curves(batch, indices):
 @given(both_forms(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_every_query_gives_the_bits_of_the_full_matrix(drawn, data):
-    power, matrix, t0_km = drawn
-    n = power.rows
-    assert power.rows == matrix.rows
-    assert bits(power.probs) == bits(matrix.probs)
-    assert bits(power.zero_time) == bits(matrix.zero_time)
-    assert power.fallback.tobytes() == matrix.fallback.tobytes()
-    assert bits(median_survival(power, t0_km)) == bits(median_survival(matrix, t0_km))
-    assert bits(mean_survival(power)) == bits(mean_survival(matrix))
+    hazard, matrix, t0_km = drawn
+    n = hazard.rows
+    assert hazard.rows == matrix.rows
+    assert bits(hazard.probs) == bits(matrix.probs)
+    assert bits(hazard.zero_time) == bits(matrix.zero_time)
+    assert hazard.fallback.tobytes() == matrix.fallback.tobytes()
+    assert bits(median_survival(hazard, t0_km)) == bits(median_survival(matrix, t0_km))
+    assert bits(mean_survival(hazard)) == bits(mean_survival(matrix))
 
     times = st.floats(0.0, 250.0, allow_subnormal=False)
     # queries on the knots and zero times (ties with a knot) and between them
-    grid = np.unique(np.concatenate((power.knots, power.zero_time[np.isfinite(power.zero_time)],
+    grid = np.unique(np.concatenate((hazard.knots, hazard.zero_time[np.isfinite(hazard.zero_time)],
                                      data.draw(st.lists(times, min_size=1, max_size=6)))))
     scalar = data.draw(st.sampled_from(grid.tolist()))
     own = data.draw(st.lists(st.sampled_from(grid.tolist()), min_size=n, max_size=n))
     for t in (scalar, np.array(own), grid[None, :]):
-        assert bits(survival_at(power, t)) == bits(survival_at(matrix, t))
+        assert bits(survival_at(hazard, t)) == bits(survival_at(matrix, t))
     for c in (scalar, np.array(own)):
-        assert bits(power.area_from(c)) == bits(matrix.area_from(c))
+        assert bits(hazard.area_from(c)) == bits(matrix.area_from(c))
 
     events = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     val = dataset(own, events)
@@ -127,17 +123,17 @@ def test_every_query_gives_the_bits_of_the_full_matrix(drawn, data):
     g_hat = fit_censoring_km(dataset(g_times, data.draw(
         st.lists(st.booleans(), min_size=len(g_times), max_size=len(g_times)))))
     tau = data.draw(st.floats(1.0, 80.0))
-    assert bits(integrated_brier(val, power, tau, g_hat)) == \
+    assert bits(integrated_brier(val, hazard, tau, g_hat)) == \
         bits(integrated_brier(val, matrix, tau, g_hat))
 
     indices = np.arange(n) * 3
-    assert written_curves(power, indices) == written_curves(matrix, indices)
+    assert written_curves(hazard, indices) == written_curves(matrix, indices)
 
     one = data.draw(st.integers(0, n - 1))
     many = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2 * n))
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     for idx in ([one], many, mask):
-        a, b = power.subset(idx), matrix.subset(idx)
+        a, b = hazard.subset(idx), matrix.subset(idx)
         assert a.rows == b.rows
         assert bits(a.probs) == bits(b.probs)
         assert bits(a.zero_time) == bits(b.zero_time)
@@ -157,18 +153,18 @@ def test_a_fitted_fold_with_tied_death_times_gives_the_bits_of_the_full_matrix()
     model = fit_cox(train)
     assert np.unique(train.times[train.events]).size < train.events.sum()   # ties
     t0_km = float(extend_linear(fit_km(train).curve).zero_time[0])
-    r = np.exp(val.feature_matrix() @ model.beta)
-    power = extend_linear(predict_curve_cox(model, val.feature_matrix()), t0_km)
+    eta = val.feature_matrix() @ model.beta
+    hazard = extend_linear(predict_curve_cox(model, val.feature_matrix()), t0_km)
     matrix = extend_linear(CurveBatch(model.baseline.knots,
-                                      full_matrix(model.baseline.probs[0], r)), t0_km)
+                                      full_matrix(model.baseline.base[0], eta)), t0_km)
     g_hat, tau = fit_censoring_km(train), float(times.max())
-    assert bits(power.probs) == bits(matrix.probs)
-    assert bits(power.zero_time) == bits(matrix.zero_time)
-    assert bits(median_survival(power, t0_km)) == bits(median_survival(matrix, t0_km))
+    assert bits(hazard.probs) == bits(matrix.probs)
+    assert bits(hazard.zero_time) == bits(matrix.zero_time)
+    assert bits(median_survival(hazard, t0_km)) == bits(median_survival(matrix, t0_km))
     grid = np.array([0.0, 1.0, 3.0, 7.0, 30.0])[None, :]
-    assert bits(survival_at(power, grid)) == bits(survival_at(matrix, grid))
-    assert bits(survival_at(power, val.times)) == bits(survival_at(matrix, val.times))
-    assert bits(integrated_brier(val, power, tau, g_hat)) == \
+    assert bits(survival_at(hazard, grid)) == bits(survival_at(matrix, grid))
+    assert bits(survival_at(hazard, val.times)) == bits(survival_at(matrix, val.times))
+    assert bits(integrated_brier(val, hazard, tau, g_hat)) == \
         bits(integrated_brier(val, matrix, tau, g_hat))
 
 
@@ -177,31 +173,37 @@ def test_a_nan_feature_cell_is_refused_naming_its_row():
     x = rng.standard_normal((40, 2))
     model = fit_cox(dataset(rng.exponential(10.0, 40), rng.random(40) < 0.8, x))
     x[[6, 11], [1, 0]] = np.nan
-    with pytest.raises(ValueError, match=r"^row 6: exponent nan is not a non-negative"):
+    with pytest.raises(ValueError, match=r"^row 6: eta nan is not a finite number"):
         predict_curve_cox(model, x)
-    with pytest.raises(ValueError, match=r"^row 0: exponent nan"):
+    with pytest.raises(ValueError, match=r"^row 0: eta nan"):
         predict_curve_cox(model, x[6])
 
 
 def test_an_overflowing_exponent_reads_zero_below_the_first_knot_under_one():
-    # x . beta = 800 overflows exp to +inf, a valid exponent: S = 0 wherever S0 < 1
+    # x . beta = 838 overflows exp(x . beta) past 1.8e308: S = 0 wherever S0 < 1
     rng = np.random.default_rng(7)
     x = rng.standard_normal((40, 2))
     model = fit_cox(dataset(rng.exponential(10.0, 40), rng.random(40) < 0.8, x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        probs = predict_curve_cox(model, [800.0 / model.beta[0], 0.0]).probs[0]
+        probs = predict_curve_cox(model, [838.0 / model.beta[0], 0.0]).probs[0]
     below = model.baseline.probs[0] < 1.0
     assert below.any() and not below.all()
     assert probs[below].tolist() == [0.0] * below.sum()
     assert probs[~below].tolist() == [1.0] * (~below).sum()
 
 
-def test_a_negative_exponent_and_a_matrix_base_are_refused():
-    with pytest.raises(ValueError, match=r"^row 1: exponent -1.0"):
-        CurveBatch([1.0, 2.0], [0.9, 0.5], exponent=[0.5, -1.0])
-    with pytest.raises(ValueError, match="one baseline row"):
-        CurveBatch([1.0, 2.0], [[0.9, 0.5], [0.8, 0.4]], exponent=[0.5, 1.0])
+def test_a_matrix_base_and_a_bad_log_hazard_row_are_refused():
+    with pytest.raises(ValueError, match="one log H0 row"):
+        CurveBatch([1.0, 2.0], [[-2.0, 0.5], [-1.0, 0.4]], eta=[0.5, 1.0])
+    for row in ([0.5, -2.0], [np.nan], [-np.inf, np.nan], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="non-decreasing numbers"):
+            CurveBatch(np.arange(1.0, len(row) + 1), row, eta=[0.0])
+    with pytest.raises(ValueError, match=r"^row 1: eta inf is not a finite number"):
+        CurveBatch([1.0, 2.0], [-2.0, 0.5], eta=[0.5, np.inf])
+    # every end is valid: H0 = 0 and H0 = inf read 1 and 0
+    batch = CurveBatch([1.0, 2.0], [-np.inf, np.inf], eta=[-750.0, 750.0])
+    assert batch.probs.tolist() == [[1.0, 1.0, 0.0]] * 2
 
 
 # ---------------------------------------------------------------------------

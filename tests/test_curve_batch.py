@@ -321,16 +321,18 @@ def test_ibs_of_a_batch_that_is_not_extended_holds_its_last_probability(data, g_
     g_probs = g_hat.curve.probs[0]
     if (g_probs <= 0).any() and g_hat.curve.knots[np.argmax(g_probs <= 0)] == 0:
         return
-    form = data.draw(st.sampled_from(["shared", "rows", "power"]))
+    form = data.draw(st.sampled_from(["shared", "rows", "hazard"]))
     extended, _ = data.draw(batches(rows=1 if form != "rows" else n))
     knots, probs, interp = extended.knots, extended.probs, extended.interp
-    exponent = None
-    if form == "power":
-        exponent = np.array(data.draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n)))
+    eta = None
+    if form == "hazard":
+        eta = np.array(data.draw(st.lists(st.floats(-3.0, 1.5), min_size=n, max_size=n)))
+        with np.errstate(divide="ignore"):
+            probs = np.log(-np.log(probs))         # the log H0 row of S0
         interp = "step"
-    plain = CurveBatch(knots, probs, interp, exponent=exponent)
+    plain = CurveBatch(knots, probs, interp, eta=eta)
     held = extend_linear(CurveBatch(np.append(knots, 100.0), np.hstack((probs, probs[:, -1:])),
-                                    interp, exponent=exponent), 200.0)
+                                    interp, eta=eta), 200.0)
     curves = per_row(held) * (n if form == "shared" else 1)
     value = integrated_brier(dataset(times, events), plain, tau, g_hat)
     assert value == pytest.approx(ref_ibs(times, events, curves, tau, g_hat), rel=TOL, abs=TOL)
@@ -386,13 +388,16 @@ def _far_batches():
     rows = np.vstack([*falling, np.ones(knots.size)])   # the last row is flat at 1
     rows[4, 5:] = 0.0                                   # and one reaches 0
     t0_km = _FAR + 17.0
-    exponent = np.append(rng.uniform(0.2, 3.0, 9), 0.0)
+    # the last row's H0 underflows, so it is flat at 1
+    eta = np.append(np.log(rng.uniform(0.2, 3.0, 9)), -800.0)
+    log_h0 = np.log(-np.log(falling[0][1:]))
     return {"step": extend_linear(CurveBatch(knots, rows, "step"), t0_km),
             "linear": extend_linear(CurveBatch(knots, rows, "linear"), t0_km),
-            "power": extend_linear(CurveBatch(knots, falling[0], exponent=exponent), t0_km)}
+            "hazard": extend_linear(CurveBatch(knots, np.append(-np.inf, log_h0), eta=eta),
+                                    t0_km)}
 
 
-@pytest.mark.parametrize("kind", ["step", "linear", "power"])
+@pytest.mark.parametrize("kind", ["step", "linear", "hazard"])
 def test_ibs_keeps_its_precision_far_from_time_zero(kind):
     batch = _far_batches()[kind]
     times = _FAR + np.array([0.375, 1.5, 2.25, 3.0, 5.125, 7.75, 9.5, 15.25, 16.5, 18.0])

@@ -51,6 +51,11 @@ class TestSurvivalAt:
         with pytest.raises(ValueError):
             survival_at(step_curve([1.0], [0.5]), -1.0)
 
+    def test_a_nan_time_is_refused(self):
+        # it once read the tail value, since nan < 0 is False
+        with pytest.raises(ValueError, match="t >= 0"):
+            survival_at(step_curve([1.0], [0.5]), [2.0, np.nan])
+
 
 class TestExtendLinear:
     def test_last_knot_slope_solution(self):

@@ -25,6 +25,11 @@ class TestFitKm:
         assert km_at(km, 4.99) == 1.0
         assert km_at(km, 5.0) == 0.0
 
+    def test_a_nan_time_is_refused(self):
+        km = fit_km(dataset([2, 3, 5], [1, 0, 1]))
+        with pytest.raises(ValueError, match="t >= 0"):
+            km_at(km, np.nan)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             fit_km(dataset([], []))

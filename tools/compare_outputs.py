@@ -21,15 +21,17 @@ and the tree's own ``src/`` on ``PYTHONPATH``:
 The manifest uses the command line, a stable interface, so it also runs on
 a revision whose Python API differs.  Each command's exit code, stdout and
 stderr are kept beside its output files.  Every file is then reported as
-equal or different; for a CSV that differs, the largest absolute and
-relative difference over its numeric cells is given.  The exit code is 0
-only if every file is equal, 1 if any differs and 2 on a usage or git error.
+equal or different; for a CSV or JSON file that differs, the largest
+absolute and relative difference over its numbers is given.  The exit
+code is 0 only if every file is equal, 1 if any differs and 2 on a usage
+or git error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import subprocess
@@ -122,33 +124,70 @@ def run_manifest(tree: Path, out: Path, steps, inputs: Path) -> None:
             encoding="utf-8")
 
 
+def _size(pairs, notes) -> str:
+    """The largest absolute and relative difference over `pairs` of
+    numbers, followed by `notes`."""
+    max_abs, max_rel = 0.0, 0.0
+    for u, v in pairs:
+        if u == v or (math.isnan(u) and math.isnan(v)):
+            continue
+        gap = abs(u - v)
+        max_abs = max(max_abs, gap)
+        max_rel = max(max_rel, gap / max(abs(u), abs(v)))
+    return "; ".join([f"max abs {max_abs:.3g}, max rel {max_rel:.3g}", *notes])
+
+
 def _csv_difference(a: Path, b: Path) -> str:
     """What differs between two CSV files: the largest absolute and
     relative difference over cell pairs that are both numbers, and whether
     the shapes or any text cells differ."""
     with open(a, encoding="utf-8", newline="") as fa, open(b, encoding="utf-8", newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
-    notes, max_abs, max_rel = [], 0.0, 0.0
+    notes, pairs = [], []
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         notes.append(f"shape {len(rows_a)} rows vs {len(rows_b)} rows")
     text = False
     for row_a, row_b in zip(rows_a, rows_b):
         for x, y in zip(row_a, row_b):
-            if x == y:
-                continue
             try:
-                u, v = float(x), float(y)
+                pairs.append((float(x), float(y)))
             except ValueError:
-                text = True
-                continue
-            if math.isnan(u) and math.isnan(v):
-                continue
-            gap = abs(u - v)
-            max_abs = max(max_abs, gap)
-            max_rel = max(max_rel, gap / max(abs(u), abs(v)) if gap else 0.0)
+                text |= x != y
     if text:
         notes.append("text cells differ")
-    return "; ".join([f"max abs {max_abs:.3g}, max rel {max_rel:.3g}", *notes])
+    return _size(pairs, notes)
+
+
+def _json_pairs(x, y, pairs, notes) -> None:
+    """Walk two parsed JSON values side by side: collect the pairs of
+    numbers in `pairs` and what else differs in the set `notes`."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        if x.keys() != y.keys():
+            notes.add("keys differ")
+        for key in x.keys() & y.keys():
+            _json_pairs(x[key], y[key], pairs, notes)
+    elif isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            notes.add("list lengths differ")
+        for u, v in zip(x, y):
+            _json_pairs(u, v, pairs, notes)
+    elif all(isinstance(z, (int, float)) and not isinstance(z, bool) for z in (x, y)):
+        pairs.append((float(x), float(y)))
+    elif x != y:
+        notes.add("other values differ")
+
+
+def _json_difference(a: Path, b: Path) -> str:
+    """What differs between two JSON files: the largest absolute and
+    relative difference over the numbers at the same place in both, and
+    whether keys, list lengths or other values differ."""
+    pairs, notes = [], set()
+    _json_pairs(json.loads(a.read_text(encoding="utf-8")),
+                json.loads(b.read_text(encoding="utf-8")), pairs, notes)
+    return _size(pairs, sorted(notes))
+
+
+DIFFERENCES = {".csv": _csv_difference, ".json": _json_difference}
 
 
 def compare_dirs(a: Path, b: Path) -> tuple:
@@ -162,8 +201,8 @@ def compare_dirs(a: Path, b: Path) -> tuple:
             lines.append(f"only in {'first' if rel in files_a else 'second'}  {rel}")
         elif (a / rel).read_bytes() == (b / rel).read_bytes():
             equal += 1
-        elif rel.suffix == ".csv":
-            lines.append(f"different  {rel}  ({_csv_difference(a / rel, b / rel)})")
+        elif rel.suffix in DIFFERENCES:
+            lines.append(f"different  {rel}  ({DIFFERENCES[rel.suffix](a / rel, b / rel)})")
         else:
             lines.append(f"different  {rel}")
     total = len(files_a | files_b)
