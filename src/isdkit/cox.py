@@ -133,7 +133,19 @@ def _newton(risk):
     return fit
 
 
-@np.errstate(divide="ignore")
+def _log_hazard_steps(share, log_kept, deaths, s0):
+    """log of each death time's step of H0, in units of the weights'
+    shift, from the deaths' share of the weight at risk s0 and log_kept =
+    log(s0 / the weight at risk that does not die)."""
+    # -log(alpha_j) * wbar_j = -log(rest_j / s0_j), without cancellation
+    term = np.where(share <= 0.5, -np.log1p(-np.minimum(share, 0.5)), log_kept)
+    # -log(alpha_j) = (term / share) * d_j / s0_j; term / share tends to 1
+    # when the deaths' shifted weights underflow
+    per_share = np.divide(term, share, out=np.ones_like(share), where=share > 0)
+    return np.log(per_share * deaths / s0)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _kp_baseline(beta, risk) -> CurveBatch:
     eta = risk.x @ beta
     w = np.exp(eta - eta.max())
@@ -145,12 +157,25 @@ def _kp_baseline(beta, risk) -> CurveBatch:
     # on; exactly 0 when everyone at risk dies, so that H0 = inf from t_j on
     rest = np.add.reduceat(censored, risk.first) + np.append(s0[1:], 0.0)
     share = np.add.reduceat(w[risk.death_rows], risk.tie_start) / s0
-    # -log(alpha_j) * wbar_j = -log(rest_j / s0_j), without cancellation
-    term = np.where(share <= 0.5, -np.log1p(-np.minimum(share, 0.5)), np.log(s0 / rest))
-    # -log(alpha_j) = (term / share) * d_j / s0_j; term / share tends to 1
-    # when the deaths' shifted weights underflow
-    per_share = np.divide(term, share, out=np.ones_like(share), where=share > 0)
-    log_h = np.log(per_share * risk.deaths / s0) - eta.max()
+    log_h = _log_hazard_steps(share, np.log(s0 / rest), risk.deaths, s0) - eta.max()
+    # a risk set far below the fold's largest x . beta, or whose survivors
+    # are far below its deaths, underflows under that one shift (0 / 0, or
+    # H0 = inf), or keeps only the digits of a subnormal sum; its sums are
+    # taken again in logs, each term shifted by the larger of the two it
+    # adds, as np.logaddexp does
+    tiny = np.finfo(float).tiny
+    survivors = risk.x.shape[0] - risk.first > risk.deaths
+    redo = (s0 < tiny) | ((rest < tiny) & survivors)
+    if redo.any():
+        dead = np.zeros(eta.size, dtype=bool)
+        dead[risk.death_rows] = True
+        log_s0 = np.logaddexp.accumulate(eta[::-1])[::-1][risk.first]
+        log_rest = np.logaddexp(
+            np.logaddexp.reduceat(np.where(dead, -np.inf, eta), risk.first),
+            np.append(log_s0[1:], -np.inf))
+        log_dead = np.logaddexp.reduceat(eta[risk.death_rows], risk.tie_start)
+        log_h[redo] = (_log_hazard_steps(np.exp(log_dead - log_s0), log_s0 - log_rest,
+                                         risk.deaths, 1.0) - log_s0)[redo]
     return CurveBatch(risk.death_times, np.logaddexp.accumulate(log_h), "step", eta=[0.0])
 
 
@@ -194,9 +219,8 @@ def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
     array of p-values, fitted together by one lockstep Newton run.
     """
     if isinstance(feature_index, (int, np.integer)):
-        return float(_wald_pvalues(d.values[:, [feature_index]], d.times, d.events)[0])
-    idx = np.asarray(feature_index, dtype=np.intp)
-    return _wald_pvalues(d.values[:, idx], d.times, d.events)
+        return float(_wald_pvalues(d.values, [feature_index], d.times, d.events)[0])
+    return _wald_pvalues(d.values, np.asarray(feature_index, dtype=np.intp), d.times, d.events)
 
 
 # columns are fitted in blocks of at most this many cells: each working array
@@ -213,19 +237,20 @@ _BLOCK_CELLS = 1 << 15
 _BETA_BOUND = 10.0
 
 
-def _wald_pvalues(x, times, events):
-    """Wald (or score) p-values of every column of `x` (NaN = missing) as a
-    univariate Cox covariate; rows share one time order."""
+def _wald_pvalues(x, columns, times, events):
+    """Wald (or score) p-values of the `columns` of `x` (NaN = missing), each
+    as a univariate Cox covariate; rows share one time order.  The columns
+    are gathered a block at a time, never all at once."""
     order = np.argsort(times, kind="stable")
     ts, es = times[order], events[order]
-    p = np.ones(x.shape[1])
+    p = np.ones(len(columns))
     if not es.any():                       # no risk set: nothing to test
         return p
     block = max(1, _BLOCK_CELLS // ts.size)
-    for start in range(0, x.shape[1], block):
+    for start in range(0, len(columns), block):
         # np.take gives C-contiguous time-sorted rows, one per column
         p[start:start + block] = _wald_block(
-            np.take(x[:, start:start + block].T, order, axis=1), ts, es)
+            np.take(x[:, columns[start:start + block]].T, order, axis=1), ts, es)
     return p
 
 

@@ -97,11 +97,24 @@ def _indicators(cells: np.ndarray, levels: list) -> list:
     return [np.where(missing, np.nan, keys == lvl) for lvl in levels]
 
 
-def _is_single_valued(present: np.ndarray) -> bool:
+def _with_indicators(x: np.ndarray, indicators: list) -> np.ndarray:
+    """`x` with the indicator columns appended: column k + i of the result
+    is indicators[i], for x of k columns."""
+    return np.column_stack([x, *indicators]) if indicators else x
+
+
+def _dropped(x: np.ndarray) -> np.ndarray:
+    """Whether each column of `x` (NaN = missing) is over 25% missing or
+    single-valued, by the rule that `preprocess` applies to the str() of a
+    nominal column's cells."""
+    missing = np.isnan(x)
+    # every present cell holds the bits of its column's first present cell:
     # distinct finite floats have distinct reprs (0.0 and -0.0 too), so
-    # comparing bit patterns counts the distinct str(value)s
-    bits = present.view(np.uint64)
-    return bool(np.all(bits == bits[:1]))
+    # this counts the distinct str(value)s
+    bits = x.view(np.uint64)
+    first = bits[missing.argmin(axis=0), np.arange(x.shape[1])] if x.size else 0
+    # m > n / 4 exactly when the float m / n > 0.25 (for n < 2**53)
+    return ((bits == first) | missing).all(axis=0) | (missing.sum(axis=0) > 0.25 * len(x))
 
 
 def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
@@ -118,30 +131,32 @@ def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
     kept column, and a FitError when no feature survives the filter
     (consider relaxing p_cut).
     """
-    n_train = len(train)
     x_t, x_v = train.values, validate.values
-    dropped = []
-    names, cols_t, cols_v, encoded = [], [], [], {}
-    for j, name in enumerate(train.feature_names):
-        cells = train.raw_columns.get(j)
-        if cells is None:
-            present = x_t[~np.isnan(x_t[:, j]), j]
-            single = _is_single_valued(present)
-        else:
-            present = [v for v in cells if v is not None]
-            single = len(set(map(str, present))) <= 1
-        if n_train == 0 or (n_train - len(present)) / n_train > 0.25 or single:
-            dropped.append(name)
-        elif cells is None or not any(isinstance(v, str) for v in present):
+    n_train, k = x_t.shape
+    drop = _dropped(x_t)
+    levels_of = {}
+    for j, cells in train.raw_columns.items():
+        present = [v for v in cells if v is not None]
+        drop[j] = (n_train - len(present) > 0.25 * n_train
+                   or len(set(map(str, present))) <= 1)
+        if not drop[j] and any(isinstance(v, str) for v in present):
+            levels_of[j] = sorted({str(v) for v in present})
+
+    # each candidate's column in `_with_indicators` of the training and
+    # validation matrices and their indicator columns
+    names, src, encoded, ind_t, ind_v = [], [], {}, [], []
+    for j in np.flatnonzero(~drop).tolist():
+        name = train.feature_names[j]
+        if j not in levels_of:
             names.append(name)
-            cols_t.append(x_t[:, j])
-            cols_v.append(x_v[:, j])
-        else:
-            levels = sorted({str(v) for v in present})
-            encoded[name] = tuple(f"{name}={lvl}" for lvl in levels)
-            names.extend(encoded[name])
-            cols_t.extend(_indicators(cells, levels))
-            cols_v.extend(_indicators(_cells(validate, j), levels))
+            src.append(j)
+            continue
+        levels = levels_of[j]
+        encoded[name] = tuple(f"{name}={lvl}" for lvl in levels)
+        names.extend(encoded[name])
+        src.extend(range(k + len(ind_t), k + len(ind_t) + len(levels)))
+        ind_t.extend(_indicators(train.raw_columns[j], levels))
+        ind_v.extend(_indicators(_cells(validate, j), levels))
     for nominal, indicators in encoded.items():
         for name in indicators:
             if names.count(name) > 1:
@@ -151,7 +166,8 @@ def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
 
     p_values = {}
     if names:
-        candidate = train.with_features(np.column_stack(cols_t), names)
+        # the gathered matrix is freed once with_features has copied it
+        candidate = train.with_features(_with_indicators(x_t, ind_t)[:, src], names)
         p = univariate_cox_pvalue(candidate, range(len(names)))
         p_values = dict(zip(names, p.tolist()))
     selected_idx = [j for j, name in enumerate(names) if p_values[name] <= p_cut]
@@ -162,34 +178,31 @@ def preprocess(train: SurvivalDataset, validate: SurvivalDataset,
         )
 
     selected_names = tuple(names[j] for j in selected_idx)
-    means, scales = {}, {}
-    out_train, out_val = [], []
-    for j in selected_idx:
-        name = names[j]
-        col_t, col_v = np.array(cols_t[j]), np.array(cols_v[j])
-        mean_impute = float(np.nanmean(col_t))
-        col_t = np.where(np.isnan(col_t), mean_impute, col_t)
-        col_v = np.where(np.isnan(col_v), mean_impute, col_v)
-        mu = float(col_t.mean())
-        sd = float(col_t.std())
-        if sd == 0.0:
-            sd = 1.0
-        means[name] = mean_impute
-        scales[name] = (mu, sd)
-        out_train.append((col_t - mu) / sd)
-        out_val.append((col_v - mu) / sd)
+    # one (selected x rows) block per fold: np.take keeps each row
+    # C-contiguous, so its nanmean, mean and std take the pairwise sums that
+    # one column of its own would
+    block_t = np.take(candidate.values.T, selected_idx, axis=0)
+    block_v = np.take(_with_indicators(x_v, ind_v).T, [src[j] for j in selected_idx], axis=0)
+    means = np.nanmean(block_t, axis=1)
+    for block in (block_t, block_v):
+        np.copyto(block, means[:, None], where=np.isnan(block))
+    mu, sd = block_t.mean(axis=1), block_t.std(axis=1)
+    sd[sd == 0.0] = 1.0
+    for block in (block_t, block_v):
+        block -= mu[:, None]
+        block /= sd[:, None]
 
     report = PreprocessReport(
-        dropped_missing=tuple(dropped),
+        dropped_missing=tuple(name for name, gone in zip(train.feature_names, drop) if gone),
         encoded=encoded,
         selected=selected_names,
         p_values=p_values,
-        imputation_means=means,
-        standardization=scales,
+        imputation_means=dict(zip(selected_names, means.tolist())),
+        standardization=dict(zip(selected_names, zip(mu.tolist(), sd.tolist()))),
     )
     return (
-        train.with_features(np.column_stack(out_train), selected_names),
-        validate.with_features(np.column_stack(out_val), selected_names),
+        train.with_features(block_t.T, selected_names),
+        validate.with_features(block_v.T, selected_names),
         report,
     )
 
@@ -265,9 +278,10 @@ def _fit_predict(name: str, raw_train: SurvivalDataset, raw_val: SurvivalDataset
     if name != "km" and raw_train.feature_names:
         train, val, _ = preprocess(raw_train, raw_val)
 
-    train_km_ext = extend_linear(fit_km(train).curve)
+    train_km = fit_km(train)
+    train_km_ext = extend_linear(train_km.curve)
     if name == "km":
-        model = KaplanMeierModel.fit(train)
+        model = KaplanMeierModel(train_km)
     elif name == "cox-kp":
         model = fit_cox(train)
     elif name in ("aft-weibull", "mtlr"):

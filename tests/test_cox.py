@@ -128,16 +128,17 @@ def assert_matches_exact_kp(baseline, x, beta, times, events):
 
 
 @st.composite
-def tied_cohorts(draw):
+def tied_cohorts(draw, x_max=3):
     """(x, beta, times, events) of up to a dozen rows on four whole times,
-    with small integer features and |beta| up to 25, so that one death's
-    weight often dominates its risk set by e**150."""
+    with integer features up to `x_max` in size and |beta| up to 25, so
+    that one death's weight often dominates its risk set by e**150 (by
+    e**2000 at x_max = 40)."""
     n = draw(st.integers(2, 12))
     k = draw(st.integers(1, 2))
     times = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
     events = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     events[draw(st.integers(0, n - 1))] = True
-    x = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * k, max_size=n * k)),
+    x = np.array(draw(st.lists(st.integers(-x_max, x_max), min_size=n * k, max_size=n * k)),
                  float).reshape(n, k)
     beta = np.array(draw(st.lists(st.floats(-25.0, 25.0), min_size=k, max_size=k)))
     return x, beta, times, events
@@ -149,6 +150,36 @@ def test_kp_baseline_matches_the_exact_hazard_on_small_tied_cohorts(cohort):
     x, beta, times, events = cohort
     baseline = _kp_baseline(beta, _RiskSets(x, times, events))
     assert_matches_exact_kp(baseline, x, beta, times, events)
+
+
+@given(tied_cohorts(x_max=40))
+@settings(max_examples=200, deadline=None)
+def test_kp_baseline_matches_the_exact_hazard_past_the_underflow_of_exp(cohort):
+    # x . beta spreads over up to 2000, so that under the fold's largest
+    # x . beta the weights of a later risk set, or of a risk set's
+    # survivors, underflow to 0
+    x, beta, times, events = cohort
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        baseline = _kp_baseline(beta, _RiskSets(x, times, events))
+    assert_matches_exact_kp(baseline, x, beta, times, events)
+
+
+def test_kp_baseline_survives_weights_that_underflow_under_one_shift():
+    # x . beta is 800 on row 0 and 0 elsewhere: the survivors of t = 1 and
+    # every later risk set weigh e**-800 against row 0, which reads 0 when
+    # every weight is shifted by 800 (H0 = inf from t = 1, 0 / 0 from t = 3)
+    times = np.arange(1.0, 9.0)
+    events = np.isin(times, [1.0, 3.0, 4.0, 6.0, 8.0])
+    x = np.zeros((8, 1))
+    x[0] = 40.0
+    beta = np.array([20.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        baseline = _kp_baseline(beta, _RiskSets(x, times, events))
+    assert_matches_exact_kp(baseline, x, beta, times, events)
+    np.testing.assert_allclose(baseline.base[0, 1:5], [-793.318, -1.702, -0.903, -0.210],
+                               atol=1e-3)
 
 
 def test_kp_baseline_takes_a_linear_predictor_past_the_overflow_of_exp():

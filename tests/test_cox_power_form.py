@@ -250,7 +250,7 @@ def test_the_univariate_filter_works_in_cache_sized_blocks():
     times, events = rng.exponential(10.0, 1600), rng.random(1600) < 0.7
     tracemalloc.start()
     try:
-        cox._wald_pvalues(x, times, events)
+        cox._wald_pvalues(x, range(100), times, events)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,15 +1,25 @@
+import importlib.util
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isdkit.core import FitError, Instance, SurvivalDataset
-from isdkit.cox import fit_cox
+from isdkit.cox import fit_cox, univariate_cox_pvalue
 from isdkit.curves import extend_linear, median_survival
 from isdkit.km import fit_km
 from isdkit.pipeline import (
     MODEL_NAMES,
     CohortConfig,
     ExperimentConfig,
+    PreprocessReport,
+    _cells,
     _fit_predict,
+    _indicators,
     _score_fold,
     fold_indices,
     preprocess,
@@ -236,6 +246,174 @@ class TestPreprocessEquivalence:
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(val_a.feature_matrix(), val_b.feature_matrix(),
                                    rtol=1e-12, atol=1e-12)
+
+
+def _is_single_valued(present: np.ndarray) -> bool:
+    # distinct finite floats have distinct reprs (0.0 and -0.0 too), so
+    # comparing bit patterns counts the distinct str(value)s
+    bits = present.view(np.uint64)
+    return bool(np.all(bits == bits[:1]))
+
+
+def per_column_preprocess(train, validate, p_cut=0.10):
+    """`preprocess` one column at a time, the per-column rule: the bitwise
+    reference for its whole-matrix form."""
+    n_train = len(train)
+    x_t, x_v = train.values, validate.values
+    dropped = []
+    names, cols_t, cols_v, encoded = [], [], [], {}
+    for j, name in enumerate(train.feature_names):
+        cells = train.raw_columns.get(j)
+        if cells is None:
+            present = x_t[~np.isnan(x_t[:, j]), j]
+            single = _is_single_valued(present)
+        else:
+            present = [v for v in cells if v is not None]
+            single = len(set(map(str, present))) <= 1
+        if n_train == 0 or (n_train - len(present)) / n_train > 0.25 or single:
+            dropped.append(name)
+        elif cells is None or not any(isinstance(v, str) for v in present):
+            names.append(name)
+            cols_t.append(x_t[:, j])
+            cols_v.append(x_v[:, j])
+        else:
+            levels = sorted({str(v) for v in present})
+            encoded[name] = tuple(f"{name}={lvl}" for lvl in levels)
+            names.extend(encoded[name])
+            cols_t.extend(_indicators(cells, levels))
+            cols_v.extend(_indicators(_cells(validate, j), levels))
+
+    p_values = {}
+    if names:
+        candidate = train.with_features(np.column_stack(cols_t), names)
+        p = univariate_cox_pvalue(candidate, range(len(names)))
+        p_values = dict(zip(names, p.tolist()))
+    selected_idx = [j for j, name in enumerate(names) if p_values[name] <= p_cut]
+    if not selected_idx:
+        raise FitError(
+            f"no feature passed the univariate Cox filter at p <= {p_cut}; "
+            "relax p_cut or inspect the data"
+        )
+
+    selected_names = tuple(names[j] for j in selected_idx)
+    means, scales = {}, {}
+    out_train, out_val = [], []
+    for j in selected_idx:
+        name = names[j]
+        col_t, col_v = np.array(cols_t[j]), np.array(cols_v[j])
+        mean_impute = float(np.nanmean(col_t))
+        col_t = np.where(np.isnan(col_t), mean_impute, col_t)
+        col_v = np.where(np.isnan(col_v), mean_impute, col_v)
+        mu = float(col_t.mean())
+        sd = float(col_t.std())
+        if sd == 0.0:
+            sd = 1.0
+        means[name] = mean_impute
+        scales[name] = (mu, sd)
+        out_train.append((col_t - mu) / sd)
+        out_val.append((col_v - mu) / sd)
+
+    report = PreprocessReport(
+        dropped_missing=tuple(dropped),
+        encoded=encoded,
+        selected=selected_names,
+        p_values=p_values,
+        imputation_means=means,
+        standardization=scales,
+    )
+    return (
+        train.with_features(np.column_stack(out_train), selected_names),
+        validate.with_features(np.column_stack(out_val), selected_names),
+        report,
+    )
+
+
+def _numeric_column(rng, kind, n):
+    subnormal = 5e-324
+    if kind == "normal":
+        return rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    if kind == "binary":
+        return rng.integers(0, 2, n).astype(float)
+    if kind == "signed zeros":
+        return rng.choice([0.0, -0.0], n)
+    if kind == "subnormal":
+        return rng.integers(-4, 5, n) * subnormal
+    # constant apart from NaN cells
+    return np.full(n, rng.choice([1.5, 0.0, -0.0, subnormal, -2.0]))
+
+
+@st.composite
+def numeric_folds(draw):
+    """(train, validate, p_cut) of numeric columns: normal, binary, signed
+    zeros, subnormal and constant ones; each column 0%, exactly 25% (when
+    the row count is a multiple of 4), just over 25%, any share or 100% of
+    its cells missing.  Up to 300 training rows, so that a column's sums
+    split into pairwise blocks; the training fold may be empty."""
+    n = 4 * draw(st.integers(0, 75)) + draw(st.sampled_from([0, 0, 0, 1, 2, 3]))
+    k = draw(st.integers(1, 8))
+    n_val = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ("normal", "normal", "binary", "signed zeros", "subnormal", "constant")
+    shares = ("none", "none", "quarter", "over a quarter", "any", "all")
+    x = np.empty((n + n_val, k))
+    for j in range(k):
+        x[:, j] = _numeric_column(rng, draw(st.sampled_from(kinds)), n + n_val)
+        share = draw(st.sampled_from(shares))
+        missing = {"none": 0, "quarter": n // 4, "over a quarter": n // 4 + 1,
+                   "any": int(rng.integers(0, n + 1)), "all": n}[share]
+        x[rng.permutation(n)[:missing], j] = np.nan
+        x[n + np.flatnonzero(rng.random(n_val) < 0.2), j] = np.nan
+    times = rng.exponential(5.0, n + n_val)
+    if draw(st.booleans()):
+        times = np.ceil(times)
+    events = rng.random(n + n_val) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    d = SurvivalDataset.from_arrays(np.where(np.isnan(x), None, x).tolist(), times, events)
+    return (d.subset(np.arange(n)), d.subset(np.arange(n, n + n_val)),
+            draw(st.sampled_from([0.1, 1.0, 1.0])))
+
+
+def _outcome(pipeline, train, validate, p_cut):
+    """Every bit that `pipeline` gives back, or the FitError it raises."""
+    try:
+        out_t, out_v, report = pipeline(train, validate, p_cut)
+    except FitError as exc:
+        return str(exc)
+    return ([(d.feature_names, d.values.shape, d.values.tobytes()) for d in (out_t, out_v)],
+            repr(report))
+
+
+class TestPreprocessWholeMatrix:
+    @given(numeric_folds())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_column_rule_bit_for_bit(self, fold):
+        assert _outcome(preprocess, *fold) == _outcome(per_column_preprocess, *fold)
+
+    def test_an_empty_training_fold_passes_no_feature(self):
+        d = cohort_with_features()
+        with pytest.raises(FitError, match="no feature passed"):
+            preprocess(d.subset([]), d)
+
+    def test_peak_memory_on_a_cox_wide_training_fold(self):
+        name = "isdkit_bench_workloads"
+        workloads = sys.modules.get(name)
+        if workloads is None:
+            spec = importlib.util.spec_from_file_location(
+                name, Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+            workloads = importlib.util.module_from_spec(spec)
+            # a dataclass resolves its annotations through sys.modules
+            sys.modules[name] = workloads
+            spec.loader.exec_module(workloads)
+        train, val = split(workloads.build_cox_wide(2000, 0, None), 5, 0)
+        assert train.values.shape == (1599, 102)
+        tracemalloc.start()
+        try:
+            preprocess(train, val)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 2.5 matrices: the filter's candidate copy and its column
+        # blocks; a second copy of the candidates would add one
+        assert peak < 3.0 * train.values.nbytes
 
 
 class TestMakeFolds:
