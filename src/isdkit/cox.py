@@ -108,27 +108,30 @@ _PIVOT_TOL = np.finfo(float).eps ** 0.75
 
 
 def _factor(info):
-    """Cholesky factor of the information matrix; FitError when singular."""
-    from scipy.linalg import cho_factor
+    """Lower Cholesky factor of the information matrix; FitError when singular."""
     # a non-finite information (every weight of a risk set underflowed on a
-    # diverging fit) fails cho_factor's finiteness check: singular too
+    # diverging fit) is singular too, but numpy's cholesky factors NaN and
+    # inf without refusing them
     try:
-        factor = cho_factor(info, lower=True)
-    except (np.linalg.LinAlgError, ValueError):
+        factor = np.linalg.cholesky(info) if np.isfinite(info).all() else None
+    except np.linalg.LinAlgError:
         factor = None
-    if factor is None or np.any(np.diag(factor[0]) ** 2 <= _PIVOT_TOL * np.diag(info)):
+    if factor is None or np.any(np.diag(factor) ** 2 <= _PIVOT_TOL * np.diag(info)):
         raise FitError("singular information matrix in Cox fit; remove constant or "
                        "collinear features")
     return factor
 
 
+def _newton_step(info, grad):
+    factor = _factor(info)
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+
+
 def _newton(risk):
     """(beta, information, Newton steps, gradient max-norm) of a Cox fit."""
-    from scipy.linalg import cho_solve
     if risk.death_rows.size == 0:
         raise FitError("Cox fitting needs at least one uncensored instance")
-    fit = newton_ascent(risk.partial, np.zeros(risk.x.shape[1]),
-                        lambda info, grad: cho_solve(_factor(info), grad), "Cox")
+    fit = newton_ascent(risk.partial, np.zeros(risk.x.shape[1]), _newton_step, "Cox")
     _factor(fit[1])
     return fit
 

@@ -343,6 +343,19 @@ class TestFitCox:
             with pytest.raises(FitError, match="singular information matrix"):
                 fit_cox(SurvivalDataset.from_arrays(x[:, None], times, events))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(1, 1), (0, 2)])
+    def test_non_finite_information_is_singular(self, value, cell):
+        # numpy's cholesky may return a factor holding NaN or inf for such a
+        # matrix instead of refusing it
+        info = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        info[cell] = info[cell[::-1]] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="^singular information matrix in Cox fit; "
+                                               "remove constant or collinear features$"):
+                _factor(info)
+
     def test_no_events_rejected(self):
         d = dataset([1, 2, 3], [0, 0, 0], x=np.eye(3))
         with pytest.raises(FitError, match="uncensored"):

@@ -1,14 +1,18 @@
 """What `import isdkit` loads of scipy.
 
-Scoring and Kaplan-Meier need numpy and `scipy.special` only; the optimizer
-and the linear algebra load on the first MTLR or Cox fit.  Each case runs
-in a fresh interpreter, since this test session has loaded much more."""
+Scoring and the Kaplan-Meier, Cox-KP and Weibull AFT fits need numpy and
+`scipy.special` only: their Newton steps solve with `numpy.linalg`.  The
+optimizer, and `scipy.linalg` with it, loads on the first MTLR fit.  Each
+case runs in a fresh interpreter, since this test session has loaded much
+more."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,12 +34,25 @@ def _scipy_modules(script):
 BASELINE = "import numpy, scipy.special"
 
 
+def _evaluation(model):
+    """A script that evaluates `model` on a cohort with three prognostic
+    features, so that the univariate Cox filter keeps some."""
+    return ("from isdkit import CohortConfig, ExperimentConfig, run_experiment, simulate_cohort\n"
+            "cohort = CohortConfig(beta=(0.7, -0.7, 0.5), censor_rate=0.05)\n"
+            f"run_experiment(simulate_cohort(cohort, 200, 0), ExperimentConfig(model={model!r}))")
+
+
 def test_km_evaluation_loads_no_scipy_beyond_special():
     baseline, _ = _scipy_modules(BASELINE)
-    loaded, _ = _scipy_modules(
-        "from isdkit import CohortConfig, ExperimentConfig, run_experiment, simulate_cohort\n"
-        "run_experiment(simulate_cohort(CohortConfig(), 200, 0), ExperimentConfig(model='km'))")
+    loaded, _ = _scipy_modules(_evaluation("km"))
     assert "scipy.special" in loaded
+    assert loaded - baseline == set()
+
+
+@pytest.mark.parametrize("model", ["cox-kp", "aft-weibull"])
+def test_newton_fits_load_no_scipy_beyond_special(model):
+    baseline, _ = _scipy_modules(BASELINE)
+    loaded, _ = _scipy_modules(_evaluation(model))
     assert loaded - baseline == set()
 
 
