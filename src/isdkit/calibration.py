@@ -13,10 +13,11 @@ so every instance contributes total weight 1.
 
 from __future__ import annotations
 
+import decimal
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .core import SurvivalDataset
 from .curves import ROW_BLOCK, CurveBatch
@@ -45,14 +46,47 @@ class TestResult:
     p_value: float
 
 
+# 34 significant digits, and an exponent range in which e^-y cannot underflow
+# for y below 1e18
+_DECIMAL = decimal.Context(prec=34, Emin=decimal.MIN_EMIN)
+_PI = decimal.Decimal("3.141592653589793238462643383279503")
+
+
 def chi2_sf(x: float, dof: int) -> float:
     """Upper-tail probability P(X >= x) for a chi-square with `dof` degrees
-    of freedom, used to turn calibration statistics into p-values."""
-    if dof < 1:
+    of freedom, used to turn calibration statistics into p-values.
+
+    The closed form for integer dof (Abramowitz & Stegun 26.4.4, 26.4.5),
+    with y = x/2: the Poisson tail sum_{j < dof/2} e^-y y^j / j! for even
+    dof, and erfc(sqrt(y)) + sum_{j < (dof-1)/2} e^-y y^(j+1/2) / Gamma(j+3/2)
+    for odd dof.  Each term follows from the last by the factor y / (j + 1)
+    or y / (j + 3/2), in 34-digit decimal arithmetic, so that e^-y cannot
+    underflow ahead of a large power of y; the terms are positive, and
+    their sum is rounded once, to the nearest double."""
+    if not (dof >= 1 and float(dof).is_integer()):
         raise ValueError(f"degrees of freedom must be a positive integer, got {dof}")
     if not x >= 0:  # a positive condition, so that NaN fails it
         raise ValueError(f"chi-square statistic must be non-negative, got {x}")
-    return min(1.0, max(0.0, float(gammaincc(dof / 2.0, x / 2.0))))
+    y = x / 2.0
+    if y == 0.0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    pairs, odd = divmod(int(dof), 2)
+    with decimal.localcontext(_DECIMAL):
+        yd = decimal.Decimal(y)
+        term = (-yd).exp()
+        total = decimal.Decimal(0)
+        if odd:
+            term *= (4 * yd / _PI).sqrt()  # e^-y y^(1/2) / Gamma(3/2)
+            # erfc at the rounded root u, moved to first order to the exact
+            # root sqrt(y), where its slope in y is -term / (2y)
+            u = math.sqrt(y)
+            total = decimal.Decimal(math.erfc(u)) - term * (yd - decimal.Decimal(u) ** 2) / (2 * yd)
+        for j in range(pairs):
+            total += term
+            term = term * yd / decimal.Decimal(j + 1 + odd / 2)
+        return min(1.0, float(total))
 
 
 @dataclass(frozen=True)

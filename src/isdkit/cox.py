@@ -17,10 +17,10 @@ patient's curve S0(t) ** exp(x . beta) as exp(-exp(x . beta + log H0(t))).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import (NEWTON_HALVINGS, NEWTON_STEPS, NEWTON_TOL, FitError, SurvivalDataset,
                    SurvivalModel, accepts, newton_ascent)
@@ -343,12 +343,22 @@ def _wald_block(cols, ts, es):
     wald = converged & (np.abs(beta) <= _BETA_BOUND) & (beta != 0) & ~separates
     score = ~wald & (i0 > 0)
     p_usable = np.ones(beta.size)
-    # the lower tail: no cancellation for large z
-    p_usable[wald] = 2.0 * ndtr(-(np.abs(beta[wald]) / np.sqrt(1.0 / info[wald])))
-    p_usable[score] = 2.0 * ndtr(-(np.abs(u0[score]) / np.sqrt(i0[score])))
+    p_usable[wald] = _normal_tails(np.abs(beta[wald]) / np.sqrt(1.0 / info[wald]))
+    p_usable[score] = _normal_tails(np.abs(u0[score]) / np.sqrt(i0[score]))
     p = np.ones(usable.size)
     p[usable] = p_usable
     return p
+
+
+_SQRT_HALF = math.sqrt(0.5)   # the double nearest 1/sqrt(2), as M_SQRT1_2
+
+
+def _normal_tails(z):
+    """The two-sided normal tails 2 Phi(-z) = erfc(z / sqrt 2) of the
+    values z >= 0: the upper tail, so that large z loses no digits.  z is
+    scaled by sqrt(1/2), as scipy's `ndtr` does, so that only the erfc
+    implementations differ."""
+    return np.array([math.erfc(v * _SQRT_HALF) for v in z.tolist()])
 
 
 def _risk_sums(a, first, reduce=np.add):

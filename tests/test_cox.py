@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isdkit import core, cox
@@ -52,39 +52,26 @@ def reference_partial(beta, x, times, events):
     return loglik, grad, (d[:, None, None] * cov).sum(axis=0)
 
 
-def reference_kp_baseline(beta, x, times, events):
-    """The Kalbfleisch-Prentice factors solved one death time at a time; a
-    death time at which every patient at risk dies has factor 0."""
-    order = np.argsort(times, kind="stable")
-    xs, ts, es = x[order], times[order], events[order]
-    ws = np.exp(xs @ beta)
-    death_times = np.unique(ts[es])
-    s0_all = np.cumsum(ws[::-1])[::-1]
-    first = np.searchsorted(ts, death_times, side="left")
-    alphas = np.empty(death_times.size)
-    for j, dt in enumerate(death_times):
-        at_event = es & (ts == dt)
-        wbar = ws[at_event].mean()
-        everyone = at_event.sum() == ts.size - first[j]
-        inner = 0.0 if everyone else 1.0 - at_event.sum() * wbar / s0_all[first[j]]
-        alphas[j] = max(inner, 0.0) ** (1.0 / wbar)
-    return death_times, np.clip(np.cumprod(alphas), 0.0, 1.0)
-
-
 @st.composite
-def cox_problems(draw):
+def cox_problems(draw, ties_or_all_dead=False):
     """(beta, x, times, events): tied or distinct times, every patient dead
     to 90% censored, columns shifted by up to 50 of their own scales and
     scaled over four decades.  The earliest patient dies, so the first risk
-    set holds every row and the information is not zero."""
+    set holds every row and the information is not zero.  With
+    `ties_or_all_dead`, tied times include at least one tie, and every
+    patient dies where no two times tie."""
     n = draw(st.integers(3, 60))
     k = draw(st.integers(1, 4))
     death_rate = draw(st.sampled_from([1.0, 0.5, 0.1]))
     tied = draw(st.booleans())
+    if ties_or_all_dead and not tied:
+        death_rate = 1.0
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     times = rng.exponential(5.0, n)
     if tied:
         times = np.round(times)
+        if ties_or_all_dead:
+            times[-1] = times[0]
     events = rng.random(n) < death_rate
     events[np.argmin(times)] = True
     scale = 10.0 ** rng.uniform(-2.0, 2.0, k)
@@ -112,14 +99,15 @@ def test_kp_baseline_ends_at_zero_when_every_patient_at_risk_dies(times, x, beta
 
 # |log H0 - log H0_exact|, the relative error of H0, that _kp_baseline may
 # make: x . beta and its shift are rounded once each, and every death time
-# adds a few roundings, in cohorts of at most a dozen rows
+# adds a few roundings, in cohorts of up to 60 rows (at most 2.8e-14 in
+# 1,500 draws of `cox_problems`)
 KP_LOG_TOL = 1e-12
 
 
 def assert_matches_exact_kp(baseline, x, beta, times, events):
     death_times, exact = exact_kp_hazard(x, beta, times, events)
-    np.testing.assert_array_equal(baseline.knots, np.r_[0.0, death_times])
-    log_h0 = baseline.base[0, 1:]
+    np.testing.assert_array_equal(baseline.knots, np.union1d(0.0, death_times))
+    log_h0 = baseline.base[0, -death_times.size:]
     for got, want in zip(log_h0, exact):
         if want.is_infinite():
             assert got == np.inf
@@ -248,16 +236,18 @@ class TestPartialLikelihood:
             column = -(up - down) / (2.0 * e[j])
             assert np.abs(column - info[:, j]).max() <= 1e-6 * np.abs(info).max()
 
-    @given(cox_problems().filter(lambda p: p[3].all() or np.unique(p[2]).size < p[2].size))
+    @given(cox_problems(ties_or_all_dead=True))
     @settings(max_examples=150, deadline=None)
     def test_kp_baseline_matches_the_per_death_loop(self, problem):
+        # the loop is `exact_kp_hazard`'s, in 60 digits: a float loop's power
+        # 1 / wbar magnifies the rounding of 1 - d wbar / S past 1e-14
         beta, x, times, events = problem
         baseline = _kp_baseline(beta, _RiskSets(x, times, events))
-        ref_times, ref_probs = reference_kp_baseline(beta, x, times, events)
-        if ref_times[0] > 0:  # the batch starts at (0, 1)
-            ref_times, ref_probs = np.r_[0.0, ref_times], np.r_[1.0, ref_probs]
-        np.testing.assert_array_equal(baseline.knots, ref_times)
-        np.testing.assert_allclose(baseline.probs[0], ref_probs, rtol=0.0, atol=1e-14)
+        assert_matches_exact_kp(baseline, x, beta, times, events)
+        death_times, exact = exact_kp_hazard(x, beta, times, events)
+        exact_probs = [float((-h).exp()) for h in exact]
+        np.testing.assert_allclose(baseline.probs[0, -death_times.size:], exact_probs,
+                                   rtol=0.0, atol=1e-14)
 
 
 def two_group_cohort(seed, n=1000, beta=1.0, censor_rate=0.02):
@@ -442,6 +432,14 @@ class TestUnivariateFilter:
         assert p > 0.0
         assert p == pytest.approx(2.0 * scipy.special.ndtr(-z), rel=1e-9)
 
+    def test_normal_tails_match_scipy_ndtr(self):
+        # 2 Phi(-z) as erfc(z / sqrt 2), from z = 0 to z = 37, where it is 6e-300
+        z = np.concatenate([np.linspace(0.0, 37.0, 3701), np.geomspace(1e-12, 37.0, 500)])
+        np.testing.assert_allclose(cox._normal_tails(z), 2.0 * scipy.special.ndtr(-z),
+                                   rtol=1e-13, atol=0)
+        assert cox._normal_tails(np.zeros(1)).tolist() == [1.0]
+        assert cox._normal_tails(np.empty(0)).shape == (0,)
+
     def test_constant_feature_gives_p_one(self):
         d = dataset([1, 2, 3, 4], [1, 1, 0, 1], x=np.full((4, 1), 2.5))
         assert univariate_cox_pvalue(d, 0) == 1.0
@@ -576,27 +574,32 @@ class TestBatchedFilter:
     @settings(max_examples=200, deadline=None)
     def test_a_row_in_no_risk_set_changes_no_bit(self, d, data):
         # a row with a time before its column's first death is in none of the
-        # column's risk sets, so no value it takes can move a p-value
+        # column's risk sets, so no value it takes can move a p-value.  Row i
+        # is made such a row, censored at time 0 with every other time moved
+        # up by 1, rather than searched for
         j = data.draw(st.integers(0, len(d.feature_names) - 1))
-        cells = [inst.features[j] for inst in d.instances]
-        deaths = [inst.time for inst, v in zip(d.instances, cells) if inst.event and v is not None]
-        before = [i for i, (inst, v) in enumerate(zip(d.instances, cells))
-                  if v is not None and (not deaths or inst.time < min(deaths))]
-        assume(before)
-        i = data.draw(st.sampled_from(before))
+        i = data.draw(st.integers(0, len(d) - 1))
+        original = d.instances[i].features[j]
+        if original is None:
+            original = data.draw(st.floats(-5.0, 5.0))
         value = data.draw(st.one_of(st.sampled_from([-1e12, 1e12]),
                                     st.floats(allow_nan=False, allow_infinity=False)))
-        instances = list(d.instances)
-        features = list(instances[i].features)
-        features[j] = value
-        instances[i] = Instance(tuple(features), instances[i].time, instances[i].event)
-        moved = SurvivalDataset(tuple(instances), d.feature_names)
+
+        def with_row_i(cell):
+            instances = [Instance(inst.features, inst.time + 1.0, inst.event)
+                         for inst in d.instances]
+            features = list(instances[i].features)
+            features[j] = cell
+            instances[i] = Instance(tuple(features), 0.0, False)
+            return SurvivalDataset(tuple(instances), d.feature_names)
+
+        base, moved = with_row_i(original), with_row_i(value)
         every = range(len(d.feature_names))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert (univariate_cox_pvalue(moved, every).tolist()
-                    == univariate_cox_pvalue(d, every).tolist())
-            assert univariate_cox_pvalue(moved, j) == univariate_cox_pvalue(d, j)
+                    == univariate_cox_pvalue(base, every).tolist())
+            assert univariate_cox_pvalue(moved, j) == univariate_cox_pvalue(base, j)
 
     def test_score_test_on_a_column_constant_at_risk(self):
         # the column varies only through the row censored before every

@@ -1,10 +1,12 @@
 """What `import isdkit` loads of scipy.
 
-Scoring and the Kaplan-Meier, Cox-KP and Weibull AFT fits need numpy and
-`scipy.special` only: their Newton steps solve with `numpy.linalg`.  The
-optimizer, and `scipy.linalg` with it, loads on the first MTLR fit.  Each
-case runs in a fresh interpreter, since this test session has loaded much
-more."""
+`import isdkit` and `import isdkit.cli` load no scipy module, and neither
+do the Kaplan-Meier, Cox-KP and Weibull AFT evaluations: their fits solve
+with `numpy.linalg`, and the normal and chi-square tails behind the Cox
+filter and the calibration p-values are closed forms in the standard
+library.  The optimizer, and `scipy.special` and `scipy.linalg` with it,
+loads on the first MTLR fit.  Each case runs in a fresh interpreter, since
+this test session has loaded much more."""
 
 import json
 import os
@@ -29,31 +31,28 @@ def _scipy_modules(script):
     return {m for m in json.loads(modules) if m == "scipy" or m.startswith("scipy.")}, lines
 
 
-# relative, not a fixed list: an older scipy may load scipy.linalg through
-# scipy.special itself
-BASELINE = "import numpy, scipy.special"
-
-
 def _evaluation(model):
     """A script that evaluates `model` on a cohort with three prognostic
-    features, so that the univariate Cox filter keeps some."""
+    features, so that the univariate Cox filter keeps some, and prints the
+    calibration p-values, so that the chi-square tail is known to have run."""
     return ("from isdkit import CohortConfig, ExperimentConfig, run_experiment, simulate_cohort\n"
             "cohort = CohortConfig(beta=(0.7, -0.7, 0.5), censor_rate=0.05)\n"
-            f"run_experiment(simulate_cohort(cohort, 200, 0), ExperimentConfig(model={model!r}))")
+            "report = run_experiment(simulate_cohort(cohort, 200, 0),\n"
+            f"                        ExperimentConfig(model={model!r}))\n"
+            "print(report.dcal.p_value)")
 
 
-def test_km_evaluation_loads_no_scipy_beyond_special():
-    baseline, _ = _scipy_modules(BASELINE)
-    loaded, _ = _scipy_modules(_evaluation("km"))
-    assert "scipy.special" in loaded
-    assert loaded - baseline == set()
+@pytest.mark.parametrize("module", ["isdkit", "isdkit.cli"])
+def test_import_loads_no_scipy(module):
+    loaded, _ = _scipy_modules(f"import {module}")
+    assert loaded == set()
 
 
-@pytest.mark.parametrize("model", ["cox-kp", "aft-weibull"])
-def test_newton_fits_load_no_scipy_beyond_special(model):
-    baseline, _ = _scipy_modules(BASELINE)
-    loaded, _ = _scipy_modules(_evaluation(model))
-    assert loaded - baseline == set()
+@pytest.mark.parametrize("model", ["km", "cox-kp", "aft-weibull"])
+def test_evaluation_loads_no_scipy(model):
+    loaded, lines = _scipy_modules(_evaluation(model))
+    assert 0.0 <= float(lines[-1]) <= 1.0
+    assert loaded == set()
 
 
 def test_mtlr_fit_loads_the_optimizer_through_its_forwarder():
