@@ -13,6 +13,7 @@ is chosen by an internal 5-fold cross validation on held-out likelihood.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -220,13 +221,147 @@ class MtlrModel(SurvivalModel):
         return predict_curve_mtlr(self, d.feature_matrix())
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first MTLR fit, so that
-    scoring and the other models never load the optimizer.  ``_train``
-    calls it by this module-level name, which is where the benchmark's
-    tracer counts L-BFGS runs."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+_HISTORY = 10  # correction pairs kept, as scipy's L-BFGS-B `maxcor`
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_MAX_TRIALS = 20  # evaluations per line search, as scipy's L-BFGS-B `maxls`
+_EPS = float(np.finfo(float).eps)
+
+
+class _Pairs:
+    """The inverse Hessian approximation of L-BFGS in the compact form of
+    Byrd, Nocedal & Schnabel (1994), over the last `_HISTORY` pairs
+    s = x' - x, y = g' - g, with gamma = s.y / y.y of the newest pair:
+
+        H = gamma I + [S Y] M [S Y]^T,  M = L^T (E_D + gamma E_Y) L,
+        L = [[R^-1, 0], [0, I]],  E_D = [[D, 0], [0, 0]],
+        E_Y = [[Y^T Y, -I], [-I, 0]],
+
+    where R[i, j] = s_i.y_j for pair i no newer than pair j and
+    D = diag(s_i.y_i).  Pairs live in ring slots: rows 0..h-1 of `rows`
+    hold s, rows h..2h-1 hold y, and R^-1, D and Y^T Y are kept in slot
+    order, with zeros in an empty slot's rows and columns of R^-1, so that
+    an empty slot adds nothing to a product.
+    """
+
+    def __init__(self, n):
+        h = _HISTORY
+        self.rows = np.zeros((2 * h, n))
+        self.lift = np.eye(2 * h)  # L, with R^-1 = 0 while no pair is stored
+        self.lift[:h, :h] = 0.0
+        self.e_d = np.zeros((2 * h, 2 * h))
+        self.e_y = np.zeros((2 * h, 2 * h))
+        self.e_y[:h, h:] = self.e_y[h:, :h] = -np.eye(h)
+        self.neg_middle = np.zeros((2 * h, 2 * h))
+        self.gamma, self.stored = 1.0, 0
+
+    def direction(self, g):
+        """-H g: the steepest descent -g while no pair is stored."""
+        d = (self.neg_middle @ (self.rows @ g)) @ self.rows
+        d -= self.gamma * g
+        return d
+
+    def push(self, s, y):
+        """Store the pair unless s.y <= eps y.y, which would cost H its
+        positive definiteness."""
+        s_y, y_y = float(s @ y), float(y @ y)
+        if not s_y > _EPS * y_y:
+            return
+        h, rows, r_inv = _HISTORY, self.rows, self.lift[:_HISTORY, :_HISTORY]
+        slot = self.stored % h
+        self.stored += 1
+        rows[slot], rows[h + slot] = s, y
+        products = rows @ y
+        # A full history drops its oldest pair, the leading block of R, and
+        # R^-1 keeps its trailing block: the slot's row goes (its column
+        # holds only the corner, as no pair is older).  The new pair borders
+        # R with the column r = S^T y and the corner s.y, and R^-1 with the
+        # column -R^-1 r / s.y and the corner 1 / s.y.
+        r_inv[slot] = 0.0
+        r_inv[:, slot] = (r_inv @ products[:h]) / -s_y
+        r_inv[slot, slot] = 1.0 / s_y
+        self.e_y[slot, :h] = self.e_y[:h, slot] = products[h:]
+        self.e_d[slot, slot] = s_y
+        self.gamma = s_y / y_y
+        self.neg_middle = self.lift.T @ ((-self.gamma) * self.e_y - self.e_d) @ self.lift
+
+
+@dataclass(frozen=True)
+class LbfgsResult:
+    """Where `minimize` stopped: the point, its value and gradient, the
+    iteration and evaluation counts, and why it stopped."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nit: int
+    nfev: int
+    success: bool
+    message: str
+
+
+def minimize(fun, x0, *, gtol, ftol, max_iter) -> LbfgsResult:
+    """Minimize a smooth unconstrained function by limited-memory BFGS.
+
+    ``fun(x)`` returns the value and the gradient.  Directions come from
+    `_Pairs`, steps from Armijo backtracking from a unit step (min(1, 1/|g|)
+    on the first iteration).  As in scipy's L-BFGS-B, the fit succeeds once
+    the gradient max-norm is at most `gtol` or an iteration lowers the
+    value by at most `ftol` relative, and fails after `max_iter`
+    iterations or when a line search from steepest descent finds no
+    decrease.  A non-finite value or gradient fails it at once; the result
+    then holds the last finite point, or the start if that was not finite.
+    ``_train`` calls this by its module-level name, which is where the
+    benchmark's tracer counts L-BFGS runs.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev, nit = 1, 0
+    pairs = _Pairs(x.size)
+
+    def stop(success, message):
+        return LbfgsResult(x, f, g, nit, nfev, success, message)
+
+    if not math.isfinite(f):
+        return stop(False, "non-finite objective value")
+    # Each pass accepts a step, counted against max_iter, or fails a line
+    # search; a failure with no pair stored stops, so passes are bounded.
+    while True:
+        gnorm = float(np.abs(g).max())
+        if not math.isfinite(gnorm):
+            return stop(False, "non-finite gradient")
+        if gnorm <= gtol:
+            return stop(True, "gradient max-norm at most gtol")
+        if nit and f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            return stop(True, "relative reduction of the value at most ftol")
+        if nit >= max_iter:
+            return stop(False, "iteration limit reached")
+        d = pairs.direction(g)
+        slope = float(g @ d)
+        if not slope < 0:  # rounding cost H its positive definiteness
+            pairs = _Pairs(x.size)
+            d, slope = -g, -float(g @ g)
+        step = 1.0 if nit else min(1.0, 1.0 / math.sqrt(-slope))
+        for _ in range(_MAX_TRIALS):
+            s = d if step == 1.0 else step * d
+            x_new = x + s
+            f_new, g_new = fun(x_new)
+            nfev += 1
+            if not math.isfinite(f_new):
+                return stop(False, "non-finite objective value")
+            if f_new <= f + _ARMIJO * step * slope:
+                break
+            # the minimizer of the quadratic through f, slope and f_new,
+            # kept within [0.1, 0.5] of the step
+            quad = -0.5 * slope * step * step / (f_new - f - slope * step)
+            step = min(max(quad, 0.1 * step), 0.5 * step)
+        else:
+            if not pairs.stored:
+                return stop(False, "the line search found no decrease")
+            pairs = _Pairs(x.size)
+            continue
+        pairs.push(s, g_new - g)
+        f_old, x, f, g = f, x_new, f_new, g_new
+        nit += 1
 
 
 def _train(xb, lab: _Labels, reg_c, m):
@@ -236,13 +371,8 @@ def _train(xb, lab: _Labels, reg_c, m):
         value, grad = _objective_parts(theta_flat.reshape(shape), xb, lab, reg_c)
         return -value, -grad.ravel()
 
-    result = minimize(
-        negative,
-        np.zeros(shape).ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 1e-12},
-    )
+    result = minimize(negative, np.zeros(shape).ravel(),
+                      gtol=GRAD_TOL, ftol=1e-12, max_iter=MAX_ITER)
     theta = result.x.reshape(shape)
     gnorm = float(np.max(np.abs(result.jac)))
     if not np.isfinite(gnorm) or (not result.success and gnorm > 1e-3):

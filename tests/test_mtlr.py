@@ -1,20 +1,25 @@
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import isdkit.mtlr as mtlr
 from isdkit.core import ConvergenceError, SurvivalDataset
 from isdkit.curves import extend_linear, median_survival
 from isdkit.mtlr import (
     _LOW_MASS,
+    GRAD_TOL,
     TimeGrid,
     _encode_labels,
+    _objective_parts,
     _softmax_tail,
     _train,
     _with_bias,
     default_grid_size,
     fit_mtlr,
     make_grid,
+    minimize,
     mtlr_loglik_grad,
     predict_curve_mtlr,
 )
@@ -295,6 +300,141 @@ class TestFitMtlr:
         model = fit_mtlr(d, make_grid(d, 15), (0.0,))
         assert model.reg_c == 0.0
         assert np.all(np.isfinite(model.theta)) and model.gradient_norm < 1e-3
+
+
+def rosenbrock(x):
+    f = float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    g = np.zeros_like(x)
+    g[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return f, g
+
+
+def rosenbrock_start(n):
+    x0 = np.full(n, -1.2)
+    x0[1::2] = 1.0
+    return x0
+
+
+def negative_objective(d, grid, c):
+    """The function `_train` minimizes, and the shape of theta."""
+    xb, lab = _with_bias(d.feature_matrix()), _encode_labels(d.times, d.events, grid)
+    shape = (grid.m, xb.shape[1])
+
+    def negative(theta_flat):
+        value, grad = _objective_parts(theta_flat.reshape(shape), xb, lab, c)
+        return -value, -grad.ravel()
+
+    return negative, shape
+
+
+class TestMinimize:
+    def test_ill_conditioned_quadratic_reaches_its_minimizer(self):
+        # ftol = 0 leaves the gradient rule alone to stop the fit
+        scale = np.exp(np.linspace(-3.0, 3.0, 50))
+        centre = np.linspace(-1.0, 1.0, 50)
+        result = minimize(lambda x: (0.5 * float(np.sum(scale * (x - centre) ** 2)),
+                                     scale * (x - centre)),
+                          np.zeros(50), gtol=GRAD_TOL, ftol=0.0, max_iter=2000)
+        assert result.success
+        assert np.max(np.abs(result.jac)) <= GRAD_TOL
+        np.testing.assert_allclose(result.jac, scale * (result.x - centre), rtol=0, atol=0)
+        assert np.max(np.abs(result.x - centre)) <= GRAD_TOL / scale.min()
+
+    @pytest.mark.parametrize("n", [2, 20])
+    def test_rosenbrock_reaches_the_all_ones_point(self, n):
+        result = minimize(rosenbrock, rosenbrock_start(n), gtol=GRAD_TOL, ftol=1e-12,
+                          max_iter=2000)
+        assert result.success
+        assert result.nit < result.nfev <= 2 * result.nit
+        np.testing.assert_allclose(result.x, 1.0, atol=1e-4)
+        assert result.fun == rosenbrock(result.x)[0] < 1e-9
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_first_value_stops_after_one_evaluation(self, value):
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return value, x + 1.0
+
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(
+                minimize(fun, np.zeros(3), gtol=GRAD_TOL, ftol=1e-12, max_iter=2000)),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "minimize did not stop on a non-finite value"
+        (result,) = results
+        assert len(calls) == result.nfev == 1 and result.nit == 0
+        assert not result.success and result.message == "non-finite objective value"
+        np.testing.assert_array_equal(result.x, np.zeros(3))
+
+    def test_the_iteration_limit_is_a_failure(self):
+        result = minimize(rosenbrock, rosenbrock_start(2), gtol=GRAD_TOL, ftol=1e-12,
+                          max_iter=5)
+        assert not result.success and result.nit == 5
+        assert result.message == "iteration limit reached"
+        assert result.fun == rosenbrock(result.x)[0]
+
+    @pytest.mark.parametrize("c", [10.0, 100.0])
+    def test_mtlr_fits_match_scipy_lbfgsb(self, c):
+        from scipy.optimize import minimize as scipy_minimize
+
+        d = weibull_cohort()
+        negative, shape = negative_objective(d, make_grid(d, default_grid_size(len(d))), c)
+        x0 = np.zeros(shape).ravel()
+        ours = minimize(negative, x0, gtol=GRAD_TOL, ftol=1e-12, max_iter=2000)
+        reference = scipy_minimize(negative, x0, jac=True, method="L-BFGS-B",
+                                   options={"maxiter": 2000, "gtol": GRAD_TOL,
+                                            "ftol": 1e-12})
+        assert ours.success and reference.success
+        assert np.max(np.abs(ours.x - reference.x)) <= 1e-5 * np.max(np.abs(reference.x))
+        assert ours.fun == pytest.approx(reference.fun, rel=1e-10, abs=0)
+
+
+class TestTrainAtTheIterationLimit:
+    """`_train` accepts a fit stopped by the iteration limit only when its
+    gradient max-norm is at most 1e-3.  At C = 1 the Weibull cohort's fit
+    converges after 72 iterations."""
+
+    @staticmethod
+    def limited(monkeypatch, max_iter):
+        """Set MAX_ITER and record every result of `minimize`."""
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(mtlr, "MAX_ITER", max_iter)
+        monkeypatch.setattr(mtlr, "minimize", recording)
+        return results
+
+    @staticmethod
+    def train():
+        d = weibull_cohort()
+        grid = make_grid(d, 15)
+        return _train(_with_bias(d.feature_matrix()), _encode_labels(d.times, d.events, grid),
+                      1.0, grid.m)
+
+    def test_a_small_gradient_is_accepted(self, monkeypatch):
+        results = self.limited(monkeypatch, 60)
+        theta, iterations, gnorm = self.train()
+        (result,) = results
+        assert not result.success and result.message == "iteration limit reached"
+        assert iterations == result.nit == 60 and GRAD_TOL < gnorm <= 1e-3
+        np.testing.assert_array_equal(theta.ravel(), result.x)
+
+    def test_a_large_gradient_is_refused(self, monkeypatch):
+        results = self.limited(monkeypatch, 20)
+        with pytest.raises(ConvergenceError,
+                           match=r"iteration limit reached \(gradient max-norm \S+ after 20 "
+                                 r"iterations\)"):
+            self.train()
+        (result,) = results
+        assert not result.success and np.max(np.abs(result.jac)) > 1e-3
 
 
 class TestPredictMtlr:
