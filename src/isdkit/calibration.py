@@ -97,7 +97,6 @@ class CalibrationBins:
     n: np.ndarray
     mean_predicted: np.ndarray
     observed: np.ndarray
-    members: tuple  # index arrays into the input order, one per bin
 
 
 def _refuse_nan(probs: np.ndarray) -> np.ndarray:
@@ -168,7 +167,7 @@ def calibration_table(v: SurvivalDataset, probs_at_tstar, tstar: float, b: int,
                 )
             km_j = fit_km_arrays(mask_t, mask_e)
             observed[j] = m.size * (1.0 - km_at(km_j, tstar))
-    return CalibrationBins(n, pbar, observed, members)
+    return CalibrationBins(n, pbar, observed)
 
 
 def _hl_statistic(table: CalibrationBins) -> float:
@@ -214,12 +213,6 @@ def brier_uncensored(v_u: SurvivalDataset, probs_at_tstar, tstar: float) -> floa
     died = v_u.times <= tstar
     per = np.where(died, probs**2, (1.0 - probs) ** 2)
     return float(np.mean(per))
-
-
-def _g_first_zero(g_hat: KMCurve) -> float:
-    curve = g_hat.curve
-    zeros = curve.probs[0] <= 0.0
-    return float(curve.knots[np.argmax(zeros)]) if zeros.any() else np.inf
 
 
 def brier_censored(v: SurvivalDataset, probs_at_tstar, tstar: float,
@@ -314,6 +307,16 @@ class _InverseGMoments:
                                                                 (x - lo) / self.g[q])
 
 
+def _sloped_line(curves: CurveBatch, rows, seg):
+    """(p, left, stop, c1) of each row's `CurveBatch.line` on segment
+    ``seg``, with c1 = (p - end) / (stop - left) its slope down, 0 on a
+    tail of width 0."""
+    p, left, stop, end = curves.line(rows, seg)
+    width = stop - left
+    c1 = np.divide(p - end, width, out=np.zeros(np.broadcast(p, width).shape), where=width > 0)
+    return p, left, stop, c1
+
+
 def _square_area(p, left, c1, a, b):
     # integral of S^2 over [a, b] on the line S(u) = p - c1 (u - left)
     s_a, s_b = p - c1 * (a - left), p - c1 * (b - left)
@@ -386,7 +389,8 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
     if curves.rows not in (1, n):
         raise ValueError(f"{curves.rows} curves for {n} instances")
     times, events = v.times, v.events
-    tau_eff = min(tau, _g_first_zero(g_hat))
+    (first_zero,), (g_zero,) = g_hat.curve.first_at_or_below(0.0)
+    tau_eff = min(tau, float(g_hat.curve.knots[first_zero]) if g_zero else np.inf)
     if not tau_eff > 0:
         raise ValueError("censoring curve G is 0 from time 0; the IBS is undefined")
     dies = np.flatnonzero(events & (times < tau_eff))
@@ -407,7 +411,7 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
     # (1 - S)^2 = (c0 + c1 (u - left))^2 on the line, and 1 past it
     alive_end = np.minimum(times, tau_eff)
     seg = curves.segment_of(alive_end)
-    p, left, stop, c1 = curves.segment_line(rows, seg)
+    p, left, stop, c1 = _sloped_line(curves, rows, seg)
     line_end = np.minimum(stop, alive_end)
     past = np.flatnonzero(line_end < alive_end)
     # one read for the line's moments and, past the line, 1/G's up to the end
@@ -426,7 +430,7 @@ def integrated_brier(v: SurvivalDataset, curves: CurveBatch, tau: float,
         death = _square_area(p[dies], left[dies], c1[dies], t_d, end)
         after = seg[dies] < whole
         if after.any():
-            p_w, left_w, stop_w, c1_w = curves.segment_line(np.arange(curves.rows), whole)
+            p_w, left_w, stop_w, c1_w = _sloped_line(curves, np.arange(curves.rows), whole)
             end = np.clip(stop_w, left_w, tau_eff)
             piece = _square_area(p_w, left_w, c1_w, left_w, end)
             death[after] += piece[dies[after]] if curves.rows > 1 else piece[0]

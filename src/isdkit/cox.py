@@ -136,49 +136,36 @@ def _newton(risk):
     return fit
 
 
-def _log_hazard_steps(share, log_kept, deaths, s0):
-    """log of each death time's step of H0, in units of the weights'
-    shift, from the deaths' share of the weight at risk s0 and log_kept =
-    log(s0 / the weight at risk that does not die)."""
+def _log_hazard_steps(share, log_kept, deaths):
+    """log(s0_j * the step of H0 at each death time t_j), s0_j being the
+    weight at risk, from the deaths' share of s0_j and log_kept =
+    log(s0_j / the weight at risk that does not die)."""
     # -log(alpha_j) * wbar_j = -log(rest_j / s0_j), without cancellation
     term = np.where(share <= 0.5, -np.log1p(-np.minimum(share, 0.5)), log_kept)
     # -log(alpha_j) = (term / share) * d_j / s0_j; term / share tends to 1
-    # when the deaths' shifted weights underflow
+    # when the deaths' weights underflow
     per_share = np.divide(term, share, out=np.ones_like(share), where=share > 0)
-    return np.log(per_share * deaths / s0)
+    return np.log(per_share * deaths)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _kp_baseline(beta, risk) -> CurveBatch:
+    # every risk-set sum is taken in logs, each term shifted by the larger
+    # of the two it adds, as np.logaddexp does, so that no risk set far
+    # below the fold's largest x . beta, and no survivors far below their
+    # risk set's deaths, underflow
     eta = risk.x @ beta
-    w = np.exp(eta - eta.max())
-    censored = w.copy()
-    censored[risk.death_rows] = 0.0
-    s0 = _suffix_sum(w)[risk.first]
-    # the weight at risk that does not die at t_j, summed directly: the rows
-    # censored from t_j up to the next death time, and every row from there
-    # on; exactly 0 when everyone at risk dies, so that H0 = inf from t_j on
-    rest = np.add.reduceat(censored, risk.first) + np.append(s0[1:], 0.0)
-    share = np.add.reduceat(w[risk.death_rows], risk.tie_start) / s0
-    log_h = _log_hazard_steps(share, np.log(s0 / rest), risk.deaths, s0) - eta.max()
-    # a risk set far below the fold's largest x . beta, or whose survivors
-    # are far below its deaths, underflows under that one shift (0 / 0, or
-    # H0 = inf), or keeps only the digits of a subnormal sum; its sums are
-    # taken again in logs, each term shifted by the larger of the two it
-    # adds, as np.logaddexp does
-    tiny = np.finfo(float).tiny
-    survivors = risk.x.shape[0] - risk.first > risk.deaths
-    redo = (s0 < tiny) | ((rest < tiny) & survivors)
-    if redo.any():
-        dead = np.zeros(eta.size, dtype=bool)
-        dead[risk.death_rows] = True
-        log_s0 = np.logaddexp.accumulate(eta[::-1])[::-1][risk.first]
-        log_rest = np.logaddexp(
-            np.logaddexp.reduceat(np.where(dead, -np.inf, eta), risk.first),
-            np.append(log_s0[1:], -np.inf))
-        log_dead = np.logaddexp.reduceat(eta[risk.death_rows], risk.tie_start)
-        log_h[redo] = (_log_hazard_steps(np.exp(log_dead - log_s0), log_s0 - log_rest,
-                                         risk.deaths, 1.0) - log_s0)[redo]
+    dead = np.zeros(eta.size, dtype=bool)
+    dead[risk.death_rows] = True
+    log_s0 = np.logaddexp.accumulate(eta[::-1])[::-1][risk.first]
+    # the weight at risk that does not die at t_j: the rows censored from
+    # t_j up to the next death time, and every row from there on; -inf when
+    # everyone at risk dies, so that H0 = inf from t_j on
+    log_rest = np.logaddexp(np.logaddexp.reduceat(np.where(dead, -np.inf, eta), risk.first),
+                            np.append(log_s0[1:], -np.inf))
+    log_dead = np.logaddexp.reduceat(eta[risk.death_rows], risk.tie_start)
+    log_h = _log_hazard_steps(np.exp(log_dead - log_s0), log_s0 - log_rest,
+                              risk.deaths) - log_s0
     return CurveBatch(risk.death_times, np.logaddexp.accumulate(log_h), "step", eta=[0.0])
 
 

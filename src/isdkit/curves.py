@@ -209,52 +209,24 @@ class CurveBatch:
         the last index means past t_max (the tail)."""
         return np.searchsorted(self.knots, t, side="right") - 1
 
-    def _segment(self, rows, seg):
-        # each row's probability at the left knot of its segment `seg`, that
-        # knot, the end of the segment's line (the next knot or, in the
-        # tail, the zero time, infinite on a batch that holds its last
-        # probability) and the next knot's index
+    def line(self, rows, seg):
+        """The line each row follows on its knot segment ``seg``: from
+        ``p`` at the segment's left knot ``left`` down to ``end`` just
+        before ``stop``, and 0 from ``stop`` on.  Inside the knots ``stop``
+        is the next knot and ``end`` its probability on a linear segment,
+        ``p`` on a step one.  On the last knot (the tail) the line runs to
+        0 at the zero time; a batch that is not extended holds ``p`` up to
+        an infinite ``stop``.  Returns (p, left, stop, end)."""
         knots = self.knots
         last = knots.size - 1
         nxt = np.minimum(seg + 1, last)
-        zero = np.inf if self.zero_time is None else \
-            np.maximum(self.zero_time[rows], knots[last])
-        return self._probs(rows, seg), knots[seg], np.where(seg == last, zero, knots[nxt]), nxt
-
-    def segment_line(self, rows, seg):
-        """The line each row follows on its knot segment ``seg``:
-        S(u) = p - c1 (u - left) from the segment's left knot up to
-        ``stop``, and 0 past it.  ``stop`` is the next knot or, on the last
-        knot (the tail), the zero time, which is infinite for a batch that
-        holds its last probability.  Returns (p, left, stop, c1); c1 is 0
-        on a step segment."""
-        p, left, stop, nxt = self._segment(rows, seg)
-        tail = seg == self.knots.size - 1
-        drop = np.where(tail, p, 0.0 if self.interp == "step" else p - self._probs(rows, nxt))
-        c1 = np.divide(drop, stop - left, out=np.zeros(np.shape(drop)), where=stop > left)
-        return p, left, stop, c1
-
-    def _line(self, rows, seg, t):
-        # value at t of the line `segment_line` gives each row on segment
-        # `seg` (the extension when seg is the last knot, exactly p_last at
-        # t_max), without the slope a step batch does not need
-        p, left, stop, nxt = self._segment(rows, seg)
-        # in the tail a linear slope may divide by a width of 0 or meet
-        # t = inf, and the extension divides by 0 for a row at 0 by t_max;
-        # each is masked below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.interp == "linear":
-                inside = p + (self._probs(rows, nxt) - p) / (stop - left) * (t - left)
-            else:
-                inside = p
-            if self.zero_time is None:
-                tail = p
-            else:
-                width = stop - left
-                down = np.where(width > 0, p * (stop - t) / width, 0.0)
-                # rounding may lift the line just past t_max above p_last
-                tail = np.where(t > left, np.clip(down, 0.0, p), p)
-        return np.where(seg == self.knots.size - 1, tail, inside)
+        p = self._probs(rows, seg)
+        end = self._probs(rows, nxt) if self.interp == "linear" else p
+        tail = seg == last
+        if self.zero_time is None:
+            return p, knots[seg], np.where(tail, np.inf, knots[nxt]), end
+        zero = np.maximum(self.zero_time[rows], knots[last])
+        return p, knots[seg], np.where(tail, zero, knots[nxt]), np.where(tail, 0.0, end)
 
     def first_at_or_below(self, level: float, wanted=None):
         """Per row, the index of the first knot with S <= level (0 if none)
@@ -269,22 +241,37 @@ class CurveBatch:
             first[block], found[block] = np.argmax(mask, axis=1), mask.any(axis=1)
         return first, found
 
+    def _value(self, rows, seg, t):
+        # S at t on each row's `line` on segment `seg`, t at or past its left
+        # knot.  A flat line, and every line at its left knot, reads p (so
+        # does a tail of width 0); past it a sloped line is 0 from stop on,
+        # and before stop it is anchored at its left knot inside the knots
+        # and at the zero time in the tail, capped there at p, which
+        # rounding may exceed just past t_max
+        p, left, stop, end = self.line(rows, seg)
+        width = stop - left
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sloped = np.where(seg < self.knots.size - 1, p + (end - p) / width * (t - left),
+                              np.minimum(p * (stop - t) / width, p))
+        return np.where((end < p) & (t > left), np.where(t < stop, sloped, 0.0), p)
+
     def _evaluate(self, t):
         # S at times t >= 0; see survival_at
         t = np.asarray(t, dtype=float)
         if t.size and not t.min() >= 0:
             raise ValueError("survival curves are only defined for t >= 0")
         if self.rows == 1:
-            values = self._line(0, self.segment_of(t), t)
+            values = self._value(0, self.segment_of(t), t)
             return float(values) if t.ndim == 0 else values
         t2 = t if t.ndim == 2 else t.reshape(-1, 1)
         if t2.shape[0] not in (1, self.rows):
             raise ValueError(f"{t2.shape[0]} query rows for a batch of {self.rows} curves")
-        values = self._line(np.arange(self.rows)[:, None], self.segment_of(t2), t2)
+        values = self._value(np.arange(self.rows)[:, None], self.segment_of(t2), t2)
         return values if t.ndim == 2 else values[:, 0]
 
     def _suffix_area(self, rows: slice) -> np.ndarray:
-        # suffix[:, j] = integral of each row of the slice from knot j to infinity
+        # suffix[:, j] = integral of each row of the slice from knot j to
+        # infinity, and suffix[:, m] = 0 past the tail
         if self.zero_time is None:
             raise ValueError("areas need extended curves; call extend_linear first")
         probs = self._probs(rows, slice(None))
@@ -292,33 +279,25 @@ class CurveBatch:
                             probs[:, 1:] if self.interp == "linear" else probs[:, :-1])
         width = self.zero_time[rows] - self.t_max
         tail = np.where(width > 0, _trapezoid(width, probs[:, -1], 0.0), 0.0)
-        areas = np.hstack((inside, tail[:, None]))
+        areas = np.hstack((inside, tail[:, None], np.zeros((len(tail), 1))))
         return np.cumsum(areas[:, ::-1], axis=1)[:, ::-1]
 
     def area_from(self, c) -> np.ndarray:
         """Integral of S from c to infinity, c of shape () or (q,) with one
-        time per patient; each block of rows builds one suffix-sum table
-        that serves every query on it."""
+        time per patient: the rest of c's `line` plus every segment after
+        it, whose areas each block of rows reads from one suffix-sum table."""
         c = np.asarray(c, dtype=float).reshape(-1)
-        knots = self.knots
-        last = knots.size - 1
         rows = np.arange(self.rows) if self.rows > 1 else 0
         seg = self.segment_of(c)
-        nxt = np.minimum(seg + 1, last)
         if self.rows > 1:
-            nxt_of = np.broadcast_to(nxt, (self.rows,))
+            nxt_of = np.broadcast_to(seg + 1, (self.rows,))
             after = np.concatenate([
                 np.take_along_axis(self._suffix_area(block), nxt_of[block, None], axis=1)[:, 0]
                 for block in self.row_blocks()])
         else:
-            after = self._suffix_area(slice(None))[0, nxt]
-        s_c = self._evaluate(c)
-        # before t_max: the rest of c's segment plus everything after it;
-        # past t_max: the triangle under the extension up to its zero time
-        end = self._probs(rows, nxt) if self.interp == "linear" else s_c
-        inside = _trapezoid(knots[nxt] - c, s_c, end) + after
-        tail = _trapezoid(np.maximum(self.zero_time[rows] - c, 0.0), s_c, 0.0)
-        return np.where(seg < last, inside, tail)
+            after = self._suffix_area(slice(None))[0, seg + 1]
+        _, _, stop, end = self.line(rows, seg)
+        return _trapezoid(np.maximum(stop - c, 0.0), self._evaluate(c), end) + after
 
 
 def survival_at(c: CurveBatch, t):
@@ -369,31 +348,21 @@ def median_survival(c: CurveBatch, t0_km: float) -> np.ndarray:
     """Smallest t with S(t) <= 0.5, capped at the training-KM zero time,
     one per row of an extended batch.
 
-    Step segments use the step convention (first knot at or below 0.5);
-    linear segments and the extension invert the line exactly.
+    The crossing lies on the `CurveBatch.line` of the segment before the
+    first knot at or below 0.5, or of the tail when there is none: at its
+    stop on a step segment (the step convention), and elsewhere where the
+    line, anchored as in `survival_at`, reads 0.5 exactly.
     """
     if c.zero_time is None:
         raise ValueError("medians need extended curves; call extend_linear first")
-    knots = c.knots
+    last = c.knots.size - 1
     k, crosses = c.first_at_or_below(0.5)
-    rows = np.arange(c.rows)
-    if c.interp == "step":
-        crossing = knots[k]
-    else:
-        prev = np.maximum(k - 1, 0)
-        t_prev, p_prev = knots[prev], c._probs(rows, prev)
-        t_k, p_k = knots[k], c._probs(rows, k)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            crossing = np.where(
-                p_prev <= 0.5, t_prev,
-                t_prev + (p_prev - 0.5) * (t_k - t_prev) / (p_prev - p_k),
-            )
-    # no knot at or below 0.5: the crossing happens on the extension line
-    p_last = c._probs(rows, -1)
-    width = c.zero_time - c.t_max
+    seg = np.where(crosses, np.maximum(k - 1, 0), last)
+    p, left, stop, end = c.line(np.arange(c.rows), seg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        on_tail = np.where(width > 0, c.zero_time - 0.5 * width / p_last, c.t_max)
-    median = np.where(crosses, crossing, on_tail)
+        on_line = np.where(seg < last, left + (p - 0.5) * (stop - left) / (p - end),
+                           stop - (0.5 - end) * (stop - left) / (p - end))
+    median = np.where(p <= 0.5, left, np.where(end > 0.5, stop, on_line))
     return np.minimum(median, float(t0_km))
 
 

@@ -90,7 +90,8 @@ class KaplanMeierModel(SurvivalModel):
         return cls(fit_km(d))
 
     def predict_curve(self, inst: Instance) -> CurveBatch:
-        # the shared curve itself; bench/tracer.py times KM prediction by this name
+        # the shared curve itself; no run path calls this row API, which stays
+        # only while bench/tracer.py still resolves it by name
         return self.km.curve
 
     def predict_curves(self, d: SurvivalDataset) -> CurveBatch:

@@ -256,7 +256,6 @@ class MetricReport:
     tau: float
     tstars: tuple
     fold_predictions: list             # per fold: (validation indices, extended batch)
-    fold_t0: list
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,6 @@ class _FoldOutput:
     scores: dict                  # fold metric -> value
     probs_at_tstars: np.ndarray   # (n_val, len(tstars)): S_i(t*) for one-calibration
     probs_at_times: np.ndarray    # (n_val,): S_i(t_i) for D-calibration
-    t0_km: float
     val_indices: np.ndarray
 
 
@@ -339,8 +337,7 @@ def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig, val_mask: np.ndarray,
                                 (n, len(tstars)))
     at_times = np.broadcast_to(survival_at(curves, raw_val.times), (n,))
     scores = _score_fold(raw_val, curves, medians, cfg.metrics, tau, raw_train, train_km_ext)
-    return _FoldOutput(curves, scores, at_tstars, at_times, t0_km,
-                       np.flatnonzero(val_mask))
+    return _FoldOutput(curves, scores, at_tstars, at_times, np.flatnonzero(val_mask))
 
 
 def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
@@ -417,7 +414,6 @@ def run_experiment(d: SurvivalDataset, cfg: ExperimentConfig) -> MetricReport:
         tau=tau,
         tstars=tstars,
         fold_predictions=[(out.val_indices, out.curves) for out in fold_results],
-        fold_t0=[out.t0_km for out in fold_results],
     )
 
 

@@ -65,3 +65,33 @@ def test_a_json_difference_is_sized(tmp_path):
     lines, _ = compare_outputs.compare_dirs(first, second)
     assert lines[0] == ("different  model.json  (max abs 0, max rel 0; keys differ; "
                         "list lengths differ)")
+
+
+def test_differing_curve_files_are_one_line_per_directory(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    for run in ("evaluate-cox-kp", "fit-cox-kp"):
+        for i in range(3):
+            rows = f"time,survival\n0.0,1.0\n{2.0 + i!r},{0.5 / (i + 1)!r}\n"
+            for root in (first, second):
+                (root / run / "curves").mkdir(parents=True, exist_ok=True)
+                (root / run / "curves" / f"patient_{i:05d}.csv").write_text(rows)
+    for root, value in ((first, 0.75), (second, float(np.nextafter(0.75, 1.0)))):
+        (root / "evaluate-cox-kp" / "metrics.csv").write_text(f"metric,fold,value\nibs,0,{value!r}\n")
+    # the second and third curve of evaluate-cox-kp each move by one ulp
+    for i in (1, 2):
+        path = second / "evaluate-cox-kp" / "curves" / f"patient_{i:05d}.csv"
+        p = 0.5 / (i + 1)
+        path.write_text(path.read_text().replace(repr(p), repr(float(np.nextafter(p, 1.0)))))
+
+    lines, same = compare_outputs.compare_dirs(first, second)
+    assert not same
+    # the larger gap, absolute and relative, is the one ulp above 0.25
+    big = float(np.nextafter(0.25, 1.0))
+    metric = float(np.nextafter(0.75, 1.0))
+    assert lines == [
+        f"different  evaluate-cox-kp/curves/  (2 files; max abs {big - 0.25:.3g}, "
+        f"max rel {(big - 0.25) / big:.3g})",
+        f"different  evaluate-cox-kp/metrics.csv  (max abs {metric - 0.75:.3g}, "
+        f"max rel {(metric - 0.75) / metric:.3g})",
+        "4 of 7 files equal",
+    ]

@@ -22,9 +22,11 @@ The manifest uses the command line, a stable interface, so it also runs on
 a revision whose Python API differs.  Each command's exit code, stdout and
 stderr are kept beside its output files.  Every file is then reported as
 equal or different; for a CSV or JSON file that differs, the largest
-absolute and relative difference over its numbers is given.  The exit
-code is 0 only if every file is equal, 1 if any differs and 2 on a usage
-or git error.
+absolute and relative difference over its numbers is given.  The
+per-patient curve files that differ are summed up in one line per
+``curves`` directory: how many differ, and the largest differences over
+all of them.  The exit code is 0 only if every file is equal, 1 if any
+differs and 2 on a usage or git error.
 """
 
 from __future__ import annotations
@@ -137,10 +139,9 @@ def _size(pairs, notes) -> str:
     return "; ".join([f"max abs {max_abs:.3g}, max rel {max_rel:.3g}", *notes])
 
 
-def _csv_difference(a: Path, b: Path) -> str:
-    """What differs between two CSV files: the largest absolute and
-    relative difference over cell pairs that are both numbers, and whether
-    the shapes or any text cells differ."""
+def _csv_difference(a: Path, b: Path) -> tuple:
+    """What differs between two CSV files: the cell pairs that are both
+    numbers, and notes on whether the shapes or any text cells differ."""
     with open(a, encoding="utf-8", newline="") as fa, open(b, encoding="utf-8", newline="") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     notes, pairs = [], []
@@ -155,7 +156,7 @@ def _csv_difference(a: Path, b: Path) -> str:
                 text |= x != y
     if text:
         notes.append("text cells differ")
-    return _size(pairs, notes)
+    return pairs, notes
 
 
 def _json_pairs(x, y, pairs, notes) -> None:
@@ -177,14 +178,14 @@ def _json_pairs(x, y, pairs, notes) -> None:
         notes.add("other values differ")
 
 
-def _json_difference(a: Path, b: Path) -> str:
-    """What differs between two JSON files: the largest absolute and
-    relative difference over the numbers at the same place in both, and
-    whether keys, list lengths or other values differ."""
+def _json_difference(a: Path, b: Path) -> tuple:
+    """What differs between two JSON files: the pairs of numbers at the
+    same place in both, and notes on whether keys, list lengths or other
+    values differ."""
     pairs, notes = [], set()
     _json_pairs(json.loads(a.read_text(encoding="utf-8")),
                 json.loads(b.read_text(encoding="utf-8")), pairs, notes)
-    return _size(pairs, sorted(notes))
+    return pairs, sorted(notes)
 
 
 DIFFERENCES = {".csv": _csv_difference, ".json": _json_difference}
@@ -192,19 +193,33 @@ DIFFERENCES = {".csv": _csv_difference, ".json": _json_difference}
 
 def compare_dirs(a: Path, b: Path) -> tuple:
     """(report lines, whether every file is equal) for the files under `a`
-    and `b`, matched by their relative paths."""
+    and `b`, matched by their relative paths.  The per-patient curve files
+    that differ are reported as one line per ``curves`` directory, with
+    their count and the largest differences over all of them."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     lines, equal = [], 0
+    curves = {}  # curves directory -> (its line's index, files, pairs, notes)
     for rel in sorted(files_a | files_b):
         if rel not in files_b or rel not in files_a:
             lines.append(f"only in {'first' if rel in files_a else 'second'}  {rel}")
         elif (a / rel).read_bytes() == (b / rel).read_bytes():
             equal += 1
-        elif rel.suffix in DIFFERENCES:
-            lines.append(f"different  {rel}  ({DIFFERENCES[rel.suffix](a / rel, b / rel)})")
-        else:
+        elif rel.suffix not in DIFFERENCES:
             lines.append(f"different  {rel}")
+        elif rel.parent.name == "curves":
+            if rel.parent not in curves:
+                curves[rel.parent] = (len(lines), [], [], set())
+                lines.append(None)
+            _, files, pairs, notes = curves[rel.parent]
+            more, more_notes = DIFFERENCES[rel.suffix](a / rel, b / rel)
+            files.append(rel)
+            pairs += more
+            notes.update(more_notes)
+        else:
+            lines.append(f"different  {rel}  ({_size(*DIFFERENCES[rel.suffix](a / rel, b / rel))})")
+    for folder, (at, files, pairs, notes) in curves.items():
+        lines[at] = f"different  {folder}/  ({len(files)} files; {_size(pairs, sorted(notes))})"
     total = len(files_a | files_b)
     lines.append(f"{equal} of {total} files equal")
     return lines, equal == total
