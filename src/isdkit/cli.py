@@ -195,8 +195,6 @@ def cmd_report(args) -> int:
         means = {r["metric"]: float(r["value"]) for r in rows if r["fold"] == "mean"}
         sds = {r["metric"]: float(r["value"]) for r in rows if r["fold"] == "sd"}
         tables[label] = (means, sds)
-    if not tables:
-        raise FitError("no runs given to report on")
 
     higher_is_better = {"concordance"}
     metrics = sorted({m for means, _ in tables.values() for m in means})

@@ -157,25 +157,18 @@ class CurveBatch:
                 return np.exp(-np.exp(p))
             return np.exp(np.negative(np.exp(p, out=p), out=p), out=p)
 
-    def row_blocks(self) -> list:
-        """The rows as slices of at most `ROW_BLOCK` rows, the unit in which
-        a query builds (rows x knots) tables; an empty slice for a batch
-        without rows."""
-        return [slice(first, min(first + ROW_BLOCK, self.rows))
-                for first in range(0, max(self.rows, 1), ROW_BLOCK)]
-
-    def block_tables(self, wanted=None):
-        """Yield (block, table) for each of `row_blocks`, the table being
-        the block's (rows x knots) probabilities; with a row mask
-        ``wanted``, only the blocks that hold one of its rows.  A batch in
+    def block_tables(self):
+        """Yield (block, table) for the rows as slices of at most
+        `ROW_BLOCK` rows (one empty slice for a batch without rows), the
+        table being the block's (rows x knots) probabilities.  A batch in
         hazard form builds every table in one buffer allocated up front,
         since tables above glibc's mmap threshold would otherwise map fresh
         pages for every block, so a table holds only until the next
         block."""
         buf = None if self.eta is None else np.empty((min(self.rows, ROW_BLOCK), self.knots.size))
-        for block in self.row_blocks():
-            if wanted is None or wanted[block].any():
-                yield block, self._probs(block, slice(None), out=buf)
+        for first in range(0, max(self.rows, 1), ROW_BLOCK):
+            block = slice(first, min(first + ROW_BLOCK, self.rows))
+            yield block, self._probs(block, slice(None), out=buf)
 
     def row(self, i: int) -> np.ndarray:
         """Row i's probabilities at the knots."""
@@ -228,18 +221,25 @@ class CurveBatch:
         zero = np.maximum(self.zero_time[rows], knots[last])
         return p, knots[seg], np.where(tail, zero, knots[nxt]), np.where(tail, 0.0, end)
 
-    def first_at_or_below(self, level: float, wanted=None):
+    def first_at_or_below(self, level: float):
         """Per row, the index of the first knot with S <= level (0 if none)
-        and whether there is one.  The rows are read through
-        `block_tables`, only the blocks that hold a row of the mask
-        ``wanted`` when it is given."""
-        first = np.zeros(self.rows, dtype=np.intp)
-        found = np.zeros(self.rows, dtype=bool)
-        below = np.empty((min(self.rows, ROW_BLOCK), self.knots.size), dtype=bool)
-        for block, probs in self.block_tables(wanted):
-            mask = np.less_equal(probs, level, out=below[:probs.shape[0]])
-            first[block], found[block] = np.argmax(mask, axis=1), mask.any(axis=1)
-        return first, found
+        and whether there is one.  Every row is non-increasing, so that
+        index is the number of knots above the level: counted on a matrix,
+        and found by bisection in hazard form, which reads one knot of each
+        row per step."""
+        m = self.knots.size
+        if self.eta is None:
+            above = np.count_nonzero(self.base > level, axis=1)
+        else:
+            # add each power of 2, largest first, while the knot it reaches
+            # (the last, past the end) is above the level; exp(-exp(.)) is
+            # non-increasing in floats too, so this finds the scan's knot
+            rows, above = np.arange(self.rows), np.zeros(self.rows, dtype=np.intp)
+            for k in reversed(range(m.bit_length())):
+                probe = np.minimum(above + (1 << k), m)
+                above = np.where(self._probs(rows, probe - 1) > level, probe, above)
+        found = above < m
+        return np.where(found, above, 0), found
 
     def _value(self, rows, seg, t):
         # S at t on each row's `line` on segment `seg`, t at or past its left
@@ -269,12 +269,9 @@ class CurveBatch:
         values = self._value(np.arange(self.rows)[:, None], self.segment_of(t2), t2)
         return values if t.ndim == 2 else values[:, 0]
 
-    def _suffix_area(self, rows: slice) -> np.ndarray:
-        # suffix[:, j] = integral of each row of the slice from knot j to
-        # infinity, and suffix[:, m] = 0 past the tail
-        if self.zero_time is None:
-            raise ValueError("areas need extended curves; call extend_linear first")
-        probs = self._probs(rows, slice(None))
+    def _suffix_area(self, rows: slice, probs) -> np.ndarray:
+        # suffix[:, j] = integral from knot j to infinity of each row of
+        # `probs`, the table of the slice, and suffix[:, m] = 0 past the tail
         inside = _trapezoid(np.diff(self.knots), probs[:, :-1],
                             probs[:, 1:] if self.interp == "linear" else probs[:, :-1])
         width = self.zero_time[rows] - self.t_max
@@ -286,16 +283,20 @@ class CurveBatch:
         """Integral of S from c to infinity, c of shape () or (q,) with one
         time per patient: the rest of c's `line` plus every segment after
         it, whose areas each block of rows reads from one suffix-sum table."""
+        if self.zero_time is None:
+            raise ValueError("areas need extended curves; call extend_linear first")
         c = np.asarray(c, dtype=float).reshape(-1)
-        rows = np.arange(self.rows) if self.rows > 1 else 0
+        rows = np.arange(self.rows) if self.rows != 1 else 0
         seg = self.segment_of(c)
-        if self.rows > 1:
+        if self.rows != 1:
             nxt_of = np.broadcast_to(seg + 1, (self.rows,))
             after = np.concatenate([
-                np.take_along_axis(self._suffix_area(block), nxt_of[block, None], axis=1)[:, 0]
-                for block in self.row_blocks()])
+                np.take_along_axis(self._suffix_area(block, probs), nxt_of[block, None],
+                                   axis=1)[:, 0]
+                for block, probs in self.block_tables()])
         else:
-            after = self._suffix_area(slice(None))[0, seg + 1]
+            (block, probs), = self.block_tables()
+            after = self._suffix_area(block, probs)[0, seg + 1]
         _, _, stop, end = self.line(rows, seg)
         return _trapezoid(np.maximum(stop - c, 0.0), self._evaluate(c), end) + after
 
@@ -330,8 +331,7 @@ def extend_linear(c: CurveBatch, t0_km: float | None = None) -> CurveBatch:
     t_max = c.t_max
     dead = p_last <= 0.0
     flat = p_last > 1.0 - FLAT_TOLERANCE
-    # the first knot at 0 of each row, read in the blocks that hold a dead row
-    first_zero = c.knots[c.first_at_or_below(0.0, wanted=dead)[0]]
+    first_zero = c.knots[c.first_at_or_below(0.0)[0]]
     with np.errstate(divide="ignore", invalid="ignore"):
         zero = np.where(dead, first_zero, t_max / (1.0 - p_last))
     if flat.any():
@@ -375,4 +375,4 @@ def integrate_curve(c: CurveBatch, a: float, b: float) -> np.ndarray:
 
 def mean_survival(c: CurveBatch) -> np.ndarray:
     """Expected survival time: the area under each extended row."""
-    return np.concatenate([c._suffix_area(block)[:, 0] for block in c.row_blocks()])
+    return c.area_from(0.0)

@@ -171,6 +171,32 @@ class TestEvaluate:
         assert "no feature passed the univariate Cox filter" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.rglob("*.csv")} == before
 
+    def test_a_refused_percentile_writes_an_error_row(self, toy_csv, tmp_path, monkeypatch):
+        from isdkit import calibration
+
+        one_calibration_dn, calls = calibration.one_calibration_dn, []
+
+        def refuse_the_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("too few patients at risk")
+            return one_calibration_dn(*args)
+
+        monkeypatch.setattr(calibration, "one_calibration_dn", refuse_the_second)
+        out = tmp_path / "run"
+        code = main(["evaluate", "--dataset", str(toy_csv), "--model", "km", "--folds", "3",
+                     "--percentiles", "25,50,75", "--out", str(out)])
+        assert code == 0 and len(calls) == 3
+        onecal = [r for r in read_rows(out / "calibration.csv")
+                  if r["test"] == "one-calibration-dn"]
+        assert [r["percentile"] for r in onecal] == ["25.0", "50.0", "75.0"]
+        refused = onecal.pop(1)
+        assert refused["tstar"] != ""
+        assert [refused[k] for k in ("statistic", "dof", "p_value", "error")] == \
+            ["", "", "", "too few patients at risk"]
+        for row in onecal:
+            assert row["error"] == "" and float(row["p_value"]) >= 0.0 and int(row["dof"]) > 0
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--model", "km"])  # missing required flags

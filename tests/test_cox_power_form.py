@@ -5,6 +5,7 @@ probability matrix.
 Every query must give the same bits on both forms, and a fold in hazard
 form must hold no probability per patient and knot at once."""
 
+import math
 import tempfile
 import tracemalloc
 import warnings
@@ -139,6 +140,91 @@ def test_every_query_gives_the_bits_of_the_full_matrix(drawn, data):
         assert bits(a.zero_time) == bits(b.zero_time)
         assert bits(survival_at(a, grid[None, :])) == bits(survival_at(b, grid[None, :]))
         assert bits(median_survival(a, t0_km)) == bits(median_survival(b, t0_km))
+
+
+# ---------------------------------------------------------------------------
+# the first knot at or below a level
+
+def scanned_first_at_or_below(batch, level):
+    """The oracle of `CurveBatch.first_at_or_below`: the first knot with
+    S <= level (0 if none) and whether there is one, found by scanning each
+    row block's table of every knot."""
+    first = np.zeros(batch.rows, dtype=np.intp)
+    found = np.zeros(batch.rows, dtype=bool)
+    for block, probs in batch.block_tables():
+        mask = probs <= level
+        first[block], found[block] = np.argmax(mask, axis=1), mask.any(axis=1)
+    return first, found
+
+
+def crossing_eta(level, log_h0):
+    """The eta at which exp(-exp(eta + log H0)) meets the level: where
+    exp(eta + log H0) = -log(level), or, at level 0, where exp(-y) rounds
+    to 0, just past y = 1075 log 2."""
+    y = -math.log(level) if level > 0 else 1075 * math.log(2)
+    return math.log(y) - log_h0 if y > 0 else -math.inf
+
+
+@given(baselines(), st.floats(0.0, 1.0), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_crossing_count_matches_the_block_scan(drawn, drawn_level, data):
+    knots, row = drawn
+    levels = [0.0, 0.5, drawn_level]
+    n = data.draw(st.sampled_from([0, 1, 5, ROW_BLOCK + 1]))
+    finite = np.flatnonzero(np.isfinite(row)).tolist()
+    eta = np.array(data.draw(st.lists(etas, min_size=n, max_size=n)))
+    for i in range(n):
+        if not (finite and data.draw(st.booleans())):
+            continue
+        # a few ulps from where one knot's cell meets one of the levels
+        level, knot = data.draw(st.sampled_from(levels)), data.draw(st.sampled_from(finite))
+        at = crossing_eta(level, row[knot])
+        if math.isfinite(at):
+            ulps = data.draw(st.integers(-4, 4))
+            for _ in range(abs(ulps)):
+                at = np.nextafter(at, math.copysign(math.inf, ulps))
+            eta[i] = at
+    # matrix rows that hold the levels themselves, so that ties occur
+    cells = st.one_of(st.sampled_from([*levels, 1.0]), st.floats(0.0, 1.0))
+    tied = np.sort(data.draw(st.lists(cells, min_size=knots.size * 3, max_size=knots.size * 3)))
+    batches = [CurveBatch(knots, row, eta=eta), CurveBatch(knots, full_matrix(row, eta)),
+               CurveBatch(knots, tied[::-1].reshape(knots.size, 3).T.copy())]
+    for batch in batches:
+        for level in levels:
+            first, found = batch.first_at_or_below(level)
+            scanned_first, scanned_found = scanned_first_at_or_below(batch, level)
+            assert first.dtype == scanned_first.dtype and found.dtype == bool
+            assert first.tobytes() == scanned_first.tobytes()
+            assert found.tobytes() == scanned_found.tobytes()
+
+
+def test_a_batch_without_rows_gives_empty_results():
+    knots, row = np.array([1.0, 2.0]), np.array([-1.0, 0.5])
+    for batch in (CurveBatch(knots, row, eta=np.zeros(0)), CurveBatch(knots, np.zeros((0, 2)))):
+        extended = extend_linear(batch, 10.0)
+        for values in (extended.zero_time, median_survival(extended, 10.0),
+                       mean_survival(extended), extended.area_from(1.5)):
+            assert values.shape == (0,)
+
+
+def test_medians_and_zero_times_of_the_hazard_form_read_no_row_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    knots = np.arange(1.0, 201.0)
+    row = np.log(np.linspace(0.005, 4.0, knots.size))
+    eta = rng.normal(0.0, 1.5, 2 * ROW_BLOCK + 5)
+    eta[::9] = 8.0                                     # S rounds to 0 inside the knots
+    batch = CurveBatch(knots, row, "linear", eta=eta)
+    extended = extend_linear(batch, 300.0)
+    medians = median_survival(extended, 300.0)
+    assert extended.zero_time.min() < 200.0 < extended.zero_time.max()
+
+    def no_tables(*args):
+        raise AssertionError("a row block was read")
+
+    monkeypatch.setattr(CurveBatch, "block_tables", no_tables)
+    again = extend_linear(batch, 300.0)
+    assert bits(again.zero_time) == bits(extended.zero_time)
+    assert bits(median_survival(again, 300.0)) == bits(medians)
 
 
 def test_a_fitted_fold_with_tied_death_times_gives_the_bits_of_the_full_matrix():

@@ -9,6 +9,7 @@ from isdkit.core import ConvergenceError, SurvivalDataset
 from isdkit.curves import extend_linear, median_survival
 from isdkit.mtlr import (
     _LOW_MASS,
+    _MAX_TRIALS,
     GRAD_TOL,
     TimeGrid,
     _encode_labels,
@@ -370,6 +371,71 @@ class TestMinimize:
         assert len(calls) == result.nfev == 1 and result.nit == 0
         assert not result.success and result.message == "non-finite objective value"
         np.testing.assert_array_equal(result.x, np.zeros(3))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_a_non_finite_first_gradient_stops_after_one_evaluation(self, entry):
+        result = minimize(lambda x: (1.0, np.array([0.5, entry])), np.zeros(2),
+                          gtol=GRAD_TOL, ftol=1e-12, max_iter=2000)
+        assert not result.success and result.message == "non-finite gradient"
+        assert result.nfev == 1 and result.nit == 0
+        np.testing.assert_array_equal(result.x, np.zeros(2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_value_in_a_line_search_keeps_the_last_point(self, value):
+        # 0.5 x^2 from 3: the first step reaches 2, the next would reach 0,
+        # where the value is not finite
+        def fun(x):
+            return (0.5 * float(x @ x) if x[0] >= 1.0 else value), x.copy()
+
+        result = minimize(fun, np.array([3.0]), gtol=GRAD_TOL, ftol=1e-12, max_iter=2000)
+        assert not result.success and result.message == "non-finite objective value"
+        assert result.nfev == 3 and result.nit == 1
+        assert result.x.tolist() == [2.0] and result.fun == 2.0
+
+    def test_steepest_descent_without_a_decrease_is_a_failure(self):
+        # |x| at its kink, where the gradient given is the subgradient 1
+        def fun(x):
+            return abs(float(x[0])), np.ones(1)
+
+        result = minimize(fun, np.zeros(1), gtol=GRAD_TOL, ftol=1e-12, max_iter=2000)
+        assert not result.success and result.message == "the line search found no decrease"
+        assert result.nfev == 1 + _MAX_TRIALS and result.nit == 0
+        assert result.x.tolist() == [0.0]
+
+    def test_a_failed_search_with_pairs_drops_them_and_restarts(self):
+        # 0.5 x^2 from 3, whose values read 10 higher in the second line
+        # search: it fails with a pair stored, and steepest descent from the
+        # same point then steps to the minimizer
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            f = 0.5 * float(x @ x)
+            return (f + 10.0 if 2 < len(calls) <= 2 + _MAX_TRIALS else f), x.copy()
+
+        result = minimize(fun, np.array([3.0]), gtol=GRAD_TOL, ftol=1e-12, max_iter=2000)
+        assert result.success and result.message == "gradient max-norm at most gtol"
+        assert result.nfev == len(calls) == 3 + _MAX_TRIALS and result.nit == 2
+        assert calls[1].tolist() == [2.0] and calls[-1].tolist() == result.x.tolist() == [0.0]
+
+    def test_a_direction_that_is_not_finite_restarts_from_steepest_descent(self):
+        # scripted values and gradients: the stored pair has y = -1e15, so
+        # the gradient 1e300 at the second point overflows the product
+        # S^T g and the direction reads NaN; the search then starts from
+        # x - g, whose slope -inf no step can meet
+        script = [(0.0, 1.0), (-1.0, -1e15), (-1e12, 1e300)]
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            f, g = script[len(calls) - 1] if len(calls) <= len(script) else (5.0, 1e300)
+            return f, np.array([g])
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = minimize(fun, np.zeros(1), gtol=GRAD_TOL, ftol=1e-12, max_iter=2000)
+        assert not result.success and result.message == "the line search found no decrease"
+        assert result.nit == 2 and result.nfev == len(calls) == 3 + _MAX_TRIALS
+        assert calls[3].tolist() == [result.x[0] - 1e300] == [-1e300]
 
     def test_the_iteration_limit_is_a_failure(self):
         result = minimize(rosenbrock, rosenbrock_start(2), gtol=GRAD_TOL, ftol=1e-12,

@@ -582,6 +582,21 @@ class TestRunExperiment:
             run_experiment(cohort_with_features(n=60), ExperimentConfig(model="cox-kp", folds=3))
         assert isinstance(caught.value.__cause__, FloatingPointError)
 
+    def test_a_fold_value_error_carries_its_fold_index(self, monkeypatch):
+        calls = []
+
+        def refuse_the_second_fold(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("no scores for this fold")
+            return _score_fold(*args)
+
+        monkeypatch.setattr("isdkit.pipeline._score_fold", refuse_the_second_fold)
+        with pytest.raises(ValueError, match=r"^fold 1: no scores for this fold$") as caught:
+            run_experiment(cohort_with_features(n=60), ExperimentConfig(model="km", folds=3))
+        assert type(caught.value) is ValueError
+        assert isinstance(caught.value.__cause__, ValueError)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(model="deep-net")
