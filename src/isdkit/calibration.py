@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import SurvivalDataset
 from .curves import ROW_BLOCK, CurveBatch
-from .km import KMCurve, fit_km_arrays, km_at
+from .km import KMCurve, km_at
 
 __all__ = [
     "TestResult",
@@ -151,23 +151,35 @@ def calibration_table(v: SurvivalDataset, probs_at_tstar, tstar: float, b: int,
                          "D'Agostino-Nam variant instead")
 
     members = _bin_memberships(probs, b)
-    n = np.array([m.size for m in members], dtype=float)
+    sizes = np.array([m.size for m in members])
+    n = sizes.astype(float)
     pbar = np.array([np.mean(1.0 - probs[m]) for m in members])
 
-    observed = np.empty(len(members))
-    for j, m in enumerate(members):
-        if censoring == "reject":
-            observed[j] = np.sum(times[m] <= tstar)
-        else:
-            mask_t, mask_e = times[m], events[m]
-            if not mask_e.any() and (mask_t < tstar).all():
-                raise ValueError(
-                    f"bin {j} contains only instances censored before t*={tstar}; "
-                    "its within-bin Kaplan-Meier curve cannot be evaluated there"
-                )
-            km_j = fit_km_arrays(mask_t, mask_e)
-            observed[j] = m.size * (1.0 - km_at(km_j, tstar))
-    return CalibrationBins(n, pbar, observed)
+    # every bin's rows in one array, bin by bin and by time within a bin
+    rows = np.concatenate([m[np.argsort(times[m], kind="stable")] for m in members])
+    bin_of = np.repeat(np.arange(b), sizes)
+    t, e = times[rows], events[rows]
+    starts = np.cumsum(sizes) - sizes
+    if censoring == "reject":
+        return CalibrationBins(n, pbar, np.add.reduceat(t <= tstar, starts, dtype=float))
+
+    empty = np.flatnonzero(~np.logical_or.reduceat(e, starts)
+                           & np.logical_and.reduceat(t < tstar, starts))
+    if empty.size:
+        raise ValueError(
+            f"bin {empty[0]} contains only instances censored before t*={tstar}; "
+            "its within-bin Kaplan-Meier curve cannot be evaluated there"
+        )
+    # each bin's within-bin Kaplan-Meier curve at t*: the product, in time
+    # order, of 1 - deaths / at risk over its distinct times up to t* (a
+    # time past t* contributes the factor 1); at risk at a time are the
+    # rows from the time's first one to the bin's end
+    group = np.flatnonzero(np.append(True, (t[1:] != t[:-1]) | (bin_of[1:] != bin_of[:-1])))
+    deaths = np.add.reduceat(e, group, dtype=float)
+    at_risk = np.repeat(starts + sizes, sizes)[group] - group
+    factors = np.where(t[group] <= tstar, 1.0 - deaths / at_risk, 1.0)
+    surv = np.multiply.reduceat(factors, np.searchsorted(group, starts))
+    return CalibrationBins(n, pbar, n * (1.0 - surv))
 
 
 def _hl_statistic(table: CalibrationBins) -> float:

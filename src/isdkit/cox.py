@@ -214,12 +214,12 @@ def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
 
 
 # columns are fitted in blocks of at most this many cells: each working array
-# of a block is then 256 KB, so a handful of them stay in a 1 MB L2 cache.
-# On cox-wide training folds (1,600 rows x 102 columns, a 2-vCPU AMD EPYC),
-# 1 << 15 was the fastest of the sizes 1 << 13 to 1 << 20 (10.8 ms a fold,
-# against 13.8 ms at 1 << 20) and peaked at 2.6 MB under tracemalloc
-# (12.7 MB at 1 << 20); columns are fitted independently, so the p-values
-# are the same bits at every size
+# of a block, the trial buffers among them, is then 256 KB, so they stay in
+# a 2 MB L2 cache.  On the 100 columns of ten cox-wide training folds
+# (1,600 rows, a 2-vCPU Xeon, median of 15), 1 << 15 was the fastest of the
+# sizes 1 << 13 to 1 << 16: 25.1 ms a fold, against 34.7, 27.5 and 25.5 ms,
+# with a tracemalloc peak of 2.3 MB, against 0.6, 1.2 and 4.2 MB; columns
+# are fitted independently, so the p-values are the same bits at every size
 _BLOCK_CELLS = 1 << 15
 
 # |beta| of a standardized column past this (a hazard ratio above e**10 per
@@ -236,15 +236,35 @@ def _wald_pvalues(x, columns, times, events):
     p = np.ones(len(columns))
     if not es.any():                       # no risk set: nothing to test
         return p
+    deaths = _Deaths(ts, es)
     block = max(1, _BLOCK_CELLS // ts.size)
+    # every block's trials work in these buffers: see `_block_trials`
+    buffers = (np.empty((3, min(block, len(columns)), ts.size)),
+               np.empty((min(block, len(columns)), ts.size), dtype=bool))
     for start in range(0, len(columns), block):
         # np.take gives C-contiguous time-sorted rows, one per column
         p[start:start + block] = _wald_block(
-            np.take(x[:, columns[start:start + block]].T, order, axis=1), ts, es)
+            np.take(x[:, columns[start:start + block]].T, order, axis=1), deaths, buffers)
     return p
 
 
-def _wald_block(cols, ts, es):
+class _Deaths:
+    """The deaths of a filter run's time-sorted rows, which every block
+    shares: the death rows; each death time's first row at risk, counted
+    from the last row, and its first death among the death rows; and each
+    death's first row at risk (the risk set is that row and every later
+    one)."""
+
+    def __init__(self, ts, es):
+        self.n = ts.size
+        self.rows = np.flatnonzero(es)
+        times = np.unique(ts[es])
+        self.first = ts.size - 1 - np.searchsorted(ts, times, side="left")
+        self.tie_start = np.searchsorted(ts[es], times)
+        self.starts = np.searchsorted(ts, ts[es], side="left")
+
+
+def _wald_block(cols, deaths, buffers):
     """`_newton` and the Wald (or score) test on one column at a time, run
     on every column of `cols` (columns × time-sorted rows, overwritten) at
     once.
@@ -257,45 +277,29 @@ def _wald_block(cols, ts, es):
     risk set's second moment passes n, while I(0) is at least the first
     death's count, so I(0) loses digits with log10(n) alone.
     """
-    death_rows = np.flatnonzero(es)
-    death_times = np.unique(ts[es])
-    # each death time's first row at risk, counted from the last row
-    first = ts.size - 1 - np.searchsorted(ts, death_times, side="left")
-    weight, dead, separates = _at_risk(cols, ts, es)
+    weight, dead, separates, extremes = _at_risk(cols, deaths)
     usable = weight.any(axis=1)
     if not usable.all():             # so that a search of every column can use views
         cols, weight, dead, separates = (a[usable] for a in (cols, weight, dead, separates))
-    deaths = np.add.reduceat(dead, np.searchsorted(ts[es], death_times), axis=1, dtype=float)
+        extremes = extremes[:, usable]
+    # Breslow tie counts, each death time's present deaths; without tied
+    # deaths, each death time holds one death
+    ties = (np.add.reduceat(dead, deaths.tie_start, axis=1, dtype=float)
+            if deaths.tie_start.size < deaths.rows.size else dead.astype(float))
 
     z = cols                                         # standardized in place
     z[~weight] = 0.0
     count = weight.sum(axis=1)
-    z -= (z.sum(axis=1) / count)[:, None]
+    mean = z.sum(axis=1) / count
+    z -= mean[:, None]
     z *= weight
     # a column of subnormal values may vary and still have sd 0: z = 0 then
     sd = np.sqrt(np.einsum("ij,ij->i", z, z) / count)
-    z /= np.where(sd > 0, sd, np.inf)[:, None]
-    # np.take keeps row slices C-contiguous, so each row sum below is the
-    # pairwise sum a one-column fit takes over the same numbers
-    death_z = np.take(z, death_rows, axis=1).sum(axis=1)
-
-    # a diverging fit (a separating column) may drive a risk-set sum to 0,
-    # so its likelihood reads +inf; the line search accepts only a finite
-    # candidate, discarding the derivatives computed with it
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def partial(rows, beta):
-        """(loglik, grad, info) of the columns `rows` at beta, in one pass."""
-        zr, wr, dr = z[rows], weight[rows], deaths[rows]
-        eta = zr * beta[:, None]
-        shift = np.where(wr, eta, -np.inf).max(axis=1)
-        ws = np.exp(eta - shift[:, None]) * wr
-        s0 = np.where(dr > 0, _risk_sums(ws, first), 1.0)
-        loglik = (np.take(eta, death_rows, axis=1).sum(axis=1)
-                  - (dr * (np.log(s0) + shift[:, None])).sum(axis=1))
-        mean = _risk_sums(ws * zr, first) / s0
-        grad = death_z[rows] - (dr * mean).sum(axis=1)
-        info = (dr * (_risk_sums(ws * zr * zr, first) / s0 - mean * mean)).sum(axis=1)
-        return loglik, grad, info
+    scale = np.where(sd > 0, sd, np.inf)
+    z /= scale[:, None]
+    # the largest and smallest z at risk, by the same arithmetic: both
+    # steps are monotone, so they standardize the raw extremes at risk
+    partial = _block_trials(z, weight, ties, (extremes - mean) / scale, deaths, buffers)
 
     beta = np.zeros(z.shape[0])
     loglik, grad, info = partial(slice(None), beta)
@@ -337,6 +341,70 @@ def _wald_block(cols, ts, es):
     return p
 
 
+def _block_trials(z, weight, ties, extremes, deaths, buffers):
+    """The trial `partial(rows, beta) -> (loglik, grad, info)` of a block:
+    the standardized columns `z` (columns × time-sorted rows, 0 off their
+    rows at risk), their rows at risk `weight`, Breslow tie counts `ties`
+    per death time, the largest and smallest z at risk of each column
+    (`extremes`, 2 × columns) and the run's `_Deaths`.  `rows` picks the
+    columns, a slice or an index array, and beta holds one coefficient per
+    picked column.  A trial works in the arrays of `buffers`, allocated
+    once for every block of the run: a (3, columns, rows) float array, for
+    the terms, their risk sums and a gather of the columns searching when
+    they are not all of them, and a (columns, rows) bool array for the
+    gather's weights."""
+    first = deaths.first
+    # np.take keeps row slices C-contiguous, so each row sum below is the
+    # pairwise sum a one-column fit takes over the same numbers
+    z_dead = np.take(z, deaths.rows, axis=1)
+    death_z = z_dead.sum(axis=1)
+
+    # fl(beta z) is monotone in z, so a column's largest beta z at risk, the
+    # shift that keeps exp from overflowing, is beta times its largest z at
+    # risk for beta >= 0 and its smallest else
+    z_hi, z_lo = extremes
+    has_death = ties > 0
+    terms, sums, gather = buffers[0][:, :z.shape[0]]
+    gather_w = buffers[1][:z.shape[0]]
+
+    # a diverging fit (a separating column) may drive a risk-set sum to 0,
+    # so its likelihood reads +inf; the line search accepts only a finite
+    # candidate, discarding the derivatives computed with it
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def partial(rows, beta):
+        """(loglik, grad, info) of the columns `rows` at beta, in one pass."""
+        k = beta.size
+        if isinstance(rows, slice):
+            zr, wr = z, weight
+        else:
+            zr = np.take(z, rows, axis=0, out=gather[:k], mode="clip")
+            wr = np.take(weight, rows, axis=0, out=gather_w[:k], mode="clip")
+        dr = ties[rows]
+        shift = np.where(beta >= 0, beta * z_hi[rows], beta * z_lo[rows])
+        # the terms w exp(beta z - shift), then times z and times z again:
+        # the left-to-right products of w exp(.) * z * z; at beta = 0 every
+        # exp reads 1, so the terms are the weights
+        ws = terms[:k]
+        if beta.any():
+            np.multiply(zr, beta[:, None], out=ws)
+            ws -= shift[:, None]
+            np.exp(ws, out=ws)
+            ws *= wr
+        else:
+            np.copyto(ws, wr)
+        s0 = np.where(has_death[rows], _risk_sums(ws, first, sums[:k]), 1.0)
+        loglik = ((z_dead[rows] * beta[:, None]).sum(axis=1)
+                  - (dr * (np.log(s0) + shift[:, None])).sum(axis=1))
+        ws *= zr
+        mean = _risk_sums(ws, first, sums[:k]) / s0
+        grad = death_z[rows] - (dr * mean).sum(axis=1)
+        ws *= zr
+        info = (dr * (_risk_sums(ws, first, sums[:k]) / s0 - mean * mean)).sum(axis=1)
+        return loglik, grad, info
+
+    return partial
+
+
 _SQRT_HALF = math.sqrt(0.5)   # the double nearest 1/sqrt(2), as M_SQRT1_2
 
 
@@ -348,29 +416,33 @@ def _normal_tails(z):
     return np.array([math.erfc(v * _SQRT_HALF) for v in z.tolist()])
 
 
-def _risk_sums(a, first, reduce=np.add):
+def _risk_sums(a, first, out=None, reduce=np.add):
     """Risk-set sums, or another `reduce` such as np.fmax, of each row of
     `a` (columns × time-sorted rows): its suffix reductions at the first
     rows at risk (of each death time, or of each death) that `first`
-    counts from the last row."""
-    return np.take(reduce.accumulate(a[:, ::-1], axis=1), first, axis=1)
+    counts from the last row.  The suffix reductions go in `out` when
+    given, an array of a's shape."""
+    return np.take(reduce.accumulate(a[:, ::-1], axis=1, out=out), first, axis=1)
 
 
-def _at_risk(cols, ts, es):
-    """(weight, dead, separates) of every column of `cols` (columns ×
-    time-sorted rows, NaN = missing): True at its rows at risk, its
-    complete cases at or after its first death, and at its present deaths;
-    and whether every death holds the largest value at risk, or every death
-    the smallest.  Raw values are compared, so that rounding cannot make a
+def _at_risk(cols, deaths):
+    """(weight, dead, separates, extremes) of every column of `cols`
+    (columns × time-sorted rows, NaN = missing): True at its rows at risk,
+    its complete cases at or after its first death, and at its present
+    deaths; whether every death holds the largest value at risk, or every
+    death the smallest; and its largest and smallest values at risk
+    (2 × columns).  Raw values are compared, so that rounding cannot make a
     tie.  A column without a death, or constant at risk, has no information
     at beta = 0 and gets no row."""
-    starts = np.searchsorted(ts, ts[es], side="left")    # each death's first row at risk
-    death_cells = np.take(cols, np.flatnonzero(es), axis=1)
+    starts = deaths.starts
+    death_cells = np.take(cols, deaths.rows, axis=1)
     dead = ~np.isnan(death_cells)
-    hi, lo = (_risk_sums(cols, ts.size - 1 - starts, extreme) for extreme in (np.fmax, np.fmin))
+    hi, lo = (_risk_sums(cols, deaths.n - 1 - starts, reduce=extreme)
+              for extreme in (np.fmax, np.fmin))
     separates = ~(death_cells < hi).any(axis=1) | ~(death_cells > lo).any(axis=1)
     k0 = dead.argmax(axis=1)                              # each column's first death
     c = np.arange(k0.size)
-    usable = dead[c, k0] & (hi[c, k0] > lo[c, k0])
-    weight = ~np.isnan(cols) & (np.arange(ts.size) >= starts[k0][:, None]) & usable[:, None]
-    return weight, dead, separates
+    extremes = np.stack((hi[c, k0], lo[c, k0]))
+    usable = dead[c, k0] & (extremes[0] > extremes[1])
+    weight = ~np.isnan(cols) & (np.arange(deaths.n) >= starts[k0][:, None]) & usable[:, None]
+    return weight, dead, separates, extremes

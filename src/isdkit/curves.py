@@ -192,6 +192,8 @@ class CurveBatch:
         idx = np.asarray(indices)
         if idx.dtype == bool:
             idx = np.flatnonzero(idx)
+        elif idx.size == 0:   # np.asarray([]) is a float array, refused as an index
+            idx = np.empty(0, dtype=np.intp)
         take = (lambda a: None if a is None else a[idx])
         base = self.base[idx] if self.eta is None else self.base
         return replace(self, base=base, eta=take(self.eta),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isdkit.calibration import (
     brier_censored,
@@ -13,7 +15,7 @@ from isdkit.calibration import (
     one_calibration_hl,
 )
 from isdkit.curves import CurveBatch, extend_linear, survival_at
-from isdkit.km import fit_censoring_km
+from isdkit.km import fit_censoring_km, fit_km_arrays, km_at
 from isdkit.pipeline import CohortConfig, simulate_cohort_latent
 
 from conftest import dataset, linear_curve, step_curve
@@ -119,6 +121,92 @@ class TestOneCalibrationDN:
         d = dataset([1, 2, 30, 40], [0, 0, 1, 1])
         with pytest.raises(ValueError, match="bin 0"):
             one_calibration_dn(d, probs, tstar=10.0, b=2)
+
+
+def per_bin_km_table(v, probs, tstar, b, censoring):
+    """(n, mean predicted, observed) of `calibration_table` as it was before
+    its one product-limit pass: a Kaplan-Meier curve fitted and read at t*
+    in each bin.  The bitwise oracle; it skips the input checks."""
+    members = np.array_split(np.argsort(-probs, kind="stable"), b)
+    observed = np.empty(b)
+    for j, m in enumerate(members):
+        times, events = v.times[m], v.events[m]
+        if censoring == "reject":
+            observed[j] = np.sum(times <= tstar)
+            continue
+        if not events.any() and (times < tstar).all():
+            raise ValueError(
+                f"bin {j} contains only instances censored before t*={tstar}; "
+                "its within-bin Kaplan-Meier curve cannot be evaluated there"
+            )
+        observed[j] = m.size * (1.0 - km_at(fit_km_arrays(times, events), tstar))
+    return (np.array([m.size for m in members], dtype=float),
+            np.array([np.mean(1.0 - probs[m]) for m in members]), observed)
+
+
+@st.composite
+def calibration_cases(draw):
+    """Tied and zero times, deaths exactly at t*, and bins without deaths:
+    the rows of highest predicted survival, which fill the first bins, are
+    censored in a drawn number, so that whole bins go without a death."""
+    n = draw(st.integers(2, 60))
+    b = draw(st.integers(2, min(n, 10)))
+    censoring = draw(st.sampled_from(["km", "km", "reject"]))
+    times = np.array(draw(st.lists(st.integers(0, 10), min_size=n, max_size=n)), dtype=float)
+    levels = st.sampled_from([0.1, 0.35, 0.6, 0.85]) if draw(st.booleans()) else st.floats(0, 1)
+    probs = np.array(draw(st.lists(levels, min_size=n, max_size=n).filter(
+        lambda p: len(set(p)) > 1)))
+    events = np.ones(n, dtype=bool)
+    if censoring == "km":
+        events = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        events[np.argsort(-probs, kind="stable")[:draw(st.integers(0, n))]] = False
+    tstar = float(draw(st.one_of(st.sampled_from(times.tolist()), st.floats(0.0, 12.0))))
+    return dataset(times, events), probs, tstar, b, censoring
+
+
+@given(calibration_cases())
+@settings(max_examples=300, deadline=None)
+def test_calibration_table_matches_the_per_bin_fits_bit_for_bit(case):
+    v, probs, tstar, b, censoring = case
+    try:
+        reference = per_bin_km_table(v, probs, tstar, b, censoring)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as ours:
+            calibration_table(v, probs, tstar, b, censoring)
+        assert str(ours.value) == str(refusal)
+        return
+    table = calibration_table(v, probs, tstar, b, censoring)
+    for got, want in zip((table.n, table.mean_predicted, table.observed), reference):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_refusal_names_the_first_bin_without_a_death_before_tstar():
+    # bins 1 and 2 hold only patients censored before t* = 5; bin 0 has a death
+    probs = np.array([0.9, 0.8, 0.6, 0.5, 0.3, 0.2])
+    v = dataset([2.0, 3.0, 1.0, 4.0, 0.0, 4.0], [1, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError) as refusal:
+        per_bin_km_table(v, probs, 5.0, 3, "km")
+    with pytest.raises(ValueError) as ours:
+        calibration_table(v, probs, 5.0, 3, "km")
+    assert str(ours.value) == str(refusal.value)
+    assert str(ours.value).startswith("bin 1 contains only instances censored before t*=5.0")
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300), st.data())
+@settings(max_examples=300, deadline=None)
+def test_multiply_reduceat_is_the_sequential_product_of_cumprod(factors, data):
+    # the D'Agostino-Nam bins read each bin's Kaplan-Meier value at t* with
+    # np.multiply.reduceat, where a Kaplan-Meier fit takes np.cumprod; the
+    # two agree bit for bit only while both multiply left to right
+    a = np.array(factors)
+    starts = sorted({0, *data.draw(st.lists(st.integers(0, a.size - 1), max_size=12))})
+    ends = [*starts[1:], a.size]
+    got = np.multiply.reduceat(a, starts)
+    for value, start, end in zip(got.tolist(), starts, ends):
+        product = 1.0
+        for f in factors[start:end]:
+            product *= f
+        assert value == product == np.cumprod(a[start:end])[-1]
 
 
 class TestBrier:

@@ -509,3 +509,20 @@ def test_shared_row_is_never_copied_per_patient():
     assert curves.subset(np.arange(5)) is curves
     assert median_survival(curves, t0_km).shape == (1,)
     assert km_at(fit_km(_TRAIN), 0.0) == 1.0
+
+
+def test_an_empty_list_gives_a_batch_without_rows():
+    # np.asarray([]) is a float array, which numpy refuses as an index
+    knots = np.array([1.0, 2.0, 4.0])
+    matrix = extend_linear(CurveBatch(knots, [[0.9, 0.5, 0.2], [0.8, 0.4, 0.1]]), 6.0)
+    hazard = CurveBatch(knots, np.log([0.1, 0.5, 1.5]), eta=[0.0, 0.3, -0.2])
+    for batch in (matrix, hazard):
+        empty = batch.subset([])
+        assert empty.rows == 0 and empty.probs.shape == (0, 4)
+        assert batch.subset(np.zeros(batch.rows, dtype=bool)).probs.shape == (0, 4)
+    assert matrix.subset([]).zero_time.shape == (0,)
+    assert hazard.subset([]).base is hazard.base
+    shared = CurveBatch(knots, [0.9, 0.5, 0.2])
+    assert shared.subset([]) is shared
+    with pytest.raises(IndexError):
+        matrix.subset([0.0])

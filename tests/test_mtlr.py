@@ -1,4 +1,5 @@
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ from isdkit.mtlr import (
     _MAX_TRIALS,
     GRAD_TOL,
     TimeGrid,
+    _Pairs,
     _encode_labels,
     _objective_parts,
     _softmax_tail,
@@ -420,9 +422,11 @@ class TestMinimize:
 
     def test_a_direction_that_is_not_finite_restarts_from_steepest_descent(self):
         # scripted values and gradients: the stored pair has y = -1e15, so
-        # the gradient 1e300 at the second point overflows the product
-        # S^T g and the direction reads NaN; the search then starts from
-        # x - g, whose slope -inf no step can meet
+        # the gradient 1e300 at the third point overflows the product
+        # S^T g and the direction reads NaN; the restart from steepest
+        # descent has the slope -g.g = -inf, which no step can meet, so the
+        # run stops at the third point without evaluating a fourth.  The
+        # pair of that point, y = 1e300 + 1e15, overflows y.y and is skipped
         script = [(0.0, 1.0), (-1.0, -1e15), (-1e12, 1e300)]
         calls = []
 
@@ -431,11 +435,22 @@ class TestMinimize:
             f, g = script[len(calls) - 1] if len(calls) <= len(script) else (5.0, 1e300)
             return f, np.array([g])
 
-        with np.errstate(over="ignore", invalid="ignore"):
+        pushed = []
+        original_push = _Pairs.push
+
+        def recording_push(pairs, s, y):
+            original_push(pairs, s, y)
+            pushed.append(pairs.stored)
+
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("error")
+            patch.setattr(_Pairs, "push", recording_push)
             result = minimize(fun, np.zeros(1), gtol=GRAD_TOL, ftol=1e-12, max_iter=2000)
-        assert not result.success and result.message == "the line search found no decrease"
-        assert result.nit == 2 and result.nfev == len(calls) == 3 + _MAX_TRIALS
-        assert calls[3].tolist() == [result.x[0] - 1e300] == [-1e300]
+        assert not result.success and result.message == "non-finite slope"
+        assert result.nit == 2 and result.nfev == len(calls) == 3
+        assert all(np.isfinite(x).all() for x in calls)
+        assert pushed == [1, 1]
+        assert result.x.tolist() == calls[2].tolist() and result.fun == -1e12
 
     def test_the_iteration_limit_is_a_failure(self):
         result = minimize(rosenbrock, rosenbrock_start(2), gtol=GRAD_TOL, ftol=1e-12,

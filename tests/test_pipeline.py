@@ -411,8 +411,9 @@ class TestPreprocessWholeMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 2.5 matrices: the filter's candidate copy and its column
-        # blocks; a second copy of the candidates would add one
+        # about 2.8 matrices: the filter's candidate copy, and its column
+        # blocks with their trial buffers; a second copy of the candidates
+        # would add one
         assert peak < 3.0 * train.values.nbytes
 
 
