@@ -52,7 +52,7 @@ high_risk = np.array([1.5, -1.0])
 # a feature vector gives that patient's curve as a one-row CurveBatch
 predictors = {
     "cox-kp": lambda x: extend_linear(predict_curve_cox(cox, x), t0_km),
-    "aft-weibull": lambda x: extend_linear(predict_curve_aft(aft, x, aft.grid), t0_km),
+    "aft-weibull": lambda x: extend_linear(predict_curve_aft(aft, x), t0_km),
     "mtlr": lambda x: extend_linear(predict_curve_mtlr(mtlr, x), t0_km),
 }
 

@@ -48,7 +48,7 @@ class AftWeibullModel(SurvivalModel):
         return float(np.exp(self.intercept + x @ self.coeffs))
 
     def predict_curves(self, d: SurvivalDataset) -> CurveBatch:
-        return predict_curve_aft(self, d.feature_matrix(), self.grid)
+        return predict_curve_aft(self, d.feature_matrix())
 
 
 # absurd trial points during step halving may overflow; the resulting
@@ -131,12 +131,11 @@ def fit_aft_weibull(d: SurvivalDataset, grid: TimeGrid) -> AftWeibullModel:
                            grid.points, iterations, gnorm, d.feature_names)
 
 
-def predict_curve_aft(m: AftWeibullModel, x, grid) -> CurveBatch:
-    """Closed-form Weibull survival sampled on the increasing time points
-    `grid` (an array; a fitted model keeps its own as `m.grid`),
-    emitted as piecewise-linear curves: a row per row of the matrix x, one
-    row for a feature vector."""
-    grid = np.asarray(grid, dtype=float)
+def predict_curve_aft(m: AftWeibullModel, x) -> CurveBatch:
+    """Closed-form Weibull survival sampled on the model's increasing time
+    points `m.grid`, emitted as piecewise-linear curves: a row per row of
+    the matrix x, one row for a feature vector."""
+    grid = np.asarray(m.grid, dtype=float)
     x = np.asarray(x, dtype=float)
     mu = m.intercept + x @ m.coeffs
     with np.errstate(divide="ignore"):

@@ -45,23 +45,25 @@ class CoxModel(SurvivalModel):
         return predict_curve_cox(self, d.feature_matrix())
 
 
-def _suffix_sum(a):
-    return np.cumsum(a[::-1], axis=0)[::-1]
-
-
 class _RiskSets:
-    """One fit's rows in time order, sorted once, with its Breslow death
-    structure: the distinct death times, each one's first row at risk (the
-    risk set is that row and every later one), its tie count and the summed
-    covariates of every death."""
+    """Rows in time order, sorted once, with their Breslow death structure,
+    which the fit, its Kalbfleisch-Prentice baseline and the univariate
+    filter all read: the `order` that sorts the rows by time, the death
+    rows, and each distinct death time with its first row at risk (the
+    risk set is that row and every later one), its run of tied rows among
+    the death rows and its tie count.  The first rows are kept counted from
+    the first row, as `np.ufunc.reduceat` reads them, and from the last, as
+    `_risk_sums` does.  A fit's covariates are held in time order with the
+    summed covariates of every death; the filter gathers its columns a
+    block at a time, so its risk sets hold a matrix without columns."""
 
     def __init__(self, x, times, events):
-        order = np.argsort(times, kind="stable")
-        self.x, ts, es = x[order], times[order], events[order]
+        self.order = np.argsort(times, kind="stable")
+        self.x, ts, es = x[self.order], times[self.order], events[self.order]
         self.death_rows = np.flatnonzero(es)
         self.death_times = np.unique(ts[es])
         self.first = np.searchsorted(ts, self.death_times, side="left")
-        # each death time's run of tied rows among the death rows
+        self.back = ts.size - 1 - self.first
         self.tie_start = np.searchsorted(ts[es], self.death_times, side="left")
         self.deaths = np.diff(self.tie_start, append=self.death_rows.size).astype(float)
         self.death_x = self.x[self.death_rows].sum(axis=0)
@@ -77,9 +79,9 @@ class _RiskSets:
         shift = eta.max() if eta.size else 0.0
         w = np.exp(eta - shift)
         d = self.deaths
-        s0 = _suffix_sum(w)[self.first]
+        s0 = _risk_sums(w, self.back)
         loglik = float(self.death_x @ beta - d @ (np.log(s0) + shift))
-        means = _suffix_sum(w[:, None] * self.x)[self.first] / s0[:, None]
+        means = _risk_sums(w[:, None] * self.x, self.back) / s0[:, None]
         grad = self.death_x - d @ means
         # sum_j d_j / s0_j * sum_{l in R_j} w_l x_l x_l^T regroups by row:
         # row l carries c_l, the sum of d_j / s0_j over the risk sets holding it
@@ -157,7 +159,7 @@ def _kp_baseline(beta, risk) -> CurveBatch:
     eta = risk.x @ beta
     dead = np.zeros(eta.size, dtype=bool)
     dead[risk.death_rows] = True
-    log_s0 = np.logaddexp.accumulate(eta[::-1])[::-1][risk.first]
+    log_s0 = _risk_sums(eta, risk.back, reduce=np.logaddexp)
     # the weight at risk that does not die at t_j: the rows censored from
     # t_j up to the next death time, and every row from there on; -inf when
     # everyone at risk dies, so that H0 = inf from t_j on
@@ -206,11 +208,25 @@ def univariate_cox_pvalue(d: SurvivalDataset, feature_index):
     so it is never selected.
 
     An int `feature_index` gives one float; a sequence of indices gives an
-    array of p-values, fitted together by one lockstep Newton run.
+    array of p-values, fitted together by one lockstep Newton run.  The
+    rows are sorted by time once, and the columns are gathered a block at
+    a time, never all at once.
     """
-    if isinstance(feature_index, (int, np.integer)):
-        return float(_wald_pvalues(d.values, [feature_index], d.times, d.events)[0])
-    return _wald_pvalues(d.values, np.asarray(feature_index, dtype=np.intp), d.times, d.events)
+    columns = np.array(feature_index, dtype=np.intp, ndmin=1)
+    # the blocks gather their own columns, so the risk sets hold none
+    risk = _RiskSets(np.empty((len(d), 0)), d.times, d.events)
+    p = np.ones(columns.size)
+    if risk.death_rows.size:               # else no risk set: nothing to test
+        block = max(1, _BLOCK_CELLS // len(d))
+        # every block's trials work in these buffers: see `_block_trials`
+        buffers = (np.empty((3, min(block, columns.size), len(d))),
+                   np.empty((min(block, columns.size), len(d)), dtype=bool))
+        for start in range(0, columns.size, block):
+            # np.take gives C-contiguous time-sorted rows, one per column
+            p[start:start + block] = _wald_block(
+                np.take(d.values[:, columns[start:start + block]].T, risk.order, axis=1),
+                risk, buffers)
+    return float(p[0]) if isinstance(feature_index, (int, np.integer)) else p
 
 
 # columns are fitted in blocks of at most this many cells: each working array
@@ -227,44 +243,7 @@ _BLOCK_CELLS = 1 << 15
 _BETA_BOUND = 10.0
 
 
-def _wald_pvalues(x, columns, times, events):
-    """Wald (or score) p-values of the `columns` of `x` (NaN = missing), each
-    as a univariate Cox covariate; rows share one time order.  The columns
-    are gathered a block at a time, never all at once."""
-    order = np.argsort(times, kind="stable")
-    ts, es = times[order], events[order]
-    p = np.ones(len(columns))
-    if not es.any():                       # no risk set: nothing to test
-        return p
-    deaths = _Deaths(ts, es)
-    block = max(1, _BLOCK_CELLS // ts.size)
-    # every block's trials work in these buffers: see `_block_trials`
-    buffers = (np.empty((3, min(block, len(columns)), ts.size)),
-               np.empty((min(block, len(columns)), ts.size), dtype=bool))
-    for start in range(0, len(columns), block):
-        # np.take gives C-contiguous time-sorted rows, one per column
-        p[start:start + block] = _wald_block(
-            np.take(x[:, columns[start:start + block]].T, order, axis=1), deaths, buffers)
-    return p
-
-
-class _Deaths:
-    """The deaths of a filter run's time-sorted rows, which every block
-    shares: the death rows; each death time's first row at risk, counted
-    from the last row, and its first death among the death rows; and each
-    death's first row at risk (the risk set is that row and every later
-    one)."""
-
-    def __init__(self, ts, es):
-        self.n = ts.size
-        self.rows = np.flatnonzero(es)
-        times = np.unique(ts[es])
-        self.first = ts.size - 1 - np.searchsorted(ts, times, side="left")
-        self.tie_start = np.searchsorted(ts[es], times)
-        self.starts = np.searchsorted(ts, ts[es], side="left")
-
-
-def _wald_block(cols, deaths, buffers):
+def _wald_block(cols, risk, buffers):
     """`_newton` and the Wald (or score) test on one column at a time, run
     on every column of `cols` (columns × time-sorted rows, overwritten) at
     once.
@@ -277,15 +256,15 @@ def _wald_block(cols, deaths, buffers):
     risk set's second moment passes n, while I(0) is at least the first
     death's count, so I(0) loses digits with log10(n) alone.
     """
-    weight, dead, separates, extremes = _at_risk(cols, deaths)
+    weight, dead, separates, extremes = _at_risk(cols, risk)
     usable = weight.any(axis=1)
     if not usable.all():             # so that a search of every column can use views
         cols, weight, dead, separates = (a[usable] for a in (cols, weight, dead, separates))
         extremes = extremes[:, usable]
     # Breslow tie counts, each death time's present deaths; without tied
     # deaths, each death time holds one death
-    ties = (np.add.reduceat(dead, deaths.tie_start, axis=1, dtype=float)
-            if deaths.tie_start.size < deaths.rows.size else dead.astype(float))
+    ties = (np.add.reduceat(dead, risk.tie_start, axis=1, dtype=float)
+            if risk.tie_start.size < risk.death_rows.size else dead.astype(float))
 
     z = cols                                         # standardized in place
     z[~weight] = 0.0
@@ -299,7 +278,7 @@ def _wald_block(cols, deaths, buffers):
     z /= scale[:, None]
     # the largest and smallest z at risk, by the same arithmetic: both
     # steps are monotone, so they standardize the raw extremes at risk
-    partial = _block_trials(z, weight, ties, (extremes - mean) / scale, deaths, buffers)
+    partial = _block_trials(z, weight, ties, (extremes - mean) / scale, risk, buffers)
 
     beta = np.zeros(z.shape[0])
     loglik, grad, info = partial(slice(None), beta)
@@ -341,22 +320,22 @@ def _wald_block(cols, deaths, buffers):
     return p
 
 
-def _block_trials(z, weight, ties, extremes, deaths, buffers):
+def _block_trials(z, weight, ties, extremes, risk, buffers):
     """The trial `partial(rows, beta) -> (loglik, grad, info)` of a block:
     the standardized columns `z` (columns × time-sorted rows, 0 off their
     rows at risk), their rows at risk `weight`, Breslow tie counts `ties`
     per death time, the largest and smallest z at risk of each column
-    (`extremes`, 2 × columns) and the run's `_Deaths`.  `rows` picks the
+    (`extremes`, 2 × columns) and the run's `_RiskSets`.  `rows` picks the
     columns, a slice or an index array, and beta holds one coefficient per
     picked column.  A trial works in the arrays of `buffers`, allocated
     once for every block of the run: a (3, columns, rows) float array, for
     the terms, their risk sums and a gather of the columns searching when
     they are not all of them, and a (columns, rows) bool array for the
     gather's weights."""
-    first = deaths.first
+    back = risk.back
     # np.take keeps row slices C-contiguous, so each row sum below is the
     # pairwise sum a one-column fit takes over the same numbers
-    z_dead = np.take(z, deaths.rows, axis=1)
+    z_dead = np.take(z, risk.death_rows, axis=1)
     death_z = z_dead.sum(axis=1)
 
     # fl(beta z) is monotone in z, so a column's largest beta z at risk, the
@@ -392,14 +371,14 @@ def _block_trials(z, weight, ties, extremes, deaths, buffers):
             ws *= wr
         else:
             np.copyto(ws, wr)
-        s0 = np.where(has_death[rows], _risk_sums(ws, first, sums[:k]), 1.0)
+        s0 = np.where(has_death[rows], _risk_sums(ws, back, 1, sums[:k]), 1.0)
         loglik = ((z_dead[rows] * beta[:, None]).sum(axis=1)
                   - (dr * (np.log(s0) + shift[:, None])).sum(axis=1))
         ws *= zr
-        mean = _risk_sums(ws, first, sums[:k]) / s0
+        mean = _risk_sums(ws, back, 1, sums[:k]) / s0
         grad = death_z[rows] - (dr * mean).sum(axis=1)
         ws *= zr
-        info = (dr * (_risk_sums(ws, first, sums[:k]) / s0 - mean * mean)).sum(axis=1)
+        info = (dr * (_risk_sums(ws, back, 1, sums[:k]) / s0 - mean * mean)).sum(axis=1)
         return loglik, grad, info
 
     return partial
@@ -416,16 +395,16 @@ def _normal_tails(z):
     return np.array([math.erfc(v * _SQRT_HALF) for v in z.tolist()])
 
 
-def _risk_sums(a, first, out=None, reduce=np.add):
-    """Risk-set sums, or another `reduce` such as np.fmax, of each row of
-    `a` (columns × time-sorted rows): its suffix reductions at the first
-    rows at risk (of each death time, or of each death) that `first`
-    counts from the last row.  The suffix reductions go in `out` when
-    given, an array of a's shape."""
-    return np.take(reduce.accumulate(a[:, ::-1], axis=1, out=out), first, axis=1)
+def _risk_sums(a, back, axis=0, out=None, reduce=np.add):
+    """Risk-set sums, or another `reduce` such as np.fmax or np.logaddexp,
+    of `a` along its time-sorted rows, the axis `axis`: its suffix
+    reductions at the first rows at risk (of each death time, or of each
+    death) that `back` counts from the last row.  The suffix reductions go
+    in `out` when given, an array of a's shape."""
+    return np.take(reduce.accumulate(np.flip(a, axis), axis=axis, out=out), back, axis=axis)
 
 
-def _at_risk(cols, deaths):
+def _at_risk(cols, risk):
     """(weight, dead, separates, extremes) of every column of `cols`
     (columns × time-sorted rows, NaN = missing): True at its rows at risk,
     its complete cases at or after its first death, and at its present
@@ -434,15 +413,17 @@ def _at_risk(cols, deaths):
     (2 × columns).  Raw values are compared, so that rounding cannot make a
     tie.  A column without a death, or constant at risk, has no information
     at beta = 0 and gets no row."""
-    starts = deaths.starts
-    death_cells = np.take(cols, deaths.rows, axis=1)
+    n = cols.shape[1]
+    # each death's first row at risk, its death time's
+    starts = np.repeat(risk.first, risk.deaths.astype(np.intp))
+    death_cells = np.take(cols, risk.death_rows, axis=1)
     dead = ~np.isnan(death_cells)
-    hi, lo = (_risk_sums(cols, deaths.n - 1 - starts, reduce=extreme)
+    hi, lo = (_risk_sums(cols, n - 1 - starts, 1, reduce=extreme)
               for extreme in (np.fmax, np.fmin))
     separates = ~(death_cells < hi).any(axis=1) | ~(death_cells > lo).any(axis=1)
     k0 = dead.argmax(axis=1)                              # each column's first death
     c = np.arange(k0.size)
     extremes = np.stack((hi[c, k0], lo[c, k0]))
     usable = dead[c, k0] & (extremes[0] > extremes[1])
-    weight = ~np.isnan(cols) & (np.arange(deaths.n) >= starts[k0][:, None]) & usable[:, None]
+    weight = ~np.isnan(cols) & (np.arange(n) >= starts[k0][:, None]) & usable[:, None]
     return weight, dead, separates, extremes

@@ -133,7 +133,7 @@ def _encode_labels(times, events, grid: TimeGrid) -> _Labels:
 
 
 @lru_cache(maxsize=8)
-def _suffix_sum_matrix(k: int) -> np.ndarray:
+def _tail_sum_matrix(k: int) -> np.ndarray:
     # (U @ a)[r] = sum of a[r:]; one small matrix product beats a cumsum down axis 0
     upper = np.triu(np.ones((k, k)))
     upper.setflags(write=False)
@@ -146,9 +146,9 @@ def _softmax_tail(theta, xb):
     scores for the times at or after interval k (g[m] = 0), and tail[k, i]
     is the unnormalized P(interval >= k)."""
     m = theta.shape[0]
-    g = (_suffix_sum_matrix(m + 1)[:, :m] @ theta) @ xb.T
+    g = (_tail_sum_matrix(m + 1)[:, :m] @ theta) @ xb.T
     g -= g.max(axis=0)
-    return g, _suffix_sum_matrix(g.shape[0]) @ np.exp(g)
+    return g, _tail_sum_matrix(g.shape[0]) @ np.exp(g)
 
 
 # Below this a censored label's mass may hold subnormal or underflowed
@@ -161,7 +161,7 @@ def _own_shift(g, first):
     their suffix shifted by its own max instead of the patient's."""
     own = np.where(np.arange(g.shape[0])[:, None] >= first, g, -np.inf)
     top = own.max(axis=0)
-    tail = _suffix_sum_matrix(g.shape[0]) @ np.exp(own - top)
+    tail = _tail_sum_matrix(g.shape[0]) @ np.exp(own - top)
     mass = tail[first, np.arange(first.size)]
     return top + np.log(mass), tail[1:] / mass
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,12 +98,12 @@ class TestPredictAft:
     def test_survival_at_the_scale_is_one_over_e(self):
         m = fit(weibull_sample(0))
         lam = m.scale(np.zeros(0))
-        curve = predict_curve_aft(m, np.zeros(0), np.array([lam])).subset([0])
+        curve = predict_curve_aft(replace(m, grid=np.array([lam])), np.zeros(0)).subset([0])
         assert curve.probs[0, 1] == pytest.approx(np.exp(-1), rel=1e-12)
 
     def test_time_zero_is_one(self):
-        m = fit(weibull_sample(0))
-        curve = predict_curve_aft(m, np.zeros(0), np.array([0.0, 5.0])).subset([0])
+        m = replace(fit(weibull_sample(0)), grid=np.array([0.0, 5.0]))
+        curve = predict_curve_aft(m, np.zeros(0)).subset([0])
         assert curve.probs[0, 0] == 1.0
         assert survival_at(curve, 0.0) == 1.0
 
@@ -112,17 +114,16 @@ class TestPredictAft:
         lin = x @ np.array([0.8, -0.5])
         death = 10 * np.exp(-lin) * rng_local.weibull(1.5, size=400)
         d = SurvivalDataset.from_arrays(x, death, np.ones(400, dtype=bool))
-        m = fit(d)
-        grid = np.linspace(0.5, 40, 60)
+        m = replace(fit(d), grid=np.linspace(0.5, 40, 60))
         for _ in range(20):
             xa, xb = rng.standard_normal(2), rng.standard_normal(2)
-            ca = predict_curve_aft(m, xa, grid).subset([0]).probs
-            cb = predict_curve_aft(m, xb, grid).subset([0]).probs
+            ca = predict_curve_aft(m, xa).subset([0]).probs
+            cb = predict_curve_aft(m, xb).subset([0]).probs
             diff = ca - cb
             assert np.all(diff >= -1e-12) or np.all(diff <= 1e-12)
 
     def test_strictly_decreasing_and_positive(self):
-        m = fit(weibull_sample(1))
-        curve = predict_curve_aft(m, np.zeros(0), np.linspace(0.5, 60, 50)).subset([0])
+        m = replace(fit(weibull_sample(1)), grid=np.linspace(0.5, 60, 50))
+        curve = predict_curve_aft(m, np.zeros(0)).subset([0])
         assert np.all(np.diff(curve.probs) < 0)
         assert np.all(curve.probs > 0)

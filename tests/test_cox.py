@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isdkit import core, cox
 from isdkit.core import FitError, Instance, SurvivalDataset, accepts
@@ -248,6 +249,27 @@ class TestPartialLikelihood:
         exact_probs = [float((-h).exp()) for h in exact]
         np.testing.assert_allclose(baseline.probs[0, -death_times.size:], exact_probs,
                                    rtol=0.0, atol=1e-14)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_risk_sums_are_the_suffix_reductions_they_replace(data):
+    # every risk-set reduction of the fit, the baseline and the filter goes
+    # through `_risk_sums`; these are the spellings it took the place of
+    n = data.draw(st.integers(1, 30))
+    k = data.draw(st.integers(1, 4))
+    finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    a = data.draw(hnp.arrays(np.float64, (n, k), elements=finite))
+    eta = data.draw(hnp.arrays(np.float64, n, elements=finite | st.just(-np.inf)))
+    first = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    back = n - 1 - first
+    assert (cox._risk_sums(a, back).tobytes()
+            == np.cumsum(a[::-1], axis=0)[::-1][first].tobytes())
+    assert (cox._risk_sums(eta, back, reduce=np.logaddexp).tobytes()
+            == np.logaddexp.accumulate(eta[::-1])[::-1][first].tobytes())
+    # the filter's layout, columns × time-sorted rows
+    assert (cox._risk_sums(a.T.copy(), back, 1).tobytes()
+            == np.cumsum(a.T[:, ::-1], axis=1)[:, ::-1][:, first].tobytes())
 
 
 def two_group_cohort(seed, n=1000, beta=1.0, censor_rate=0.02):
@@ -680,7 +702,7 @@ def reference_block_trials(z, weight, ties, extremes, deaths, buffers):
     """The filter's trial before it reused per-block work: the shift is the
     masked max of beta z over the rows at risk, and every product is a fresh
     temporary.  `cox._block_trials` must give the same bits."""
-    death_rows, first = deaths.rows, deaths.first
+    death_rows, first = deaths.death_rows, deaths.back
     death_z = np.take(z, death_rows, axis=1).sum(axis=1)
 
     def risk_sums(a):

@@ -14,8 +14,12 @@ and the tree's own ``src/`` on ``PYTHONPATH``:
 - ``isdkit evaluate`` of mtlr on a CSV with nominal and missing cells, and
   of cox-kp with two fold threads on a CSV of 124 numeric columns with
   empty cells (the univariate Cox filter then fits its columns in more
-  than one block); this script writes both CSVs once and hands them to
-  both trees;
+  than one block);
+- ``isdkit evaluate`` (two fold threads) and ``isdkit fit`` of cox-kp on
+  that cohort with each time rounded up to a whole number, so that many
+  deaths share a time and the tie paths of the Cox fit, its baseline and
+  the filter run; this script writes the three CSVs once and hands them
+  to both trees;
 - every demo under ``demos/``, its stdout kept.
 
 The manifest uses the command line, a stable interface, so it also runs on
@@ -67,6 +71,12 @@ def manifest(tree: Path) -> list:
     steps.append(("evaluate-cox-kp-wide", cli + [
         "evaluate", "--dataset", "{inputs}/wide.csv", "--model", "cox-kp", "--jobs", "2",
         "--out", "evaluate-cox-kp-wide"]))
+    steps.append(("evaluate-cox-kp-tied", cli + [
+        "evaluate", "--dataset", "{inputs}/tied.csv", "--model", "cox-kp", "--jobs", "2",
+        "--out", "evaluate-cox-kp-tied"]))
+    steps.append(("fit-cox-kp-tied", cli + [
+        "fit", "--dataset", "{inputs}/tied.csv", "--model", "cox-kp",
+        "--out", "fit-cox-kp-tied"]))
     for demo in sorted((tree / "demos").glob("*.py")):
         steps.append((f"demo-{demo.stem}", [str(demo)]))
     return steps
@@ -92,14 +102,16 @@ def write_mixed_csv(path: Path, n: int = 120) -> None:
                              int(death[i] <= censor[i]), *cells, stage[i], flag[i]])
 
 
-def write_wide_csv(path: Path, n: int = 400, k: int = 124) -> None:
+def write_wide_csv(path: Path, n: int = 400, k: int = 124, tied: bool = False) -> None:
     """A cohort CSV of k numeric columns, the first three linked to the
-    outcome, with about 5% of the cells of the others empty."""
+    outcome, with about 5% of the cells of the others empty; with `tied`,
+    each time is rounded up to a whole number."""
     rng = np.random.default_rng(20181002)
     x = rng.standard_normal((n, k))
     death = 10 * np.exp(-(0.8 * x[:, 0] - 0.6 * x[:, 1] + 0.4 * x[:, 2]) / 1.5) \
         * rng.weibull(1.5, n)
     censor = rng.exponential(20.0, n)
+    times = np.ceil(np.minimum(death, censor)) if tied else np.minimum(death, censor)
     empty = rng.random((n, k)) < 0.05
     empty[:, :3] = False
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -107,8 +119,7 @@ def write_wide_csv(path: Path, n: int = 400, k: int = 124) -> None:
         writer.writerow(["time", "event", *(f"x{j}" for j in range(k))])
         for i in range(n):
             cells = ["" if empty[i, j] else repr(float(x[i, j])) for j in range(k)]
-            writer.writerow([repr(float(min(death[i], censor[i]))),
-                             int(death[i] <= censor[i]), *cells])
+            writer.writerow([repr(float(times[i])), int(death[i] <= censor[i]), *cells])
 
 
 def run_manifest(tree: Path, out: Path, steps, inputs: Path) -> None:
@@ -242,6 +253,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive.stdout, check=True)
         write_mixed_csv(inputs / "mixed.csv")
         write_wide_csv(inputs / "wide.csv")
+        write_wide_csv(inputs / "tied.csv", tied=True)
         for tree, name in ((parent, args.rev), (ROOT, "working tree")):
             print(f"running the manifest in {name} ...", flush=True)
             run_manifest(tree, work / f"out-{'rev' if tree is parent else 'work'}",
