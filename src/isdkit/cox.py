@@ -397,11 +397,14 @@ def _normal_tails(z):
 
 def _risk_sums(a, back, axis=0, out=None, reduce=np.add):
     """Risk-set sums, or another `reduce` such as np.fmax or np.logaddexp,
-    of `a` along its time-sorted rows, the axis `axis`: its suffix
-    reductions at the first rows at risk (of each death time, or of each
-    death) that `back` counts from the last row.  The suffix reductions go
-    in `out` when given, an array of a's shape."""
-    return np.take(reduce.accumulate(np.flip(a, axis), axis=axis, out=out), back, axis=axis)
+    of `a` along its time-sorted rows, the axis `axis` (0 or 1): its
+    suffix reductions at the first rows at risk (of each death time, or of
+    each death) that `back` counts from the last row.  The suffix
+    reductions go in `out` when given, an array of a's shape."""
+    # a slice: np.flip's dispatch costs 1.5 us a call, about 2% of the
+    # filter and of the fit on a cox-wide fold
+    flipped = a[::-1] if axis == 0 else a[:, ::-1]
+    return np.take(reduce.accumulate(flipped, axis=axis, out=out), back, axis=axis)
 
 
 def _at_risk(cols, risk):
