@@ -138,8 +138,7 @@ def predict_curve_aft(m: AftWeibullModel, x) -> CurveBatch:
     grid = np.asarray(m.grid, dtype=float)
     x = np.asarray(x, dtype=float)
     mu = m.intercept + x @ m.coeffs
-    with np.errstate(divide="ignore"):
-        logt = np.log(grid)
-    w = (logt - mu[..., None]) / m.sigma
-    probs = np.clip(np.exp(-np.exp(w)), 0.0, 1.0)  # log 0 = -inf gives S(0) = 1
+    # log 0 = -inf gives S(0) = 1, and a hazard past 1.8e308 overflows to inf, which reads S = 0
+    with np.errstate(divide="ignore", over="ignore"):
+        probs = np.exp(-np.exp((np.log(grid) - mu[..., None]) / m.sigma))
     return CurveBatch(grid, probs, "linear")

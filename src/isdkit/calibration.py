@@ -182,7 +182,7 @@ def calibration_table(v: SurvivalDataset, probs_at_tstar, tstar: float, b: int,
     return CalibrationBins(n, pbar, n * (1.0 - surv))
 
 
-def _hl_statistic(table: CalibrationBins) -> float:
+def _one_calibration(table: CalibrationBins, dof: int) -> TestResult:
     variance = table.n * table.mean_predicted * (1.0 - table.mean_predicted)
     if np.any(variance <= 0):
         raise ValueError(
@@ -190,7 +190,8 @@ def _hl_statistic(table: CalibrationBins) -> float:
             "probability of exactly 0 or 1)"
         )
     expected = table.n * table.mean_predicted
-    return float(np.sum((table.observed - expected) ** 2 / variance))
+    statistic = float(np.sum((table.observed - expected) ** 2 / variance))
+    return TestResult(statistic, dof, chi2_sf(statistic, dof))
 
 
 def one_calibration_hl(v_u: SurvivalDataset, probs_at_tstar, tstar: float,
@@ -198,10 +199,7 @@ def one_calibration_hl(v_u: SurvivalDataset, probs_at_tstar, tstar: float,
     """Hosmer-Lemeshow test of the predicted survival probabilities at t*
     on uncensored data; the statistic follows chi-square with B-2 degrees
     of freedom under calibration."""
-    table = calibration_table(v_u, probs_at_tstar, tstar, b, censoring="reject")
-    statistic = _hl_statistic(table)
-    dof = b - 2
-    return TestResult(statistic, dof, chi2_sf(statistic, dof))
+    return _one_calibration(calibration_table(v_u, probs_at_tstar, tstar, b, "reject"), b - 2)
 
 
 def one_calibration_dn(v: SurvivalDataset, probs_at_tstar, tstar: float,
@@ -209,10 +207,7 @@ def one_calibration_dn(v: SurvivalDataset, probs_at_tstar, tstar: float,
     """D'Agostino-Nam translation of the Hosmer-Lemeshow test: within-bin
     Kaplan-Meier supplies the expected death counts so censored instances
     participate; chi-square with B-1 degrees of freedom."""
-    table = calibration_table(v, probs_at_tstar, tstar, b, censoring="km")
-    statistic = _hl_statistic(table)
-    dof = b - 1
-    return TestResult(statistic, dof, chi2_sf(statistic, dof))
+    return _one_calibration(calibration_table(v, probs_at_tstar, tstar, b, "km"), b - 1)
 
 
 def brier_uncensored(v_u: SurvivalDataset, probs_at_tstar, tstar: float) -> float:

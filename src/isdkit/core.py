@@ -88,7 +88,8 @@ def newton_ascent(f, x0, solve, what: str):
 
 def _repeated(names):
     """The first name in `names` that an earlier one repeats, or None."""
-    return next((name for i, name in enumerate(names) if name in names[:i]), None)
+    seen = set()  # set.add returns None, so only a name already seen is kept
+    return next((name for name in names if name in seen or seen.add(name)), None)
 
 
 @dataclass(frozen=True)

@@ -282,23 +282,18 @@ class CurveBatch:
         return np.cumsum(areas[:, ::-1], axis=1)[:, ::-1]
 
     def area_from(self, c) -> np.ndarray:
-        """Integral of S from c to infinity, c of shape () or (q,) with one
-        time per patient: the rest of c's `line` plus every segment after
-        it, whose areas each block of rows reads from one suffix-sum table."""
+        """Integral of S from c to infinity, c of shape () or (q,): a time per
+        patient, or q times on a shared row.  The rest of c's `line` plus every
+        segment after it, gathered per block of rows from one suffix-sum table."""
         if self.zero_time is None:
             raise ValueError("areas need extended curves; call extend_linear first")
         c = np.asarray(c, dtype=float).reshape(-1)
         rows = np.arange(self.rows) if self.rows != 1 else 0
         seg = self.segment_of(c)
-        if self.rows != 1:
-            nxt_of = np.broadcast_to(seg + 1, (self.rows,))
-            after = np.concatenate([
-                np.take_along_axis(self._suffix_area(block, probs), nxt_of[block, None],
-                                   axis=1)[:, 0]
-                for block, probs in self.block_tables()])
-        else:
-            (block, probs), = self.block_tables()
-            after = self._suffix_area(block, probs)[0, seg + 1]
+        nxt = (seg + 1)[None] if self.rows == 1 else np.broadcast_to(seg + 1, (self.rows,))[:, None]
+        after = np.concatenate([
+            np.take_along_axis(self._suffix_area(block, probs), nxt[block], axis=1)
+            for block, probs in self.block_tables()]).reshape(-1)
         _, _, stop, end = self.line(rows, seg)
         return _trapezoid(np.maximum(stop - c, 0.0), self._evaluate(c), end) + after
 

@@ -57,7 +57,7 @@ def fit_km_arrays(times: np.ndarray, events: np.ndarray) -> KMCurve:
     else:
         knot_t = utimes[-1:]
         knot_p = np.array([1.0])
-    curve = CurveBatch(knot_t, np.clip(knot_p, 0.0, 1.0), "step")
+    curve = CurveBatch(knot_t, knot_p, "step")
     for arr in (utimes, at_risk, deaths, censored):
         arr.setflags(write=False)
     return KMCurve(curve, utimes, at_risk, deaths, censored)

@@ -450,4 +450,4 @@ def predict_curve_mtlr(m: MtlrModel, x) -> CurveBatch:
     _, tail = _softmax_tail(m.theta, xb)
     surv = np.minimum(tail[1:] / tail[0], 1.0).T  # S(t_i) = P(interval >= i)
     monotone = np.maximum.accumulate(surv[:, ::-1], axis=1)[:, ::-1]
-    return CurveBatch(m.grid.points, np.clip(monotone, 0.0, 1.0), "linear")
+    return CurveBatch(m.grid.points, monotone, "linear")

@@ -282,12 +282,10 @@ def _fit_predict(name: str, raw_train: SurvivalDataset, raw_val: SurvivalDataset
         model = KaplanMeierModel(train_km)
     elif name == "cox-kp":
         model = fit_cox(train)
-    elif name in ("aft-weibull", "mtlr"):
+    else:
         grid = make_grid(train, default_grid_size(len(train)))
         model = (fit_aft_weibull(train, grid) if name == "aft-weibull"
                  else fit_mtlr(train, grid, c_grid))
-    else:
-        raise ValueError(f"unknown model {name!r}")
     curves = extend_linear(model.predict_curves(val), float(train_km_ext.zero_time[0]))
     return model, train_km_ext, curves
 
@@ -335,7 +333,7 @@ def _run_fold(d: SurvivalDataset, cfg: ExperimentConfig, val_mask: np.ndarray,
 
     at_tstars = np.broadcast_to(survival_at(curves, np.asarray(tstars)[None, :]),
                                 (n, len(tstars)))
-    at_times = np.broadcast_to(survival_at(curves, raw_val.times), (n,))
+    at_times = survival_at(curves, raw_val.times)
     scores = _score_fold(raw_val, curves, medians, cfg.metrics, tau, raw_train, train_km_ext)
     return _FoldOutput(curves, scores, at_tstars, at_times, np.flatnonzero(val_mask))
 

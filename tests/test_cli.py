@@ -284,6 +284,19 @@ class TestFit:
         assert len(payload["beta"]) == 2
         assert len(payload["baseline_times"]) == len(payload["baseline_probs"])
 
+    def test_mtlr_payload_holds_its_grid_and_theta(self, toy_csv, tmp_path):
+        out = tmp_path / "fit"
+        assert main(["fit", "--dataset", str(toy_csv), "--model", "mtlr",
+                     "--out", str(out)]) == 0
+        payload = json.loads((out / "model.json").read_text())
+        assert set(payload) == {"model", "grid", "theta", "c", "feature_names"}
+        assert payload["model"] == "mtlr"
+        assert payload["c"] in (0.01, 0.1, 1.0, 10.0, 100.0)
+        # a row of theta per grid point, a column per kept feature plus the bias
+        theta = np.array(payload["theta"])
+        assert theta.shape == (len(payload["grid"]), len(payload["feature_names"]) + 1)
+        assert np.all(np.diff(payload["grid"]) > 0)
+
 
     def test_aft_curves_sit_on_the_make_grid_knots(self, tmp_path):
         # like `evaluate`, `fit` predicts AFT curves on the make_grid grid,
@@ -323,6 +336,21 @@ class TestReport:
         assert conc["km"]["best"] == "0"
         assert (out / "dcal_histograms.csv").exists()
         assert (out / "curves_sample.csv").exists()
+
+    def test_a_metric_only_some_runs_scored_is_ranked_among_those(self, toy_csv, tmp_path):
+        run_a, run_b = tmp_path / "km", tmp_path / "cox"
+        main(["evaluate", "--dataset", str(toy_csv), "--model", "km",
+              "--folds", "3", "--metrics", "concordance,ibs", "--out", str(run_a)])
+        main(["evaluate", "--dataset", str(toy_csv), "--model", "cox-kp",
+              "--folds", "3", "--metrics", "concordance", "--out", str(run_b)])
+        out = tmp_path / "report"
+        assert main(["report", "--runs", str(run_a), str(run_b), "--out", str(out)]) == 0
+        rows = read_rows(out / "comparison.csv")
+        assert [(r["run"], r["metric"]) for r in rows] == [
+            ("km", "concordance"), ("cox", "concordance"), ("km", "ibs")]
+        best = {(r["run"], r["metric"]): r["best"] for r in rows}
+        assert best[("km", "ibs")] == "1"   # the only run that scored it
+        assert best[("cox", "concordance")] == "1"
 
     def test_single_run_identity_table(self, toy_csv, tmp_path):
         run = tmp_path / "km"

@@ -264,6 +264,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="'b' appears more than once"):
             d.with_features([[1.0, 2.0]], ["b", "b"])
 
+    @pytest.mark.parametrize("names, first", [(("a", "b", "b", "a"), "b"),
+                                              (("a", "b", "a", "b"), "a"),
+                                              (("a", "b", "c"), None), ((), None)])
+    def test_the_first_name_an_earlier_one_repeats_is_named(self, names, first):
+        assert core._repeated(names) == first
+        assert core._repeated(list(names)) == first
+        if first is not None:
+            with pytest.raises(ValueError, match=f"feature name '{first}' appears more than once"):
+                SurvivalDataset.from_arrays(np.zeros((1, len(names))), [1.0], [True], names)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="row 1: negative time -0.5"):
             SurvivalDataset((Instance((1.0,), 1.0, True), Instance((1.0,), -0.5, True)),

@@ -266,6 +266,22 @@ def test_batch_values_match_each_curve(drawn, extra):
                                   [ref_survival(c, t) for c, t in zip(curves, own)])
 
 
+@given(knot_vectors(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_shared_row_reads_its_areas_as_the_same_row_repeated(knots, data):
+    # a shared row gathers its q times along its one row, a matrix its
+    # own time per row; both read the same cells in the same order
+    row = data.draw(rows_on(knots.size))
+    interp = data.draw(st.sampled_from(["step", "linear"]))
+    zero = data.draw(st.floats(0.0, 300.0))  # before t_max too: the tail is then empty
+    c = np.array(data.draw(st.lists(st.floats(0.0, 400.0), min_size=1, max_size=40)))
+    q = c.size
+    shared = CurveBatch(knots, row, interp, zero_time=[zero], fallback=[False])
+    repeated = CurveBatch(knots, np.tile(row, (q, 1)), interp,
+                          zero_time=np.full(q, zero), fallback=np.zeros(q, bool))
+    assert shared.area_from(c).tobytes() == repeated.area_from(c).tobytes()
+
+
 @st.composite
 def mixed_curves(draw):
     n = draw(st.integers(1, 5))

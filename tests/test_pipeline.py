@@ -125,6 +125,33 @@ class TestPreprocess:
                                              f"gets the name 'a={level}'"):
             preprocess(d, d)
 
+    def test_a_validation_fold_without_strings_in_a_nominal_column(self):
+        # the fold's column holds numbers and empty cells only, so it has no
+        # raw cells: a number is a level never seen in training (all-zero
+        # indicators) and an empty cell is missing in every indicator
+        rng = np.random.default_rng(3)
+        n = 40
+        train = SurvivalDataset.from_arrays(
+            [[float(rng.standard_normal()), str(rng.choice(["a", "b"]))] for _ in range(n)],
+            rng.exponential(5.0, n), rng.random(n) < 0.8, ("num", "site"))
+        val = SurvivalDataset.from_arrays(
+            [[0.5, 1.0], [0.1, None], [-0.3, 2.5], [1.2, None]],
+            [1.0, 2.0, 3.0, 4.0], [True, False, True, True], ("num", "site"))
+        assert 1 not in val.raw_columns
+        cells = _cells(val, 1)
+        assert cells.tolist() == [1.0, None, 2.5, None]
+        for column in _indicators(cells, ["a", "b"]):
+            np.testing.assert_array_equal(column, [0.0, np.nan, 0.0, np.nan])
+
+        _, val2, report = preprocess(train, val, p_cut=1.0)
+        assert report.encoded["site"] == ("site=a", "site=b")
+        for name in report.encoded["site"]:
+            mean = report.imputation_means[name]
+            mu, sd = report.standardization[name]
+            expected = (np.array([0.0, mean, 0.0, mean]) - mu) / sd
+            column = val2.values[:, val2.feature_names.index(name)]
+            np.testing.assert_array_equal(column, expected)
+
     def test_validation_labels_never_leak(self):
         # perturbing validation labels must change nothing, bitwise
         d = mixed_dataset()

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isdkit.aft import AftWeibullModel, predict_curve_aft
 from isdkit.calibration import dcal_histogram
 from isdkit.curves import (
     CurveBatch,
@@ -12,6 +13,8 @@ from isdkit.curves import (
     mean_survival,
     survival_at,
 )
+from isdkit.km import fit_km_arrays
+from isdkit.mtlr import MtlrModel, TimeGrid, predict_curve_mtlr
 
 
 @st.composite
@@ -63,3 +66,64 @@ def test_every_instance_contributes_unit_mass(prob, event, bins):
     h = dcal_histogram([prob], [event], bins)
     assert abs(h.counts.sum() - 1.0) < 1e-12
     assert np.all(h.counts >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# predictions need no clamp to [0, 1]
+
+def assert_needs_no_clamp(batch):
+    # CurveBatch refuses a probability outside [0, 1], so building the batch
+    # checked the bounds; a clamp would not have moved a bit either
+    probs = batch.probs
+    assert probs.tobytes() == np.clip(probs, 0.0, 1.0).tobytes()
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_kaplan_meier_curves_need_no_clamp(data):
+    n = data.draw(st.integers(1, 12))
+    times = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))  # many ties
+    cohort = data.draw(st.sampled_from(["mixed", "all dead", "all censored"]))
+    if cohort == "mixed":
+        events = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        events = [cohort == "all dead"] * n
+    assert_needs_no_clamp(fit_km_arrays(np.array(times, float), np.array(events)).curve)
+
+
+@st.composite
+def grids(draw):
+    m = draw(st.integers(2, 6))
+    points = draw(st.lists(st.floats(0.01, 100.0), min_size=m, max_size=m, unique=True))
+    return np.sort(points)
+
+
+@st.composite
+def feature_rows(draw, k):
+    n = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.floats(-3.0, 3.0), min_size=n * k, max_size=n * k))
+    return np.array(cells).reshape(n, k)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_mtlr_curves_need_no_clamp(data):
+    grid = TimeGrid(data.draw(grids()))
+    k = data.draw(st.integers(1, 3))
+    size = grid.m * (k + 1)
+    theta = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+    model = MtlrModel(theta.reshape(grid.m, k + 1), grid, 1.0)
+    assert_needs_no_clamp(predict_curve_mtlr(model, data.draw(feature_rows(k))))
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_aft_curves_need_no_clamp(data):
+    grid = data.draw(grids())
+    if data.draw(st.booleans()):
+        grid = np.concatenate(([0.0], grid))  # log 0 = -inf reads S(0) = 1
+    k = data.draw(st.integers(1, 3))
+    coeffs = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=k, max_size=k)))
+    model = AftWeibullModel(data.draw(st.floats(-10.0, 10.0)), coeffs,
+                            data.draw(st.floats(-20.0, 20.0)), grid)
+    assert_needs_no_clamp(predict_curve_aft(model, data.draw(feature_rows(k))))

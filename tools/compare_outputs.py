@@ -11,6 +11,7 @@ and the tree's own ``src/`` on ``PYTHONPATH``:
 
 - ``isdkit simulate`` of one cohort;
 - ``isdkit evaluate`` and ``isdkit fit`` of all four models on that cohort;
+- ``isdkit report`` over those four evaluations;
 - ``isdkit evaluate`` of mtlr on a CSV with nominal and missing cells, and
   of cox-kp with two fold threads on a CSV of 124 numeric columns with
   empty cells (the univariate Cox filter then fits its columns in more
@@ -65,6 +66,8 @@ def manifest(tree: Path) -> list:
             steps.append((f"{command}-{model}", cli + [
                 command, "--dataset", "simulate/cohort.csv", "--model", model,
                 "--out", f"{command}-{model}"]))
+    steps.append(("report", cli + [
+        "report", "--runs", *(f"evaluate-{model}" for model in MODELS), "--out", "report"]))
     steps.append(("evaluate-mtlr-mixed", cli + [
         "evaluate", "--dataset", "{inputs}/mixed.csv", "--model", "mtlr",
         "--out", "evaluate-mtlr-mixed"]))
